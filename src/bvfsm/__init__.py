@@ -10,7 +10,6 @@ from .auxfun import (
     InverseBarrier,
     PolynomialPenalty,
     QuadraticPenalty,
-    RoleSigma,
     ScheduleState,
     StaticShift,
     TruncatedLogBarrier,
@@ -70,7 +69,5 @@ from .solver import (
     solve_inner,
     solve_penalized_inner,
     solve_regularized_ll,
-    ul_gradient,
-    ul_gradient_constrained,
-    ul_gradient_pessimistic,
+    ul_gradient_for,
 )

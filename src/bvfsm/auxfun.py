@@ -191,21 +191,14 @@ Sigma2Rule = Union[StaticShift, DynamicShift]
 
 
 @dataclass(frozen=True)
-class RoleSigma:
-    """Per-role barrier/penalty parameter with its own decay factor."""
-
-    value: float = 1.0
-    decay: float | None = None  # None -> schedule-wide decay
-
-
-@dataclass(frozen=True)
 class ScheduleState:
     """The decaying parameter tuple (mu_k, theta_k, sigma_k).
 
     All positive parameters shrink geometrically: one :func:`schedule_step`
-    multiplies each by its decay factor (global ``decay`` unless a per-role
-    override is set).  ``sigma2`` controls the modified-barrier shift; static
-    shifts decay too (default: sqrt of the global decay, see StaticShift).
+    multiplies each by ``decay``.  ``sigma1`` is the one penalty/barrier
+    parameter shared by every term.  ``sigma2`` controls the modified-barrier
+    shift; static shifts decay too (default: sqrt of the global decay, see
+    StaticShift).
     """
 
     mu: float = 1.0
@@ -216,10 +209,6 @@ class ScheduleState:
     sigma2: Sigma2Rule = field(default_factory=StaticShift)
     sigma2_H: StaticShift | None = None  # shift sequence for modified barriers on H
     sigma2_h: StaticShift | None = None  # shift sequence for modified barriers on h
-    sigma_B: RoleSigma | None = None
-    sigma_H: RoleSigma | None = None
-    sigma_h: RoleSigma | None = None
-    sigma_f: RoleSigma | None = None
 
     def __post_init__(self):
         if min(self.mu, self.theta, self.sigma1) <= 0:
@@ -227,33 +216,10 @@ class ScheduleState:
         if not (0.0 < self.decay <= 1.0):
             raise InvalidParameter("decay must lie in (0, 1]")
 
-    def role_sigma(self, role: str) -> float:
-        override = getattr(self, f"sigma_{role}", None)
-        if override is not None:
-            return override.value
-        return self.sigma1
-
-    def shift_value(self) -> float:
-        """Current static shift value (0 when the rule is dynamic)."""
-        if isinstance(self.sigma2, StaticShift):
-            return self.sigma2.value
-        return 0.0
-
-    @property
-    def sigma2_decay(self) -> float:
-        if isinstance(self.sigma2, StaticShift) and self.sigma2.decay is not None:
-            return self.sigma2.decay
-        return math.sqrt(self.decay)
-
 
 def schedule_step(sched: ScheduleState) -> ScheduleState:
     """Advance one outer stage: k+1, every decaying parameter multiplied down."""
     d = sched.decay
-
-    def step_role(rs: RoleSigma | None) -> RoleSigma | None:
-        if rs is None:
-            return None
-        return RoleSigma(rs.value * (rs.decay if rs.decay is not None else d), rs.decay)
 
     def step_shift(sh: StaticShift | None) -> StaticShift | None:
         if sh is None:
@@ -273,10 +239,6 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
         sigma2=sigma2,
         sigma2_H=step_shift(sched.sigma2_H),
         sigma2_h=step_shift(sched.sigma2_h),
-        sigma_B=step_role(sched.sigma_B),
-        sigma_H=step_role(sched.sigma_H),
-        sigma_h=step_role(sched.sigma_h),
-        sigma_f=step_role(sched.sigma_f),
     )
 
 
@@ -332,7 +294,6 @@ def aux_eval(
     omega: float,
     sched: ScheduleState,
     context_shift: float = 0.0,
-    role: str = "f",
 ) -> float:
     """P(omega) for the configured member; ``inf`` signals the barrier wall.
 
@@ -341,7 +302,7 @@ def aux_eval(
     ``context_shift`` supplied by the solver.
     """
     w = effective_argument(aux, omega, sched, context_shift)
-    return _rho(aux.kind, w, sched.role_sigma(role))
+    return _rho(aux.kind, w, sched.sigma1)
 
 
 def aux_deriv(
@@ -349,8 +310,7 @@ def aux_deriv(
     omega: float,
     sched: ScheduleState,
     context_shift: float = 0.0,
-    role: str = "f",
 ) -> float:
     """dP/domega at omega; raises BarrierWall at or beyond a barrier wall."""
     w = effective_argument(aux, omega, sched, context_shift)
-    return _rho_deriv(aux.kind, w, sched.role_sigma(role))
+    return _rho_deriv(aux.kind, w, sched.sigma1)

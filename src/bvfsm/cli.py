@@ -45,7 +45,10 @@ BASELINE_NAMES = ["rhg", "trhg", "bda", "cg", "neumann"]
 
 def _baseline_config(cfg: dict) -> BaselineConfig:
     fields = {k: v for k, v in cfg.get("baseline", {}).items() if k != "ul_steps"}
-    return BaselineConfig(**fields)
+    try:
+        return BaselineConfig(**fields)
+    except TypeError as exc:  # a key BaselineConfig does not know
+        raise InvalidParameter(f"baseline: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -119,14 +122,17 @@ def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
     sigma2 = parse_shift(d.get("sigma2", {})) or StaticShift()
     sigma2_H = parse_shift(d.get("sigma2_H"))
     sigma2_h = parse_shift(d.get("sigma2_h"))
+    for name, rule in (("sigma2_H", sigma2_H), ("sigma2_h", sigma2_h)):
+        if isinstance(rule, DynamicShift):
+            raise InvalidParameter(f"{name}: constraint shifts take only the static rule")
     return ScheduleState(
         mu=float(d.get("mu", 1.0)),
         theta=float(d.get("theta", 1.0)),
         sigma1=float(d.get("sigma1", 1.0)),
         decay=decay,
         sigma2=sigma2,
-        sigma2_H=sigma2_H if not isinstance(sigma2_H, DynamicShift) else None,
-        sigma2_h=sigma2_h if not isinstance(sigma2_h, DynamicShift) else None,
+        sigma2_H=sigma2_H,
+        sigma2_h=sigma2_h,
     )
 
 
@@ -199,6 +205,22 @@ def run_baseline_loop(
     return trace, last_flag
 
 
+def _run_method(bench: BenchmarkProblem, mspec, cfg: dict, x0: np.ndarray,
+                y0: np.ndarray, cap: float | None) -> tuple[SolveTrace, str]:
+    """Run one method spec of a config on ``bench``; returns (trace, flag).
+
+    Raises InvalidParameter for an unknown method or a malformed method
+    section; SolveTimeout and SolveError carry the partial trace.
+    """
+    mname = str(mspec).partition(":")[0].lower()
+    if mname == "bvfsm":
+        scfg = build_solver_config(cfg, bench)
+        return solve(bench.problem, scfg, x0, y0, reference=bench.reference), ""
+    name, bcfg = parse_method(mspec, _baseline_config(cfg))
+    ul_steps = int(cfg.get("baseline", {}).get("ul_steps", 500))
+    return run_baseline_loop(bench, name, bcfg, ul_steps, x0, y0, cap)
+
+
 def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) -> int:
     """Execute one experiment config; write trace CSVs and a summary JSON."""
     try:
@@ -232,21 +254,9 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
     }
     failed = False
     for mspec in methods:
-        mname = str(mspec).partition(":")[0].lower()
         entry: dict = {"method": str(mspec)}
         try:
-            if mname == "bvfsm":
-                scfg = build_solver_config(cfg, bench)
-                trace = solve(problem, scfg, x0, y0, reference=bench.reference)
-                flag = ""
-            elif mname in BASELINE_NAMES:
-                base = _baseline_config(cfg)
-                name, bcfg = parse_method(mspec, base)
-                ul_steps = int(cfg.get("baseline", {}).get("ul_steps", 500))
-                trace, flag = run_baseline_loop(bench, name, bcfg, ul_steps, x0, y0, cap)
-            else:
-                print(f"config error: unknown method {mspec!r}", file=sys.stderr)
-                return EXIT_CONFIG
+            trace, flag = _run_method(bench, mspec, cfg, x0, y0, cap)
         except (SolveTimeout, SolveError) as exc:
             trace = exc.trace
             flag = type(exc).__name__
@@ -282,23 +292,14 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(family: str, n: int, mspec: str, cfg: dict, seed: int):
+def _sweep_cell(family: str, n: int, mspec: str, cfg: dict):
     started = time.perf_counter()
     try:
         bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
         problem = bench.problem
         x0 = _vector(problem.m, cfg.get("x0", 8.0))
         y0 = _vector(problem.n, cfg.get("y0", 0.0))
-        mname = str(mspec).partition(":")[0].lower()
-        if mname == "bvfsm":
-            scfg = build_solver_config(cfg, bench)
-            trace = solve(problem, scfg, x0, y0, reference=bench.reference)
-        else:
-            base = _baseline_config(cfg)
-            name, bcfg = parse_method(mspec, base)
-            ul_steps = int(cfg.get("baseline", {}).get("ul_steps", 500))
-            trace, _ = run_baseline_loop(bench, name, bcfg, ul_steps, x0, y0,
-                                         cfg.get("wall_clock_cap_s"))
+        trace, _ = _run_method(bench, mspec, cfg, x0, y0, cfg.get("wall_clock_cap_s"))
         final = trace.final
         return dict(n=n, method=str(mspec), rel_err_x=final.rel_err_x,
                     rel_err_F=final.rel_err_F,
@@ -315,7 +316,6 @@ def run_dimension_sweep(
     methods,
     cfg: dict | None = None,
     out_path=None,
-    seed: int = 0,
     parallel: int = 1,
 ) -> list[dict]:
     """One row per (n, method) with final rel_err_x and wall time."""
@@ -325,9 +325,9 @@ def run_dimension_sweep(
     cells = [(int(n), str(m)) for n in n_list for m in methods]
     if parallel > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(family, c[0], c[1], cfg, seed), cells))
+            rows = list(pool.map(lambda c: _sweep_cell(family, c[0], c[1], cfg), cells))
     else:
-        rows = [_sweep_cell(family, n, m, cfg, seed) for n, m in cells]
+        rows = [_sweep_cell(family, n, m, cfg) for n, m in cells]
     if out_path is not None:
         cols = ["n", "method", "rel_err_x", "rel_err_F", "wall_time_s", "note"]
         lines = [",".join(cols)]
@@ -424,7 +424,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--n", type=int, nargs="+", required=True)
     p_sweep.add_argument("--methods", nargs="+", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--parallel", type=int, default=1)
 
     p_time = sub.add_parser("time", help="per-step hypergradient timing")
@@ -468,8 +467,7 @@ def main(argv=None) -> int:
     if args.verb == "sweep":
         try:
             run_dimension_sweep(args.family, args.n, args.methods, cfg,
-                                out_path=args.out, seed=_resolve_seed(cfg, args.seed),
-                                parallel=args.parallel)
+                                out_path=args.out, parallel=args.parallel)
         except InvalidParameter as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

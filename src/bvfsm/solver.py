@@ -3,19 +3,21 @@
 Each outer stage freezes the current penalty/barrier parameters, approximates
 the regularized LL value function by a short gradient descent (the z-solve),
 then descends (or ascends, pessimistic mode) a penalized single-level
-objective in y, and finally takes one projected gradient step in x using the
-value-function chain rule.  Modified-barrier shifts are frozen per stage and
-padded just enough to keep the incoming iterate strictly inside the wall;
+objective in y, and finally takes one projected gradient step in x.  The UL
+gradient comes from one signed value-function chain rule,
+:func:`ul_gradient_for`: the penalty terms enter with the sign of the inner
+problem, so optimistic, pessimistic and constrained problems, and any mix of
+them, share a single formula.  Modified-barrier shifts are frozen per stage
+and padded just enough to keep the incoming iterate strictly inside the wall;
 descent steps that would cross a wall or increase the frozen stage objective
-are halved a bounded number of times.
+are halved at most ``MAX_HALVINGS`` times.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .core import (
     NonFiniteEvaluation,
     project,
 )
+
+
+MAX_HALVINGS = 30  # step halvings before a guarded step counts as pinned
 
 
 class SolveTimeout(RuntimeError):
@@ -86,10 +91,7 @@ class SolverConfig:
     aux_h: AuxiliaryFunction = field(default_factory=_default_aux_f)
     aux_B: AuxiliaryFunction = field(default_factory=_default_aux_B)
     warm_start: bool = True
-    monotone_guard: bool = True
-    max_halvings: int = 30
     wall_clock_cap_s: float | None = None
-    polish_final: bool = True
 
     def __post_init__(self):
         if self.K < 0:
@@ -201,6 +203,23 @@ def _stage_shifts_constraints(fields, x, y_init, sched, aux: AuxiliaryFunction,
 # ---------------------------------------------------------------------------
 
 
+def _guarded_step(evaluate, v: np.ndarray, g: np.ndarray, step: float, cur: float):
+    """Backtracking step from ``v`` along ``-g`` on a stage-frozen objective.
+
+    ``evaluate`` returns a tuple whose first entry is the objective (``inf``
+    at a barrier wall).  The step is halved until the objective does not
+    exceed ``cur``.  Returns ``(v_new, evaluate(v_new))``, or None when all
+    ``MAX_HALVINGS`` halvings fail and the iterate is pinned for the stage.
+    """
+    for _ in range(MAX_HALVINGS + 1):
+        v_new = v - step * g
+        result = evaluate(v_new)
+        if result[0] <= cur:
+            return v_new, result
+        step *= 0.5
+    return None
+
+
 def solve_regularized_ll(
     problem: BilevelProblem,
     x: np.ndarray,
@@ -216,7 +235,7 @@ def solve_regularized_ll(
     f = problem.f
     hs = problem.ll_constraints
     mu = sched.mu
-    sB = sched.role_sigma("B")
+    sigma = sched.sigma1
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
 
     if not hs:
@@ -233,14 +252,15 @@ def solve_regularized_ll(
     kindB = cfg.aux_B.kind
 
     def value(zv):
+        """(objective, None) for the barrier-augmented LL; inf at walls."""
         total = f(x, zv) + 0.5 * mu * float(zv @ zv)
         for h in hs:
-            total += _rho(kindB, h(x, zv), sB)
+            total += _rho(kindB, h(x, zv), sigma)
             if total == math.inf:
-                return math.inf
-        return total
+                break
+        return total, None
 
-    cur = value(z)
+    cur, _ = value(z)
     if not cur < math.inf:
         # restoration phase: descend the squared constraint violation until
         # the point re-enters the barrier domain (outer x-steps routinely
@@ -255,8 +275,8 @@ def solve_regularized_ll(
                     g += 2.0 * v_j * h.gy(x, z)
             z = z - cfg.step_z * g
         # step slightly past the boundary toward the interior if still walled
-        for _ in range(cfg.max_halvings):
-            cur = value(z)
+        for _ in range(MAX_HALVINGS):
+            cur = value(z)[0]
             if cur < math.inf:
                 break
             g = np.zeros_like(z)
@@ -269,24 +289,16 @@ def solve_regularized_ll(
     for _ in range(cfg.T_z):
         g = f.gy(x, z) + mu * z
         for h in hs:
-            g = g + _rho_deriv(kindB, h(x, z), sB) * h.gy(x, z)
+            g = g + _rho_deriv(kindB, h(x, z), sigma) * h.gy(x, z)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
-        step = cfg.step_z
-        accepted = False
-        for _ in range(cfg.max_halvings + 1):
-            z_new = z - step * g
-            v_new = value(z_new)
-            if v_new <= cur if cfg.monotone_guard else v_new < math.inf:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        moved = _guarded_step(value, z, g, cfg.step_z, cur)
+        if moved is None:
             break  # wall-pinned; z stays
-        z, cur = z_new, v_new
+        z, (cur, _) = moved
     f_star = f(x, z) + 0.5 * mu * float(z @ z)
     for h in hs:
-        f_star += _rho(kindB, h(x, z), sB)
+        f_star += _rho(kindB, h(x, z), sigma)
     if not math.isfinite(f_star):
         raise NonFiniteEvaluation("regularized LL value non-finite")
     return z, f_star
@@ -315,9 +327,7 @@ def solve_penalized_inner(
     Hs, hs = problem.ul_constraints, problem.ll_constraints
     theta = sched.theta
     sgn = _inner_sign(problem)
-    s_f = sched.role_sigma("f")
-    s_H = sched.role_sigma("H")
-    s_h = sched.role_sigma("h")
+    sigma = sched.sigma1
     kf, kH, kh = cfg.aux_f.kind, cfg.aux_H.kind, cfg.aux_h.kind
 
     y = np.array(y0, dtype=float)
@@ -329,15 +339,15 @@ def solve_penalized_inner(
         """(objective, f_value) for the stage-frozen problem; inf at walls."""
         fv = f(x, yv)
         total = sgn * F(x, yv) + 0.5 * theta * float(yv @ yv)
-        total += _rho(kf, fv - f_star_approx - shift_f, s_f)
+        total += _rho(kf, fv - f_star_approx - shift_f, sigma)
         if total == math.inf:
             return math.inf, fv
         for j, H in enumerate(Hs):
-            total += _rho(kH, H(x, yv) - shifts_H[j], s_H)
+            total += _rho(kH, H(x, yv) - shifts_H[j], sigma)
             if total == math.inf:
                 return math.inf, fv
         for j, h in enumerate(hs):
-            total += _rho(kh, h(x, yv) - shifts_h[j], s_h)
+            total += _rho(kh, h(x, yv) - shifts_h[j], sigma)
             if total == math.inf:
                 return math.inf, fv
         return total, fv
@@ -349,26 +359,18 @@ def solve_penalized_inner(
         raise NonFiniteEvaluation("inner objective non-finite at stage start")
 
     for _ in range(cfg.T_y):
-        lam_f = _rho_deriv(kf, f_val - f_star_approx - shift_f, s_f)
+        lam_f = _rho_deriv(kf, f_val - f_star_approx - shift_f, sigma)
         g = sgn * F.gy(x, y) + lam_f * f.gy(x, y) + theta * y
         for j, H in enumerate(Hs):
-            g = g + _rho_deriv(kH, H(x, y) - shifts_H[j], s_H) * H.gy(x, y)
+            g = g + _rho_deriv(kH, H(x, y) - shifts_H[j], sigma) * H.gy(x, y)
         for j, h in enumerate(hs):
-            g = g + _rho_deriv(kh, h(x, y) - shifts_h[j], s_h) * h.gy(x, y)
+            g = g + _rho_deriv(kh, h(x, y) - shifts_h[j], sigma) * h.gy(x, y)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEvaluation("inner gradient non-finite during y-solve")
-        step = cfg.step_y
-        accepted = False
-        for _ in range(cfg.max_halvings + 1):
-            y_new = y - step * g
-            v_new, f_new = evaluate(y_new)
-            if v_new <= cur if cfg.monotone_guard else v_new < math.inf:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        moved = _guarded_step(evaluate, y, g, cfg.step_y, cur)
+        if moved is None:
             break  # step fully damped; y is pinned for this stage
-        y, cur, f_val = y_new, v_new, f_new
+        y, (cur, f_val) = moved
 
     return InnerState(
         z=np.empty(0),
@@ -401,80 +403,46 @@ def solve_inner(
 # ---------------------------------------------------------------------------
 
 
-def _lam_f(problem, x, inner, sched, cfg) -> float:
-    omega = problem.f(x, inner.y) - inner.f_star_approx - inner.shift_f
-    return _rho_deriv(cfg.aux_f.kind, omega, sched.role_sigma("f"))
-
-
-def ul_gradient(
+def ul_gradient_for(
     problem: BilevelProblem,
     x: np.ndarray,
     inner: InnerState,
     sched: ScheduleState,
     cfg: SolverConfig,
 ) -> np.ndarray:
-    """dF/dx + P'(f - f*) * (df/dx at y minus df/dx at z), all at the stage iterates."""
-    lam = _lam_f(problem, x, inner, sched, cfg)
-    g = problem.F.gx(x, inner.y)
-    if lam != 0.0:
-        g = g + lam * (problem.f.gx(x, inner.y) - problem.f.gx(x, inner.z))
-    return g
+    """Signed value-function chain rule, the UL gradient for every problem.
 
+        g = dF/dx(y) + s * [ lam_f * (df/dx(y) - df*/dx)
+                             + sum_H lam_H * dH/dx(y) + sum_h lam_h * dh/dx(y) ]
+        df*/dx = df/dx(z) + sum_h rho_B'(h(z)) * dh/dx(z)
 
-def ul_gradient_constrained(
-    problem: BilevelProblem,
-    x: np.ndarray,
-    inner: InnerState,
-    sched: ScheduleState,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Constrained chain rule: constraint penalty terms plus barrier terms at z.
-
-    With empty constraint lists this reduces exactly to :func:`ul_gradient`.
+    Each multiplier is P' of its stage-frozen penalty argument at the stage
+    iterates y (penalized solve) and z (LL value solve).  ``s`` is the sign of
+    the inner objective: -1 in pessimistic mode, where the inner problem
+    ascends F - P, else +1.  Without constraints the sums are empty.  Terms
+    are evaluated only for nonzero multipliers, and multiplying by s = +-1 is
+    exact, so the optimistic gradient is bitwise the unsigned formula.
     """
-    s_H = sched.role_sigma("H")
-    s_h = sched.role_sigma("h")
-    s_B = sched.role_sigma("B")
+    sgn = _inner_sign(problem)
+    sigma = sched.sigma1
     y, z = inner.y, inner.z
-    lam = _lam_f(problem, x, inner, sched, cfg)
     g = problem.F.gx(x, y)
+    omega = problem.f(x, y) - inner.f_star_approx - inner.shift_f
+    lam = sgn * _rho_deriv(cfg.aux_f.kind, omega, sigma)
     if lam != 0.0:
         dfstar_dx = problem.f.gx(x, z)
         for h in problem.ll_constraints:
-            dfstar_dx = dfstar_dx + _rho_deriv(cfg.aux_B.kind, h(x, z), s_B) * h.gx(x, z)
+            dfstar_dx = dfstar_dx + _rho_deriv(cfg.aux_B.kind, h(x, z), sigma) * h.gx(x, z)
         g = g + lam * (problem.f.gx(x, y) - dfstar_dx)
     for j, H in enumerate(problem.ul_constraints):
-        lam_H = _rho_deriv(cfg.aux_H.kind, H(x, y) - inner.shifts_H[j], s_H)
+        lam_H = sgn * _rho_deriv(cfg.aux_H.kind, H(x, y) - inner.shifts_H[j], sigma)
         if lam_H != 0.0:
             g = g + lam_H * H.gx(x, y)
     for j, h in enumerate(problem.ll_constraints):
-        lam_h = _rho_deriv(cfg.aux_h.kind, h(x, y) - inner.shifts_h[j], s_h)
+        lam_h = sgn * _rho_deriv(cfg.aux_h.kind, h(x, y) - inner.shifts_h[j], sigma)
         if lam_h != 0.0:
             g = g + lam_h * h.gx(x, y)
     return g
-
-
-def ul_gradient_pessimistic(
-    problem: BilevelProblem,
-    x: np.ndarray,
-    inner: InnerState,
-    sched: ScheduleState,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Pessimistic chain rule: the penalty contribution enters with a minus sign."""
-    lam = _lam_f(problem, x, inner, sched, cfg)
-    g = problem.F.gx(x, inner.y)
-    if lam != 0.0:
-        g = g - lam * (problem.f.gx(x, inner.y) - problem.f.gx(x, inner.z))
-    return g
-
-
-def ul_gradient_for(problem, x, inner, sched, cfg) -> np.ndarray:
-    if problem.mode is Mode.PESSIMISTIC:
-        return ul_gradient_pessimistic(problem, x, inner, sched, cfg)
-    if problem.constrained:
-        return ul_gradient_constrained(problem, x, inner, sched, cfg)
-    return ul_gradient(problem, x, inner, sched, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +516,7 @@ def solve(
                     x_prev = trace.records[-2].x if len(trace.records) >= 2 else None
                     if x_prev is not None:
                         step = 0.5
-                        for _ in range(cfg.max_halvings):
+                        for _ in range(MAX_HALVINGS):
                             x_try = x_prev + step * (x - x_prev)
                             try:
                                 inner = solve_inner(problem, x_try, sched, cfg, z0=z0, y0=ys)
@@ -580,7 +548,7 @@ def solve(
     # the relaxed side of LL optimality, so finish with a plain LL descent
     # from y.  Optimistic mode only: a pessimistic iterate encodes the
     # worst-case selection, which an unguided descent would abandon.
-    if cfg.polish_final and cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
+    if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
         try:
             y_pol, _ = solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)
             F_val, f_val, rel_x, rel_F = _errors(problem, x, y_pol, reference)

@@ -36,30 +36,26 @@ def penalized_value(problem, x, sched, aux_f, y0, shift_f=0.0,
     walls in a way quasi-Newton line searches are not.
     """
     assert problem.n == 1, "grid value-function oracle is 1-D only"
-    sigma_B = sched.role_sigma("B")
 
     def reg_obj(y):
         v = problem.f(x, y) + 0.5 * sched.mu * float(y @ y)
         if kind_B is not None:
             for h in problem.ll_constraints:
-                v += _rho(kind_B, h(x, y), sigma_B)
+                v += _rho(kind_B, h(x, y), sched.sigma1)
         return v
 
     f_star, _ = _refined_grid_min(reg_obj)
     sgn = -1.0 if pessimistic else 1.0
-    s_f = sched.role_sigma("f")
-    s_H = sched.role_sigma("H")
-    s_h = sched.role_sigma("h")
 
     def obj(y):
         v = sgn * problem.F(x, y) + 0.5 * sched.theta * float(y @ y)
-        v += _rho(aux_f.kind, problem.f(x, y) - f_star - shift_f, s_f)
+        v += _rho(aux_f.kind, problem.f(x, y) - f_star - shift_f, sched.sigma1)
         if aux_H is not None:
             for j, H in enumerate(problem.ul_constraints):
-                v += _rho(aux_H.kind, H(x, y) - shifts_H[j], s_H)
+                v += _rho(aux_H.kind, H(x, y) - shifts_H[j], sched.sigma1)
         if aux_h is not None:
             for j, h in enumerate(problem.ll_constraints):
-                v += _rho(aux_h.kind, h(x, y) - shifts_h[j], s_h)
+                v += _rho(aux_h.kind, h(x, y) - shifts_h[j], sched.sigma1)
         return v
 
     best, _ = _refined_grid_min(obj)

@@ -36,15 +36,13 @@ from bvfsm import (
     solve,
     solve_inner,
     trhg_hypergradient,
-    ul_gradient,
-    ul_gradient_pessimistic,
+    ul_gradient_for,
     value_function_gap,
 )
 from bvfsm.auxfun import schedule_step
 from bvfsm.baselines import bda_hypergradient
 from bvfsm.cli import run_baseline_loop, time_step
 from bvfsm.core import BilevelProblem, ScalarField, quadratic_field
-from bvfsm.solver import ul_gradient_for
 
 from oracles import fd_of_phi, penalized_value
 
@@ -191,7 +189,6 @@ def test_A5_gradient_fidelity():
         prob = _fidelity_toy(pess)
         cfg = SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                            schedule=sched, aux_f=qp)
-        grad_fn = ul_gradient_pessimistic if pess else ul_gradient
 
         def phi(xv, prob=prob, pess=pess):
             return penalized_value(prob, np.array([xv]), sched, qp, np.zeros(1),
@@ -201,7 +198,7 @@ def test_A5_gradient_fidelity():
         for xv in np.linspace(-1.5, 2.5, 21):
             x = np.array([xv])
             inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
-            g = grad_fn(prob, x, inner, sched, cfg)
+            g = ul_gradient_for(prob, x, inner, sched, cfg)
             num = fd_of_phi(phi, xv, eps=1e-5)
             worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
         label = "pessimistic" if pess else "optimistic"
@@ -224,14 +221,12 @@ def test_A5_gradient_fidelity():
                                aux_h=inv_mod, shifts_h=np.array([0.3]),
                                kind_B=invb.kind)
 
-    from bvfsm import ul_gradient_constrained
-
     worst = 0.0
     for xv in np.linspace(-0.3, 0.3, 21):
         x = np.array([xv])
         y_feas = np.array([0.4 - xv])
         inner = solve_inner(prob, x, csched, ccfg, z0=y_feas, y0=y_feas)
-        g = ul_gradient_constrained(prob, x, inner, csched, ccfg)
+        g = ul_gradient_for(prob, x, inner, csched, ccfg)
         num = fd_of_phi(phi_c, xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     lines.append(f"constrained: worst rel err {worst:.2e} over 21 probes")

@@ -100,6 +100,20 @@ def test_run_experiment_unknown_method_is_config_error(tmp_path):
     assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
 
 
+def test_run_experiment_mistyped_baseline_key_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, methods=["rhg"], baseline={"Tee": 3})
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["sigma2_H", "sigma2_h"])
+def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
+    cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
+                       bvfsm={**FAST_BVFSM, "schedule": {key: {"rule": "dynamic"}}})
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_run_experiment_timeout_partial_artifacts(tmp_path):
     cfg = write_config(tmp_path, methods=["bvfsm"],
                        bvfsm={**FAST_BVFSM, "K": 100000},

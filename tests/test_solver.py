@@ -20,9 +20,7 @@ from bvfsm import (
     solve_inner,
     solve_penalized_inner,
     solve_regularized_ll,
-    ul_gradient,
-    ul_gradient_constrained,
-    ul_gradient_pessimistic,
+    ul_gradient_for,
 )
 from bvfsm.solver import InnerState
 
@@ -169,7 +167,7 @@ def test_ul_gradient_zero_penalty_region():
     cfg = SolverConfig(schedule=sched, aux_f=QP)
     inner = InnerState(z=np.array([1.0 / 1.1]), f_star_approx=0.3, y=np.array([1.0]))
     # f(x, y=b) = 0 < 0.3 -> quadratic penalty derivative is 0
-    g = ul_gradient(prob, np.array([0.5]), inner, sched, cfg)
+    g = ul_gradient_for(prob, np.array([0.5]), inner, sched, cfg)
     assert np.allclose(g, [2.0 * (0.5 - 1.0)])
 
 
@@ -181,23 +179,8 @@ def test_ul_gradient_f_independent_of_x():
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP)
     inner = InnerState(z=np.zeros(1), f_star_approx=0.0, y=np.array([2.0]))
-    g = ul_gradient(prob, np.array([3.0]), inner, sched, cfg)
+    g = ul_gradient_for(prob, np.array([3.0]), inner, sched, cfg)
     assert np.allclose(g, [6.0])  # G = 0 since df/dx = 0 at both y and z
-
-
-def test_ul_gradient_constrained_empty_equals_plain():
-    prob = shifted_quadratic_problem(
-        [1.0], F_fn=lambda x, y: (x[0] - 1.0) ** 2 + float(y @ y),
-        F_gx=lambda x, y: np.array([2.0 * (x[0] - 1.0)]),
-        F_gy=lambda x, y: 2.0 * y)
-    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
-    cfg = SolverConfig(schedule=sched, aux_f=QP)
-    inner = InnerState(z=np.array([0.4]), f_star_approx=0.05, y=np.array([0.8]),
-                       shifts_H=np.zeros(0), shifts_h=np.zeros(0))
-    x = np.array([0.2])
-    g1 = ul_gradient(prob, x, inner, sched, cfg)
-    g2 = ul_gradient_constrained(prob, x, inner, sched, cfg)
-    assert np.array_equal(g1, g2)
 
 
 def test_ul_gradient_inactive_ul_constraint():
@@ -216,12 +199,12 @@ def test_ul_gradient_inactive_ul_constraint():
     x = np.array([0.2])
     pruned = BilevelProblem(m=1, n=1, F=base.F, f=base.f)
     assert np.array_equal(
-        ul_gradient_constrained(prob, x, inner, sched, cfg),
-        ul_gradient(pruned, x, inner, sched, cfg),
+        ul_gradient_for(prob, x, inner, sched, cfg),
+        ul_gradient_for(pruned, x, inner, sched, cfg),
     )
 
 
-def test_ul_gradient_pessimistic_trivial_regimes():
+def test_pessimistic_ul_gradient_trivial_regimes():
     prob = shifted_quadratic_problem(
         [0.0], F_fn=lambda x, y: x[0] ** 2 - float(y @ y),
         F_gx=lambda x, y: np.array([2.0 * x[0]]),
@@ -229,7 +212,7 @@ def test_ul_gradient_pessimistic_trivial_regimes():
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP)
     inner = InnerState(z=np.zeros(1), f_star_approx=0.0, y=np.array([1.0]))
-    g = ul_gradient_pessimistic(prob, np.array([2.0]), inner, sched, cfg)
+    g = ul_gradient_for(prob, np.array([2.0]), inner, sched, cfg)
     assert np.allclose(g, [4.0])
 
 
@@ -264,7 +247,6 @@ def test_gradient_fidelity_smooth_toy(pessimistic):
     prob = _toy_problem(pessimistic)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = _accurate_cfg(sched, QP)
-    grad_fn = ul_gradient_pessimistic if pessimistic else ul_gradient
 
     def phi(xv):
         return penalized_value(prob, np.array([xv]), sched, QP, np.zeros(1),
@@ -274,7 +256,7 @@ def test_gradient_fidelity_smooth_toy(pessimistic):
     for xv in np.linspace(-1.5, 2.5, 21):
         x = np.array([xv])
         inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
-        g = grad_fn(prob, x, inner, sched, cfg)
+        g = ul_gradient_for(prob, x, inner, sched, cfg)
         num = fd_of_phi(phi, xv, eps=1e-5)
         denom = max(abs(num), 1e-8)
         worst = max(worst, abs(g[0] - num) / denom)
@@ -295,18 +277,25 @@ def test_gradient_fidelity_modified_barrier_static_shift():
         x = np.array([xv])
         inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
         assert inner.shift_f == pytest.approx(0.5)  # no safeguard pad when feasible
-        g = ul_gradient(prob, x, inner, sched, cfg)
+        g = ul_gradient_for(prob, x, inner, sched, cfg)
         num = fd_of_phi(phi, xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
 
-def test_gradient_fidelity_constrained_interior():
-    # constrained sin instance at n=1, probed strictly inside the band
+@pytest.mark.parametrize("mode", [Mode.OPTIMISTIC, Mode.PESSIMISTIC],
+                         ids=["optimistic", "pessimistic"])
+def test_gradient_fidelity_constrained_interior(mode):
+    # constrained sin instance at n=1, probed strictly inside the band; the
+    # pessimistic variant checks the sign of the constraint and LL-barrier
+    # terms of the chain rule on fewer probes of the same interval
+    from dataclasses import replace
+
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(1, 2.0, 1.0)
-    prob = bench.problem
+    prob = replace(bench.problem, mode=mode)
+    pessimistic = mode is Mode.PESSIMISTIC
     invb = AuxiliaryFunction(InverseBarrier())
     inv_mod = AuxiliaryFunction(InverseBarrier(), modified=True)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1,
@@ -317,14 +306,14 @@ def test_gradient_fidelity_constrained_interior():
         return penalized_value(prob, np.array([xv]), sched, inv_mod,
                                np.array([0.4 - xv]),  # interior start
                                shift_f=0.5, aux_h=inv_mod, shifts_h=np.array([0.3]),
-                               kind_B=invb.kind)
+                               kind_B=invb.kind, pessimistic=pessimistic)
 
     worst = 0.0
-    for xv in np.linspace(-0.3, 0.3, 21):
+    for xv in np.linspace(-0.3, 0.3, 5 if pessimistic else 21):
         x = np.array([xv])
         y_feas = np.array([0.4 - xv])
         inner = solve_inner(prob, x, sched, cfg, z0=y_feas, y0=y_feas)
-        g = ul_gradient_constrained(prob, x, inner, sched, cfg)
+        g = ul_gradient_for(prob, x, inner, sched, cfg)
         num = fd_of_phi(phi, xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
@@ -397,8 +386,8 @@ def test_pessimistic_matches_optimistic_on_negated_F_bitwise():
     inner_o = solve_inner(opt_neg, x, sched, cfg, z0=z0)
     assert np.array_equal(inner_p.y, inner_o.y)
     assert inner_p.f_star_approx == inner_o.f_star_approx
-    g_p = ul_gradient_pessimistic(pess, x, inner_p, sched, cfg)
-    g_o = ul_gradient(opt_neg, x, inner_o, sched, cfg)
+    g_p = ul_gradient_for(pess, x, inner_p, sched, cfg)
+    g_o = ul_gradient_for(opt_neg, x, inner_o, sched, cfg)
     # pessimistic descent step equals the negated-update optimistic step
     assert np.array_equal(x - cfg.alpha * g_p, x + cfg.alpha * g_o)
 
