@@ -214,7 +214,10 @@ def _run_method(bench: BenchmarkProblem, mspec, cfg: dict, x0: np.ndarray,
     """
     mname = str(mspec).partition(":")[0].lower()
     if mname == "bvfsm":
-        scfg = build_solver_config(cfg, bench)
+        try:
+            scfg = build_solver_config(cfg, bench)
+        except (ValueError, TypeError) as exc:  # e.g. a non-numeric K
+            raise InvalidParameter(f"bvfsm: {exc}") from exc
         return solve(bench.problem, scfg, x0, y0, reference=bench.reference), ""
     name, bcfg = parse_method(mspec, _baseline_config(cfg))
     ul_steps = int(cfg.get("baseline", {}).get("ul_steps", 500))

@@ -10,7 +10,9 @@ problem, so optimistic, pessimistic and constrained problems, and any mix of
 them, share a single formula.  Modified-barrier shifts are frozen per stage
 and padded just enough to keep the incoming iterate strictly inside the wall;
 descent steps that would cross a wall or increase the frozen stage objective
-are halved at most ``MAX_HALVINGS`` times.
+are halved at most ``MAX_HALVINGS`` times.  Each backtracking search starts at
+``min(step, 2 * last accepted step)`` of the same inner solve, so a stiff
+barrier costs a few halvings once per stage instead of on every step.
 """
 
 from __future__ import annotations
@@ -207,15 +209,18 @@ def _guarded_step(evaluate, v: np.ndarray, g: np.ndarray, step: float, cur: floa
     """Backtracking step from ``v`` along ``-g`` on a stage-frozen objective.
 
     ``evaluate`` returns a tuple whose first entry is the objective (``inf``
-    at a barrier wall).  The step is halved until the objective does not
-    exceed ``cur``.  Returns ``(v_new, evaluate(v_new))``, or None when all
-    ``MAX_HALVINGS`` halvings fail and the iterate is pinned for the stage.
+    at a barrier wall).  The search starts at ``step``; callers pass
+    ``min(configured step, 2 * last accepted step)``, or the configured step
+    on the first step of an inner solve.  The step is halved until the
+    objective does not exceed ``cur``.  Returns ``(v_new, evaluate(v_new),
+    step)`` with the accepted step length, or None when all ``MAX_HALVINGS``
+    halvings fail and the iterate is pinned for the stage.
     """
     for _ in range(MAX_HALVINGS + 1):
         v_new = v - step * g
         result = evaluate(v_new)
         if result[0] <= cur:
-            return v_new, result
+            return v_new, result, step
         step *= 0.5
     return None
 
@@ -286,16 +291,18 @@ def solve_regularized_ll(
             z = z - cfg.step_z * g
         if not cur < math.inf:
             raise BarrierWall("initial point infeasible for LL constraint barriers")
+    step = cfg.step_z
     for _ in range(cfg.T_z):
         g = f.gy(x, z) + mu * z
         for h in hs:
             g = g + _rho_deriv(kindB, h(x, z), sigma) * h.gy(x, z)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
-        moved = _guarded_step(value, z, g, cfg.step_z, cur)
+        moved = _guarded_step(value, z, g, step, cur)
         if moved is None:
             break  # wall-pinned; z stays
-        z, (cur, _) = moved
+        z, (cur, _), accepted = moved
+        step = min(cfg.step_z, 2.0 * accepted)
     f_star = f(x, z) + 0.5 * mu * float(z @ z)
     for h in hs:
         f_star += _rho(kindB, h(x, z), sigma)
@@ -358,6 +365,7 @@ def solve_penalized_inner(
     if not math.isfinite(cur):
         raise NonFiniteEvaluation("inner objective non-finite at stage start")
 
+    step = cfg.step_y
     for _ in range(cfg.T_y):
         lam_f = _rho_deriv(kf, f_val - f_star_approx - shift_f, sigma)
         g = sgn * F.gy(x, y) + lam_f * f.gy(x, y) + theta * y
@@ -367,10 +375,11 @@ def solve_penalized_inner(
             g = g + _rho_deriv(kh, h(x, y) - shifts_h[j], sigma) * h.gy(x, y)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEvaluation("inner gradient non-finite during y-solve")
-        moved = _guarded_step(evaluate, y, g, cfg.step_y, cur)
+        moved = _guarded_step(evaluate, y, g, step, cur)
         if moved is None:
             break  # step fully damped; y is pinned for this stage
-        y, (cur, f_val) = moved
+        y, (cur, f_val), accepted = moved
+        step = min(cfg.step_y, 2.0 * accepted)
 
     return InnerState(
         z=np.empty(0),

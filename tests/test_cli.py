@@ -106,6 +106,12 @@ def test_run_experiment_mistyped_baseline_key_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_experiment_non_numeric_solver_setting_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "K": "abc"})
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["sigma2_H", "sigma2_h"])
 def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
     cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
@@ -189,8 +195,8 @@ def test_time_step_stub_medians_stable(monkeypatch):
         return np.zeros(problem.m), np.asarray(y), ""
 
     monkeypatch.setattr(cli, "hypergradient_step", stub)
-    rows1 = time_step([(1, 4)], ["rhg"], repeats=3)
-    rows2 = time_step([(1, 4)], ["rhg"], repeats=3)
+    rows1 = time_step([(1, 4)], ["rhg"], repeats=7)
+    rows2 = time_step([(1, 4)], ["rhg"], repeats=7)
     m1, m2 = rows1[0]["median_s"], rows2[0]["median_s"]
     assert abs(m1 - m2) / max(m1, m2) < 0.2
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from bvfsm import (
     SolverConfig,
     StaticShift,
     TruncatedLogBarrier,
+    make_sin_problem,
     negate_field,
+    parse_aux,
     solve,
     solve_inner,
     solve_penalized_inner,
     solve_regularized_ll,
     ul_gradient_for,
 )
-from bvfsm.solver import InnerState
+from bvfsm.auxfun import schedule_step
+from bvfsm.solver import MAX_HALVINGS, InnerState, _guarded_step
 
 from oracles import fd_of_phi, grid_argmin, penalized_value
 
@@ -125,8 +129,6 @@ def test_y_solve_pessimistic_ascent():
 def test_y_solve_sin_against_grid_oracle():
     # T_y-step descent started in the optimum's basin lands on the global
     # minimizer of the penalized objective, checked by a dense 2-D grid.
-    from bvfsm import make_sin_problem
-
     bench = make_sin_problem(2, 2.0, 2.0)
     prob = bench.problem
     x = np.array([2.4749])
@@ -150,6 +152,78 @@ def test_y_solve_sin_against_grid_oracle():
     # cushion (~0.22 here), so only a coarse bound is meaningful
     y_star = np.array([4.23746, 4.23746])
     assert np.all(np.abs(inner.y - y_star) <= 0.25)
+
+
+def counting_field(fld, counts):
+    """``fld`` with its value and y-gradient calls tallied in ``counts``."""
+    def fn(x, y):
+        counts["val"] += 1
+        return fld.fn(x, y)
+
+    def gy(x, y):
+        counts["gy"] += 1
+        return fld.grad_y(x, y)
+
+    return ScalarField(m=fld.m, n=fld.n, fn=fn, grad_x=fld.grad_x, grad_y=gy, name=fld.name)
+
+
+def test_guarded_step_gives_up_after_max_halvings():
+    calls = []
+
+    def walled(v):
+        calls.append(v)
+        return math.inf, None
+
+    assert _guarded_step(walled, np.ones(2), np.ones(2), 0.01, 0.0) is None
+    assert len(calls) == MAX_HALVINGS + 1
+
+
+def test_guarded_step_returns_accepted_step_length():
+    # |v|^2 from v = 1 along -4: step 1 lands on 9 > 1, step 0.5 on 1 <= 1
+    v_new, (value, _), step = _guarded_step(lambda v: (float(v @ v), None),
+                                            np.ones(1), np.full(1, 4.0), 1.0, 1.0)
+    assert step == 0.5
+    assert np.array_equal(v_new, [-1.0])
+    assert value == 1.0
+
+
+def test_y_solve_without_halving_is_fixed_step_descent():
+    # F = 0.5 y'Dy with an inactive penalty.  Every first trial descends, and
+    # so would a doubled step (2 * 0.1 * 3.05 < 2): a step memory that ever
+    # started above step_y would leave the fixed-step sequence.
+    d = np.array([1.0, 3.0])
+    counts = {"val": 0, "gy": 0}
+    f = field(1, 2, lambda x, y: 0.0, lambda x, y: np.zeros(1), lambda x, y: np.zeros(2))
+    F = counting_field(field(1, 2, lambda x, y: 0.5 * float(y @ (d * y)),
+                             lambda x, y: np.zeros(1), lambda x, y: d * y), counts)
+    prob = BilevelProblem(m=1, n=2, F=F, f=f)
+    sched = ScheduleState(theta=0.05, sigma1=1.0)
+    cfg = SolverConfig(T_y=40, step_y=0.1, schedule=sched, aux_f=QP)
+    y0 = np.array([1.0, -2.0])
+    inner = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
+    assert counts == {"val": cfg.T_y + 1, "gy": cfg.T_y}  # one trial per step
+    y = y0.copy()
+    for _ in range(cfg.T_y):
+        y = y - cfg.step_y * (d * y + sched.theta * y)
+    assert np.array_equal(inner.y, y)
+
+
+def test_late_stage_sin_y_solve_evaluations_per_gradient():
+    # A1 profile 2000 stages in: the inverse barrier is stiff enough that
+    # restarting every search at step_y costs ~15 F evaluations per gradient
+    bench = make_sin_problem(2, 2.0, 2.0)
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, (1 / 1.01) ** 0.6)),
+                       aux_f=parse_aux("inverse", modified=True))
+    sched = cfg.schedule
+    for _ in range(2000):
+        sched = schedule_step(sched)
+    counts = {"val": 0, "gy": 0}
+    prob = replace(bench.problem, F=counting_field(bench.problem.F, counts))
+    x, y0 = bench.reference.x_star, bench.reference.y_star
+    _, f_star = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
+    solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
+    assert counts["gy"] == cfg.T_y
+    assert counts["val"] / counts["gy"] <= 3.0
 
 
 # ---------------------------------------------------------------------------
