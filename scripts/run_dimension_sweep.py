@@ -30,10 +30,8 @@ def main():
     ap.add_argument("--methods", nargs="+",
                     default=["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"])
     ap.add_argument("--out", default="runs/sweep.csv")
-    ap.add_argument("--parallel", type=int, default=1)
     args = ap.parse_args()
-    rows = run_dimension_sweep("sin", args.n, args.methods, SWEEP_CFG,
-                               out_path=args.out, parallel=args.parallel)
+    rows = run_dimension_sweep("sin", args.n, args.methods, SWEEP_CFG, out_path=args.out)
     for r in rows:
         print(f"n={r['n']:<4d} {r['method']:<12s} rel_err_x={r['rel_err_x']:.4f} "
               f"({r['wall_time_s']:.1f}s) {r['note']}")

@@ -143,19 +143,6 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
     return AuxiliaryFunction(kind=kind, modified=bool(modified))
 
 
-def aux_name(aux: AuxiliaryFunction) -> str:
-    k = aux.kind
-    if isinstance(k, QuadraticPenalty):
-        base = "quadratic"
-    elif isinstance(k, PolynomialPenalty):
-        base = f"polynomial:{k.q}"
-    elif isinstance(k, InverseBarrier):
-        base = "inverse"
-    else:
-        base = f"truncated-log:{k.kappa:g}"
-    return base + ("+modified" if aux.modified else "")
-
-
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------

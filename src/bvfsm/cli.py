@@ -8,14 +8,12 @@ timing columns are excluded from that contract.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,8 @@ from .solver import (
     SolverConfig,
     TraceRecord,
     solve,
+    solve_inner,
+    ul_gradient_for,
 )
 
 EXIT_OK = 0
@@ -39,16 +39,10 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 TRACE_COLUMNS = ["k", "l", "wall_time_s", "F", "f", "ul_grad_norm", "rel_err_x", "rel_err_F"]
+SWEEP_COLUMNS = ["n", "method", "rel_err_x", "rel_err_F", "wall_time_s", "note"]
+TIMING_COLUMNS = ["m", "n", "method", "median_s", "repeats", "note"]
 
 BASELINE_NAMES = ["rhg", "trhg", "bda", "cg", "neumann"]
-
-
-def _baseline_config(cfg: dict) -> BaselineConfig:
-    fields = {k: v for k, v in cfg.get("baseline", {}).items() if k != "ul_steps"}
-    try:
-        return BaselineConfig(**fields)
-    except TypeError as exc:  # a key BaselineConfig does not know
-        raise InvalidParameter(f"baseline: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -59,17 +53,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_trace_csv(path: Path, trace: SolveTrace):
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in trace.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.k, r.l, r.wall_time_s, r.F_value, r.f_value,
-                          r.ul_grad_norm, r.rel_err_x, r.rel_err_F)
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path, cols, rows):
+    """One header line of ``cols``, then one line per row of values."""
+    lines = [",".join(cols)] + [",".join(_fmt(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _peak_rss_kb() -> int | None:
@@ -84,6 +71,21 @@ def _peak_rss_kb() -> int | None:
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
+
+
+def _config_error(exc: Exception) -> int:
+    print(f"config error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def _load_config(path) -> dict:
+    """The JSON config at ``path``, or {} for None; a bad file is a config error."""
+    if path is None:
+        return {}
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidParameter(f"{path}: {exc}") from exc
 
 
 def _resolve_seed(cfg: dict, override: int | None) -> int:
@@ -103,8 +105,18 @@ def load_problem(cfg: dict, seed: int) -> BenchmarkProblem:
     return parse_problem(spec)
 
 
+def _reject_unknown(section: str, d: dict, known) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
+
+
+SCHEDULE_KEYS = ("mu", "theta", "sigma1", "decay", "sigma2", "sigma2_H", "sigma2_h")
+
+
 def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
     d = dict(d or {})
+    _reject_unknown("schedule", d, SCHEDULE_KEYS)
     decay = float(d.get("decay", 1.0 / 1.01))
 
     def parse_shift(cfg_entry):
@@ -136,37 +148,63 @@ def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
     )
 
 
+# the settable SolverConfig fields of a "bvfsm" section, besides "schedule"
+SOLVER_KEYS = {
+    "K": int, "L": int, "T_z": int, "T_y": int,
+    "alpha": float, "step_z": float, "step_y": float,
+    "aux_f": parse_aux, "aux_H": parse_aux, "aux_h": parse_aux, "aux_B": parse_aux,
+}
+
+
 def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
-    """Merge user settings over the benchmark's suggested solver profile."""
+    """Merge user settings over the benchmark's suggested solver profile.
+
+    A key missing from both takes the SolverConfig default; an unknown key in
+    the ``bvfsm`` section or its ``schedule`` raises InvalidParameter.
+    """
     d = dict(bench.suggested_solver)
     d.update(cfg.get("bvfsm", {}))
-    sched = build_schedule(d.get("schedule", {}), bench)
-    kwargs = dict(
-        K=int(d.get("K", 3000)),
-        L=int(d.get("L", 1)),
-        T_z=int(d.get("T_z", 50)),
-        T_y=int(d.get("T_y", 25)),
-        alpha=float(d.get("alpha", 0.01)),
-        step_z=float(d.get("step_z", 0.01)),
-        step_y=float(d.get("step_y", 0.01)),
-        schedule=sched,
-        warm_start=bool(d.get("warm_start", True)),
-    )
-    for role in ("aux_f", "aux_H", "aux_h", "aux_B"):
-        if role in d:
-            kwargs[role] = parse_aux(d[role])
+    _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
+    kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
+    kwargs["schedule"] = build_schedule(d.get("schedule", {}), bench)
     if cfg.get("wall_clock_cap_s") is not None:
         kwargs["wall_clock_cap_s"] = float(cfg["wall_clock_cap_s"])
     return SolverConfig(**kwargs)
 
 
-def _vector(problem_dim: int, value, default: float = 0.0) -> np.ndarray:
+def _vector(dim: int, value) -> np.ndarray:
+    """A start point of ``dim`` entries: None gives zeros, a scalar is broadcast."""
     if value is None:
-        return np.full(problem_dim, default)
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+        return np.zeros(dim)
+    try:
+        arr = np.atleast_1d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"start point {value!r}: {exc}") from exc
     if arr.size == 1:
-        return np.full(problem_dim, float(arr[0]))
+        return np.full(dim, float(arr[0]))
+    if arr.shape != (dim,):
+        raise InvalidParameter(f"start point needs {dim} entries, got shape {arr.shape}")
     return arr
+
+
+def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
+    """Turn one method spec of a config into a configured method.
+
+    Returns ``("bvfsm", SolverConfig, None)`` or a baseline's ``(name,
+    BaselineConfig, ul_steps)``.  This is the only reader of the ``bvfsm`` and
+    ``baseline`` sections: an unknown method or a malformed section raises
+    InvalidParameter naming the section.
+    """
+    section = "bvfsm" if str(mspec).partition(":")[0].lower() == "bvfsm" else "baseline"
+    try:
+        if section == "bvfsm":
+            return "bvfsm", build_solver_config(cfg, bench), None
+        fields = dict(cfg.get("baseline", {}))
+        ul_steps = int(fields.pop("ul_steps", 500))
+        name, bcfg = parse_method(mspec, BaselineConfig(**fields))
+        return name, bcfg, ul_steps
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{section}: {exc}") from exc
 
 
 def run_baseline_loop(
@@ -205,29 +243,26 @@ def run_baseline_loop(
     return trace, last_flag
 
 
-def _run_method(bench: BenchmarkProblem, mspec, cfg: dict, x0: np.ndarray,
-                y0: np.ndarray, cap: float | None) -> tuple[SolveTrace, str]:
-    """Run one method spec of a config on ``bench``; returns (trace, flag).
+def _run_method(bench: BenchmarkProblem, method, x0: np.ndarray, y0: np.ndarray,
+                cap: float | None) -> tuple[SolveTrace, str]:
+    """Run one resolved method on ``bench``; returns (trace, flag).
 
-    Raises InvalidParameter for an unknown method or a malformed method
-    section; SolveTimeout and SolveError carry the partial trace.
+    SolveTimeout and SolveError carry the partial trace.
     """
-    mname = str(mspec).partition(":")[0].lower()
-    if mname == "bvfsm":
-        try:
-            scfg = build_solver_config(cfg, bench)
-        except (ValueError, TypeError) as exc:  # e.g. a non-numeric K
-            raise InvalidParameter(f"bvfsm: {exc}") from exc
-        return solve(bench.problem, scfg, x0, y0, reference=bench.reference), ""
-    name, bcfg = parse_method(mspec, _baseline_config(cfg))
-    ul_steps = int(cfg.get("baseline", {}).get("ul_steps", 500))
-    return run_baseline_loop(bench, name, bcfg, ul_steps, x0, y0, cap)
+    name, mcfg, ul_steps = method
+    if isinstance(mcfg, SolverConfig):
+        return solve(bench.problem, mcfg, x0, y0, reference=bench.reference), ""
+    return run_baseline_loop(bench, name, mcfg, ul_steps, x0, y0, cap)
 
 
 def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) -> int:
-    """Execute one experiment config; write trace CSVs and a summary JSON."""
+    """Execute one experiment config; write trace CSVs and a summary JSON.
+
+    The whole config, every method section included, is checked before the
+    first method runs, so a config error (exit 2) writes no artifacts.
+    """
     try:
-        cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        cfg = _load_config(config_path)
         if wall_clock_cap_s is not None:
             cfg["wall_clock_cap_s"] = wall_clock_cap_s
         seed = _resolve_seed(cfg, seed)
@@ -235,18 +270,16 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
         if not methods:
             raise InvalidParameter("config must list at least one method")
         bench = load_problem(cfg, seed)
+        resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
+        x0 = _vector(bench.problem.m, cfg.get("x0", bench.x0))
+        y0 = _vector(bench.problem.n, cfg.get("y0", bench.y0))
+        cap = cfg.get("wall_clock_cap_s")
+        cap = float(cap) if cap is not None else None
         out = Path(out_dir or cfg.get("out_dir", "."))
-    except (KeyError, ValueError, TypeError, InvalidParameter, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (KeyError, TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
+        return _config_error(exc)
 
     out.mkdir(parents=True, exist_ok=True)
-    problem = bench.problem
-    x0 = _vector(problem.m, cfg.get("x0", None if bench.x0 is None else bench.x0))
-    y0 = _vector(problem.n, cfg.get("y0", None if bench.y0 is None else bench.y0))
-    cap = cfg.get("wall_clock_cap_s")
-    cap = float(cap) if cap is not None else None
-
     summary: dict = {
         "config": cfg,
         "seed": seed,
@@ -256,19 +289,18 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
         "results": {},
     }
     failed = False
-    for mspec in methods:
+    for mspec, method in zip(methods, resolved):
         entry: dict = {"method": str(mspec)}
         try:
-            trace, flag = _run_method(bench, mspec, cfg, x0, y0, cap)
+            trace, flag = _run_method(bench, method, x0, y0, cap)
         except (SolveTimeout, SolveError) as exc:
             trace = exc.trace
             flag = type(exc).__name__
             failed = True
-        except InvalidParameter as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         csv_path = out / f"trace_{str(mspec).replace(':', '_')}.csv"
-        write_trace_csv(csv_path, trace)
+        _write_csv(csv_path, TRACE_COLUMNS,
+                   [(r.k, r.l, r.wall_time_s, r.F_value, r.f_value, r.ul_grad_norm,
+                     r.rel_err_x, r.rel_err_F) for r in trace.records])
         final = trace.final
         entry.update(
             final_rel_err_x=final.rel_err_x,
@@ -295,48 +327,31 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(family: str, n: int, mspec: str, cfg: dict):
+def _sweep_cell(family: str, n: int, mspec: str, cfg: dict) -> dict:
+    """One sweep row; a config error raises, a failed run goes into ``note``."""
     started = time.perf_counter()
+    bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
+    method = _resolve_method(bench, mspec, cfg)
+    x0 = _vector(bench.problem.m, cfg.get("x0", 8.0))
+    y0 = _vector(bench.problem.n, cfg.get("y0", 0.0))
     try:
-        bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
-        problem = bench.problem
-        x0 = _vector(problem.m, cfg.get("x0", 8.0))
-        y0 = _vector(problem.n, cfg.get("y0", 0.0))
-        trace, _ = _run_method(bench, mspec, cfg, x0, y0, cfg.get("wall_clock_cap_s"))
-        final = trace.final
-        return dict(n=n, method=str(mspec), rel_err_x=final.rel_err_x,
-                    rel_err_F=final.rel_err_F,
-                    wall_time_s=time.perf_counter() - started, note="")
+        trace, _ = _run_method(bench, method, x0, y0, cfg.get("wall_clock_cap_s"))
+        rel_x, rel_F, note = trace.final.rel_err_x, trace.final.rel_err_F, ""
     except Exception as exc:  # per-cell failure recorded, sweep continues
-        return dict(n=n, method=str(mspec), rel_err_x=math.nan, rel_err_F=math.nan,
-                    wall_time_s=time.perf_counter() - started,
-                    note=f"{type(exc).__name__}: {exc}")
+        rel_x, rel_F, note = math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+    return dict(n=n, method=mspec, rel_err_x=rel_x, rel_err_F=rel_F,
+                wall_time_s=time.perf_counter() - started, note=note)
 
 
-def run_dimension_sweep(
-    family: str,
-    n_list,
-    methods,
-    cfg: dict | None = None,
-    out_path=None,
-    parallel: int = 1,
-) -> list[dict]:
+def run_dimension_sweep(family: str, n_list, methods, cfg: dict | None = None,
+                        out_path=None) -> list[dict]:
     """One row per (n, method) with final rel_err_x and wall time."""
     if not n_list:
         raise InvalidParameter("n_list must be non-empty")
     cfg = cfg or {}
-    cells = [(int(n), str(m)) for n in n_list for m in methods]
-    if parallel > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(family, c[0], c[1], cfg), cells))
-    else:
-        rows = [_sweep_cell(family, n, m, cfg) for n, m in cells]
+    rows = [_sweep_cell(family, int(n), str(m), cfg) for n in n_list for m in methods]
     if out_path is not None:
-        cols = ["n", "method", "rel_err_x", "rel_err_F", "wall_time_s", "note"]
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in cols))
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out_path, SWEEP_COLUMNS, [[r[c] for c in SWEEP_COLUMNS] for r in rows])
     return rows
 
 
@@ -356,7 +371,8 @@ def time_step(
 
     For the sequential-minimization solver a step is both inner solves plus
     the chain-rule assembly; for baselines it is the T-step LL solve plus the
-    estimator.  One warm-up repetition is excluded.  Always serial.
+    estimator.  One warm-up repetition is excluded.  A config error raises; a
+    failed step is recorded in the row's ``note``.
     """
     if repeats < 3:
         raise InvalidParameter("repeats must be >= 3")
@@ -368,47 +384,39 @@ def time_step(
         x = _vector(problem.m, cfg.get("x0", 8.0))
         y0 = _vector(problem.n, cfg.get("y0", 0.0))
         for mspec in methods:
-            mname = str(mspec).partition(":")[0].lower()
+            name, mcfg, _ = _resolve_method(bench, mspec, cfg)
             times = []
             try:
-                if mname == "bvfsm":
-                    scfg = build_solver_config(cfg, bench)
-                    from .solver import solve_inner, ul_gradient_for
-
-                    sched = scfg.schedule
-                    for rep in range(repeats + 1):
-                        t0 = time.perf_counter()
-                        inner = solve_inner(problem, x, sched, scfg, z0=y0, y0=y0)
-                        ul_gradient_for(problem, x, inner, sched, scfg)
-                        if rep > 0:
-                            times.append(time.perf_counter() - t0)
-                else:
-                    base = _baseline_config(cfg)
-                    name, bcfg = parse_method(mspec, base)
-                    for rep in range(repeats + 1):
-                        t0 = time.perf_counter()
-                        hypergradient_step(problem, name, x, y0, bcfg)
-                        if rep > 0:
-                            times.append(time.perf_counter() - t0)
-                rows.append(dict(m=int(m), n=int(n), method=str(mspec),
-                                 median_s=statistics.median(times),
-                                 repeats=repeats, note=""))
-            except Exception as exc:
-                rows.append(dict(m=int(m), n=int(n), method=str(mspec),
-                                 median_s=math.nan, repeats=repeats,
-                                 note=f"{type(exc).__name__}: {exc}"))
+                for rep in range(repeats + 1):
+                    t0 = time.perf_counter()
+                    if isinstance(mcfg, SolverConfig):
+                        inner = solve_inner(problem, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
+                        ul_gradient_for(problem, x, inner, mcfg.schedule, mcfg)
+                    else:
+                        hypergradient_step(problem, name, x, y0, mcfg)
+                    if rep > 0:
+                        times.append(time.perf_counter() - t0)
+                median_s, note = statistics.median(times), ""
+            except Exception as exc:  # per-method failure recorded, timing continues
+                median_s, note = math.nan, f"{type(exc).__name__}: {exc}"
+            rows.append(dict(m=int(m), n=int(n), method=str(mspec), median_s=median_s,
+                             repeats=repeats, note=note))
     if out_path is not None:
-        cols = ["m", "n", "method", "median_s", "repeats", "note"]
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(_fmt(r[c]) for c in cols))
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(out_path, TIMING_COLUMNS, [[r[c] for c in TIMING_COLUMNS] for r in rows])
     return rows
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+def _size_pair(spec: str) -> tuple[int, int]:
+    m, _, n = spec.partition(":")
+    try:
+        return int(m), int(n)
+    except ValueError as exc:
+        raise InvalidParameter(f"size {spec!r} is not m:n") from exc
 
 
 def main(argv=None) -> int:
@@ -427,7 +435,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--n", type=int, nargs="+", required=True)
     p_sweep.add_argument("--methods", nargs="+", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--parallel", type=int, default=1)
 
     p_time = sub.add_parser("time", help="per-step hypergradient timing")
     p_time.add_argument("--config", default=None)
@@ -456,51 +463,21 @@ def main(argv=None) -> int:
             print(name)
         return EXIT_OK
 
-    if args.verb == "run":
-        return run_experiment(args.config, args.out_dir, args.seed, args.wall_clock_cap_s)
-
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
-    if args.verb == "sweep":
-        try:
-            run_dimension_sweep(args.family, args.n, args.methods, cfg,
-                                out_path=args.out, parallel=args.parallel)
-        except InvalidParameter as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except Exception as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        return EXIT_OK
-
-    if args.verb == "time":
-        try:
-            sizes = []
-            for s in args.sizes:
-                m_str, _, n_str = s.partition(":")
-                sizes.append((int(m_str), int(n_str)))
-            time_step(sizes, args.methods, args.repeats, cfg, out_path=args.out)
-        except (InvalidParameter, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except Exception as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        return EXIT_OK
-
-    if args.verb == "validate":
-        try:
-            bench = parse_problem(args.problem)
-        except InvalidParameter as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        seed = _resolve_seed(cfg, args.seed)
+    # the one mapping from errors to exit codes for every verb
+    try:
+        if args.verb == "run":
+            return run_experiment(args.config, args.out_dir, args.seed, args.wall_clock_cap_s)
+        if args.verb == "sweep":
+            run_dimension_sweep(args.family, args.n, args.methods, _load_config(args.config),
+                                out_path=args.out)
+            return EXIT_OK
+        if args.verb == "time":
+            time_step([_size_pair(s) for s in args.sizes], args.methods, args.repeats,
+                      _load_config(args.config), out_path=args.out)
+            return EXIT_OK
+        # validate, the one verb left
+        bench = parse_problem(args.problem)
+        seed = _resolve_seed({}, args.seed)
         ok = True
         for label, fld in [("F", bench.problem.F), ("f", bench.problem.f)] + [
             (f"H[{j}]", h) for j, h in enumerate(bench.problem.ul_constraints)
@@ -509,8 +486,11 @@ def main(argv=None) -> int:
             print(f"{label}: {rep}")
             ok = ok and rep.passed
         return EXIT_OK if ok else EXIT_RUNTIME
-
-    return EXIT_CONFIG
+    except InvalidParameter as exc:
+        return _config_error(exc)
+    except Exception as exc:
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

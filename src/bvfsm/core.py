@@ -40,14 +40,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def check_finite(value, what: str):
-    """Raise NonFiniteEvaluation unless ``value`` (scalar or array) is finite."""
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEvaluation(f"non-finite {what}: {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A real-valued function of (x, y) with analytic partial gradients.
@@ -127,14 +119,6 @@ class FeasibleSet:
         if self.kind is SetKind.BALL:
             return self.center.shape[0]
         return None
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = as_vector(x, dim=self.dim)
-        if self.kind is SetKind.WHOLE_SPACE:
-            return True
-        if self.kind is SetKind.BOX:
-            return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-        return bool(np.linalg.norm(x - self.center) <= self.radius + tol)
 
 
 def project(fset: FeasibleSet, x) -> np.ndarray:

@@ -538,14 +538,21 @@ PROBLEM_FAMILIES = {
 
 
 def parse_problem(spec: str) -> BenchmarkProblem:
-    """Registry lookup: "sin:n=2,a=2", "sin-constrained:n=2,a=2,c=1", "hyperclean:seed=0"."""
+    """Registry lookup: "sin:n=2,a=2", "sin-constrained:n=2,a=2,c=1", "hyperclean:seed=0".
+
+    An unknown family, an unknown parameter or a value the constructor
+    rejects raises InvalidParameter naming the spec.
+    """
     name, _, argstr = str(spec).strip().partition(":")
     name = name.strip().lower()
     if name not in PROBLEM_FAMILIES:
         raise InvalidParameter(
             f"unknown problem {name!r}; known: {sorted(PROBLEM_FAMILIES)}"
         )
-    return PROBLEM_FAMILIES[name](**_parse_params(argstr))
+    try:
+        return PROBLEM_FAMILIES[name](**_parse_params(argstr))
+    except (TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
+        raise InvalidParameter(f"problem {spec!r}: {exc}") from exc
 
 
 def list_problems() -> list[str]:

@@ -92,7 +92,6 @@ class SolverConfig:
     aux_H: AuxiliaryFunction = field(default_factory=_default_aux_f)
     aux_h: AuxiliaryFunction = field(default_factory=_default_aux_f)
     aux_B: AuxiliaryFunction = field(default_factory=_default_aux_B)
-    warm_start: bool = True
     wall_clock_cap_s: float | None = None
 
     def __post_init__(self):
@@ -147,9 +146,6 @@ class SolveTrace:
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -482,9 +478,8 @@ def solve(
 ) -> SolveTrace:
     """Run K stages of L projected UL steps with schedule-aware inner solves.
 
-    Warm starts persist z and y across (k, l) steps (and across stages) when
-    cfg.warm_start; otherwise each step restarts the inner iterates from y0.
-    An infeasible constrained stage triggers UL step halving, mirroring the
+    Warm starts persist z and y across (k, l) steps and across stages.  An
+    infeasible constrained stage triggers UL step halving, mirroring the
     inner wall handling.  Returns the full trace; raises SolveTimeout past
     cfg.wall_clock_cap_s and SolveError on unrecoverable inner failures, both
     carrying the partial trace.
@@ -513,28 +508,25 @@ def solve(
                 raise SolveTimeout(
                     f"wall clock cap {cfg.wall_clock_cap_s}s exceeded at k={k}", trace
                 )
-            z0 = z_warm if cfg.warm_start or k == l == 0 else y_init.copy()
-            ys = y_warm if cfg.warm_start else None
             try:
-                inner = solve_inner(problem, x, sched, cfg, z0=z0, y0=ys)
+                inner = solve_inner(problem, x, sched, cfg, z0=z_warm, y0=y_warm)
                 grad = ul_gradient_for(problem, x, inner, sched, cfg)
             except BarrierWall as exc:
                 # UL-level recovery: retry the previous step with halved moves.
                 recovered = False
-                if trace.records[-1].l != 0 or trace.records[-1].k != 0:
-                    x_prev = trace.records[-2].x if len(trace.records) >= 2 else None
-                    if x_prev is not None:
-                        step = 0.5
-                        for _ in range(MAX_HALVINGS):
-                            x_try = x_prev + step * (x - x_prev)
-                            try:
-                                inner = solve_inner(problem, x_try, sched, cfg, z0=z0, y0=ys)
-                                grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
-                                x = x_try
-                                recovered = True
-                                break
-                            except BarrierWall:
-                                step *= 0.5
+                if len(trace.records) >= 2:  # a UL step has been taken
+                    x_prev = trace.records[-2].x
+                    step = 0.5
+                    for _ in range(MAX_HALVINGS):
+                        x_try = x_prev + step * (x - x_prev)
+                        try:
+                            inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
+                            grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
+                            x = x_try
+                            recovered = True
+                            break
+                        except BarrierWall:
+                            step *= 0.5
                 if not recovered:
                     raise SolveError(str(exc), k, l, trace) from exc
             except NonFiniteEvaluation as exc:

@@ -112,6 +112,62 @@ def test_run_experiment_non_numeric_solver_setting_is_config_error(tmp_path, cap
     assert "config error" in capsys.readouterr().err
 
 
+VERB_ARGS = {
+    "run": ["--out-dir", "{out}"],
+    "sweep": ["--n", "1", "--methods", "bvfsm", "--out", "{out}"],
+    "time": ["--sizes", "1:2", "--methods", "bvfsm", "--repeats", "3", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_non_numeric_solver_setting_is_config_error_in_every_verb(tmp_path, verb, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "K": "abc"})
+    out = tmp_path / "out"
+    argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any method ran
+
+
+def test_run_experiment_non_numeric_ul_steps_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, methods=["rhg"], baseline={"ul_steps": "x"})
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error: baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bvfsm, key", [
+    ({**FAST_BVFSM, "T_Y": 5, "stepy": 0.5}, "T_Y"),
+    ({**FAST_BVFSM, "schedule": {"sigma_1": 9}}, "sigma_1"),
+], ids=["section-key", "schedule-key"])
+def test_run_experiment_unknown_solver_key_is_config_error(tmp_path, bvfsm, key, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm=bvfsm)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("spec", ["sin:n=2", "sin-constrained:n=2", "sin-pessimistic:n=2",
+                                  "hyperclean:n_train=8,n_val=6,dim=2"])
+def test_suggested_solver_profiles_pass_the_key_check(spec):
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
+
+    build_solver_config({}, parse_problem(spec))
+
+
+def test_shipped_config_passes_the_key_check():
+    from bvfsm.cli import build_solver_config, load_problem
+
+    cfg = json.loads((Path(__file__).parents[1] / "configs" / "convergence.json").read_text())
+    build_solver_config(cfg, load_problem(cfg, 0))
+
+
+@pytest.mark.parametrize("x0", ["abc", [1.0, 2.0]])
+def test_run_experiment_malformed_start_point_is_config_error(tmp_path, x0):
+    cfg = write_config(tmp_path, x0=x0)
+    assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("key", ["sigma2_H", "sigma2_h"])
 def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
     cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
@@ -180,14 +236,6 @@ def test_dimension_sweep_sanity_row_fast():
     assert all(not r["note"] for r in rows)
 
 
-def test_dimension_sweep_parallel_cells_match_serial():
-    cfg = {"bvfsm": FAST_BVFSM, "baseline": {"T": 10, "I": 10, "ul_steps": 5}}
-    serial = run_dimension_sweep("sin", [1, 2], ["bvfsm"], cfg)
-    parallel = run_dimension_sweep("sin", [1, 2], ["bvfsm"], cfg, parallel=2)
-    for a, b in zip(serial, parallel):
-        assert a["n"] == b["n"] and a["rel_err_x"] == b["rel_err_x"]
-
-
 def test_time_step_stub_medians_stable(monkeypatch):
     # constant-time stub: medians across reruns must agree within 20%
     def stub(problem, method, x, y, cfg):
@@ -251,6 +299,21 @@ def test_main_time_verb(tmp_path):
     header, rows = read_csv(out)
     assert header[:4] == ["m", "n", "method", "median_s"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("spec", ["sin:q=3", "sin:n=abc"])
+def test_main_validate_bad_problem_parameter_is_config_error(spec, capsys):
+    assert main(["validate", "--problem", spec, "--probes", "3"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+def test_main_sweep_family_without_n_is_config_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "hyperclean", "--n", "1", "--methods", "bvfsm",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_bad_config_exit_code(tmp_path):

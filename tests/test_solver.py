@@ -466,6 +466,32 @@ def test_pessimistic_matches_optimistic_on_negated_F_bitwise():
     assert np.array_equal(x - cfg.alpha * g_p, x + cfg.alpha * g_o)
 
 
+def test_solve_recovers_from_ul_step_into_barrier_wall(monkeypatch):
+    # A long UL step (alpha=0.5) on the constrained sin problem, with plain
+    # inverse barriers on h and B, lands some stages outside the LL wall; the
+    # solver retries them from the previous x with halved moves.
+    import bvfsm.solver as solver_mod
+    from bvfsm import make_constrained_sin_problem
+
+    bench = make_constrained_sin_problem(1, 2.0, 1.0)
+    inv = AuxiliaryFunction(InverseBarrier())
+    cfg = SolverConfig(K=60, alpha=0.5, aux_f=QP, aux_h=inv, aux_B=inv)
+    calls = 0
+    real_solve_inner = solver_mod.solve_inner
+
+    def counting_solve_inner(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_solve_inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_inner", counting_solve_inner)
+    tr = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
+    assert calls > cfg.K  # some stages needed retries
+    assert len(tr.records) == cfg.K + 2  # every stage completed, plus the polish
+    final = tr.final
+    assert np.all(np.isfinite(final.x)) and math.isfinite(final.F_value)
+
+
 def test_solve_timeout_carries_partial_trace():
     from bvfsm import SolveTimeout
 
