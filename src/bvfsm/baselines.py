@@ -64,7 +64,7 @@ class SolveFlag(NamedTuple):
 
 
 def _check(v, what):
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteEvaluation(f"non-finite {what}")
     return v
 

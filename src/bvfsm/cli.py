@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .auxfun import DynamicShift, ScheduleState, StaticShift, parse_aux
 from .baselines import BaselineConfig, hypergradient_step, parse_method
-from .core import InvalidParameter, project, validate_gradients
+from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
 from .problems import BenchmarkProblem, list_problems, parse_problem
 from .solver import (
     SolveError,
@@ -112,6 +112,8 @@ def _reject_unknown(section: str, d: dict, known) -> None:
 
 
 SCHEDULE_KEYS = ("mu", "theta", "sigma1", "decay", "sigma2", "sigma2_H", "sigma2_h")
+# the keys of a shift entry in ``schedule``, by rule
+SHIFT_KEYS = {"static": ("rule", "value", "decay_pow"), "dynamic": ("rule", "offset")}
 
 
 def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
@@ -119,21 +121,25 @@ def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
     _reject_unknown("schedule", d, SCHEDULE_KEYS)
     decay = float(d.get("decay", 1.0 / 1.01))
 
-    def parse_shift(cfg_entry):
+    def parse_shift(name, cfg_entry):
         if cfg_entry is None:
             return None
-        if isinstance(cfg_entry, dict) and cfg_entry.get("rule", "static") == "dynamic":
+        if not isinstance(cfg_entry, dict):
+            return StaticShift(float(cfg_entry), None)
+        rule = cfg_entry.get("rule", "static")
+        if rule not in SHIFT_KEYS:
+            raise InvalidParameter(f"{name}: unknown rule {rule!r}; known: {sorted(SHIFT_KEYS)}")
+        _reject_unknown(f"{name} ({rule})", cfg_entry, SHIFT_KEYS[rule])
+        if rule == "dynamic":
             offset = cfg_entry.get("offset")
             return DynamicShift(float(offset) if offset is not None else bench.dynamic_offset)
-        if isinstance(cfg_entry, dict):
-            value = float(cfg_entry.get("value", 1.0))
-            pow_ = cfg_entry.get("decay_pow")
-            return StaticShift(value, decay ** float(pow_) if pow_ is not None else None)
-        return StaticShift(float(cfg_entry), None)
+        value = float(cfg_entry.get("value", 1.0))
+        pow_ = cfg_entry.get("decay_pow")
+        return StaticShift(value, decay ** float(pow_) if pow_ is not None else None)
 
-    sigma2 = parse_shift(d.get("sigma2", {})) or StaticShift()
-    sigma2_H = parse_shift(d.get("sigma2_H"))
-    sigma2_h = parse_shift(d.get("sigma2_h"))
+    sigma2 = parse_shift("sigma2", d.get("sigma2", {})) or StaticShift()
+    sigma2_H = parse_shift("sigma2_H", d.get("sigma2_H"))
+    sigma2_h = parse_shift("sigma2_h", d.get("sigma2_h"))
     for name, rule in (("sigma2_H", sigma2_H), ("sigma2_h", sigma2_h)):
         if isinstance(rule, DynamicShift):
             raise InvalidParameter(f"{name}: constraint shifts take only the static rule")
@@ -167,9 +173,17 @@ def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
     kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
     kwargs["schedule"] = build_schedule(d.get("schedule", {}), bench)
-    if cfg.get("wall_clock_cap_s") is not None:
-        kwargs["wall_clock_cap_s"] = float(cfg["wall_clock_cap_s"])
+    kwargs["wall_clock_cap_s"] = _wall_clock_cap(cfg)
     return SolverConfig(**kwargs)
+
+
+def _wall_clock_cap(cfg: dict) -> float | None:
+    """The config's ``wall_clock_cap_s`` as a float, or None when unset."""
+    cap = cfg.get("wall_clock_cap_s")
+    try:
+        return float(cap) if cap is not None else None
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"wall_clock_cap_s: {exc}") from exc
 
 
 def _vector(dim: int, value) -> np.ndarray:
@@ -216,7 +230,12 @@ def run_baseline_loop(
     y0: np.ndarray,
     wall_clock_cap_s: float | None = None,
 ) -> tuple[SolveTrace, str]:
-    """Projected UL descent driven by a baseline hypergradient estimator."""
+    """Projected UL descent driven by a baseline hypergradient estimator.
+
+    Returns the trace and the last estimator flag.  The loop stops at the first
+    non-finite gradient, iterate or trace value, after recording that step
+    when its values could be formed, and returns the flag "diverging".
+    """
     from .solver import _errors  # shared rel-error bookkeeping
 
     problem = bench.problem
@@ -233,13 +252,22 @@ def run_baseline_loop(
     for k in range(ul_steps):
         if wall_clock_cap_s is not None and time.perf_counter() - t0 > wall_clock_cap_s:
             raise SolveTimeout(f"baseline {method} exceeded wall clock cap", trace)
-        g, y, flag = hypergradient_step(problem, method, x, y, bcfg)
+        try:
+            g, y, flag = hypergradient_step(problem, method, x, y, bcfg)
+            x = project(problem.ul_set, x - bcfg.alpha * g)
+            # a diverging run overflows first in these values, checked below
+            with np.errstate(over="ignore", invalid="ignore"):
+                F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
+                g_norm = float(np.linalg.norm(g))
+        except (NonFiniteEvaluation, OverflowError):
+            return trace, "diverging"
         last_flag = flag or last_flag
-        x = project(problem.ul_set, x - bcfg.alpha * g)
-        F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
-        trace.append(TraceRecord(k, 1, x.copy(), F_val, f_val, float(np.linalg.norm(g)),
+        trace.append(TraceRecord(k, 1, x.copy(), F_val, f_val, g_norm,
                                  rel_x, rel_F, time.perf_counter() - t0,
                                  math.nan, math.nan, math.nan, y=np.array(y)))
+        if not (math.isfinite(F_val) and math.isfinite(f_val) and math.isfinite(g_norm)
+                and np.isfinite(y).all()):
+            return trace, "diverging"
     return trace, last_flag
 
 
@@ -273,8 +301,7 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
         resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
         x0 = _vector(bench.problem.m, cfg.get("x0", bench.x0))
         y0 = _vector(bench.problem.n, cfg.get("y0", bench.y0))
-        cap = cfg.get("wall_clock_cap_s")
-        cap = float(cap) if cap is not None else None
+        cap = _wall_clock_cap(cfg)
         out = Path(out_dir or cfg.get("out_dir", "."))
     except (KeyError, TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
         return _config_error(exc)
@@ -327,7 +354,7 @@ def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) 
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(family: str, n: int, mspec: str, cfg: dict) -> dict:
+def _sweep_cell(family: str, n: int, mspec: str, cfg: dict, cap: float | None) -> dict:
     """One sweep row; a config error raises, a failed run goes into ``note``."""
     started = time.perf_counter()
     bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
@@ -335,7 +362,7 @@ def _sweep_cell(family: str, n: int, mspec: str, cfg: dict) -> dict:
     x0 = _vector(bench.problem.m, cfg.get("x0", 8.0))
     y0 = _vector(bench.problem.n, cfg.get("y0", 0.0))
     try:
-        trace, _ = _run_method(bench, method, x0, y0, cfg.get("wall_clock_cap_s"))
+        trace, _ = _run_method(bench, method, x0, y0, cap)
         rel_x, rel_F, note = trace.final.rel_err_x, trace.final.rel_err_F, ""
     except Exception as exc:  # per-cell failure recorded, sweep continues
         rel_x, rel_F, note = math.nan, math.nan, f"{type(exc).__name__}: {exc}"
@@ -349,7 +376,8 @@ def run_dimension_sweep(family: str, n_list, methods, cfg: dict | None = None,
     if not n_list:
         raise InvalidParameter("n_list must be non-empty")
     cfg = cfg or {}
-    rows = [_sweep_cell(family, int(n), str(m), cfg) for n in n_list for m in methods]
+    cap = _wall_clock_cap(cfg)
+    rows = [_sweep_cell(family, int(n), str(m), cfg, cap) for n in n_list for m in methods]
     if out_path is not None:
         _write_csv(out_path, SWEEP_COLUMNS, [[r[c] for c in SWEEP_COLUMNS] for r in rows])
     return rows

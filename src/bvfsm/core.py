@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteEvaluation(f"non-finite entries in vector: {v}")
     return v
 
@@ -209,7 +209,7 @@ def hvp(grad_fn: Callable[[np.ndarray], np.ndarray], x, v, eps: float = 1e-5) ->
     v = as_vector(v, dim=x.shape[0])
     gp = np.asarray(grad_fn(x + eps * v), dtype=float)
     gm = np.asarray(grad_fn(x - eps * v), dtype=float)
-    if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
+    if not (np.isfinite(gp).all() and np.isfinite(gm).all()):
         raise NonFiniteEvaluation("gradient non-finite during hvp")
     return (gp - gm) / (2.0 * eps)
 

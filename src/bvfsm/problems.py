@@ -15,10 +15,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .auxfun import AuxiliaryFunction, ScheduleState, StaticShift, aux_eval, schedule_step
+from .auxfun import AuxiliaryFunction, ScheduleState, aux_eval, schedule_step
 from .core import (
     BilevelProblem,
-    FeasibleSet,
     InvalidParameter,
     Mode,
     ScalarField,
@@ -99,12 +98,20 @@ def sin_solution(n: int, a: float, c) -> SinSolution:
 def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained: bool,
                 m: int = 1):
     """UL/LL fields of the sin family; for m > 1 the scalar UL variable is
-    embedded as the mean of x (used by the timing harness to scale m)."""
+    embedded as the mean of x (used by the timing harness to scale m).
+
+    The embedding is chosen here, once: with m = 1 it reads the one entry,
+    which is exactly its mean, without the per-call cost of np.mean.
+    """
     sgn = -1.0 if pessimistic else 1.0
     off = a + c if not constrained else np.full(n, a)
 
-    def xbar(x):
-        return float(np.mean(x))
+    if m == 1:
+        def xbar(x):
+            return float(x[0])
+    else:
+        def xbar(x):
+            return float(np.mean(x))
 
     def F_fn(x, y):
         d = y - off
@@ -119,8 +126,8 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
     )
     f = ScalarField(
         m=m, n=n,
-        fn=lambda x, y: float(np.sum(np.sin(xbar(x) + y - c))),
-        grad_x=lambda x, y: np.full(m, float(np.sum(np.cos(xbar(x) + y - c))) / m),
+        fn=lambda x, y: float(np.sin(xbar(x) + y - c).sum()),
+        grad_x=lambda x, y: np.full(m, float(np.cos(xbar(x) + y - c).sum()) / m),
         grad_y=lambda x, y: np.cos(xbar(x) + y - c),
         name="sin-ll",
     )

@@ -242,7 +242,7 @@ def solve_regularized_ll(
     if not hs:
         for _ in range(cfg.T_z):
             g = f.gy(x, z) + mu * z
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
             z = z - cfg.step_z * g
         f_star = f(x, z) + 0.5 * mu * float(z @ z)
@@ -292,7 +292,7 @@ def solve_regularized_ll(
         g = f.gy(x, z) + mu * z
         for h in hs:
             g = g + _rho_deriv(kindB, h(x, z), sigma) * h.gy(x, z)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
         moved = _guarded_step(value, z, g, step, cur)
         if moved is None:
@@ -369,7 +369,7 @@ def solve_penalized_inner(
             g = g + _rho_deriv(kH, H(x, y) - shifts_H[j], sigma) * H.gy(x, y)
         for j, h in enumerate(hs):
             g = g + _rho_deriv(kh, h(x, y) - shifts_h[j], sigma) * h.gy(x, y)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteEvaluation("inner gradient non-finite during y-solve")
         moved = _guarded_step(evaluate, y, g, step, cur)
         if moved is None:
@@ -531,7 +531,7 @@ def solve(
                     raise SolveError(str(exc), k, l, trace) from exc
             except NonFiniteEvaluation as exc:
                 raise SolveError(str(exc), k, l, trace) from exc
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise SolveError("UL gradient non-finite", k, l, trace)
             x = project(problem.ul_set, x - cfg.alpha * grad)
             z_warm, y_warm = inner.z, inner.y

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -320,3 +321,52 @@ def test_main_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("entry", [{"rule": "dynamc"}, {"valu": 5},
+                                   {"rule": "dynamic", "value": 5}])
+def test_shift_entry_typo_is_config_error(tmp_path, entry, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"],
+                       bvfsm={**FAST_BVFSM, "schedule": {"sigma2": entry}})
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_non_numeric_wall_clock_cap_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"wall_clock_cap_s": "abc",
+                               "baseline": {"T": 5, "I": 5, "ul_steps": 2}}))
+    out = tmp_path / "cap.csv"
+    code = main(["sweep", "--config", str(cfg), "--n", "1", "--methods", "rhg",
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "wall_clock_cap_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_baseline_loop_stops_at_divergence():
+    import warnings
+
+    from bvfsm import BaselineConfig, BilevelProblem, ScalarField
+    from bvfsm.problems import BenchmarkProblem
+
+    # f = -y^2/2 + x*y is unbounded below in y: each LL step with s = 1 doubles
+    # y, so F = y^2/2 overflows after about 50 UL steps of T = 10
+    f = ScalarField(m=1, n=1, fn=lambda x, y: -0.5 * float(y @ y) + float(x @ y),
+                    grad_x=lambda x, y: y.copy(), grad_y=lambda x, y: x - y)
+    F = ScalarField(m=1, n=1, fn=lambda x, y: 0.5 * float(y @ y),
+                    grad_x=lambda x, y: np.zeros(1), grad_y=lambda x, y: y.copy())
+    bench = BenchmarkProblem(problem=BilevelProblem(m=1, n=1, F=F, f=f), name="unbounded-ll")
+    bcfg = BaselineConfig(T=10, I=10, ll_step=1.0, alpha=0.01)
+    ul_steps = 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        trace, flag = cli.run_baseline_loop(bench, "rhg", bcfg, ul_steps,
+                                            np.zeros(1), np.ones(1))
+    assert flag == "diverging"
+    assert len(trace.records) < ul_steps + 1
+    values = lambda r: (r.F_value, r.f_value, r.ul_grad_norm)  # noqa: E731
+    assert all(map(math.isfinite, values(trace.records[-2])))
+    assert not all(map(math.isfinite, values(trace.final)))

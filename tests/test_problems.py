@@ -88,6 +88,64 @@ def test_sin_problem_m_embedding():
     assert rep.passed
 
 
+def _mean_form_sin_fields(n, a, c, pessimistic, constrained, m):
+    """The sin fields written with np.mean and np.sum, as they were before the
+    embedding was chosen at construction."""
+    sgn = -1.0 if pessimistic else 1.0
+    off = a + c if not constrained else np.full(n, a)
+
+    def xbar(x):
+        return float(np.mean(x))
+
+    def F(x, y):
+        d = y - off
+        return (xbar(x) - a) ** 2 + sgn * float(d @ d)
+
+    return {
+        "F": F,
+        "F.gx": lambda x, y: np.full(m, 2.0 * (xbar(x) - a) / m),
+        "F.gy": lambda x, y: sgn * 2.0 * (y - off),
+        "f": lambda x, y: float(np.sum(np.sin(xbar(x) + y - c))),
+        "f.gx": lambda x, y: np.full(m, float(np.sum(np.cos(xbar(x) + y - c))) / m),
+        "f.gy": lambda x, y: np.cos(xbar(x) + y - c),
+    }
+
+
+def _field_oracles(problem):
+    return {"F": problem.F, "F.gx": problem.F.gx, "F.gy": problem.F.gy,
+            "f": problem.f, "f.gx": problem.f.gx, "f.gy": problem.f.gy}
+
+
+@pytest.mark.parametrize("family", ["optimistic", "pessimistic", "constrained"])
+def test_sin_fields_m1_bitwise_equal_to_mean_form(family):
+    n, a = 3, 2.0
+    c = np.array([0.2, 0.9, 0.5])
+    make = {"optimistic": make_sin_problem, "pessimistic": make_pessimistic_sin_problem,
+            "constrained": make_constrained_sin_problem}[family]
+    problem = make(n, a, c).problem
+    ref = _mean_form_sin_fields(n, a, c, family == "pessimistic", family == "constrained", 1)
+    rng = np.random.default_rng(11)
+    probes = [(np.array([8.0]), np.full(n, 8.0)), (np.array([-0.3]), np.zeros(n))]
+    probes += [(rng.uniform(-10, 10, 1), rng.uniform(-10, 10, n)) for _ in range(6)]
+    for x, y in probes:
+        for name, oracle in _field_oracles(problem).items():
+            got, want = oracle(x, y), ref[name](x, y)
+            assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes(), name
+
+
+def test_sin_fields_m5_embed_the_mean():
+    n, a, m = 2, 2.0, 5
+    c = np.array([2.0, 2.0])
+    problem = make_sin_problem(n, a, c, m=m).problem
+    ref = _mean_form_sin_fields(n, a, c, False, False, m)
+    x = np.array([3.0, -1.0, 0.5, 7.0, 2.25])  # mean 2.35, first entry 3.0
+    y = np.array([0.4, -1.2])
+    for name, oracle in _field_oracles(problem).items():
+        assert np.asarray(oracle(x, y)).tobytes() == np.asarray(ref[name](x, y)).tobytes(), name
+    first = _mean_form_sin_fields(n, a, c, False, False, m)["F"](np.full(m, x[0]), y)
+    assert problem.F(x, y) != first
+
+
 def test_sin_problem_n1_optimum_matches_grid_search():
     bench = make_sin_problem(1, 0.0, 0.0)
     xs = np.linspace(-3.0, 3.0, 241)

@@ -512,3 +512,65 @@ def test_solver_config_validation():
         SolverConfig(aux_B=AuxiliaryFunction(QuadraticPenalty()))
     with pytest.raises(InvalidParameter):
         SolverConfig(aux_B=AuxiliaryFunction(TruncatedLogBarrier(1.0), modified=True))
+
+
+# ---------------------------------------------------------------------------
+# finiteness checks
+# ---------------------------------------------------------------------------
+
+
+def _bad_gradient_problem(bad, where, constrained=False):
+    """f = 0.5|y|^2 and F = 0.5|y|^2 on n = 2, with one gradient replaced by ``bad``."""
+    def grad(name, good):
+        return (lambda x, y: np.full_like(good(x, y), bad)) if name == where else good
+
+    f = field(1, 2, lambda x, y: 0.5 * float(y @ y),
+              grad("f.gx", lambda x, y: np.zeros(1)), grad("f.gy", lambda x, y: y.copy()))
+    F = field(1, 2, lambda x, y: 0.5 * float(y @ y),
+              grad("F.gx", lambda x, y: np.zeros(1)), grad("F.gy", lambda x, y: y.copy()))
+    hs = ()
+    if constrained:  # y @ y <= 100: inactive near the start point
+        hs = (field(1, 2, lambda x, y: float(y @ y) - 100.0,
+                    lambda x, y: np.zeros(1), lambda x, y: 2.0 * y),)
+    return BilevelProblem(m=1, n=2, F=F, f=f, ll_constraints=hs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("constrained", [False, True], ids=["plain", "constrained"])
+def test_z_solve_rejects_non_finite_gradient(bad, constrained):
+    from bvfsm import NonFiniteEvaluation
+
+    prob = _bad_gradient_problem(bad, "f.gy", constrained)
+    cfg = SolverConfig(T_z=3)
+    with pytest.raises(NonFiniteEvaluation, match="z-solve"):
+        solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_y_solve_rejects_non_finite_gradient(bad):
+    from bvfsm import NonFiniteEvaluation
+
+    prob = _bad_gradient_problem(bad, "F.gy")
+    sched = ScheduleState()
+    cfg = SolverConfig(T_y=3, schedule=sched, aux_f=QP)
+    with pytest.raises(NonFiniteEvaluation, match="y-solve"):
+        solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_ul_gradient(bad):
+    from bvfsm import SolveError
+
+    prob = _bad_gradient_problem(bad, "F.gx")
+    cfg = SolverConfig(K=2, T_z=3, T_y=3, aux_f=QP)
+    with pytest.raises(SolveError, match="UL gradient non-finite"):
+        solve(prob, cfg, np.zeros(1), np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_baseline_check_rejects_non_finite_gradient(bad):
+    from bvfsm import NonFiniteEvaluation, ll_descent
+
+    prob = _bad_gradient_problem(bad, "f.gy")
+    with pytest.raises(NonFiniteEvaluation, match="LL gradient at step 0"):
+        ll_descent(prob, np.zeros(1), np.ones(2), steps=3, step_size=0.1)
