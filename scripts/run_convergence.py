@@ -14,7 +14,7 @@ from pathlib import Path
 from bvfsm.cli import run_experiment
 
 
-def config(n: int, init: float) -> dict:
+def config(n: int = 2, init: float = 8.0) -> dict:
     return {
         "problem": f"sin:n={n},a=2,c=2",
         "methods": ["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"],

@@ -11,27 +11,30 @@ import argparse
 
 from bvfsm.cli import run_dimension_sweep
 
-SWEEP_CFG = {
-    "x0": 8.0,
-    "y0": 8.0,
-    "bvfsm": {
-        "K": 2000,
-        "aux_f": {"name": "truncated-log", "modified": True},
-        "schedule": {"sigma2": {"rule": "dynamic"}},
-    },
-    "baseline": {"T": 100, "I": 100, "Q": 20, "ul_steps": 300,
-                 "aggregation_decay": 0.95},
-}
+METHODS = ["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"]
+
+
+def config() -> dict:
+    return {
+        "x0": 8.0,
+        "y0": 8.0,
+        "bvfsm": {
+            "K": 2000,
+            "aux_f": {"name": "truncated-log", "modified": True},
+            "schedule": {"sigma2": {"rule": "dynamic"}},
+        },
+        "baseline": {"T": 100, "I": 100, "Q": 20, "ul_steps": 300,
+                     "aggregation_decay": 0.95},
+    }
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, nargs="+", default=[50, 100, 200])
-    ap.add_argument("--methods", nargs="+",
-                    default=["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"])
+    ap.add_argument("--methods", nargs="+", default=METHODS)
     ap.add_argument("--out", default="runs/sweep.csv")
     args = ap.parse_args()
-    rows = run_dimension_sweep("sin", args.n, args.methods, SWEEP_CFG, out_path=args.out)
+    rows = run_dimension_sweep("sin", args.n, args.methods, config(), out_path=args.out)
     for r in rows:
         print(f"n={r['n']:<4d} {r['method']:<12s} rel_err_x={r['rel_err_x']:.4f} "
               f"({r['wall_time_s']:.1f}s) {r['note']}")

@@ -3,8 +3,10 @@
 A catalog of smooth penalty/barrier members (quadratic penalty, polynomial
 penalty, inverse barrier, truncated-log barrier), an optional modified-barrier
 wrapper that shifts the wall, and the geometric decay schedule that drives
-sequential minimization.  Values are extended reals: the barrier wall is
-returned as ``math.inf`` and flows through comparisons without NaN.
+sequential minimization.  Each member carries its own ``rho(w, s)`` and
+``drho(w, s)``, so a caller binds them once.  Values are extended reals: the
+barrier wall is returned as ``math.inf`` and flows through comparisons
+without NaN.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ class BarrierWall(RuntimeError):
 class QuadraticPenalty:
     """rho(w; s) = (w+)^2 / (2 s), zero for w <= 0."""
 
+    def rho(self, w: float, s: float) -> float:
+        return 0.0 if w <= 0.0 else w * w / (2.0 * s)
+
+    def drho(self, w: float, s: float) -> float:
+        return 0.0 if w <= 0.0 else w / s
+
 
 @dataclass(frozen=True)
 class PolynomialPenalty:
@@ -43,10 +51,24 @@ class PolynomialPenalty:
         if self.q < 2:
             raise InvalidParameter("polynomial penalty needs q >= 2")
 
+    def rho(self, w: float, s: float) -> float:
+        return 0.0 if w <= 0.0 else w**self.q / (self.q * s)
+
+    def drho(self, w: float, s: float) -> float:
+        return 0.0 if w <= 0.0 else w ** (self.q - 1) / s
+
 
 @dataclass(frozen=True)
 class InverseBarrier:
     """rho(w; s) = -s / w for w < 0, infinite at the wall w >= 0."""
+
+    def rho(self, w: float, s: float) -> float:
+        return math.inf if w >= 0.0 else -s / w
+
+    def drho(self, w: float, s: float) -> float:
+        if w >= 0.0:
+            raise BarrierWall(f"inverse barrier derivative at w={w}")
+        return s / (w * w)
 
 
 def truncated_log_coeffs(kappa: float) -> tuple[float, float, float, float]:
@@ -84,6 +106,22 @@ class TruncatedLogBarrier:
     def __post_init__(self):
         if self.betas is None:
             object.__setattr__(self, "betas", truncated_log_coeffs(self.kappa))
+
+    def rho(self, w: float, s: float) -> float:
+        if w >= 0.0:
+            return math.inf
+        b1, b2, b3, b4 = self.betas
+        if w >= -self.kappa:
+            return -s * (math.log(-w) + b1)
+        return -s * (b2 + b3 / (w * w) + b4 / w)
+
+    def drho(self, w: float, s: float) -> float:
+        if w >= 0.0:
+            raise BarrierWall(f"truncated-log derivative at w={w}")
+        _, _, b3, b4 = self.betas
+        if w >= -self.kappa:
+            return -s / w
+        return s * (2.0 * b3 / w**3 + b4 / (w * w))
 
 
 Kind = Union[QuadraticPenalty, PolynomialPenalty, InverseBarrier, TruncatedLogBarrier]
@@ -234,39 +272,6 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
 # ---------------------------------------------------------------------------
 
 
-def _rho(kind: Kind, w: float, s: float) -> float:
-    if isinstance(kind, QuadraticPenalty):
-        return 0.0 if w <= 0.0 else w * w / (2.0 * s)
-    if isinstance(kind, PolynomialPenalty):
-        return 0.0 if w <= 0.0 else w**kind.q / (kind.q * s)
-    if isinstance(kind, InverseBarrier):
-        return math.inf if w >= 0.0 else -s / w
-    # truncated log
-    if w >= 0.0:
-        return math.inf
-    b1, b2, b3, b4 = kind.betas
-    if w >= -kind.kappa:
-        return -s * (math.log(-w) + b1)
-    return -s * (b2 + b3 / (w * w) + b4 / w)
-
-
-def _rho_deriv(kind: Kind, w: float, s: float) -> float:
-    if isinstance(kind, QuadraticPenalty):
-        return 0.0 if w <= 0.0 else w / s
-    if isinstance(kind, PolynomialPenalty):
-        return 0.0 if w <= 0.0 else w ** (kind.q - 1) / s
-    if isinstance(kind, InverseBarrier):
-        if w >= 0.0:
-            raise BarrierWall(f"inverse barrier derivative at w={w}")
-        return s / (w * w)
-    if w >= 0.0:
-        raise BarrierWall(f"truncated-log derivative at w={w}")
-    _, _, b3, b4 = kind.betas
-    if w >= -kind.kappa:
-        return -s / w
-    return s * (2.0 * b3 / w**3 + b4 / (w * w))
-
-
 def effective_argument(aux: AuxiliaryFunction, omega: float, sched: ScheduleState, context_shift: float = 0.0) -> float:
     """The argument rho sees: omega minus the modified-barrier shift, if any."""
     if not aux.modified:
@@ -289,7 +294,7 @@ def aux_eval(
     ``context_shift`` supplied by the solver.
     """
     w = effective_argument(aux, omega, sched, context_shift)
-    return _rho(aux.kind, w, sched.sigma1)
+    return aux.kind.rho(w, sched.sigma1)
 
 
 def aux_deriv(
@@ -300,4 +305,4 @@ def aux_deriv(
 ) -> float:
     """dP/domega at omega; raises BarrierWall at or beyond a barrier wall."""
     w = effective_argument(aux, omega, sched, context_shift)
-    return _rho_deriv(aux.kind, w, sched.sigma1)
+    return aux.kind.drho(w, sched.sigma1)

@@ -187,13 +187,15 @@ def _wall_clock_cap(cfg: dict) -> float | None:
 
 
 def _vector(dim: int, value) -> np.ndarray:
-    """A start point of ``dim`` entries: None gives zeros, a scalar is broadcast."""
+    """A finite start point of ``dim`` entries: None gives zeros, a scalar is broadcast."""
     if value is None:
         return np.zeros(dim)
     try:
         arr = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"start point {value!r}: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise InvalidParameter(f"start point {value!r} has non-finite entries")
     if arr.size == 1:
         return np.full(dim, float(arr[0]))
     if arr.shape != (dim,):

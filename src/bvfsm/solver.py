@@ -3,16 +3,18 @@
 Each outer stage freezes the current penalty/barrier parameters, approximates
 the regularized LL value function by a short gradient descent (the z-solve),
 then descends (or ascends, pessimistic mode) a penalized single-level
-objective in y, and finally takes one projected gradient step in x.  The UL
-gradient comes from one signed value-function chain rule,
-:func:`ul_gradient_for`: the penalty terms enter with the sign of the inner
-problem, so optimistic, pessimistic and constrained problems, and any mix of
-them, share a single formula.  Modified-barrier shifts are frozen per stage
-and padded just enough to keep the incoming iterate strictly inside the wall;
-descent steps that would cross a wall or increase the frozen stage objective
-are halved at most ``MAX_HALVINGS`` times.  Each backtracking search starts at
-``min(step, 2 * last accepted step)`` of the same inner solve, so a stiff
-barrier costs a few halvings once per stage instead of on every step.
+objective in y, and finally takes one projected gradient step in x.  Both
+inner objectives are one stage object, ``_Stage``, with P and P' bound once:
+its value returns the penalty arguments it computed, so each gradient and
+the chain rule's multipliers come from the accepted trial, and f* is the
+z-solve's last accepted value.  The UL gradient comes from one signed chain
+rule, :func:`ul_gradient_for`: the penalty terms enter with the sign of the
+inner problem, so optimistic, pessimistic and constrained problems share a
+single formula.  Modified-barrier shifts are frozen per stage and padded
+just enough to keep the incoming iterate strictly inside the wall; steps
+that would cross a wall or increase the frozen stage objective are halved at
+most ``MAX_HALVINGS`` times, starting from ``min(step, 2 * last accepted
+step)`` of the same inner solve.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .auxfun import (
     ScheduleState,
     StaticShift,
     TruncatedLogBarrier,
-    _rho,
-    _rho_deriv,
     schedule_step,
 )
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     InvalidParameter,
     Mode,
     NonFiniteEvaluation,
+    as_vector,
     project,
 )
 
@@ -115,6 +116,9 @@ class InnerState:
     shift_f: float = 0.0
     shifts_H: np.ndarray | None = None
     shifts_h: np.ndarray | None = None
+    # penalty arguments at y and z; None (built by hand): the chain rule evaluates them
+    args_y: list | None = None
+    args_z: list | None = None
 
 
 @dataclass(frozen=True)
@@ -158,42 +162,122 @@ class Reference:
 
 
 # ---------------------------------------------------------------------------
-# stage-frozen shifts
+# the stage-frozen inner problems
 # ---------------------------------------------------------------------------
 
 
-def _stage_shift_f(problem, x, y_init, f_star, sched, aux_f: AuxiliaryFunction) -> float:
-    """Frozen modified-barrier shift for the value-function term.
+def _frozen_shifts(raw, n_H: int, f_star: float, sched, cfg) -> tuple:
+    """Stage-frozen modified-barrier shifts (shift_f, shifts_H, shifts_h).
 
-    Dynamic rule: f(x, y) + offset at the stage's incoming iterate.  Static
-    rule: the scheduled sigma2 value, padded by the incoming constraint
-    violation so the stage never starts on the wrong side of its own wall.
+    ``raw`` holds f, each H and each h at the stage's incoming iterate.  The
+    value-function term takes f + offset under the dynamic rule, else sigma2
+    padded by the incoming violation f - f*: the stage starts a full sigma2
+    inside its wall, so outer x-moves never strand the iterate outside.  A
+    constraint takes sigma2_H or sigma2_h, else the static sigma2, else
+    sigma1, padded by its own violation.  Unmodified terms are not shifted.
     """
-    if not aux_f.modified:
-        return 0.0
-    if isinstance(sched.sigma2, DynamicShift):
-        return problem.f(x, y_init) + sched.sigma2.offset
-    # Scheduled shift plus the incoming violation: the stage always starts a
-    # full sigma2 inside its wall, so outer x-moves can never strand the
-    # iterate on the infeasible side.
-    omega0 = problem.f(x, y_init) - f_star
-    return sched.sigma2.value + max(0.0, omega0)
+    def constraint_shifts(c0, aux, rule):
+        if not aux.modified:
+            return np.zeros(len(c0))
+        if rule is None and isinstance(sched.sigma2, StaticShift):
+            rule = sched.sigma2
+        base = rule.value if rule is not None else sched.sigma1
+        return np.array([base + max(0.0, c) for c in c0])
 
-def _stage_shifts_constraints(fields, x, y_init, sched, aux: AuxiliaryFunction,
-                              role: str) -> np.ndarray:
-    """Frozen shifts for modified barriers on H or h constraint terms."""
-    if not fields:
-        return np.zeros(0)
-    if not aux.modified:
-        return np.zeros(len(fields))
-    role_shift = getattr(sched, f"sigma2_{role}", None)
-    if role_shift is not None:
-        base = role_shift.value
-    elif isinstance(sched.sigma2, StaticShift):
-        base = sched.sigma2.value
+    if not cfg.aux_f.modified:
+        shift_f = 0.0
+    elif isinstance(sched.sigma2, DynamicShift):
+        shift_f = raw[0] + sched.sigma2.offset
     else:
-        base = sched.sigma1
-    return np.array([base + max(0.0, fld(x, y_init)) for fld in fields])
+        shift_f = sched.sigma2.value + max(0.0, raw[0] - f_star)
+    return (shift_f, constraint_shifts(raw[1:1 + n_H], cfg.aux_H, sched.sigma2_H),
+            constraint_shifts(raw[1 + n_H:], cfg.aux_h, sched.sigma2_h))
+
+
+class _Stage:
+    """One stage-frozen inner objective at a fixed UL point ``x``:
+
+        value(v) = s * lead(x, v) + reg/2 |v|^2 + sum_t P_t(c_t(x, v) - base_t - shift_t)
+
+    The y-stage: F with the inner sign s (-1 in pessimistic mode), theta, and
+    the terms f - f* - shift_f, each H and each h.  The z-stage: f, mu, and
+    each h under aux_B.  P and P' are bound once per stage.  ``gradient`` and
+    ``multipliers`` take back the penalty arguments ``value`` computed, so an
+    accepted trial is never evaluated again.  Sums keep the order of the
+    written-out formulas, bit for bit.  The hot paths call a field's ``fn``
+    and ``grad_y`` with ScalarField's own conversions, one call frame less.
+    """
+
+    __slots__ = ("x", "negate", "lead", "reg", "half_reg", "sigma", "terms", "vf")
+
+    def __init__(self, x, negate, lead, reg, sigma, terms, vf):
+        self.x, self.negate, self.lead, self.sigma = x, negate, lead, sigma
+        self.reg, self.half_reg = reg, 0.5 * reg
+        self.terms = terms  # (field c, base, shift, P, P') per term
+        self.vf = vf  # the first term is f - f* - shift_f, whose gradient precedes reg * v
+
+    @classmethod
+    def penalized(cls, problem, x, sched, cfg, f_star, shift_f, shifts_H, shifts_h):
+        def terms(fields, aux, shifts):
+            shifts = np.zeros(len(fields)) if shifts is None else shifts
+            return [(c, 0.0, sh, aux.kind.rho, aux.kind.drho) for c, sh in zip(fields, shifts)]
+
+        kf = cfg.aux_f.kind
+        return cls(x, problem.mode is Mode.PESSIMISTIC, problem.F, sched.theta, sched.sigma1,
+                   ((problem.f, f_star, shift_f, kf.rho, kf.drho),
+                    *terms(problem.ul_constraints, cfg.aux_H, shifts_H),
+                    *terms(problem.ll_constraints, cfg.aux_h, shifts_h)), True)
+
+    @classmethod
+    def regularized_ll(cls, problem, x, sched, cfg):
+        kB = cfg.aux_B.kind
+        return cls(x, False, problem.f, sched.mu, sched.sigma1,
+                   tuple((h, 0.0, 0.0, kB.rho, kB.drho) for h in problem.ll_constraints), False)
+
+    def value(self, v, raw=None):
+        """(objective, penalty arguments) at ``v``; ``inf`` at a barrier wall.
+
+        The sum stops at the first wall, and so do the arguments.  ``raw``
+        holds the term fields already evaluated at ``v``.
+        """
+        x, s = self.x, self.sigma
+        total = float(self.lead.fn(x, v))
+        if self.negate:
+            total = -total
+        total += self.half_reg * float(v @ v)
+        args = []
+        for c, base, shift, P, _ in self.terms:
+            w = (float(c.fn(x, v)) if raw is None else raw[len(args)]) - base - shift
+            args.append(w)
+            total += P(w, s)
+            if total == math.inf:
+                return math.inf, args
+        return total, args
+
+    def multipliers(self, v, args=None):
+        """P' of every term at ``v``; evaluates the fields when ``args`` is None."""
+        if args is None:
+            x = self.x
+            args = [c(x, v) - base - shift for c, base, shift, _, _ in self.terms]
+        s = self.sigma
+        return [dP(w, s) for (_, _, _, _, dP), w in zip(self.terms, args)]
+
+    def gradient(self, v, args):
+        """Gradient in v at ``v``, from the complete penalty arguments there."""
+        x, s, terms = self.x, self.sigma, self.terms
+        g = np.asarray(self.lead.grad_y(x, v), dtype=float)
+        if self.negate:
+            g = -g
+        head = 0
+        if self.vf:
+            c, _, _, _, dP = terms[0]
+            g = g + dP(args[0], s) * np.asarray(c.grad_y(x, v), dtype=float)
+            head = 1
+        g = g + self.reg * v
+        for j in range(head, len(terms)):
+            c, _, _, _, dP = terms[j]
+            g = g + dP(args[j], s) * np.asarray(c.grad_y(x, v), dtype=float)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +288,10 @@ def _stage_shifts_constraints(fields, x, y_init, sched, aux: AuxiliaryFunction,
 def _guarded_step(evaluate, v: np.ndarray, g: np.ndarray, step: float, cur: float):
     """Backtracking step from ``v`` along ``-g`` on a stage-frozen objective.
 
-    ``evaluate`` returns a tuple whose first entry is the objective (``inf``
-    at a barrier wall).  The search starts at ``step``; callers pass
-    ``min(configured step, 2 * last accepted step)``, or the configured step
-    on the first step of an inner solve.  The step is halved until the
-    objective does not exceed ``cur``.  Returns ``(v_new, evaluate(v_new),
-    step)`` with the accepted step length, or None when all ``MAX_HALVINGS``
-    halvings fail and the iterate is pinned for the stage.
+    ``evaluate`` returns a tuple led by the objective (``inf`` at a wall).
+    The step is halved from ``step`` until the objective does not exceed
+    ``cur``.  Returns ``(v_new, evaluate(v_new), step)`` with the accepted
+    step, or None when all ``MAX_HALVINGS`` halvings fail (a pinned iterate).
     """
     for _ in range(MAX_HALVINGS + 1):
         v_new = v - step * g
@@ -227,16 +308,14 @@ def solve_regularized_ll(
     sched: ScheduleState,
     cfg: SolverConfig,
     z0: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, list]:
     """T_z gradient steps on f(x, .) + mu/2 |y|^2 (+ LL-constraint barriers).
 
-    Returns (z, f_star_approx) with f_star_approx evaluated at the returned z,
-    including the barrier terms in the constrained case.
+    Returns (z, f_star_approx, args): f_star_approx is the objective at the
+    returned z, barrier terms included, and args are the barrier arguments
+    h(x, z) behind it (empty without LL constraints).
     """
-    f = problem.f
-    hs = problem.ll_constraints
-    mu = sched.mu
-    sigma = sched.sigma1
+    f, hs, mu = problem.f, problem.ll_constraints, sched.mu
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
 
     if not hs:
@@ -248,67 +327,41 @@ def solve_regularized_ll(
         f_star = f(x, z) + 0.5 * mu * float(z @ z)
         if not math.isfinite(f_star):
             raise NonFiniteEvaluation("regularized LL value non-finite")
-        return z, f_star
+        return z, f_star, []
 
-    kindB = cfg.aux_B.kind
-
-    def value(zv):
-        """(objective, None) for the barrier-augmented LL; inf at walls."""
-        total = f(x, zv) + 0.5 * mu * float(zv @ zv)
-        for h in hs:
-            total += _rho(kindB, h(x, zv), sigma)
-            if total == math.inf:
-                break
-        return total, None
-
-    cur, _ = value(z)
+    stage = _Stage.regularized_ll(problem, x, sched, cfg)
+    cur, args = stage.value(z)
     if not cur < math.inf:
         # restoration phase: descend the squared constraint violation until
         # the point re-enters the barrier domain (outer x-steps routinely
         # strand a wall-hugging warm start by a small margin)
         for _ in range(cfg.T_z * 4):
-            viol = np.array([max(h(x, z), 0.0) for h in hs])
-            if not np.any(viol > 0.0):
+            viol = [max(h(x, z), 0.0) for h in hs]
+            if not any(v > 0.0 for v in viol):
                 break
-            g = np.zeros_like(z)
-            for v_j, h in zip(viol, hs):
-                if v_j > 0.0:
-                    g += 2.0 * v_j * h.gy(x, z)
-            z = z - cfg.step_z * g
-        # step slightly past the boundary toward the interior if still walled
+            z = z - cfg.step_z * sum(2.0 * v * h.gy(x, z) for v, h in zip(viol, hs) if v > 0.0)
+        # step slightly past the boundary toward the interior if still walled;
+        # every h is evaluated, as value() stops at the first wall
         for _ in range(MAX_HALVINGS):
-            cur = value(z)[0]
+            cur, args = stage.value(z)
             if cur < math.inf:
                 break
-            g = np.zeros_like(z)
-            for h in hs:
-                if h(x, z) >= 0.0:
-                    g += h.gy(x, z)
-            z = z - cfg.step_z * g
+            z = z - cfg.step_z * sum(h.gy(x, z) for h in hs if h(x, z) >= 0.0)
         if not cur < math.inf:
             raise BarrierWall("initial point infeasible for LL constraint barriers")
     step = cfg.step_z
     for _ in range(cfg.T_z):
-        g = f.gy(x, z) + mu * z
-        for h in hs:
-            g = g + _rho_deriv(kindB, h(x, z), sigma) * h.gy(x, z)
+        g = stage.gradient(z, args)
         if not np.isfinite(g).all():
             raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
-        moved = _guarded_step(value, z, g, step, cur)
+        moved = _guarded_step(stage.value, z, g, step, cur)
         if moved is None:
             break  # wall-pinned; z stays
-        z, (cur, _), accepted = moved
+        z, (cur, args), accepted = moved
         step = min(cfg.step_z, 2.0 * accepted)
-    f_star = f(x, z) + 0.5 * mu * float(z @ z)
-    for h in hs:
-        f_star += _rho(kindB, h(x, z), sigma)
-    if not math.isfinite(f_star):
+    if not math.isfinite(cur):
         raise NonFiniteEvaluation("regularized LL value non-finite")
-    return z, f_star
-
-
-def _inner_sign(problem: BilevelProblem) -> float:
-    return -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
+    return z, cur, args
 
 
 def solve_penalized_inner(
@@ -323,39 +376,16 @@ def solve_penalized_inner(
 
     Optimistic mode minimizes F + P-terms + theta/2 |y|^2; pessimistic mode
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
-    negated objective).  Shifts for modified barriers are frozen per stage.
-    Returns the full InnerState (z is filled in by the caller).
+    negated objective).  Shifts for modified barriers are frozen per stage
+    from one evaluation of f, each H and each h at y0, which also gives the
+    start value.  Returns the full InnerState (z is filled in by the caller).
     """
-    F, f = problem.F, problem.f
-    Hs, hs = problem.ul_constraints, problem.ll_constraints
-    theta = sched.theta
-    sgn = _inner_sign(problem)
-    sigma = sched.sigma1
-    kf, kH, kh = cfg.aux_f.kind, cfg.aux_H.kind, cfg.aux_h.kind
-
     y = np.array(y0, dtype=float)
-    shift_f = _stage_shift_f(problem, x, y, f_star_approx, sched, cfg.aux_f)
-    shifts_H = _stage_shifts_constraints(Hs, x, y, sched, cfg.aux_H, "H")
-    shifts_h = _stage_shifts_constraints(hs, x, y, sched, cfg.aux_h, "h")
+    raw = [c(x, y) for c in (problem.f, *problem.ul_constraints, *problem.ll_constraints)]
+    shifts = _frozen_shifts(raw, len(problem.ul_constraints), f_star_approx, sched, cfg)
+    stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, *shifts)
 
-    def evaluate(yv):
-        """(objective, f_value) for the stage-frozen problem; inf at walls."""
-        fv = f(x, yv)
-        total = sgn * F(x, yv) + 0.5 * theta * float(yv @ yv)
-        total += _rho(kf, fv - f_star_approx - shift_f, sigma)
-        if total == math.inf:
-            return math.inf, fv
-        for j, H in enumerate(Hs):
-            total += _rho(kH, H(x, yv) - shifts_H[j], sigma)
-            if total == math.inf:
-                return math.inf, fv
-        for j, h in enumerate(hs):
-            total += _rho(kh, h(x, yv) - shifts_h[j], sigma)
-            if total == math.inf:
-                return math.inf, fv
-        return total, fv
-
-    cur, f_val = evaluate(y)
+    cur, args = stage.value(y, raw)
     if not cur < math.inf:
         raise BarrierWall("stage started outside a constraint barrier wall")
     if not math.isfinite(cur):
@@ -363,28 +393,16 @@ def solve_penalized_inner(
 
     step = cfg.step_y
     for _ in range(cfg.T_y):
-        lam_f = _rho_deriv(kf, f_val - f_star_approx - shift_f, sigma)
-        g = sgn * F.gy(x, y) + lam_f * f.gy(x, y) + theta * y
-        for j, H in enumerate(Hs):
-            g = g + _rho_deriv(kH, H(x, y) - shifts_H[j], sigma) * H.gy(x, y)
-        for j, h in enumerate(hs):
-            g = g + _rho_deriv(kh, h(x, y) - shifts_h[j], sigma) * h.gy(x, y)
+        g = stage.gradient(y, args)
         if not np.isfinite(g).all():
             raise NonFiniteEvaluation("inner gradient non-finite during y-solve")
-        moved = _guarded_step(evaluate, y, g, step, cur)
+        moved = _guarded_step(stage.value, y, g, step, cur)
         if moved is None:
             break  # step fully damped; y is pinned for this stage
-        y, (cur, f_val), accepted = moved
+        y, (cur, args), accepted = moved
         step = min(cfg.step_y, 2.0 * accepted)
 
-    return InnerState(
-        z=np.empty(0),
-        f_star_approx=f_star_approx,
-        y=y,
-        shift_f=shift_f,
-        shifts_H=shifts_H,
-        shifts_h=shifts_h,
-    )
+    return InnerState(np.empty(0), f_star_approx, y, *shifts, args_y=args)
 
 
 def solve_inner(
@@ -396,10 +414,10 @@ def solve_inner(
     y0: np.ndarray | None = None,
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results."""
-    z, f_star = solve_regularized_ll(problem, x, sched, cfg, z0)
+    z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
     start = np.array(z if y0 is None else y0, dtype=float)
     inner = solve_penalized_inner(problem, x, f_star, sched, cfg, start)
-    inner.z = z
+    inner.z, inner.args_z = z, args_z
     return inner
 
 
@@ -421,32 +439,29 @@ def ul_gradient_for(
                              + sum_H lam_H * dH/dx(y) + sum_h lam_h * dh/dx(y) ]
         df*/dx = df/dx(z) + sum_h rho_B'(h(z)) * dh/dx(z)
 
-    Each multiplier is P' of its stage-frozen penalty argument at the stage
-    iterates y (penalized solve) and z (LL value solve).  ``s`` is the sign of
-    the inner objective: -1 in pessimistic mode, where the inner problem
-    ascends F - P, else +1.  Without constraints the sums are empty.  Terms
-    are evaluated only for nonzero multipliers, and multiplying by s = +-1 is
-    exact, so the optimistic gradient is bitwise the unsigned formula.
+    Each multiplier is P' of its stage-frozen penalty argument at y and z,
+    taken from the inner solves' last evaluations when ``inner`` carries
+    them, else evaluated there.  ``s`` is the inner sign: -1 in pessimistic
+    mode, where the inner problem ascends F - P, else +1.  Terms are
+    evaluated only for nonzero multipliers, and the sign is exact, so the
+    optimistic gradient is bitwise the unsigned formula.
     """
-    sgn = _inner_sign(problem)
-    sigma = sched.sigma1
+    stage = _Stage.penalized(problem, x, sched, cfg, inner.f_star_approx,
+                             inner.shift_f, inner.shifts_H, inner.shifts_h)
     y, z = inner.y, inner.z
+    lams = stage.multipliers(y, inner.args_y)
+    if stage.negate:
+        lams = [-lam for lam in lams]
     g = problem.F.gx(x, y)
-    omega = problem.f(x, y) - inner.f_star_approx - inner.shift_f
-    lam = sgn * _rho_deriv(cfg.aux_f.kind, omega, sigma)
-    if lam != 0.0:
+    if lams[0] != 0.0:
         dfstar_dx = problem.f.gx(x, z)
-        for h in problem.ll_constraints:
-            dfstar_dx = dfstar_dx + _rho_deriv(cfg.aux_B.kind, h(x, z), sigma) * h.gx(x, z)
-        g = g + lam * (problem.f.gx(x, y) - dfstar_dx)
-    for j, H in enumerate(problem.ul_constraints):
-        lam_H = sgn * _rho_deriv(cfg.aux_H.kind, H(x, y) - inner.shifts_H[j], sigma)
-        if lam_H != 0.0:
-            g = g + lam_H * H.gx(x, y)
-    for j, h in enumerate(problem.ll_constraints):
-        lam_h = sgn * _rho_deriv(cfg.aux_h.kind, h(x, y) - inner.shifts_h[j], sigma)
-        if lam_h != 0.0:
-            g = g + lam_h * h.gx(x, y)
+        ll = _Stage.regularized_ll(problem, x, sched, cfg)
+        for (h, *_), lam_B in zip(ll.terms, ll.multipliers(z, inner.args_z)):
+            dfstar_dx = dfstar_dx + lam_B * h.gx(x, z)
+        g = g + lams[0] * (problem.f.gx(x, y) - dfstar_dx)
+    for (c, *_), lam in zip(stage.terms[1:], lams[1:]):
+        if lam != 0.0:
+            g = g + lam * c.gx(x, y)
     return g
 
 
@@ -456,10 +471,8 @@ def ul_gradient_for(
 
 
 def _errors(problem, x, y, reference: Reference | None) -> tuple[float, float, float, float]:
-    F_val = problem.F(x, y)
-    f_val = problem.f(x, y)
-    rel_x = float("nan")
-    rel_F = float("nan")
+    F_val, f_val = problem.F(x, y), problem.f(x, y)
+    rel_x = rel_F = float("nan")
     if reference is not None:
         nx = np.linalg.norm(reference.x_star)
         rel_x = float(np.linalg.norm(x - reference.x_star)) / (nx if nx > 0 else 1.0)
@@ -486,18 +499,19 @@ def solve(
     """
     t0 = time.perf_counter()
     x = project(problem.ul_set, np.atleast_1d(np.asarray(x0, dtype=float)))
-    y_init = np.zeros(problem.n) if y0 is None else np.atleast_1d(np.asarray(y0, dtype=float))
+    y_init = np.zeros(problem.n) if y0 is None else as_vector(y0)
     if y_init.shape[0] != problem.n:
         raise InvalidParameter(f"y0 must have dimension {problem.n}")
     sched = cfg.schedule
     trace = SolveTrace()
 
-    F_val, f_val, rel_x, rel_F = _errors(problem, x, y_init, reference)
-    trace.append(
-        TraceRecord(0, 0, x.copy(), F_val, f_val, float("nan"), rel_x, rel_F,
-                    time.perf_counter() - t0, sched.mu, sched.theta, sched.sigma1,
-                    y=y_init.copy())
-    )
+    def record(k, l, y, grad_norm=float("nan")):
+        F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
+        trace.append(TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
+                                 time.perf_counter() - t0, sched.mu, sched.theta,
+                                 sched.sigma1, y=y.copy()))
+
+    record(0, 0, y_init)
 
     z_warm: np.ndarray | None = y_init.copy()
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
@@ -513,22 +527,20 @@ def solve(
                 grad = ul_gradient_for(problem, x, inner, sched, cfg)
             except BarrierWall as exc:
                 # UL-level recovery: retry the previous step with halved moves.
-                recovered = False
-                if len(trace.records) >= 2:  # a UL step has been taken
-                    x_prev = trace.records[-2].x
-                    step = 0.5
-                    for _ in range(MAX_HALVINGS):
-                        x_try = x_prev + step * (x - x_prev)
-                        try:
-                            inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
-                            grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
-                            x = x_try
-                            recovered = True
-                            break
-                        except BarrierWall:
-                            step *= 0.5
-                if not recovered:
+                if len(trace.records) < 2:  # no UL step taken yet
                     raise SolveError(str(exc), k, l, trace) from exc
+                x_prev, step = trace.records[-2].x, 0.5
+                for _ in range(MAX_HALVINGS):
+                    x_try = x_prev + step * (x - x_prev)
+                    try:
+                        inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
+                        grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
+                        break
+                    except BarrierWall:
+                        step *= 0.5
+                else:
+                    raise SolveError(str(exc), k, l, trace) from exc
+                x = x_try
             except NonFiniteEvaluation as exc:
                 raise SolveError(str(exc), k, l, trace) from exc
             if not np.isfinite(grad).all():
@@ -536,13 +548,7 @@ def solve(
             x = project(problem.ul_set, x - cfg.alpha * grad)
             z_warm, y_warm = inner.z, inner.y
 
-            F_val, f_val, rel_x, rel_F = _errors(problem, x, inner.y, reference)
-            trace.append(
-                TraceRecord(k, l + 1, x.copy(), F_val, f_val,
-                            float(np.linalg.norm(grad)), rel_x, rel_F,
-                            time.perf_counter() - t0, sched.mu, sched.theta, sched.sigma1,
-                            y=inner.y.copy())
-            )
+            record(k, l + 1, inner.y, float(np.linalg.norm(grad)))
         sched = schedule_step(sched)
 
     # Feasibility polish: penalty/barrier iterates end a vanishing distance on
@@ -551,13 +557,7 @@ def solve(
     # worst-case selection, which an unguided descent would abandon.
     if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
         try:
-            y_pol, _ = solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)
-            F_val, f_val, rel_x, rel_F = _errors(problem, x, y_pol, reference)
-            trace.append(
-                TraceRecord(cfg.K, 0, x.copy(), F_val, f_val, float("nan"),
-                            rel_x, rel_F, time.perf_counter() - t0,
-                            sched.mu, sched.theta, sched.sigma1, y=y_pol.copy())
-            )
+            record(cfg.K, 0, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0])
         except (BarrierWall, NonFiniteEvaluation):
             pass  # keep the raw final record
     return trace

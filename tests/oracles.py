@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from bvfsm.auxfun import _rho
-
 
 def _refined_grid_min(obj, lo=-8.0, hi=8.0, points=4001, rounds=4):
     """Iteratively refined dense-grid minimization of a scalar function."""
@@ -41,7 +39,7 @@ def penalized_value(problem, x, sched, aux_f, y0, shift_f=0.0,
         v = problem.f(x, y) + 0.5 * sched.mu * float(y @ y)
         if kind_B is not None:
             for h in problem.ll_constraints:
-                v += _rho(kind_B, h(x, y), sched.sigma1)
+                v += kind_B.rho(h(x, y), sched.sigma1)
         return v
 
     f_star, _ = _refined_grid_min(reg_obj)
@@ -49,13 +47,13 @@ def penalized_value(problem, x, sched, aux_f, y0, shift_f=0.0,
 
     def obj(y):
         v = sgn * problem.F(x, y) + 0.5 * sched.theta * float(y @ y)
-        v += _rho(aux_f.kind, problem.f(x, y) - f_star - shift_f, sched.sigma1)
+        v += aux_f.kind.rho(problem.f(x, y) - f_star - shift_f, sched.sigma1)
         if aux_H is not None:
             for j, H in enumerate(problem.ul_constraints):
-                v += _rho(aux_H.kind, H(x, y) - shifts_H[j], sched.sigma1)
+                v += aux_H.kind.rho(H(x, y) - shifts_H[j], sched.sigma1)
         if aux_h is not None:
             for j, h in enumerate(problem.ll_constraints):
-                v += _rho(aux_h.kind, h(x, y) - shifts_h[j], sched.sigma1)
+                v += aux_h.kind.rho(h(x, y) - shifts_h[j], sched.sigma1)
         return v
 
     best, _ = _refined_grid_min(obj)

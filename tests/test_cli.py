@@ -163,10 +163,47 @@ def test_shipped_config_passes_the_key_check():
     build_solver_config(cfg, load_problem(cfg, 0))
 
 
+SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_script_config_passes_the_key_checks(path):
+    # each experiment script hands config() to a verb; a sweep script names its
+    # methods in METHODS and runs the sin family
+    import importlib.util
+
+    from bvfsm.cli import _resolve_method, _vector, _wall_clock_cap, load_problem
+    from bvfsm.problems import parse_problem
+
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    cfg = script.config()
+    bench = load_problem(cfg, 0) if "problem" in cfg else parse_problem("sin:n=2,a=2,c=2")
+    methods = cfg["methods"] if "methods" in cfg else script.METHODS
+    assert methods
+    for mspec in methods:
+        _resolve_method(bench, mspec, cfg)
+    _vector(bench.problem.m, cfg.get("x0"))
+    _vector(bench.problem.n, cfg.get("y0"))
+    _wall_clock_cap(cfg)
+
+
 @pytest.mark.parametrize("x0", ["abc", [1.0, 2.0]])
 def test_run_experiment_malformed_start_point_is_config_error(tmp_path, x0):
     cfg = write_config(tmp_path, x0=x0)
     assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("y0", [[math.nan, 0.5], [0.5, math.inf], -math.inf],
+                         ids=["nan", "inf", "scalar-inf"])
+def test_run_experiment_non_finite_start_point_is_config_error(tmp_path, y0, capsys):
+    # json writes NaN and Infinity, and reads them back as floats
+    cfg = write_config(tmp_path, problem="sin-constrained:n=2", methods=["bvfsm"], y0=y0)
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", ["sigma2_H", "sigma2_h"])

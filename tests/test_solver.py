@@ -61,7 +61,7 @@ def shifted_quadratic_problem(b, F_fn=None, F_gx=None, F_gy=None, mode=Mode.OPTI
 def test_z_solve_unregularized_quadratic():
     prob = shifted_quadratic_problem([1.5, -0.5])
     cfg = SolverConfig(T_z=2000, step_z=0.2, schedule=ScheduleState(mu=1e-12))
-    z, f_star = solve_regularized_ll(prob.problem if hasattr(prob, "problem") else prob,
+    z, f_star, _ = solve_regularized_ll(prob.problem if hasattr(prob, "problem") else prob,
                                      np.zeros(1), cfg.schedule, cfg)
     assert np.allclose(z, [1.5, -0.5], atol=1e-6)
     assert f_star == pytest.approx(0.0, abs=1e-6)
@@ -72,10 +72,29 @@ def test_z_solve_regularized_closed_form():
     prob = shifted_quadratic_problem(b)
     mu = 0.5
     cfg = SolverConfig(T_z=4000, step_z=0.2, schedule=ScheduleState(mu=mu))
-    z, f_star = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg)
+    z, f_star, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg)
     assert np.allclose(z, b / (1 + mu), atol=1e-8)
     expect = 0.5 * float((z - b) @ (z - b)) + 0.5 * mu * float(z @ z)
     assert f_star == pytest.approx(expect, abs=1e-12)
+
+
+def test_z_solve_restoration_steps_past_every_walled_constraint():
+    # Both bands y_i <= 1 start 5 past their walls.  The squared-violation
+    # descent (4 * T_z steps) leaves each 2.048 past, so the boundary step
+    # needs 21 moves of 0.1 along both normals at once: within MAX_HALVINGS.
+    # Stepping along only the constraints value() reached before its first
+    # wall would clear them one after the other, in 42 moves, and give up.
+    def band(i):
+        return field(1, 2, lambda x, y: float(y[i]) - 1.0, lambda x, y: np.zeros(1),
+                     lambda x, y: np.eye(2)[i])
+
+    f = field(1, 2, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1), lambda x, y: y)
+    prob = BilevelProblem(m=1, n=2, F=f, f=f, ll_constraints=(band(0), band(1)))
+    cfg = SolverConfig(T_z=1, step_z=0.1, aux_B=AuxiliaryFunction(InverseBarrier()))
+    z, f_star, args = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 6.0))
+    assert math.isfinite(f_star)
+    assert len(args) == 2 and all(w < 0.0 for w in args)
+    assert np.array_equal(args, [h(np.zeros(1), z) for h in prob.ll_constraints])
 
 
 def test_z_solve_sin_against_grid_oracle():
@@ -88,7 +107,7 @@ def test_z_solve_sin_against_grid_oracle():
     prob = BilevelProblem(m=1, n=1, F=F, f=f)
     mu = 0.1
     cfg = SolverConfig(T_z=4000, step_z=0.1, schedule=ScheduleState(mu=mu))
-    z, f_star = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
+    z, f_star, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
     y_grid, v_grid = grid_argmin(lambda y: math.sin(y[0] - 2.0) + 0.05 * y[0] ** 2)
     assert abs(z[0] - y_grid[0]) <= 0.05
     assert f_star == pytest.approx(v_grid, abs=1e-3)
@@ -220,7 +239,7 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     counts = {"val": 0, "gy": 0}
     prob = replace(bench.problem, F=counting_field(bench.problem.F, counts))
     x, y0 = bench.reference.x_star, bench.reference.y_star
-    _, f_star = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
+    _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
     assert counts["gy"] == cfg.T_y
     assert counts["val"] / counts["gy"] <= 3.0
@@ -490,6 +509,17 @@ def test_solve_recovers_from_ul_step_into_barrier_wall(monkeypatch):
     assert len(tr.records) == cfg.K + 2  # every stage completed, plus the polish
     final = tr.final
     assert np.all(np.isfinite(final.x)) and math.isfinite(final.F_value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_start_point(bad, recwarn):
+    from bvfsm import NonFiniteEvaluation, make_constrained_sin_problem
+
+    bench = make_constrained_sin_problem(2, 2.0, 1.0)
+    cfg = SolverConfig(K=2, aux_f=QP)
+    with pytest.raises(NonFiniteEvaluation, match="non-finite entries"):
+        solve(bench.problem, cfg, bench.x0, [bad, 0.5])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_solve_timeout_carries_partial_trace():
