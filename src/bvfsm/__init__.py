@@ -13,8 +13,6 @@ from .auxfun import (
     ScheduleState,
     StaticShift,
     TruncatedLogBarrier,
-    aux_deriv,
-    aux_eval,
     parse_aux,
     schedule_step,
     truncated_log_coeffs,

@@ -4,9 +4,10 @@ A catalog of smooth penalty/barrier members (quadratic penalty, polynomial
 penalty, inverse barrier, truncated-log barrier), an optional modified-barrier
 wrapper that shifts the wall, and the geometric decay schedule that drives
 sequential minimization.  Each member carries its own ``rho(w, s)`` and
-``drho(w, s)``, so a caller binds them once.  Values are extended reals: the
-barrier wall is returned as ``math.inf`` and flows through comparisons
-without NaN.
+``drho(w, s)``, the one way to evaluate it, so a caller binds them once and
+subtracts any modified-barrier shift from ``w`` itself.  Values are extended
+reals: the barrier wall is returned as ``math.inf`` and flows through
+comparisons without NaN.
 """
 
 from __future__ import annotations
@@ -127,16 +128,15 @@ class TruncatedLogBarrier:
 Kind = Union[QuadraticPenalty, PolynomialPenalty, InverseBarrier, TruncatedLogBarrier]
 
 BARRIER_KINDS = (InverseBarrier, TruncatedLogBarrier)
-PENALTY_KINDS = (QuadraticPenalty, PolynomialPenalty)
 
 
 @dataclass(frozen=True)
 class AuxiliaryFunction:
     """A catalog member plus the optional modified-barrier wrapper.
 
-    ``modified=True`` shifts the wall: P(w) = rho(w - shift; sigma).  Only
-    barrier kinds may be modified; the shift comes from the schedule (static
-    sequence) or from the solver (dynamic offset), see :func:`aux_eval`.
+    ``modified=True`` shifts the wall: P(w) = kind.rho(w - shift, sigma).
+    Only barrier kinds may be modified.  The solver freezes the shift once per
+    stage from the schedule's sigma2 rule (see ``solver._frozen_shifts``).
     """
 
     kind: Kind = field(default_factory=lambda: TruncatedLogBarrier(1.0))
@@ -149,10 +149,6 @@ class AuxiliaryFunction:
     @property
     def is_barrier(self) -> bool:
         return isinstance(self.kind, BARRIER_KINDS)
-
-    @property
-    def is_penalty(self) -> bool:
-        return isinstance(self.kind, PENALTY_KINDS)
 
 
 def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
@@ -230,7 +226,6 @@ class ScheduleState:
     theta: float = 1.0
     sigma1: float = 1.0
     decay: float = 1.0 / 1.01
-    k: int = 0
     sigma2: Sigma2Rule = field(default_factory=StaticShift)
     sigma2_H: StaticShift | None = None  # shift sequence for modified barriers on H
     sigma2_h: StaticShift | None = None  # shift sequence for modified barriers on h
@@ -243,7 +238,7 @@ class ScheduleState:
 
 
 def schedule_step(sched: ScheduleState) -> ScheduleState:
-    """Advance one outer stage: k+1, every decaying parameter multiplied down."""
+    """Advance one outer stage: every decaying parameter multiplied down."""
     d = sched.decay
 
     def step_shift(sh: StaticShift | None) -> StaticShift | None:
@@ -257,7 +252,6 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
         sigma2 = step_shift(sigma2)
     return dataclasses.replace(
         sched,
-        k=sched.k + 1,
         mu=sched.mu * d,
         theta=sched.theta * d,
         sigma1=sched.sigma1 * d,
@@ -265,44 +259,3 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
         sigma2_H=step_shift(sched.sigma2_H),
         sigma2_h=step_shift(sched.sigma2_h),
     )
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-
-def effective_argument(aux: AuxiliaryFunction, omega: float, sched: ScheduleState, context_shift: float = 0.0) -> float:
-    """The argument rho sees: omega minus the modified-barrier shift, if any."""
-    if not aux.modified:
-        return omega
-    if isinstance(sched.sigma2, DynamicShift):
-        return omega - context_shift
-    return omega - sched.sigma2.value
-
-
-def aux_eval(
-    aux: AuxiliaryFunction,
-    omega: float,
-    sched: ScheduleState,
-    context_shift: float = 0.0,
-) -> float:
-    """P(omega) for the configured member; ``inf`` signals the barrier wall.
-
-    For a modified barrier the effective argument is ``omega - shift`` where
-    the shift is the static sigma2 value or, under the dynamic rule, the
-    ``context_shift`` supplied by the solver.
-    """
-    w = effective_argument(aux, omega, sched, context_shift)
-    return aux.kind.rho(w, sched.sigma1)
-
-
-def aux_deriv(
-    aux: AuxiliaryFunction,
-    omega: float,
-    sched: ScheduleState,
-    context_shift: float = 0.0,
-) -> float:
-    """dP/domega at omega; raises BarrierWall at or beyond a barrier wall."""
-    w = effective_argument(aux, omega, sched, context_shift)
-    return aux.kind.drho(w, sched.sigma1)

@@ -249,16 +249,21 @@ def hypergradient_step(problem: BilevelProblem, method: str, x, y, cfg: Baseline
 
 
 def parse_method(spec: str, base: BaselineConfig | None = None) -> tuple[str, BaselineConfig]:
-    """Parse "rhg", "trhg:I", "bda:agg", "cg:Q", "neumann:Q" into (name, config)."""
+    """Parse "rhg", "trhg:I", "bda:agg", "cg:Q", "neumann:Q" into (name, config).
+
+    Without an argument a method keeps ``base``; ``rhg`` takes none.
+    """
     base = base or BaselineConfig()
     name, _, arg = str(spec).strip().lower().partition(":")
     if name == "rhg":
+        if arg:
+            raise InvalidParameter(f"rhg takes no argument, got {spec!r}")
         return "rhg", base
     if name == "trhg":
-        I = int(arg) if arg else base.T
+        I = int(arg) if arg else base.I
         return "trhg", BaselineConfig(**{**base.__dict__, "I": I})
     if name == "bda":
-        agg = float(arg) if arg else 0.5
+        agg = float(arg) if arg else base.aggregation
         return "bda", BaselineConfig(**{**base.__dict__, "aggregation": agg})
     if name in ("cg", "neumann"):
         cfgd = dict(base.__dict__)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .auxfun import AuxiliaryFunction, ScheduleState, aux_eval, schedule_step
+from .auxfun import AuxiliaryFunction, DynamicShift, ScheduleState, schedule_step
 from .core import (
     BilevelProblem,
     InvalidParameter,
@@ -460,17 +460,22 @@ def brute_force_phi_k(
 
     f*_mu is the grid minimum of f + mu/2 |y|^2; the returned value is the
     grid min (or max, pessimistic) of F +- P(f - f*_mu) +- theta/2 |y|^2.
-    Unconstrained problems only; static shifts only.
+    A modified aux_f takes the static sigma2 value as its shift, unpadded; a
+    dynamic rule is rejected.  Unconstrained problems only.
     """
     if problem.constrained:
         raise InvalidParameter("dense penalized oracle supports unconstrained problems only")
+    if aux_f.modified and isinstance(sched.sigma2, DynamicShift):
+        raise InvalidParameter("dense penalized oracle supports static shifts only")
+    shift = sched.sigma2.value if aux_f.modified else 0.0
+    rho, s1 = aux_f.kind.rho, sched.sigma1
     x = np.atleast_1d(np.asarray(x, dtype=float))
     pts = [(y, fv) for y, fv, _ in _iter_grid(problem, x, y_grid)]
     f_star = min(fv + 0.5 * sched.mu * float(y @ y) for y, fv in pts)
     sgn = -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
     best = math.inf
     for y, fv in pts:
-        p = aux_eval(aux_f, fv - f_star, sched)
+        p = rho(fv - f_star - shift, s1)
         if p == math.inf:
             continue
         v = sgn * problem.F(x, y) + p + 0.5 * sched.theta * float(y @ y)

@@ -10,11 +10,13 @@ the chain rule's multipliers come from the accepted trial, and f* is the
 z-solve's last accepted value.  The UL gradient comes from one signed chain
 rule, :func:`ul_gradient_for`: the penalty terms enter with the sign of the
 inner problem, so optimistic, pessimistic and constrained problems share a
-single formula.  Modified-barrier shifts are frozen per stage and padded
-just enough to keep the incoming iterate strictly inside the wall; steps
-that would cross a wall or increase the frozen stage objective are halved at
-most ``MAX_HALVINGS`` times, starting from ``min(step, 2 * last accepted
-step)`` of the same inner solve.
+single formula.  Modified-barrier shifts are decided here only, by
+:func:`_frozen_shifts`: frozen per stage and padded just enough to keep the
+incoming iterate strictly inside the wall.  The y-solve and the constrained
+z-solve share one guarded loop, :func:`_descend`: steps that would cross a
+wall or increase the frozen stage objective are halved at most
+``MAX_HALVINGS`` times, starting from ``min(step, 2 * last accepted step)``
+of the same inner solve.
 """
 
 from __future__ import annotations
@@ -285,21 +287,34 @@ class _Stage:
 # ---------------------------------------------------------------------------
 
 
-def _guarded_step(evaluate, v: np.ndarray, g: np.ndarray, step: float, cur: float):
-    """Backtracking step from ``v`` along ``-g`` on a stage-frozen objective.
+def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
+             step0: float, message: str) -> tuple[np.ndarray, float, list]:
+    """``steps`` guarded gradient steps on a stage-frozen objective.
 
-    ``evaluate`` returns a tuple led by the objective (``inf`` at a wall).
-    The step is halved from ``step`` until the objective does not exceed
-    ``cur``.  Returns ``(v_new, evaluate(v_new), step)`` with the accepted
-    step, or None when all ``MAX_HALVINGS`` halvings fail (a pinned iterate).
+    ``cur`` and ``args`` are the stage value and penalty arguments at ``v``.
+    Each step takes the gradient at ``v`` (non-finite: NonFiniteEvaluation
+    with ``message``) and halves the step along it, starting from
+    ``min(step0, 2 * last accepted step)``, until the objective does not
+    exceed ``cur``; a wall (``inf``) or NaN trial never does.  After
+    ``MAX_HALVINGS`` failed halvings the iterate is pinned and the solve
+    ends.  Returns ``(v, cur, args)`` at the last accepted point.
     """
-    for _ in range(MAX_HALVINGS + 1):
-        v_new = v - step * g
-        result = evaluate(v_new)
-        if result[0] <= cur:
-            return v_new, result, step
-        step *= 0.5
-    return None
+    value, step = stage.value, step0
+    for _ in range(steps):
+        g = stage.gradient(v, args)
+        if not np.isfinite(g).all():
+            raise NonFiniteEvaluation(message)
+        for _ in range(MAX_HALVINGS + 1):
+            v_new = v - step * g
+            trial, trial_args = value(v_new)
+            if trial <= cur:
+                break
+            step *= 0.5
+        else:
+            break  # pinned for this stage
+        v, cur, args = v_new, trial, trial_args
+        step = min(step0, 2.0 * step)
+    return v, cur, args
 
 
 def solve_regularized_ll(
@@ -319,6 +334,9 @@ def solve_regularized_ll(
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
 
     if not hs:
+        # No wall to guard: fixed steps with the formulas written out.  Through
+        # _Stage.gradient one gradient costs about a third more (3.92 against
+        # 2.94 us on n=2), and sin-opt takes 150,050 of them per solve.
         for _ in range(cfg.T_z):
             g = f.gy(x, z) + mu * z
             if not np.isfinite(g).all():
@@ -331,7 +349,7 @@ def solve_regularized_ll(
 
     stage = _Stage.regularized_ll(problem, x, sched, cfg)
     cur, args = stage.value(z)
-    if not cur < math.inf:
+    if cur == math.inf:  # a wall; NaN is not one
         # restoration phase: descend the squared constraint violation until
         # the point re-enters the barrier domain (outer x-steps routinely
         # strand a wall-hugging warm start by a small margin)
@@ -344,21 +362,15 @@ def solve_regularized_ll(
         # every h is evaluated, as value() stops at the first wall
         for _ in range(MAX_HALVINGS):
             cur, args = stage.value(z)
-            if cur < math.inf:
+            if cur != math.inf:
                 break
             z = z - cfg.step_z * sum(h.gy(x, z) for h in hs if h(x, z) >= 0.0)
-        if not cur < math.inf:
+        if cur == math.inf:
             raise BarrierWall("initial point infeasible for LL constraint barriers")
-    step = cfg.step_z
-    for _ in range(cfg.T_z):
-        g = stage.gradient(z, args)
-        if not np.isfinite(g).all():
-            raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
-        moved = _guarded_step(stage.value, z, g, step, cur)
-        if moved is None:
-            break  # wall-pinned; z stays
-        z, (cur, args), accepted = moved
-        step = min(cfg.step_z, 2.0 * accepted)
+    if not math.isfinite(cur):
+        raise NonFiniteEvaluation("regularized LL value non-finite")
+    z, cur, args = _descend(stage, z, cur, args, cfg.T_z, cfg.step_z,
+                            "LL gradient non-finite during z-solve")
     if not math.isfinite(cur):
         raise NonFiniteEvaluation("regularized LL value non-finite")
     return z, cur, args
@@ -386,22 +398,12 @@ def solve_penalized_inner(
     stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, *shifts)
 
     cur, args = stage.value(y, raw)
-    if not cur < math.inf:
+    if cur == math.inf:  # a wall; NaN is not one
         raise BarrierWall("stage started outside a constraint barrier wall")
     if not math.isfinite(cur):
         raise NonFiniteEvaluation("inner objective non-finite at stage start")
-
-    step = cfg.step_y
-    for _ in range(cfg.T_y):
-        g = stage.gradient(y, args)
-        if not np.isfinite(g).all():
-            raise NonFiniteEvaluation("inner gradient non-finite during y-solve")
-        moved = _guarded_step(stage.value, y, g, step, cur)
-        if moved is None:
-            break  # step fully damped; y is pinned for this stage
-        y, (cur, args), accepted = moved
-        step = min(cfg.step_y, 2.0 * accepted)
-
+    y, _, args = _descend(stage, y, cur, args, cfg.T_y, cfg.step_y,
+                          "inner gradient non-finite during y-solve")
     return InnerState(np.empty(0), f_star_approx, y, *shifts, args_y=args)
 
 

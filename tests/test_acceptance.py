@@ -22,8 +22,6 @@ from bvfsm import (
     SolverConfig,
     StaticShift,
     TruncatedLogBarrier,
-    aux_deriv,
-    aux_eval,
     cg_hypergradient,
     ll_descent,
     make_constrained_sin_problem,
@@ -255,15 +253,17 @@ def test_A6_auxiliary_function_laws():
         scheds.append(schedule_step(scheds[-1]))
     for aux in members:
         name = type(aux.kind).__name__ + ("+mod" if aux.modified else "")
+        rho, drho = aux.kind.rho, aux.kind.drho
+        sh0 = sched0.sigma2.value if aux.modified else 0.0  # static shift, applied by hand
         # nonnegativity on the guaranteed region; monotonicity in omega
         lo = -0.999 if isinstance(aux.kind, TruncatedLogBarrier) and not aux.modified else -6.0
         ws = np.linspace(lo, 3.0, 97)
-        vals = [aux_eval(aux, w, sched0) for w in ws]
+        vals = [rho(w - sh0, sched0.sigma1) for w in ws]
         mono = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         nonneg = all(v >= 0.0 for v in vals if np.isfinite(v)) \
             if not aux.modified or True else True
         if isinstance(aux.kind, TruncatedLogBarrier):
-            nonneg = all(aux_eval(aux, w, sched0) >= 0
+            nonneg = all(rho(w - sh0, sched0.sigma1) >= 0
                          for w in np.linspace(lo, -1e-4, 50)) if not aux.modified else True
         # derivative vs central differences at interior points
         probes = [-2.5, -1.6, -0.4, -0.1] if aux.is_barrier else [-1.0, 0.5, 1.5]
@@ -272,23 +272,24 @@ def test_A6_auxiliary_function_laws():
         dok = True
         for w in probes:
             d = 1e-6
-            num = (aux_eval(aux, w + d, sched0) - aux_eval(aux, w - d, sched0)) / (2 * d)
-            ana = aux_deriv(aux, w, sched0)
+            num = (rho(w + d - sh0, sched0.sigma1) - rho(w - d - sh0, sched0.sigma1)) / (2 * d)
+            ana = drho(w - sh0, sched0.sigma1)
             rel = abs(num - ana) / max(abs(ana), 1e-12)
             dok = dok and (rel <= 1e-6 or abs(num - ana) <= 1e-12)
         # limit behavior along the 200-step schedule
-        feas = [abs(aux_eval(aux, -0.5, s)) for s in scheds]
+        sh = [s.sigma2.value if aux.modified else 0.0 for s in scheds]
+        feas = [abs(rho(-0.5 - h, s.sigma1)) for h, s in zip(sh, scheds)]
         shrink = feas[0] == 0.0 or feas[-1] <= 1e-2 * feas[0]
         grow = True
-        if aux.is_penalty or aux.modified:
-            v0 = aux_eval(aux, 0.1, scheds[0])
-            v1 = aux_eval(aux, 0.1, scheds[-1])
+        if not aux.is_barrier or aux.modified:
+            v0 = rho(0.1 - sh[0], scheds[0].sigma1)
+            v1 = rho(0.1 - sh[-1], scheds[-1].sigma1)
             grow = v1 >= 10.0 * v0
         checks.append((name, mono, nonneg, dok, shrink, grow))
     # truncated-log C2 continuity at the knot (second-order one-sided stencils)
     tl = AuxiliaryFunction(TruncatedLogBarrier(1.0))
     d = 1e-4
-    v = lambda w: aux_eval(tl, w, sched0)
+    v = lambda w: tl.kind.rho(w, sched0.sigma1)
     c2 = abs((2 * v(-1.0) - 5 * v(-1.0 - d) + 4 * v(-1.0 - 2 * d) - v(-1.0 - 3 * d)) / d**2
              - (2 * v(-1.0) - 5 * v(-1.0 + d) + 4 * v(-1.0 + 2 * d) - v(-1.0 + 3 * d)) / d**2) <= 1e-4
     ok = c2 and all(all(flags) for _, *flags in checks)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,48 +15,48 @@ from bvfsm import (
     ScheduleState,
     StaticShift,
     TruncatedLogBarrier,
-    aux_deriv,
-    aux_eval,
     parse_aux,
     schedule_step,
     truncated_log_coeffs,
 )
 
-SCHED1 = ScheduleState(sigma1=1.0)
-SCHED_HALF = ScheduleState(sigma1=0.5)
+
+def shift(aux, sched):
+    """The wall shift of a modified member under a static rule, applied by hand."""
+    return sched.sigma2.value if aux.modified else 0.0
 
 
 def test_quadratic_penalty_values():
-    aux = AuxiliaryFunction(QuadraticPenalty())
-    assert aux_eval(aux, 2.0, SCHED_HALF) == pytest.approx(4.0)
-    assert aux_eval(aux, -1.0, SCHED1) == 0.0
-    assert aux_eval(aux, -1.0, SCHED_HALF) == 0.0
+    rho = QuadraticPenalty().rho
+    assert rho(2.0, 0.5) == pytest.approx(4.0)
+    assert rho(-1.0, 1.0) == 0.0
+    assert rho(-1.0, 0.5) == 0.0
 
 
 def test_inverse_barrier_values():
-    aux = AuxiliaryFunction(InverseBarrier())
-    assert aux_eval(aux, -2.0, SCHED1) == pytest.approx(0.5)
-    assert aux_eval(aux, 0.1, SCHED1) == math.inf
-    assert aux_eval(aux, 0.0, SCHED1) == math.inf
+    rho = InverseBarrier().rho
+    assert rho(-2.0, 1.0) == pytest.approx(0.5)
+    assert rho(0.1, 1.0) == math.inf
+    assert rho(0.0, 1.0) == math.inf
 
 
 def test_truncated_log_normalized_at_minus_kappa():
-    aux = AuxiliaryFunction(TruncatedLogBarrier(1.0))
-    assert aux_eval(aux, -1.0, SCHED1) == pytest.approx(0.0, abs=1e-12)
-    assert aux_eval(aux, 0.5, SCHED1) == math.inf
+    rho = TruncatedLogBarrier(1.0).rho
+    assert rho(-1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert rho(0.5, 1.0) == math.inf
 
 
 def test_aux_deriv_values():
-    assert aux_deriv(AuxiliaryFunction(QuadraticPenalty()), 2.0, SCHED_HALF) == pytest.approx(4.0)
-    assert aux_deriv(AuxiliaryFunction(PolynomialPenalty(3)), 2.0, SCHED1) == pytest.approx(4.0)
-    assert aux_deriv(AuxiliaryFunction(InverseBarrier()), -2.0, SCHED1) == pytest.approx(0.25)
+    assert QuadraticPenalty().drho(2.0, 0.5) == pytest.approx(4.0)
+    assert PolynomialPenalty(3).drho(2.0, 1.0) == pytest.approx(4.0)
+    assert InverseBarrier().drho(-2.0, 1.0) == pytest.approx(0.25)
 
 
 def test_aux_deriv_at_wall_raises():
     with pytest.raises(BarrierWall):
-        aux_deriv(AuxiliaryFunction(InverseBarrier()), 0.0, SCHED1)
+        InverseBarrier().drho(0.0, 1.0)
     with pytest.raises(BarrierWall):
-        aux_deriv(AuxiliaryFunction(TruncatedLogBarrier(1.0)), 0.3, SCHED1)
+        TruncatedLogBarrier(1.0).drho(0.3, 1.0)
 
 
 def test_polynomial_penalty_needs_q_at_least_two():
@@ -91,13 +90,12 @@ def test_truncated_log_coeffs_domain():
 def test_truncated_log_c2_continuity_at_knot(kappa):
     # independent oracle: one-sided finite differences across w = -kappa
     # (second-order stencils keep the truncation error below the 1e-4 bar)
-    aux = AuxiliaryFunction(TruncatedLogBarrier(kappa))
-    sched = ScheduleState(sigma1=0.7)
+    kind = TruncatedLogBarrier(kappa)
     d = 1e-4 * kappa
     w = -kappa
 
     def val(u):
-        return aux_eval(aux, u, sched)
+        return kind.rho(u, 0.7)
 
     # one-sided linear extrapolations of each branch to the knot itself
     v_left = 2 * val(w - d) - val(w - 2 * d)
@@ -119,7 +117,6 @@ def test_truncated_log_c2_continuity_at_knot(kappa):
 def test_schedule_step_geometric():
     s = ScheduleState(mu=1.0, theta=1.0, sigma1=1.0, decay=1.0 / 1.01)
     s1 = schedule_step(s)
-    assert s1.k == 1
     assert s1.mu == pytest.approx(1.0 / 1.01)
     assert s1.theta == pytest.approx(1.0 / 1.01)
     assert s1.sigma1 == pytest.approx(1.0 / 1.01)
@@ -128,7 +125,6 @@ def test_schedule_step_geometric():
 def test_schedule_step_frozen_when_decay_one():
     s = ScheduleState(decay=1.0)
     s1 = schedule_step(s)
-    assert s1.k == 1
     assert (s1.mu, s1.theta, s1.sigma1) == (1.0, 1.0, 1.0)
 
 
@@ -149,17 +145,22 @@ def test_schedule_rejects_nonpositive():
 
 
 def test_dynamic_shift_uses_context():
+    # the dynamic rule takes f at the stage's incoming iterate plus the offset,
+    # unpadded; the stage then evaluates P at f - f* - shift
+    from bvfsm.solver import SolverConfig, _frozen_shifts
+
     aux = AuxiliaryFunction(InverseBarrier(), modified=True)
-    sched = ScheduleState(sigma2=DynamicShift(0.0))
-    # effective argument 1.0 - 3.0 = -2.0
-    assert aux_eval(aux, 1.0, sched, context_shift=3.0) == pytest.approx(0.5)
+    sched = ScheduleState(sigma2=DynamicShift(2.0))
+    shift_f, _, _ = _frozen_shifts([1.0], 0, 0.0, sched, SolverConfig(schedule=sched, aux_f=aux))
+    assert shift_f == 3.0
+    assert aux.kind.rho(1.0 - 0.0 - shift_f, sched.sigma1) == pytest.approx(0.5)
 
 
 def test_static_shift_moves_wall():
     aux = AuxiliaryFunction(InverseBarrier(), modified=True)
     sched = ScheduleState(sigma2=StaticShift(2.0))
-    assert aux_eval(aux, 1.0, sched) == pytest.approx(1.0)  # -1/(1-2)
-    assert aux_eval(aux, 2.0, sched) == math.inf
+    assert aux.kind.rho(1.0 - shift(aux, sched), sched.sigma1) == pytest.approx(1.0)  # -1/(1-2)
+    assert aux.kind.rho(2.0 - shift(aux, sched), sched.sigma1) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +184,9 @@ MEMBERS = [
        sigma=st.floats(0.05, 2.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_nondecreasing_in_omega(aux, w1, dw, sigma):
-    sched = ScheduleState(sigma1=sigma, sigma2=StaticShift(0.7))
-    v1 = aux_eval(aux, w1, sched)
-    v2 = aux_eval(aux, w1 + dw, sched)
+    sh = 0.7 if aux.modified else 0.0
+    v1 = aux.kind.rho(w1 - sh, sigma)
+    v2 = aux.kind.rho(w1 + dw - sh, sigma)
     assert v2 >= v1 - 1e-12
 
 
@@ -193,32 +194,29 @@ def test_nondecreasing_in_omega(aux, w1, dw, sigma):
 @given(w=st.floats(-8.0, 4.0, allow_nan=False), sigma=st.floats(0.05, 2.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_nonnegative_where_finite(aux, w, sigma):
-    sched = ScheduleState(sigma1=sigma)
-    v = aux_eval(aux, w, sched)
-    assert v >= 0.0
+    assert aux.kind.rho(w, sigma) >= 0.0
 
 
 @given(w=st.floats(-0.999, -1e-3, allow_nan=False), sigma=st.floats(0.05, 2.0, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_truncated_log_nonnegative_on_log_branch(w, sigma):
     # the b1 = -log(kappa) normalization guarantees rho >= 0 on [-kappa, 0)
-    aux = AuxiliaryFunction(TruncatedLogBarrier(1.0))
-    assert aux_eval(aux, w, ScheduleState(sigma1=sigma)) >= 0.0
+    assert TruncatedLogBarrier(1.0).rho(w, sigma) >= 0.0
 
 
 @pytest.mark.parametrize("aux", MEMBERS, ids=lambda a: f"{type(a.kind).__name__}{'+mod' if a.modified else ''}")
 def test_deriv_matches_finite_difference(aux):
-    sched = ScheduleState(sigma1=0.8, sigma2=StaticShift(0.6))
+    sh, s = (0.6 if aux.modified else 0.0), 0.8
     # interior probe points away from walls and kinks
     probes = [-3.0, -1.7, -0.45, -0.12]
-    if aux.is_penalty:
+    if not aux.is_barrier:
         probes += [0.4, 1.3, 2.2]
     if aux.modified:
         probes = [w + 0.6 for w in probes]  # keep the same effective arguments
     d = 1e-6
     for w in probes:
-        num = (aux_eval(aux, w + d, sched) - aux_eval(aux, w - d, sched)) / (2 * d)
-        ana = aux_deriv(aux, w, sched)
+        num = (aux.kind.rho(w + d - sh, s) - aux.kind.rho(w - d - sh, s)) / (2 * d)
+        ana = aux.kind.drho(w - sh, s)
         if ana == 0.0:
             assert abs(num) <= 1e-9
         else:
@@ -238,7 +236,7 @@ def _schedule_sequence(aux, steps=200):
 def test_vanishing_on_feasible_side_along_schedule(aux):
     # Feasible-side values must die out as the schedule decays.
     scheds = _schedule_sequence(aux)
-    vals = [abs(aux_eval(aux, -0.5, s)) for s in scheds]
+    vals = [abs(aux.kind.rho(-0.5 - shift(aux, s), s.sigma1)) for s in scheds]
     assert math.isfinite(vals[0])
     if vals[0] > 0:
         assert vals[-1] <= 1e-2 * vals[0]
@@ -249,15 +247,14 @@ def test_vanishing_on_feasible_side_along_schedule(aux):
 
 @pytest.mark.parametrize(
     "aux",
-    [m for m in MEMBERS if m.is_penalty or m.modified],
+    [m for m in MEMBERS if not m.is_barrier or m.modified],
     ids=lambda a: f"{type(a.kind).__name__}{'+mod' if a.modified else ''}",
 )
 def test_divergence_on_infeasible_side_along_schedule(aux):
     # Penalties (and modified barriers, whose wall closes in) must blow up at
     # a strictly infeasible point; standard barriers are already infinite.
     scheds = _schedule_sequence(aux)
-    v0 = aux_eval(aux, 0.1, scheds[0])
-    v_end = aux_eval(aux, 0.1, scheds[-1])
+    v0, v_end = (aux.kind.rho(0.1 - shift(aux, s), s.sigma1) for s in (scheds[0], scheds[-1]))
     assert math.isfinite(v0)
     assert v_end >= 10.0 * v0
 

@@ -136,6 +136,25 @@ def test_run_experiment_non_numeric_ul_steps_is_config_error(tmp_path, capsys):
     assert "config error: baseline" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, baseline, key, value", [
+    ("bda", {"aggregation": 0.3}, "aggregation", 0.3),
+    ("trhg", {"I": 25}, "I", 25),
+])
+def test_baseline_section_reaches_a_method_without_argument(method, baseline, key, value):
+    from bvfsm.cli import _resolve_method
+    from bvfsm.problems import parse_problem
+
+    cfg = {"baseline": baseline, "methods": [method]}
+    name, bcfg, _ = _resolve_method(parse_problem("sin:n=2"), method, cfg)
+    assert name == method and getattr(bcfg, key) == value
+
+
+def test_run_experiment_rhg_argument_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, methods=["rhg:5"])
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert "config error: baseline" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bvfsm, key", [
     ({**FAST_BVFSM, "T_Y": 5, "stepy": 0.5}, "T_Y"),
     ({**FAST_BVFSM, "schedule": {"sigma_1": 9}}, "sigma_1"),

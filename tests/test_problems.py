@@ -6,12 +6,14 @@ import pytest
 from bvfsm import (
     AuxiliaryFunction,
     BilevelProblem,
+    DynamicShift,
     EmptyFeasibleSet,
     InvalidParameter,
     Mode,
     QuadraticPenalty,
     ScalarField,
     ScheduleState,
+    TruncatedLogBarrier,
     brute_force_phi,
     brute_force_phi_k,
     list_problems,
@@ -318,6 +320,20 @@ def test_brute_force_phi_k_approaches_phi():
     sched_late = ScheduleState(mu=1e-5, theta=1e-5, sigma1=1e-5)
     pk = brute_force_phi_k(bench.problem, x, sched_late, aux, y_grid=(-20, 20, 4001))
     assert pk == pytest.approx(phi, abs=0.05)
+
+
+def test_brute_force_phi_k_rejects_a_dynamic_shift():
+    # the dynamic shift is decided by the solver at its iterate; the grid
+    # oracle has none, so a modified aux_f under that rule is an error
+    prob, x, grid = make_sin_problem(1, 2.0, 2.0).problem, [1.8], (-20, 20, 201)
+    modified = AuxiliaryFunction(TruncatedLogBarrier(1.0), modified=True)
+    for offset in (1.0, 50.0):
+        with pytest.raises(InvalidParameter, match="static shifts"):
+            brute_force_phi_k(prob, x, ScheduleState(sigma2=DynamicShift(offset)), modified, grid)
+    # an unmodified aux_f takes no shift, so the rule does not matter
+    plain = AuxiliaryFunction(QuadraticPenalty())
+    assert brute_force_phi_k(prob, x, ScheduleState(sigma2=DynamicShift(50.0)), plain, grid) \
+        == brute_force_phi_k(prob, x, ScheduleState(), plain, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from bvfsm import (
     ul_gradient_for,
 )
 from bvfsm.auxfun import schedule_step
-from bvfsm.solver import MAX_HALVINGS, InnerState, _guarded_step
+from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
 
 from oracles import fd_of_phi, grid_argmin, penalized_value
 
@@ -186,24 +186,34 @@ def counting_field(fld, counts):
     return ScalarField(m=fld.m, n=fld.n, fn=fn, grad_x=fld.grad_x, grad_y=gy, name=fld.name)
 
 
-def test_guarded_step_gives_up_after_max_halvings():
-    calls = []
+class _QuadStage:
+    """A stage stand-in: value |v|^2 (or a wall everywhere), gradient 4 * sign."""
 
-    def walled(v):
-        calls.append(v)
-        return math.inf, None
+    def __init__(self, walled=False):
+        self.walled, self.trials = walled, []
 
-    assert _guarded_step(walled, np.ones(2), np.ones(2), 0.01, 0.0) is None
-    assert len(calls) == MAX_HALVINGS + 1
+    def value(self, v):
+        self.trials.append(v)
+        return (math.inf if self.walled else float(v @ v)), None
+
+    def gradient(self, v, args):
+        return np.full_like(v, 4.0) * np.sign(v)
 
 
-def test_guarded_step_returns_accepted_step_length():
+def test_descend_pins_after_max_halvings():
+    stage = _QuadStage(walled=True)
+    v, cur, _ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
+    assert len(stage.trials) == MAX_HALVINGS + 1  # one step's trials, then pinned
+    assert np.array_equal(v, np.ones(2)) and cur == 0.0
+
+
+def test_descend_returns_accepted_step():
     # |v|^2 from v = 1 along -4: step 1 lands on 9 > 1, step 0.5 on 1 <= 1
-    v_new, (value, _), step = _guarded_step(lambda v: (float(v @ v), None),
-                                            np.ones(1), np.full(1, 4.0), 1.0, 1.0)
-    assert step == 0.5
-    assert np.array_equal(v_new, [-1.0])
-    assert value == 1.0
+    stage = _QuadStage()
+    v, cur, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
+    assert len(stage.trials) == 2
+    assert np.array_equal(v, [-1.0])
+    assert cur == 1.0
 
 
 def test_y_solve_without_halving_is_fixed_step_descent():
@@ -604,3 +614,30 @@ def test_baseline_check_rejects_non_finite_gradient(bad):
     prob = _bad_gradient_problem(bad, "f.gy")
     with pytest.raises(NonFiniteEvaluation, match="LL gradient at step 0"):
         ll_descent(prob, np.zeros(1), np.ones(2), steps=3, step_size=0.1)
+
+
+def _nan_valued(field_):
+    return replace(field_, fn=lambda x, y: math.nan)
+
+
+def test_z_solve_nan_start_value_is_not_a_wall():
+    from bvfsm import NonFiniteEvaluation, SolveError, make_constrained_sin_problem
+
+    bench = make_constrained_sin_problem(1)
+    prob = replace(bench.problem, f=_nan_valued(bench.problem.f))
+    cfg = SolverConfig(K=1, T_z=3, T_y=3)
+    with pytest.raises(NonFiniteEvaluation):
+        solve_regularized_ll(prob, bench.x0, cfg.schedule, cfg, bench.y0)
+    with pytest.raises(SolveError, match="non-finite"):
+        solve(prob, cfg, bench.x0, bench.y0)
+
+
+def test_y_solve_nan_start_value_is_not_a_wall():
+    from bvfsm import NonFiniteEvaluation, make_constrained_sin_problem
+
+    bench = make_constrained_sin_problem(1)
+    prob = replace(bench.problem, F=_nan_valued(bench.problem.F))
+    cfg = SolverConfig(T_z=3, T_y=3)
+    z, f_star, _ = solve_regularized_ll(prob, bench.x0, cfg.schedule, cfg, bench.y0)
+    with pytest.raises(NonFiniteEvaluation, match="stage start"):
+        solve_penalized_inner(prob, bench.x0, f_star, cfg.schedule, cfg, z)
