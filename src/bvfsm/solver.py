@@ -13,10 +13,12 @@ inner problem, so optimistic, pessimistic and constrained problems share a
 single formula.  Modified-barrier shifts are decided here only, by
 :func:`_frozen_shifts`: frozen per stage and padded just enough to keep the
 incoming iterate strictly inside the wall.  The y-solve and the constrained
-z-solve share one guarded loop, :func:`_descend`: steps that would cross a
-wall or increase the frozen stage objective are halved at most
-``MAX_HALVINGS`` times, starting from ``min(step, 2 * last accepted step)``
-of the same inner solve.
+z-solve share one guarded loop, :func:`_descend`: a step that would increase
+the frozen stage objective backtracks to the minimizer of the quadratic
+through the current value, its slope -|g|^2 and the rejected trial, kept
+within a tenth to a half of the step; a wall or NaN trial halves it.
+At most ``MAX_HALVINGS`` backtracks follow each start from
+``min(step, 2 * last accepted step)`` of the same inner solve.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .core import (
 )
 
 
-MAX_HALVINGS = 30  # step halvings before a guarded step counts as pinned
+MAX_HALVINGS = 30  # backtracks (interpolated or halved) before a guarded step counts as pinned
 
 
 class SolveTimeout(RuntimeError):
@@ -292,24 +294,36 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     """``steps`` guarded gradient steps on a stage-frozen objective.
 
     ``cur`` and ``args`` are the stage value and penalty arguments at ``v``.
-    Each step takes the gradient at ``v`` (non-finite: NonFiniteEvaluation
-    with ``message``) and halves the step along it, starting from
-    ``min(step0, 2 * last accepted step)``, until the objective does not
-    exceed ``cur``; a wall (``inf``) or NaN trial never does.  After
-    ``MAX_HALVINGS`` failed halvings the iterate is pinned and the solve
-    ends.  Returns ``(v, cur, args)`` at the last accepted point.
+    Each step takes the gradient ``g`` at ``v`` (non-finite:
+    NonFiniteEvaluation with ``message``) and tries steps ``s`` along it,
+    starting from ``min(step0, 2 * last accepted step)``, until the objective
+    does not exceed ``cur``; a wall (``inf``) or NaN trial never does.  A
+    finite rejected trial is followed by the minimizer of the quadratic with
+    phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
+    [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
+    section 3.5); |g|^2 is computed at the first such rejection only.  A wall
+    or NaN trial halves the step.  After ``MAX_HALVINGS`` failed backtracks
+    the iterate is pinned and the solve ends.  Returns ``(v, cur, args)`` at
+    the last accepted point.
     """
     value, step = stage.value, step0
     for _ in range(steps):
         g = stage.gradient(v, args)
         if not np.isfinite(g).all():
             raise NonFiniteEvaluation(message)
+        gg = None  # |g|^2 = -phi'(0), computed at the first finite rejection
         for _ in range(MAX_HALVINGS + 1):
             v_new = v - step * g
             trial, trial_args = value(v_new)
             if trial <= cur:
                 break
-            step *= 0.5
+            if trial < math.inf:  # finite: minimize the quadratic through the trial
+                if gg is None:
+                    gg = float(g @ g)
+                fit = gg * step * step / (2.0 * (trial - cur + gg * step))
+                step = max(0.1 * step, min(0.5 * step, fit))  # a NaN fit (inf/inf) halves
+            else:  # a wall or NaN
+                step *= 0.5
         else:
             break  # pinned for this stage
         v, cur, args = v_new, trial, trial_args

@@ -187,17 +187,37 @@ def counting_field(fld, counts):
 
 
 class _QuadStage:
-    """A stage stand-in: value |v|^2 (or a wall everywhere), gradient 4 * sign."""
+    """A stage stand-in: value v'Av/2 and gradient Av for A = diag(a), or a wall."""
 
-    def __init__(self, walled=False):
-        self.walled, self.trials = walled, []
+    def __init__(self, a=2.0, walled=False):
+        self.a, self.walled, self.trials = a, walled, []
 
     def value(self, v):
         self.trials.append(v)
-        return (math.inf if self.walled else float(v @ v)), None
+        return (math.inf if self.walled else 0.5 * float(v @ (self.a * v))), None
 
     def gradient(self, v, args):
-        return np.full_like(v, 4.0) * np.sign(v)
+        return self.a * v
+
+
+class _ScriptedStage:
+    """A stage stand-in whose trials return ``values`` in turn, gradient 1 everywhere.
+
+    From v = 0 every trial lands on -step, so ``steps`` reads the trial steps.
+    """
+
+    def __init__(self, values):
+        self.values, self.trials = iter(values), []
+
+    def value(self, v):
+        self.trials.append(v)
+        return next(self.values), None
+
+    def gradient(self, v, args):
+        return np.ones(1)
+
+    def steps(self):
+        return [-float(v[0]) for v in self.trials]
 
 
 def test_descend_pins_after_max_halvings():
@@ -208,12 +228,47 @@ def test_descend_pins_after_max_halvings():
 
 
 def test_descend_returns_accepted_step():
-    # |v|^2 from v = 1 along -4: step 1 lands on 9 > 1, step 0.5 on 1 <= 1
+    # |v|^2 from v = 1 along -2: step 1 lands on -1, whose value 1 <= 1 is accepted
     stage = _QuadStage()
     v, cur, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
-    assert len(stage.trials) == 2
+    assert len(stage.trials) == 1
     assert np.array_equal(v, [-1.0])
     assert cur == 1.0
+
+
+def test_descend_backtracks_to_the_line_minimizer_of_a_quadratic():
+    # A = diag(1, 3) from v = (1, 1): g = (1, 3), and along -g the value is
+    # 2 - 10 s + 14 s^2, minimized at s = 10/28.  The first trial (s = 1,
+    # value 6) is rejected; halving would try s = 0.5.
+    a = np.array([1.0, 3.0])
+    stage, v0 = _QuadStage(a), np.ones(2)
+    v, cur, _ = _descend(stage, v0, 2.0, None, 1, 1.0, "unused")
+    g = a * v0
+    s_min = float(g @ g) / float(g @ (a * g))
+    assert len(stage.trials) == 2
+    assert np.allclose(stage.trials[1], v0 - s_min * g, rtol=0.0, atol=1e-14)
+    assert np.array_equal(v, stage.trials[1])
+    assert cur == pytest.approx(2.0 - 10.0 * s_min + 14.0 * s_min**2, rel=1e-14)
+
+
+def test_descend_backtracking_stays_in_a_tenth_to_a_half_of_the_step():
+    # from cur = 0 with |g|^2 = 1: a trial 1e6 too high fits a step of 5e-7,
+    # clamped to 0.1 s; a trial a denormal too high fits s/2
+    stage = _ScriptedStage([1e6, 5e-324, 0.0])
+    v, cur, _ = _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
+    steps = stage.steps()
+    assert steps[:2] == [1.0, 0.1]
+    assert steps[2] == pytest.approx(0.05, rel=1e-12)
+    assert cur == 0.0 and np.array_equal(v, stage.trials[2])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_descend_halves_after_a_wall_or_nan_trial(bad):
+    # a finite rejection sets up the quadratic model (step 1 -> 0.1); a wall
+    # or NaN trial after it is not fitted: the next step is exactly half
+    stage = _ScriptedStage([1e6, bad, 0.0])
+    _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
+    assert stage.steps() == [1.0, 0.1, 0.05]
 
 
 def test_y_solve_without_halving_is_fixed_step_descent():
@@ -253,6 +308,35 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
     assert counts["gy"] == cfg.T_y
     assert counts["val"] / counts["gy"] <= 3.0
+
+
+def test_late_stage_constrained_sin_evaluations_per_gradient():
+    # A3 profile in its last stage, near the solution (y* sits on the band's
+    # wall, so the iterate starts 0.05 inside): interpolated backtracking
+    # takes 1.52 f evaluations per z-gradient and 2.32 F evaluations per
+    # y-gradient; the bounds fail step halving's 2.26 and 2.84
+    from bvfsm import make_constrained_sin_problem
+
+    bench = make_constrained_sin_problem(2, 2.0, 1.0)
+    decay = 1 / 1.01
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay**0.6),
+                                              sigma2_h=StaticShift(0.02, decay**0.5)),
+                       aux_f=parse_aux("quadratic"),
+                       aux_h=parse_aux("inverse", modified=True),
+                       aux_B=parse_aux("inverse"))
+    sched = cfg.schedule
+    for _ in range(2000):
+        sched = schedule_step(sched)
+    x, y0 = bench.reference.x_star, bench.reference.y_star + 0.05
+    z_counts = {"val": 0, "gy": 0}
+    prob = replace(bench.problem, f=counting_field(bench.problem.f, z_counts))
+    _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
+    y_counts = {"val": 0, "gy": 0}
+    prob = replace(bench.problem, F=counting_field(bench.problem.F, y_counts))
+    solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
+    assert z_counts["gy"] == cfg.T_z and y_counts["gy"] == cfg.T_y
+    assert z_counts["val"] / z_counts["gy"] <= 1.8
+    assert y_counts["val"] / y_counts["gy"] <= 2.6
 
 
 # ---------------------------------------------------------------------------

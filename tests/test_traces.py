@@ -3,7 +3,11 @@
 Each case is a short solve whose trace must stay bit for bit the same: a
 refactor of the inner solves or the chain rule that changes any rounding
 shows up here as a new digest.  The expected digests were recorded before
-the stage object replaced the written-out penalized sums in ``solver.py``.
+the stage object replaced the written-out penalized sums in ``solver.py``;
+the three cases that interpolated backtracking changed
+(constrained-sin-pessimistic, dynamic-shift, wall-recovery) were recorded
+again when it replaced step halving.  A deliberate
+change re-records a case by copying the digest its failure prints.
 """
 
 import hashlib
@@ -71,15 +75,15 @@ CASES = {
 }
 
 GOLDEN = {
-    "constrained-sin-pessimistic": "5e4197c42b58b22bfe70c44b6fa958fad00e57305ab39d9998e8730f41332969",
+    "constrained-sin-pessimistic": "4c72a4b458fef47dcf340914f0c1a3d14dc76f005a6e4c21e44e79470fe935b5",
     "constrained-truncated-log": "cfbe428ad204b2139be50dbb24cf2fb226b1324fc25eb388e87b426426f2b84d",
-    "dynamic-shift": "8cfc2bcdc14a26c55057d4c59eb9575645d236b748ec52a6d3ee8f668eb9bf19",
+    "dynamic-shift": "4a2afc14593f4f4268722f705df2b50b090faaab9b7fec13ac67aee84f8d5657",
     "pessimistic-sin": "b8919b05a9732fba60fc06dac51f73ac7dc6721d854d33714d59fac5c9e778c2",
     "polynomial": "f5f9a303aeecb0baebb280ca622d1e5e1a8f4d8ebf83a98875cfbecb45e29622",
     "truncated-log": "14af8ff0fd52b53296b0619e0b5eca10ebd67464421db5b0c4912bbb17e89238",
     "ul-constraint": "b387786918b5784f6cb4f8a05335e377afdd2d045c5f95e14fac3e9a7bd95c3f",
     "ul-constraint-quadratic": "ba7ae731b37aa347d27956befbe973b1a10e755895a6d72c212d6ebc7c887b8b",
-    "wall-recovery": "18bdf8838cbc21ae2b47cd932e95731f6c095a3dfdd3c9db1a01bdf6321f87ca",
+    "wall-recovery": "00124b98424e7a0dcabab88014710e22a51e5cca7c866b5fd8ce4594ef8bdecb",
 }
 
 
@@ -102,7 +106,8 @@ def trace_digest(trace) -> str:
 def test_short_solve_trace_is_unchanged(name):
     bench, cfg = _config(name, K=K)
     trace = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
-    assert trace_digest(trace) == GOLDEN[name]
+    digest = trace_digest(trace)
+    assert digest == GOLDEN[name], f"{name}: trace digest is now {digest}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
