@@ -37,7 +37,6 @@ from .core import (
     ScalarField,
     fd_gradient,
     hvp,
-    negate_field,
     project,
     validate_gradients,
 )

@@ -66,33 +66,18 @@ class ScalarField:
         return np.asarray(self.grad_y(x, y), dtype=float)
 
 
-def negate_field(f: ScalarField) -> ScalarField:
-    """Return the field -f (used to reduce pessimistic solves to descent)."""
-    return ScalarField(
-        m=f.m,
-        n=f.n,
-        fn=lambda x, y: -f.fn(x, y),
-        grad_x=lambda x, y: -np.asarray(f.grad_x(x, y), dtype=float),
-        grad_y=lambda x, y: -np.asarray(f.grad_y(x, y), dtype=float),
-        name=f"-({f.name})" if f.name else "",
-    )
-
-
 class SetKind(enum.Enum):
     WHOLE_SPACE = "whole-space"
     BOX = "box"
-    BALL = "ball"
 
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """WholeSpace, Box(lower, upper) or Ball(center, radius) with Euclidean projection."""
+    """WholeSpace or Box(lower, upper) with Euclidean projection."""
 
     kind: SetKind = SetKind.WHOLE_SPACE
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    center: np.ndarray | None = None
-    radius: float = 0.0
 
     @staticmethod
     def whole_space() -> "FeasibleSet":
@@ -106,37 +91,23 @@ class FeasibleSet:
             raise InvalidParameter("box lower bound exceeds upper bound")
         return FeasibleSet(SetKind.BOX, lower=lo, upper=hi)
 
-    @staticmethod
-    def ball(center, radius: float) -> "FeasibleSet":
-        if not radius > 0:
-            raise InvalidParameter("ball radius must be positive")
-        return FeasibleSet(SetKind.BALL, center=as_vector(center), radius=float(radius))
-
     @property
     def dim(self) -> int | None:
         if self.kind is SetKind.BOX:
             return self.lower.shape[0]
-        if self.kind is SetKind.BALL:
-            return self.center.shape[0]
         return None
 
 
 def project(fset: FeasibleSet, x) -> np.ndarray:
     """Euclidean projection onto the set.
 
-    WholeSpace is the identity, Box clamps componentwise, Ball rescales toward
-    the center when outside.  Projection is idempotent and non-expansive.
+    WholeSpace is the identity and Box clamps componentwise.  Projection is
+    idempotent and non-expansive.
     """
     x = as_vector(x, dim=fset.dim)
-    if fset.kind is SetKind.WHOLE_SPACE:
-        return x
     if fset.kind is SetKind.BOX:
         return np.clip(x, fset.lower, fset.upper)
-    d = x - fset.center
-    r = np.linalg.norm(d)
-    if r <= fset.radius:
-        return x
-    return fset.center + (fset.radius / r) * d
+    return x
 
 
 class Mode(enum.Enum):

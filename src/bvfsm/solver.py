@@ -16,7 +16,8 @@ incoming iterate strictly inside the wall.  The y-solve and the constrained
 z-solve share one guarded loop, :func:`_descend`: a step that would increase
 the frozen stage objective backtracks to the minimizer of the quadratic
 through the current value, its slope -|g|^2 and the rejected trial, kept
-within a tenth to a half of the step; a wall or NaN trial halves it.
+within a tenth to a half of the step; a wall or NaN trial halves it.  A
+trial that leaves the iterate bitwise unchanged costs no call at all.
 At most ``MAX_HALVINGS`` backtracks follow each start from
 ``min(step, 2 * last accepted step)`` of the same inner solve.
 """
@@ -302,20 +303,28 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
     [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
     section 3.5); |g|^2 is computed at the first such rejection only.  A wall
-    or NaN trial halves the step.  After ``MAX_HALVINGS`` failed backtracks
-    the iterate is pinned and the solve ends.  Returns ``(v, cur, args)`` at
-    the last accepted point.
+    or NaN trial halves the step.  A trial bitwise equal to ``v`` is accepted
+    without calling ``value``: the stage is a pure function of ``v``, so its
+    value is ``cur``.  ``g`` (and |g|^2) are kept while ``v`` does not move
+    and taken again after the next real move.  After ``MAX_HALVINGS`` failed
+    backtracks the iterate is pinned and the solve ends.  Returns
+    ``(v, cur, args)`` at the last accepted point.
     """
-    value, step = stage.value, step0
+    value, step, g = stage.value, step0, None
     for _ in range(steps):
-        g = stage.gradient(v, args)
-        if not np.isfinite(g).all():
-            raise NonFiniteEvaluation(message)
-        gg = None  # |g|^2 = -phi'(0), computed at the first finite rejection
+        if g is None:  # first step or v moved: take the gradient there
+            g = stage.gradient(v, args)
+            if not np.isfinite(g).all():
+                raise NonFiniteEvaluation(message)
+            gg = None  # |g|^2 = -phi'(0), computed at the first finite rejection
+            v_bytes = v.tobytes()
         for _ in range(MAX_HALVINGS + 1):
             v_new = v - step * g
+            if v_new.tobytes() == v_bytes:  # no move: its value would be cur
+                break
             trial, trial_args = value(v_new)
             if trial <= cur:
+                v, cur, args, g = v_new, trial, trial_args, None
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
                 if gg is None:
@@ -326,7 +335,6 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
                 step *= 0.5
         else:
             break  # pinned for this stage
-        v, cur, args = v_new, trial, trial_args
         step = min(step0, 2.0 * step)
     return v, cur, args
 

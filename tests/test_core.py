@@ -111,11 +111,6 @@ def test_project_box_clamps():
     assert np.array_equal(project(s, [2.0, -1.0]), [1.0, 0.0])
 
 
-def test_project_ball_rescales():
-    s = FeasibleSet.ball([0.0, 0.0], 1.0)
-    assert np.allclose(project(s, [3.0, 4.0]), [0.6, 0.8])
-
-
 def test_project_dimension_mismatch():
     s = FeasibleSet.box([0.0], [1.0])
     with pytest.raises(DimensionMismatch):
@@ -131,15 +126,6 @@ def test_box_projection_idempotent_nonexpansive(a, b):
     s = FeasibleSet.box([-1.0, 0.5], [2.0, 3.0])
     pa, pb = project(s, a), project(s, b)
     assert np.allclose(project(s, pa), pa)
-    assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
-
-
-@given(a=pts, b=pts)
-@settings(max_examples=80, deadline=None)
-def test_ball_projection_idempotent_nonexpansive(a, b):
-    s = FeasibleSet.ball([0.5, -0.5], 2.0)
-    pa, pb = project(s, a), project(s, b)
-    assert np.allclose(project(s, pa), pa, atol=1e-12)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(np.array(a) - np.array(b)) + 1e-12
 
 

@@ -10,6 +10,7 @@ from bvfsm import (
     FeasibleSet,
     InverseBarrier,
     Mode,
+    NonFiniteEvaluation,
     QuadraticPenalty,
     ScalarField,
     ScheduleState,
@@ -17,7 +18,6 @@ from bvfsm import (
     StaticShift,
     TruncatedLogBarrier,
     make_sin_problem,
-    negate_field,
     parse_aux,
     solve,
     solve_inner,
@@ -190,13 +190,14 @@ class _QuadStage:
     """A stage stand-in: value v'Av/2 and gradient Av for A = diag(a), or a wall."""
 
     def __init__(self, a=2.0, walled=False):
-        self.a, self.walled, self.trials = a, walled, []
+        self.a, self.walled, self.trials, self.grads = a, walled, [], 0
 
     def value(self, v):
         self.trials.append(v)
         return (math.inf if self.walled else 0.5 * float(v @ (self.a * v))), None
 
     def gradient(self, v, args):
+        self.grads += 1
         return self.a * v
 
 
@@ -271,6 +272,37 @@ def test_descend_halves_after_a_wall_or_nan_trial(bad):
     assert stage.steps() == [1.0, 0.1, 0.05]
 
 
+def test_descend_accepts_a_no_op_step_without_evaluating_it():
+    # step * g = 1e-20 underflows against v = 1: the trial is v itself
+    stage = _QuadStage(1e-20)
+    v, cur, args = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
+    assert stage.trials == []
+    assert np.array_equal(v, [1.0]) and cur == 0.5e-20 and args == "args"
+
+
+def test_descend_keeps_the_gradient_while_the_iterate_is_still():
+    stage = _QuadStage(1e-20)
+    _descend(stage, np.ones(1), 0.5e-20, None, 5, 1.0, "unused")
+    assert stage.grads == 1 and stage.trials == []
+
+
+def test_descend_evaluates_a_trial_one_ulp_away():
+    # a = (-eps, 0) from v = (1, 1): the trial moves the first entry up by one ulp
+    eps = np.spacing(1.0)
+    stage = _QuadStage(np.array([-eps, 0.0]))
+    v, cur, _ = _descend(stage, np.ones(2), -0.5 * eps, None, 1, 1.0, "unused")
+    assert len(stage.trials) == 1
+    assert np.array_equal(v, [np.nextafter(1.0, 2.0), 1.0])
+    assert np.array_equal(v, stage.trials[0]) and cur < -0.5 * eps
+
+
+def test_descend_rejects_a_non_finite_first_gradient():
+    stage = _QuadStage(np.array([math.nan]))
+    with pytest.raises(NonFiniteEvaluation, match="bad gradient"):
+        _descend(stage, np.ones(1), 0.0, None, 3, 1.0, "bad gradient")
+    assert stage.grads == 1 and stage.trials == []
+
+
 def test_y_solve_without_halving_is_fixed_step_descent():
     # F = 0.5 y'Dy with an inactive penalty.  Every first trial descends, and
     # so would a doubled step (2 * 0.1 * 3.05 < 2): a step memory that ever
@@ -306,15 +338,17 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     x, y0 = bench.reference.x_star, bench.reference.y_star
     _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert counts["gy"] == cfg.T_y
-    assert counts["val"] / counts["gy"] <= 3.0
+    # steps that leave y bitwise unchanged reuse the gradient and skip the
+    # value: 29 evaluations for 25 steps, against 46 when each one paid
+    assert counts["gy"] <= cfg.T_y
+    assert counts["val"] / cfg.T_y <= 1.5
 
 
 def test_late_stage_constrained_sin_evaluations_per_gradient():
     # A3 profile in its last stage, near the solution (y* sits on the band's
     # wall, so the iterate starts 0.05 inside): interpolated backtracking
-    # takes 1.52 f evaluations per z-gradient and 2.32 F evaluations per
-    # y-gradient; the bounds fail step halving's 2.26 and 2.84
+    # takes at most 1.52 f evaluations per z-step and 2.32 F evaluations per
+    # y-step; the bounds fail step halving's 2.26 and 2.84
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
@@ -334,9 +368,9 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     y_counts = {"val": 0, "gy": 0}
     prob = replace(bench.problem, F=counting_field(bench.problem.F, y_counts))
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert z_counts["gy"] == cfg.T_z and y_counts["gy"] == cfg.T_y
-    assert z_counts["val"] / z_counts["gy"] <= 1.8
-    assert y_counts["val"] / y_counts["gy"] <= 2.6
+    assert z_counts["gy"] <= cfg.T_z and y_counts["gy"] <= cfg.T_y
+    assert z_counts["val"] / cfg.T_z <= 1.8
+    assert y_counts["val"] / cfg.T_y <= 2.6
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +596,16 @@ def test_solve_zero_penalty_regime_reduces_to_direct_gradient():
         assert rec.ul_grad_norm == pytest.approx(abs(2.0 * (x_prev - 3.0)), rel=1e-9)
 
 
+def _negated(f):
+    """The field -f, oracle by oracle."""
+    return field(f.m, f.n, lambda x, y: -f.fn(x, y),
+                 lambda x, y: -np.asarray(f.grad_x(x, y), dtype=float),
+                 lambda x, y: -np.asarray(f.grad_y(x, y), dtype=float))
+
+
 def test_pessimistic_matches_optimistic_on_negated_F_bitwise():
     pess = _toy_problem(pessimistic=True)
-    opt_neg = BilevelProblem(m=1, n=1, F=negate_field(pess.F), f=pess.f)
+    opt_neg = BilevelProblem(m=1, n=1, F=_negated(pess.F), f=pess.f)
     sched = ScheduleState(mu=0.3, theta=0.3, sigma1=0.3)
     cfg = SolverConfig(T_z=50, T_y=25, schedule=sched, aux_f=QP)
     x = np.array([0.7])
