@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-import numpy as np
-
 from .core import InvalidParameter
 
 
@@ -76,25 +74,13 @@ def truncated_log_coeffs(kappa: float) -> tuple[float, float, float, float]:
     """Coefficients (b1, b2, b3, b4) for the truncated-log barrier.
 
     b1 = -log(kappa) pins rho(-kappa) = 0 and keeps rho >= 0 on [-kappa, 0).
-    b2, b3, b4 solve the 3x3 linear system matching value, first and second
-    derivative of the log and rational branches at w = -kappa, which makes the
-    barrier twice differentiable there.
+    Matching value, first and second derivative of the log and rational
+    branches at w = -kappa, which makes the barrier twice differentiable
+    there, gives b2 = 3/2, b3 = kappa^2 / 2 and b4 = 2 kappa.
     """
     if not (0.0 < kappa <= 1.0):
         raise InvalidParameter(f"kappa must lie in (0, 1], got {kappa}")
-    b1 = -math.log(kappa)
-    k = kappa
-    # rows: value match, first-derivative match, second-derivative match
-    A = np.array(
-        [
-            [1.0, 1.0 / k**2, -1.0 / k],
-            [0.0, -2.0 / k**3, 1.0 / k**2],
-            [0.0, -6.0 / k**4, 2.0 / k**3],
-        ]
-    )
-    rhs = np.array([math.log(k) + b1, 1.0 / k, 1.0 / k**2])
-    b2, b3, b4 = np.linalg.solve(A, rhs)
-    return b1, float(b2), float(b3), float(b4)
+    return -math.log(kappa), 1.5, 0.5 * kappa * kappa, 2.0 * kappa
 
 
 @dataclass(frozen=True)
@@ -102,11 +88,10 @@ class TruncatedLogBarrier:
     """Log barrier on [-kappa, 0), matched C^2 to a rational tail below -kappa."""
 
     kappa: float = 1.0
-    betas: tuple[float, float, float, float] = field(default=None)  # type: ignore[assignment]
+    betas: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.betas is None:
-            object.__setattr__(self, "betas", truncated_log_coeffs(self.kappa))
+        object.__setattr__(self, "betas", truncated_log_coeffs(self.kappa))
 
     def rho(self, w: float, s: float) -> float:
         if w >= 0.0:
@@ -156,12 +141,19 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
 
     Accepted names: ``quadratic``, ``polynomial:q``, ``inverse``,
     ``truncated-log:kappa``.  A dict form ``{"name": ..., "modified": bool}``
-    is accepted as well.
+    is accepted as well; any other key, or a ``modified`` that is not a bool,
+    raises InvalidParameter.
     """
     if isinstance(spec, AuxiliaryFunction):
         return spec
     if isinstance(spec, dict):
-        return parse_aux(spec["name"], modified=bool(spec.get("modified", False)))
+        unknown = sorted(set(spec) - {"name", "modified"})
+        if unknown:
+            raise InvalidParameter(f"unknown auxiliary-function keys {unknown} in {spec!r}")
+        mod = spec.get("modified", False)
+        if not isinstance(mod, bool):
+            raise InvalidParameter(f"auxiliary-function 'modified' must be a bool, got {mod!r}")
+        return parse_aux(spec["name"], modified=mod)
     name, _, arg = str(spec).partition(":")
     name = name.strip().lower()
     if name == "quadratic":

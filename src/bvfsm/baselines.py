@@ -1,11 +1,13 @@
 """Classical hypergradient estimators: RHG, TRHG, BDA, CG and Neumann.
 
-Explicit (unrolled) estimators differentiate through a T-step gradient
-descent map on the LL problem; implicit estimators solve the stationarity
+Explicit (unrolled) estimators share one forward recorder and one reverse
+pass (:func:`_unrolled`): RHG differentiates all T steps of LL gradient
+descent, TRHG only the last I, and BDA all T of the blended map that mixes
+the UL gradient into each step.  Implicit estimators solve the stationarity
 system at y_T.  Second-order information is obtained matrix-free through
 finite differences of the user's analytic gradients: Hessian-vector products
 via :func:`bvfsm.core.hvp`, mixed d2f/dydx products via differences of
-grad_x along y-perturbations.
+grad_x along y-perturbations (:func:`_mixed_vjp`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from .core import BilevelProblem, InvalidParameter, NonFiniteEvaluation, hvp
 class BaselineConfig:
     """Shared knobs for the five estimators.
 
-    ``T`` LL descent steps of size ``ll_step``; ``Q`` linear-solve steps
-    (CG iterations or Neumann terms); ``I`` truncation window for TRHG;
-    ``aggregation`` in (0, 1) for BDA; ``hvp_eps`` for finite differences.
+    ``T`` LL descent steps of size ``ll_step``, which also scales the Neumann
+    series; ``Q`` linear-solve steps (CG iterations or Neumann terms); ``I``
+    truncation window for TRHG; ``aggregation`` in (0, 1) for BDA;
+    ``hvp_eps`` for finite differences.
     ``alpha`` is the UL step size used by experiment drivers.
     """
 
@@ -36,7 +39,6 @@ class BaselineConfig:
     ll_step: float = 0.01
     alpha: float = 0.01
     hvp_eps: float = 1e-5
-    neumann_scale: float | None = None  # None -> ll_step
 
     def __post_init__(self):
         if self.T < 0:
@@ -69,78 +71,68 @@ def _check(v, what):
     return v
 
 
-def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float,
-               record: bool = False):
-    """Plain T-step gradient descent on f(x, .); optionally records the path."""
+def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float):
+    """Plain gradient descent on f(x, .) for ``steps`` steps."""
     y = np.array(y0, dtype=float)
-    path = [y.copy()] if record else None
     for t in range(steps):
         g = _check(problem.f.gy(x, y), f"LL gradient at step {t}")
         y = y - step_size * g
-        if record:
-            path.append(y.copy())
-    return (y, path) if record else y
+    return y
 
 
-def _mixed_vjp(problem, x, y, v, eps):
-    """(d2 f / dy dx)^T v: finite difference of grad_x f along the y-direction v."""
-    gp = problem.f.gx(x, y + eps * v)
-    gm = problem.f.gx(x, y - eps * v)
-    return _check((gp - gm) / (2.0 * eps), "mixed second derivative")
+def _mixed_vjp(gx, y, v, eps):
+    """(d2/dy dx)^T v: central difference of the x-gradient closure gx along v."""
+    return _check((gx(y + eps * v) - gx(y - eps * v)) / (2.0 * eps), "mixed second derivative")
 
 
-def _bda_weight(cfg: BaselineConfig, t: int) -> float:
-    return cfg.aggregation * cfg.aggregation_decay**t
+def _ll_map(problem, x, cfg, t, bda):
+    """Step t's y-gradient and x-gradient closures of the descended function.
 
-
-def _unrolled_reverse(problem, x, path, cfg, window, bda=False):
-    """Reverse pass over the last ``window`` steps of a recorded LL descent.
-
-    The forward map is y_{t+1} = y_t - s * d(x, y_t) with d the LL gradient
-    (or the BDA aggregate); its vector-Jacobian products are assembled from
-    finite-difference Hessian products.
+    f's own, or with ``bda`` BDA's blend (1 - a_t) f + a_t F with
+    a_t = aggregation * aggregation_decay^t.
     """
-    s = cfg.ll_step
+    f, F = problem.f, problem.F
+    if not bda:
+        return (lambda yv: f.gy(x, yv)), (lambda yv: f.gx(x, yv))
+    a = cfg.aggregation * cfg.aggregation_decay**t
+    return (lambda yv: (1.0 - a) * f.gy(x, yv) + a * F.gy(x, yv),
+            lambda yv: (1.0 - a) * f.gx(x, yv) + a * F.gx(x, yv))
+
+
+def _unrolled(problem, x, y0, cfg, window, bda=False) -> Hypergradient:
+    """One forward recorder and one reverse pass for every unrolled estimator.
+
+    The forward pass records T steps of y <- y - s * d_t(y), with d_t the LL
+    gradient or, with ``bda``, the blended BDA map (see :func:`_ll_map`).  The
+    reverse pass then differentiates the last ``window`` steps, assembling each
+    step's vector-Jacobian product from finite-difference Hessian and mixed
+    products.  RHG is window T, TRHG window I, BDA window T on the blend.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s, eps = cfg.ll_step, cfg.hvp_eps
+    path = [np.array(y0, dtype=float)]
+    for t in range(cfg.T):
+        d = _check(_ll_map(problem, x, cfg, t, bda)[0](path[t]), f"LL gradient at step {t}")
+        path.append(path[t] - s * d)
     y_T = path[-1]
     g_x = np.asarray(problem.F.gx(x, y_T), dtype=float).copy()
     p = np.asarray(problem.F.gy(x, y_T), dtype=float).copy()
-    T = len(path) - 1
-    for t in range(T - 1, T - 1 - window, -1):
-        y_t = path[t]
-        if bda:
-            agg = _bda_weight(cfg, t)
-
-            def dgrad(yv, x=x, agg=agg):
-                return (1.0 - agg) * problem.f.gy(x, yv) + agg * problem.F.gy(x, yv)
-
-            hv = hvp(dgrad, y_t, p, cfg.hvp_eps)
-            gfp = (1.0 - agg) * problem.f.gx(x, y_t + cfg.hvp_eps * p) \
-                + agg * problem.F.gx(x, y_t + cfg.hvp_eps * p)
-            gfm = (1.0 - agg) * problem.f.gx(x, y_t - cfg.hvp_eps * p) \
-                + agg * problem.F.gx(x, y_t - cfg.hvp_eps * p)
-            mixed = _check((gfp - gfm) / (2.0 * cfg.hvp_eps), "BDA mixed derivative")
-        else:
-            hv = hvp(lambda yv, x=x: problem.f.gy(x, yv), y_t, p, cfg.hvp_eps)
-            mixed = _mixed_vjp(problem, x, y_t, p, cfg.hvp_eps)
-        g_x -= s * mixed
+    for t in range(cfg.T - 1, cfg.T - 1 - window, -1):
+        gy, gx = _ll_map(problem, x, cfg, t, bda)
+        hv = hvp(gy, path[t], p, eps)
+        g_x -= s * _mixed_vjp(gx, path[t], p, eps)
         p = p - s * hv
-    return g_x
+    return Hypergradient(g_x, y_T)
 
 
 def rhg_hypergradient(problem: BilevelProblem, x, y0, cfg: BaselineConfig) -> Hypergradient:
     """Reverse-mode unrolled hypergradient over the full T-step trajectory."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y_T, path = ll_descent(problem, x, y0, cfg.T, cfg.ll_step, record=True)
-    g = _unrolled_reverse(problem, x, path, cfg, window=cfg.T)
-    return Hypergradient(g, y_T)
+    return _unrolled(problem, x, y0, cfg, cfg.T)
 
 
 def trhg_hypergradient(problem: BilevelProblem, x, y0, cfg: BaselineConfig) -> Hypergradient:
     """Truncated reverse pass: only the last I steps are differentiated."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y_T, path = ll_descent(problem, x, y0, cfg.T, cfg.ll_step, record=True)
-    g = _unrolled_reverse(problem, x, path, cfg, window=cfg.I)
-    return Hypergradient(g, y_T)
+    return _unrolled(problem, x, y0, cfg, cfg.I)
 
 
 def bda_hypergradient(problem: BilevelProblem, x, y0, cfg: BaselineConfig) -> Hypergradient:
@@ -149,17 +141,7 @@ def bda_hypergradient(problem: BilevelProblem, x, y0, cfg: BaselineConfig) -> Hy
     With ``aggregation_decay < 1`` the UL weight fades over the inner steps,
     matching the vanishing-aggregation form of the original algorithm.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.array(y0, dtype=float)
-    path = [y.copy()]
-    for t in range(cfg.T):
-        agg = _bda_weight(cfg, t)
-        d = (1.0 - agg) * problem.f.gy(x, y) + agg * problem.F.gy(x, y)
-        _check(d, f"BDA aggregate gradient at step {t}")
-        y = y - cfg.ll_step * d
-        path.append(y.copy())
-    g = _unrolled_reverse(problem, x, path, cfg, window=cfg.T, bda=True)
-    return Hypergradient(g, path[-1])
+    return _unrolled(problem, x, y0, cfg, cfg.T, bda=True)
 
 
 def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> SolveFlag:
@@ -172,7 +154,7 @@ def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> So
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y_T = np.asarray(y_T, dtype=float)
     b = _check(np.asarray(problem.F.gy(x, y_T), dtype=float), "dF/dy")
-    grad_fy = lambda yv: problem.f.gy(x, yv)
+    grad_fy, grad_fx = _ll_map(problem, x, cfg, 0, bda=False)
 
     v = np.zeros_like(b)
     r = b.copy()
@@ -195,21 +177,21 @@ def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> So
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
-    g = problem.F.gx(x, y_T) - _mixed_vjp(problem, x, y_T, v, cfg.hvp_eps)
+    g = problem.F.gx(x, y_T) - _mixed_vjp(grad_fx, y_T, v, cfg.hvp_eps)
     return SolveFlag(_check(g, "CG hypergradient"), flag)
 
 
 def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> SolveFlag:
     """Implicit hypergradient with a Q-term Neumann series for the inverse Hessian.
 
-    v = s * sum_q (I - s H)^q dF/dy via repeated Hessian products.  If the
-    term norm grows for 5 consecutive terms the flag "diverging" is set and
-    the partial sum is used.
+    v = s * sum_q (I - s H)^q dF/dy with s = ll_step, via repeated Hessian
+    products.  If the term norm grows for 5 consecutive terms the flag
+    "diverging" is set and the partial sum is used.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y_T = np.asarray(y_T, dtype=float)
-    s = cfg.neumann_scale if cfg.neumann_scale is not None else cfg.ll_step
-    grad_fy = lambda yv: problem.f.gy(x, yv)
+    s = cfg.ll_step
+    grad_fy, grad_fx = _ll_map(problem, x, cfg, 0, bda=False)
     u = _check(np.asarray(problem.F.gy(x, y_T), dtype=float), "dF/dy")
     total = u.copy()
     flag = ""
@@ -225,21 +207,15 @@ def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) 
             flag = "diverging"
             break
     v = s * total
-    g = problem.F.gx(x, y_T) - _mixed_vjp(problem, x, y_T, v, cfg.hvp_eps)
+    g = problem.F.gx(x, y_T) - _mixed_vjp(grad_fx, y_T, v, cfg.hvp_eps)
     return SolveFlag(_check(g, "Neumann hypergradient"), flag)
 
 
 def hypergradient_step(problem: BilevelProblem, method: str, x, y, cfg: BaselineConfig):
     """One full UL-gradient computation for a named method; returns (grad, y_T, flag)."""
-    if method == "rhg":
-        g, y_T = rhg_hypergradient(problem, x, y, cfg)
-        return g, y_T, ""
-    if method == "trhg":
-        g, y_T = trhg_hypergradient(problem, x, y, cfg)
-        return g, y_T, ""
-    if method == "bda":
-        g, y_T = bda_hypergradient(problem, x, y, cfg)
-        return g, y_T, ""
+    unrolled = {"rhg": rhg_hypergradient, "trhg": trhg_hypergradient, "bda": bda_hypergradient}
+    if method in unrolled:
+        return (*unrolled[method](problem, x, y, cfg), "")
     if method in ("cg", "neumann"):
         y_T = ll_descent(problem, x, y, cfg.T, cfg.ll_step)
         fn = cg_hypergradient if method == "cg" else neumann_hypergradient

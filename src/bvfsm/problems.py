@@ -9,6 +9,7 @@ solver.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -400,31 +401,15 @@ def make_hyperclean_problem(
 # ---------------------------------------------------------------------------
 
 
-def _grid_axes(n: int, y_grid):
-    lo, hi, points = y_grid
-    axis = np.linspace(lo, hi, points)
-    if n == 1:
-        return [axis]
-    return [axis] * n
-
-
 def _iter_grid(problem: BilevelProblem, x, y_grid):
     """Yield (y, f(x,y), feasible) over the grid; n <= 2 only."""
-    n = problem.n
-    if n > 2:
+    if problem.n > 2:
         raise InvalidParameter("grid oracle supports n <= 2 only")
-    axes = _grid_axes(n, y_grid)
-    if n == 1:
-        for v in axes[0]:
-            y = np.array([v])
-            feas = all(h(x, y) <= 0.0 for h in problem.ll_constraints)
-            yield y, problem.f(x, y), feas
-    else:
-        for v1 in axes[0]:
-            for v2 in axes[1]:
-                y = np.array([v1, v2])
-                feas = all(h(x, y) <= 0.0 for h in problem.ll_constraints)
-                yield y, problem.f(x, y), feas
+    lo, hi, points = y_grid
+    for point in itertools.product(np.linspace(lo, hi, points), repeat=problem.n):
+        y = np.array(point)
+        feas = all(h(x, y) <= 0.0 for h in problem.ll_constraints)
+        yield y, problem.f(x, y), feas
 
 
 def brute_force_phi(

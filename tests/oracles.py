@@ -6,8 +6,6 @@ differentiated by central differences, so agreement with the solver is
 evidence rather than tautology.
 """
 
-import math
-
 import numpy as np
 
 

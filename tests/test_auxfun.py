@@ -86,6 +86,17 @@ def test_truncated_log_coeffs_domain():
         truncated_log_coeffs(1.5)
 
 
+@pytest.mark.parametrize("kappa", [0.3, 0.1])
+def test_truncated_log_coeffs_closed_form(kappa):
+    assert truncated_log_coeffs(kappa)[1:] == (1.5, 0.5 * kappa * kappa, 2.0 * kappa)
+
+
+def test_truncated_log_betas_follow_kappa():
+    assert TruncatedLogBarrier(0.3).betas == truncated_log_coeffs(0.3)
+    with pytest.raises(TypeError):
+        TruncatedLogBarrier(0.3, betas=truncated_log_coeffs(0.5))
+
+
 @pytest.mark.parametrize("kappa", [1.0, 0.5, 0.25])
 def test_truncated_log_c2_continuity_at_knot(kappa):
     # independent oracle: one-sided finite differences across w = -kappa

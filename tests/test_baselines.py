@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bvfsm import (
     rhg_hypergradient,
     trhg_hypergradient,
 )
+from bvfsm.baselines import hypergradient_step
 from bvfsm.core import quadratic_field
 
 
@@ -197,7 +200,7 @@ def test_neumann_identity_hessian_collapses():
               lambda x, y: np.ones(1), lambda x, y: np.ones(2))
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     out = neumann_hypergradient(prob, np.zeros(1), np.zeros(2),
-                                BaselineConfig(Q=50, neumann_scale=1.0))
+                                BaselineConfig(Q=50, ll_step=1.0))
     assert out.flag == ""
     assert np.allclose(out.grad_x, [1.0], atol=1e-7)
 
@@ -211,7 +214,7 @@ def test_neumann_geometric_series_oracle():
               lambda x, y: np.zeros(1), lambda x, y: b)
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     out = neumann_hypergradient(prob, np.zeros(1), np.zeros(2),
-                                BaselineConfig(Q=200, neumann_scale=0.25))
+                                BaselineConfig(Q=200, ll_step=0.25))
     # mixed partials are zero so the result is dF/dx = 0; check v through
     # a problem where mixed = -I: f2 = |y|^2 - x . y
     assert np.allclose(out.grad_x, [0.0], atol=1e-8)
@@ -222,7 +225,7 @@ def test_neumann_geometric_series_oracle():
                lambda x, y: np.zeros(2), lambda x, y: b)
     prob2 = BilevelProblem(m=2, n=2, F=F2, f=f2)
     out2 = neumann_hypergradient(prob2, np.zeros(2), np.zeros(2),
-                                 BaselineConfig(Q=200, neumann_scale=0.25))
+                                 BaselineConfig(Q=200, ll_step=0.25))
     # grad = 0 - (d2f/dydx)^T v = v = 0.5 b for the geometric series
     assert np.allclose(out2.grad_x, 0.5 * b, atol=1e-4)
 
@@ -235,7 +238,7 @@ def test_neumann_divergence_flag():
               lambda x, y: np.zeros(1), lambda x, y: np.ones(2))
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     out = neumann_hypergradient(prob, np.zeros(1), np.zeros(2),
-                                BaselineConfig(Q=50, neumann_scale=1.5))
+                                BaselineConfig(Q=50, ll_step=1.5))
     assert out.flag == "diverging"
 
 
@@ -291,3 +294,28 @@ def test_baseline_config_validation():
         BaselineConfig(aggregation=0.0)
     with pytest.raises(InvalidParameter):
         BaselineConfig(Q=0)
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+# ---------------------------------------------------------------------------
+
+
+ESTIMATOR_DIGEST = "742a881691b6ce03100ed91ec29811c67b3d8a6c9590e32c24205fcf293afdfb"
+
+
+def test_estimator_outputs_are_unchanged():
+    """Bitwise pin of all five estimators, with BDA's decaying weights and I < T."""
+    prob, _ = tracking_problem(m=2, n=3, seed=3)
+    x = np.array([0.8, -0.5])
+    y0 = np.array([0.4, -1.1, 0.7])
+    cfg = BaselineConfig(T=50, I=20, Q=20, ll_step=0.3, aggregation=0.5,
+                         aggregation_decay=0.95)
+    h = hashlib.sha256()
+    for method in ("rhg", "trhg", "bda", "cg", "neumann"):
+        g, y_T, flag = hypergradient_step(prob, method, x, y0, cfg)
+        h.update(method.encode())
+        h.update(np.asarray(g, dtype=np.float64).tobytes())
+        h.update(np.asarray(y_T, dtype=np.float64).tobytes())
+        h.update(flag.encode())
+    assert h.hexdigest() == ESTIMATOR_DIGEST

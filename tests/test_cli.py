@@ -390,6 +390,17 @@ def test_shift_entry_typo_is_config_error(tmp_path, entry, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("aux", [{"name": "inverse", "modifed": True},
+                                 {"name": "inverse", "modified": "false"}],
+                         ids=["key-typo", "string-bool"])
+def test_aux_entry_typo_is_config_error(tmp_path, aux, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "aux_f": aux})
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_non_numeric_wall_clock_cap_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cap.json"
     cfg.write_text(json.dumps({"wall_clock_cap_s": "abc",

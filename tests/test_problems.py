@@ -288,6 +288,18 @@ def test_brute_force_phi_sin_matches_closed_form():
     assert tight == pytest.approx(bench.F_star, abs=0.02)
 
 
+def test_brute_force_phi_two_dimensional_grid():
+    # f = 0.5 (y1 + y2 - x)^2: S(x) is the line y1 + y2 = x; F = |y|^2 picks (x/2, x/2)
+    f = field(1, 2, lambda x, y: 0.5 * (y[0] + y[1] - x[0]) ** 2,
+              lambda x, y: np.array([-(y[0] + y[1] - x[0])]),
+              lambda x, y: np.full(2, y[0] + y[1] - x[0]))
+    F = field(1, 2, lambda x, y: float(y @ y), lambda x, y: np.zeros(1),
+              lambda x, y: 2.0 * y)
+    prob = BilevelProblem(m=1, n=2, F=F, f=f)
+    got = brute_force_phi(prob, [1.0], y_grid=(-2, 2, 81))
+    assert got == pytest.approx(0.5, abs=1e-9)
+
+
 def test_brute_force_phi_pessimistic_picks_max():
     # f = (y^2 - 1)^2 has S = {-1, +1}; pessimistic F = y picks +1
     f = field(1, 1, lambda x, y: (y[0] ** 2 - 1.0) ** 2,
