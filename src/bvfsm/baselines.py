@@ -12,12 +12,20 @@ grad_x along y-perturbations (:func:`_mixed_vjp`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import BilevelProblem, InvalidParameter, NonFiniteEvaluation, hvp
+from .core import (
+    BilevelProblem,
+    InvalidParameter,
+    NonFiniteEvaluation,
+    all_finite,
+    hvp,
+    plain_descent,
+)
 
 
 @dataclass(frozen=True)
@@ -66,18 +74,14 @@ class SolveFlag(NamedTuple):
 
 
 def _check(v, what):
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise NonFiniteEvaluation(f"non-finite {what}")
     return v
 
 
 def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float):
     """Plain gradient descent on f(x, .) for ``steps`` steps."""
-    y = np.array(y0, dtype=float)
-    for t in range(steps):
-        g = _check(problem.f.gy(x, y), f"LL gradient at step {t}")
-        y = y - step_size * g
-    return y
+    return plain_descent(problem.f.grad_y, x, np.array(y0, dtype=float), steps, step_size)
 
 
 def _mixed_vjp(gx, y, v, eps):
@@ -196,10 +200,10 @@ def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) 
     total = u.copy()
     flag = ""
     grow = 0
-    prev = float(np.linalg.norm(u))
+    prev = math.sqrt(u.dot(u))  # bitwise np.linalg.norm(u), without its dispatch
     for _ in range(cfg.Q - 1):
         u = u - s * hvp(grad_fy, y_T, u, cfg.hvp_eps)
-        nrm = float(np.linalg.norm(u))
+        nrm = math.sqrt(u.dot(u))
         grow = grow + 1 if nrm > prev else 0
         prev = nrm
         total += u

@@ -116,7 +116,7 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
 
     def F_fn(x, y):
         d = y - off
-        return (xbar(x) - a) ** 2 + sgn * float(d @ d)
+        return (xbar(x) - a) ** 2 + sgn * float(d.dot(d))
 
     F = ScalarField(
         m=m, n=n,
@@ -127,8 +127,8 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
     )
     f = ScalarField(
         m=m, n=n,
-        fn=lambda x, y: float(np.sin(xbar(x) + y - c).sum()),
-        grad_x=lambda x, y: np.full(m, float(np.cos(xbar(x) + y - c).sum()) / m),
+        fn=lambda x, y: float(np.add.reduce(np.sin(xbar(x) + y - c))),
+        grad_x=lambda x, y: np.full(m, float(np.add.reduce(np.cos(xbar(x) + y - c))) / m),
         grad_y=lambda x, y: np.cos(xbar(x) + y - c),
         name="sin-ll",
     )

@@ -19,7 +19,9 @@ through the current value, its slope -|g|^2 and the rejected trial, kept
 within a tenth to a half of the step; a wall or NaN trial halves it.  A
 trial that leaves the iterate bitwise unchanged costs no call at all.
 At most ``MAX_HALVINGS`` backtracks follow each start from
-``min(step, 2 * last accepted step)`` of the same inner solve.
+``min(step, 2 * last accepted step)`` of the same inner solve.  The
+unconstrained z-solve has no wall to guard: it takes fixed steps in
+:func:`bvfsm.core.plain_descent`, the loop the baselines' LL descent runs too.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from .core import (
     InvalidParameter,
     Mode,
     NonFiniteEvaluation,
+    all_finite,
     as_vector,
+    plain_descent,
     project,
 )
 
@@ -249,7 +253,7 @@ class _Stage:
         total = float(self.lead.fn(x, v))
         if self.negate:
             total = -total
-        total += self.half_reg * float(v @ v)
+        total += self.half_reg * float(v.dot(v))
         args = []
         for c, base, shift, P, _ in self.terms:
             w = (float(c.fn(x, v)) if raw is None else raw[len(args)]) - base - shift
@@ -278,10 +282,10 @@ class _Stage:
             c, _, _, _, dP = terms[0]
             g = g + dP(args[0], s) * np.asarray(c.grad_y(x, v), dtype=float)
             head = 1
-        g = g + self.reg * v
+        g = g + self.reg * v  # a fresh array from here on: add in place
         for j in range(head, len(terms)):
             c, _, _, _, dP = terms[j]
-            g = g + dP(args[j], s) * np.asarray(c.grad_y(x, v), dtype=float)
+            g += dP(args[j], s) * np.asarray(c.grad_y(x, v), dtype=float)
         return g
 
 
@@ -295,15 +299,16 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     """``steps`` guarded gradient steps on a stage-frozen objective.
 
     ``cur`` and ``args`` are the stage value and penalty arguments at ``v``.
-    Each step takes the gradient ``g`` at ``v`` (non-finite:
-    NonFiniteEvaluation with ``message``) and tries steps ``s`` along it,
-    starting from ``min(step0, 2 * last accepted step)``, until the objective
-    does not exceed ``cur``; a wall (``inf``) or NaN trial never does.  A
-    finite rejected trial is followed by the minimizer of the quadratic with
-    phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
-    [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
-    section 3.5); |g|^2 is computed at the first such rejection only.  A wall
-    or NaN trial halves the step.  A trial bitwise equal to ``v`` is accepted
+    Each step takes the gradient ``g`` at ``v`` and |g|^2 with it; a finite
+    |g|^2 proves ``g`` finite (see :func:`bvfsm.core.all_finite`), else a
+    non-finite ``g`` raises NonFiniteEvaluation with ``message``.  It tries
+    steps ``s`` along ``g``, starting from ``min(step0, 2 * last accepted
+    step)``, until the objective does not exceed ``cur``; a wall (``inf``) or
+    NaN trial never does.  A finite rejected trial is followed by the
+    minimizer of the quadratic with phi(0) = cur, phi'(0) = -|g|^2 and
+    phi(s) = trial, clamped to [0.1 s, 0.5 s] (safeguarded quadratic
+    backtracking, Nocedal & Wright section 3.5).  A wall or NaN trial halves
+    the step.  A trial bitwise equal to ``v`` is accepted
     without calling ``value``: the stage is a pure function of ``v``, so its
     value is ``cur``.  ``g`` (and |g|^2) are kept while ``v`` does not move
     and taken again after the next real move.  After ``MAX_HALVINGS`` failed
@@ -314,9 +319,9 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     for _ in range(steps):
         if g is None:  # first step or v moved: take the gradient there
             g = stage.gradient(v, args)
-            if not np.isfinite(g).all():
+            gg = float(np.vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
+            if not (math.isfinite(gg) or np.isfinite(g).all()):
                 raise NonFiniteEvaluation(message)
-            gg = None  # |g|^2 = -phi'(0), computed at the first finite rejection
             v_bytes = v.tobytes()
         for _ in range(MAX_HALVINGS + 1):
             v_new = v - step * g
@@ -327,8 +332,6 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
                 v, cur, args, g = v_new, trial, trial_args, None
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
-                if gg is None:
-                    gg = float(g @ g)
                 fit = gg * step * step / (2.0 * (trial - cur + gg * step))
                 step = max(0.1 * step, min(0.5 * step, fit))  # a NaN fit (inf/inf) halves
             else:  # a wall or NaN
@@ -356,14 +359,10 @@ def solve_regularized_ll(
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
 
     if not hs:
-        # No wall to guard: fixed steps with the formulas written out.  Through
-        # _Stage.gradient one gradient costs about a third more (3.92 against
-        # 2.94 us on n=2), and sin-opt takes 150,050 of them per solve.
-        for _ in range(cfg.T_z):
-            g = f.gy(x, z) + mu * z
-            if not np.isfinite(g).all():
-                raise NonFiniteEvaluation("LL gradient non-finite during z-solve")
-            z = z - cfg.step_z * g
+        # No wall to guard: fixed steps, and no value call until the end.  A
+        # guarded loop would add one value call per step, and sin-opt takes
+        # 150,050 z-steps per solve.
+        z = plain_descent(f.grad_y, x, z, cfg.T_z, cfg.step_z, mu, " during z-solve")
         f_star = f(x, z) + 0.5 * mu * float(z @ z)
         if not math.isfinite(f_star):
             raise NonFiniteEvaluation("regularized LL value non-finite")
@@ -567,7 +566,7 @@ def solve(
                 x = x_try
             except NonFiniteEvaluation as exc:
                 raise SolveError(str(exc), k, l, trace) from exc
-            if not np.isfinite(grad).all():
+            if not all_finite(grad):
                 raise SolveError("UL gradient non-finite", k, l, trace)
             x = project(problem.ul_set, x - cfg.alpha * grad)
             z_warm, y_warm = inner.z, inner.y

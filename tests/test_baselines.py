@@ -8,12 +8,16 @@ from bvfsm import (
     BilevelProblem,
     InvalidParameter,
     ScalarField,
+    SolverConfig,
     bda_hypergradient,
     cg_hypergradient,
     ll_descent,
+    make_sin_problem,
     neumann_hypergradient,
     parse_method,
     rhg_hypergradient,
+    schedule_step,
+    solve_regularized_ll,
     trhg_hypergradient,
 )
 from bvfsm.baselines import hypergradient_step
@@ -294,6 +298,33 @@ def test_baseline_config_validation():
         BaselineConfig(aggregation=0.0)
     with pytest.raises(InvalidParameter):
         BaselineConfig(Q=0)
+
+
+# ---------------------------------------------------------------------------
+# plain descent: ll_descent and the unconstrained z-solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prob,x,y0", [
+    pytest.param(make_sin_problem(2).problem, np.array([8.0]), np.full(2, 8.0), id="sin-n2"),
+    pytest.param(make_sin_problem(1000).problem, np.array([8.0]), np.zeros(1000), id="sin-n1000"),
+    pytest.param(tracking_problem(m=2, n=3, seed=3)[0], np.array([0.8, -0.5]),
+                 np.array([0.4, -1.1, 0.7]), id="tracking"),
+])
+def test_plain_descent_is_bitwise_the_written_out_loop(prob, x, y0):
+    y = y0.copy()
+    for _ in range(100):
+        y = y - 0.01 * prob.f.gy(x, y)
+    assert ll_descent(prob, x, y0, 100, 0.01).tobytes() == y.tobytes()
+
+    cfg = SolverConfig(T_z=50)
+    sched = schedule_step(schedule_step(cfg.schedule))
+    z = y0.copy()
+    for _ in range(cfg.T_z):
+        z = z - cfg.step_z * (prob.f.gy(x, z) + sched.mu * z)
+    got, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
+    assert got.tobytes() == z.tobytes()
+    assert f_star == prob.f(x, z) + 0.5 * sched.mu * float(z @ z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvfsm import (
@@ -10,12 +11,90 @@ from bvfsm import (
     FeasibleSet,
     NonFiniteEvaluation,
     ScalarField,
+    SolverConfig,
     fd_gradient,
     hvp,
+    ll_descent,
+    make_sin_problem,
     project,
+    solve_regularized_ll,
     validate_gradients,
 )
-from bvfsm.core import quadratic_field
+from bvfsm.core import all_finite, plain_descent, quadratic_field
+
+
+# ---------------------------------------------------------------------------
+# all_finite
+# ---------------------------------------------------------------------------
+
+MAX = np.finfo(float).max
+special = st.one_of(
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(1e155, MAX) | st.floats(-MAX, -1e155),  # finite, but the square overflows
+    st.floats(),
+)
+
+
+@given(n=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.0, 1e-300, 1.0, 1e150]),
+       entries=st.lists(st.tuples(st.integers(0, 1999), special), max_size=8))
+@example(n=3, seed=0, scale=0.0, entries=[(0, 1e200)])  # every square finite but one
+@example(n=2000, seed=0, scale=1e150, entries=[])  # the sum of finite squares overflows
+@example(n=1, seed=0, scale=1.0, entries=[(0, math.nan)])
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error")  # overflowing squares must not warn either
+def test_all_finite_agrees_with_isfinite(n, seed, scale, entries):
+    v = scale * np.random.default_rng(seed).standard_normal(n)
+    for i, value in entries:
+        v[i % n] = value
+    assert all_finite(v) is bool(np.isfinite(v).all())
+
+
+# ---------------------------------------------------------------------------
+# plain_descent: the loop behind ll_descent and the unconstrained z-solve
+# ---------------------------------------------------------------------------
+
+
+def _z_solve(prob, x, y0, steps):
+    cfg = SolverConfig(T_z=steps)
+    return solve_regularized_ll(prob, x, cfg.schedule, cfg, y0)[0]
+
+
+def _ll_descent(prob, x, y0, steps):
+    return ll_descent(prob, x, y0, steps, 0.01)
+
+
+@pytest.mark.parametrize("run", [_z_solve, _ll_descent], ids=["z-solve", "ll_descent"])
+def test_plain_descent_raises_at_the_first_non_finite_step(run):
+    calls = []
+
+    def gy(x, y):  # the fourth call, at step 3, returns NaN
+        calls.append(y)
+        return np.full(2, math.nan) if len(calls) == 4 else np.cos(y)
+
+    bench = make_sin_problem(2)
+    prob = replace(bench.problem, f=replace(bench.problem.f, grad_y=gy))
+    with pytest.raises(NonFiniteEvaluation, match="LL gradient at step 3"):
+        run(prob, bench.x0, bench.y0, 10)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("mu", [None, 0.5])
+def test_plain_descent_never_writes_to_what_grad_y_returns(mu):
+    def written_out(gy, y0):
+        y = np.array(y0)
+        for _ in range(5):
+            g = gy(x, y) if mu is None else gy(x, y) + mu * y
+            y = y - 0.1 * g
+        return y
+
+    x, y0 = np.zeros(1), np.array([1.0, -2.0])
+    cache = np.array([0.25, -3.0])
+    for gy in (lambda x, y: y, lambda x, y: cache):
+        got = plain_descent(gy, x, y0.copy(), 5, 0.1, mu)
+        assert got.tobytes() == written_out(gy, y0).tobytes()
+    assert cache.tolist() == [0.25, -3.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Golden traces for solver paths that the benchmark workloads do not run.
+"""Golden traces of short solves, on the benchmark's own paths and on paths it does not run.
 
 Each case is a short solve whose trace must stay bit for bit the same: a
 refactor of the inner solves or the chain rule that changes any rounding
-shows up here as a new digest.  The expected digests were recorded before
-the stage object replaced the written-out penalized sums in ``solver.py``;
-the three cases that interpolated backtracking changed
-(constrained-sin-pessimistic, dynamic-shift, wall-recovery) were recorded
-again when it replaced step halving.  A deliberate
-change re-records a case by copying the digest its failure prints.
+shows up here as a new digest.  Three cases follow the benchmark workloads
+(``perfbench/workloads.py``): the sin-opt setup and the default sin-con
+profile, both cut to K = 30 stages, and the one-stage n = 1000 point of
+step-n1000.  The other nine cover paths the benchmark does not run.  The
+expected digests were recorded before the stage object replaced the
+written-out penalized sums in ``solver.py``; the three cases that
+interpolated backtracking changed (constrained-sin-pessimistic,
+dynamic-shift, wall-recovery) were recorded again when it replaced step
+halving, and the three benchmark cases were recorded before the plain
+descent loop moved into ``core``.  A deliberate change re-records a case by
+copying the digest its failure prints.
 """
 
 import hashlib
@@ -54,6 +59,10 @@ def _pessimistic(bench):
 STATIC = {"sigma2": {"rule": "static", "value": 2.0, "decay_pow": 0.6}}
 
 CASES = {
+    # the benchmark workloads sin-opt, sin-con and step-n1000
+    "sin-opt": (make_sin_problem(2), {}),
+    "sin-con": (make_constrained_sin_problem(2, 2.0, 1.0), {}),
+    "step-n1000": (replace(make_sin_problem(1000), y0=np.zeros(1000)), {"K": 1}),
     "pessimistic-sin": (make_pessimistic_sin_problem(2), {}),
     "constrained-sin-pessimistic": (_pessimistic(make_constrained_sin_problem(2, 2.0, 1.0)), {}),
     "ul-constraint": (_with_ul_constraint(make_sin_problem(2)), {
@@ -75,6 +84,9 @@ CASES = {
 }
 
 GOLDEN = {
+    "sin-con": "f476b80ede88221cb4eff275cdf2ea77def6dca7490ee088f058883a3c9a63b3",
+    "sin-opt": "ba7ae731b37aa347d27956befbe973b1a10e755895a6d72c212d6ebc7c887b8b",
+    "step-n1000": "77ba52ff1d542eac1425bfd2f98800663f4d085e2d2660d66e2f9dc338202cbd",
     "constrained-sin-pessimistic": "4c72a4b458fef47dcf340914f0c1a3d14dc76f005a6e4c21e44e79470fe935b5",
     "constrained-truncated-log": "cfbe428ad204b2139be50dbb24cf2fb226b1324fc25eb388e87b426426f2b84d",
     "dynamic-shift": "4a2afc14593f4f4268722f705df2b50b090faaab9b7fec13ac67aee84f8d5657",
@@ -87,9 +99,9 @@ GOLDEN = {
 }
 
 
-def _config(name, **extra):
+def _config(name):
     bench, overrides = CASES[name]
-    return bench, build_solver_config({"bvfsm": {**overrides, **extra}}, bench)
+    return bench, build_solver_config({"bvfsm": {"K": K, **overrides}}, bench)
 
 
 def trace_digest(trace) -> str:
@@ -104,7 +116,7 @@ def trace_digest(trace) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_short_solve_trace_is_unchanged(name):
-    bench, cfg = _config(name, K=K)
+    bench, cfg = _config(name)
     trace = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
     digest = trace_digest(trace)
     assert digest == GOLDEN[name], f"{name}: trace digest is now {digest}"
