@@ -86,7 +86,8 @@ def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float):
 
 def _mixed_vjp(gx, y, v, eps):
     """(d2/dy dx)^T v: central difference of the x-gradient closure gx along v."""
-    return _check((gx(y + eps * v) - gx(y - eps * v)) / (2.0 * eps), "mixed second derivative")
+    d = eps * v
+    return _check((gx(y + d) - gx(y - d)) / (2.0 * eps), "mixed second derivative")
 
 
 def _ll_map(problem, x, cfg, t, bda):

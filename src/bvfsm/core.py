@@ -44,8 +44,10 @@ def all_finite(v: np.ndarray) -> bool:
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a float64 1-D array, checking finiteness and (optionally) length."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
+    v = np.asarray(x, dtype=float)
+    if v.ndim == 0:  # np.atleast_1d's reshape, without its call overhead
+        v = v.reshape(1)
+    elif v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[0]}")
@@ -192,8 +194,9 @@ def hvp(grad_fn: Callable[[np.ndarray], np.ndarray], x, v, eps: float = 1e-5) ->
         raise InvalidParameter("eps must be positive")
     x = as_vector(x)
     v = as_vector(v, dim=x.shape[0])
-    gp = np.asarray(grad_fn(x + eps * v), dtype=float)
-    gm = np.asarray(grad_fn(x - eps * v), dtype=float)
+    d = eps * v
+    gp = np.asarray(grad_fn(x + d), dtype=float)
+    gm = np.asarray(grad_fn(x - d), dtype=float)
     if not (all_finite(gp) and all_finite(gm)):
         raise NonFiniteEvaluation("gradient non-finite during hvp")
     return (gp - gm) / (2.0 * eps)

@@ -16,10 +16,11 @@ incoming iterate strictly inside the wall.  The y-solve and the constrained
 z-solve share one guarded loop, :func:`_descend`: a step that would increase
 the frozen stage objective backtracks to the minimizer of the quadratic
 through the current value, its slope -|g|^2 and the rejected trial, kept
-within a tenth to a half of the step; a wall or NaN trial halves it.  A
-trial that leaves the iterate bitwise unchanged costs no call at all.
-At most ``MAX_HALVINGS`` backtracks follow each start from
-``min(step, 2 * last accepted step)`` of the same inner solve.  The
+within a tenth to a half of the step; a wall or NaN trial halves it.  At
+most ``MAX_HALVINGS`` backtracks follow each start from ``min(step, 2 * last
+accepted step)`` of the same inner solve.  The solve ends at the rounding
+floor, before any trial whose predicted decrease ``step * |g|^2`` is at most
+one ulp of the current value: only rounding could decide it.  The
 unconstrained z-solve has no wall to guard: it takes fixed steps in
 :func:`bvfsm.core.plain_descent`, the loop the baselines' LL descent runs too.
 """
@@ -308,28 +309,25 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     minimizer of the quadratic with phi(0) = cur, phi'(0) = -|g|^2 and
     phi(s) = trial, clamped to [0.1 s, 0.5 s] (safeguarded quadratic
     backtracking, Nocedal & Wright section 3.5).  A wall or NaN trial halves
-    the step.  A trial bitwise equal to ``v`` is accepted
-    without calling ``value``: the stage is a pure function of ``v``, so its
-    value is ``cur``.  ``g`` (and |g|^2) are kept while ``v`` does not move
-    and taken again after the next real move.  After ``MAX_HALVINGS`` failed
-    backtracks the iterate is pinned and the solve ends.  Returns
+    the step.  The solve ends at the rounding floor: a trial whose predicted
+    decrease ``s |g|^2`` is at most one ulp of ``cur`` could only be decided
+    by rounding, so it is not tried.  After ``MAX_HALVINGS`` failed
+    backtracks the iterate is pinned, and the solve ends too.  Returns
     ``(v, cur, args)`` at the last accepted point.
     """
-    value, step, g = stage.value, step0, None
+    value, step = stage.value, step0
     for _ in range(steps):
-        if g is None:  # first step or v moved: take the gradient there
-            g = stage.gradient(v, args)
-            gg = float(np.vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
-            if not (math.isfinite(gg) or np.isfinite(g).all()):
-                raise NonFiniteEvaluation(message)
-            v_bytes = v.tobytes()
+        g = stage.gradient(v, args)
+        gg = float(np.vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
+        if not (math.isfinite(gg) or np.isfinite(g).all()):
+            raise NonFiniteEvaluation(message)
         for _ in range(MAX_HALVINGS + 1):
+            if gg * step <= math.ulp(cur):  # the rounding floor
+                return v, cur, args
             v_new = v - step * g
-            if v_new.tobytes() == v_bytes:  # no move: its value would be cur
-                break
             trial, trial_args = value(v_new)
             if trial <= cur:
-                v, cur, args, g = v_new, trial, trial_args, None
+                v, cur, args = v_new, trial, trial_args
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
                 fit = gg * step * step / (2.0 * (trial - cur + gg * step))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -222,10 +223,23 @@ class _ScriptedStage:
 
 
 def test_descend_pins_after_max_halvings():
+    # ulp(0) is the least subnormal, so from cur = 0 no step reaches the
+    # rounding floor: a wall that rejects every trial pins the iterate
     stage = _QuadStage(walled=True)
     v, cur, _ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
     assert len(stage.trials) == MAX_HALVINGS + 1  # one step's trials, then pinned
     assert np.array_equal(v, np.ones(2)) and cur == 0.0
+
+
+def test_descend_stops_at_the_rounding_floor():
+    # from cur = 1 with |g|^2 = 1, every trial rejected: each backtrack cuts
+    # the step by at most 10x, and the first step <= ulp(1) ends the solve
+    stage = _ScriptedStage(itertools.repeat(2.0))
+    v, cur, args = _descend(stage, np.zeros(1), 1.0, "args", 3, 1.0, "unused")
+    steps = stage.steps()
+    assert len(steps) < MAX_HALVINGS + 1
+    assert math.ulp(1.0) < steps[-1] <= 10.0 * math.ulp(1.0)
+    assert np.array_equal(v, [0.0]) and cur == 1.0 and args == "args"
 
 
 def test_descend_returns_accepted_step():
@@ -272,18 +286,33 @@ def test_descend_halves_after_a_wall_or_nan_trial(bad):
     assert stage.steps() == [1.0, 0.1, 0.05]
 
 
-def test_descend_accepts_a_no_op_step_without_evaluating_it():
-    # step * g = 1e-20 underflows against v = 1: the trial is v itself
+def test_descend_does_not_try_a_step_below_the_rounding_floor():
+    # |g|^2 = 1e-40 is below ulp(cur = 0.5e-20): no trial is evaluated
     stage = _QuadStage(1e-20)
     v, cur, args = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
     assert stage.trials == []
     assert np.array_equal(v, [1.0]) and cur == 0.5e-20 and args == "args"
 
 
-def test_descend_keeps_the_gradient_while_the_iterate_is_still():
+def test_descend_takes_one_gradient_when_it_starts_at_the_rounding_floor():
     stage = _QuadStage(1e-20)
     _descend(stage, np.ones(1), 0.5e-20, None, 5, 1.0, "unused")
     assert stage.grads == 1 and stage.trials == []
+
+
+def test_descend_evaluates_and_accepts_a_no_op_step_above_the_floor():
+    # value a/2 (v^2 - 1), zero at v = 1; step * g = 1e-20 underflows against
+    # v = 1, so the trial is v itself, but 1e-20 is far above ulp(0)
+    class Stage(_QuadStage):
+        def value(self, v):
+            self.trials.append(v)
+            return 0.5 * float(v @ (self.a * v)) - 0.5e-20, "trial args"
+
+    stage = Stage(1e-20)
+    v0 = np.ones(1)
+    v, cur, args = _descend(stage, v0, 0.0, "args", 1, 1.0, "unused")
+    assert len(stage.trials) == 1 and np.array_equal(stage.trials[0], v0)
+    assert np.array_equal(v, v0) and cur == 0.0 and args == "trial args"
 
 
 def test_descend_evaluates_a_trial_one_ulp_away():
@@ -338,10 +367,27 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     x, y0 = bench.reference.x_star, bench.reference.y_star
     _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    # steps that leave y bitwise unchanged reuse the gradient and skip the
-    # value: 29 evaluations for 25 steps, against 46 when each one paid
+    # the solve ends at the rounding floor: 19 evaluations, against 29 when
+    # no-op steps were skipped and 46 when each one paid
     assert counts["gy"] <= cfg.T_y
     assert counts["val"] / cfg.T_y <= 1.5
+
+
+def test_a9_step_y_solve_stops_at_the_rounding_floor():
+    # the A9 point (sin n=1000, x = 8, y0 = 0): after 5 accepted steps the
+    # next trial's predicted decrease is under one ulp of the stage value, and
+    # the solve ends; trying on to T_y took 24 gradients and 51 F evaluations
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=1000,a=2,c=2,m=1")
+    cfg = build_solver_config({}, bench)
+    counts = {"val": 0, "gy": 0}
+    prob = replace(bench.problem, F=counting_field(bench.problem.F, counts))
+    x, y0 = np.full(1, 8.0), np.zeros(1000)
+    _, f_star, _ = solve_regularized_ll(prob, x, cfg.schedule, cfg, z0=y0)
+    solve_penalized_inner(prob, x, f_star, cfg.schedule, cfg, y0)
+    assert counts["gy"] <= 6 and counts["val"] <= 17  # the start value included
 
 
 def test_late_stage_constrained_sin_evaluations_per_gradient():

@@ -5,14 +5,15 @@ refactor of the inner solves or the chain rule that changes any rounding
 shows up here as a new digest.  Three cases follow the benchmark workloads
 (``perfbench/workloads.py``): the sin-opt setup and the default sin-con
 profile, both cut to K = 30 stages, and the one-stage n = 1000 point of
-step-n1000.  The other nine cover paths the benchmark does not run.  The
-expected digests were recorded before the stage object replaced the
-written-out penalized sums in ``solver.py``; the three cases that
-interpolated backtracking changed (constrained-sin-pessimistic,
-dynamic-shift, wall-recovery) were recorded again when it replaced step
-halving, and the three benchmark cases were recorded before the plain
-descent loop moved into ``core``.  A deliberate change re-records a case by
-copying the digest its failure prints.
+step-n1000.  The other nine cover paths the benchmark does not run.  Each
+digest was last recorded when a change moved that case's rounding:
+ul-constraint-quadratic when its cap was lowered from 6 to 3, so that its
+penalty term is active; constrained-sin-pessimistic, dynamic-shift, sin-con,
+step-n1000 and wall-recovery when the guarded inner loop began to stop at the
+rounding floor; sin-opt when the benchmark cases were added, just before the
+plain descent loop moved into ``core``; the others before the stage object
+replaced the written-out penalized sums in ``solver.py``.  A deliberate
+change re-records a case by copying the digest its failure prints.
 """
 
 import hashlib
@@ -38,8 +39,8 @@ from bvfsm.solver import InnerState
 K = 30
 
 
-def _with_ul_constraint(bench):
-    """The sin problem with the UL constraint y_0 <= 6, violated at the start."""
+def _with_ul_constraint(bench, cap):
+    """The sin problem with the UL constraint y_0 <= cap."""
     n = bench.problem.n
 
     def gy(x, y):
@@ -47,7 +48,7 @@ def _with_ul_constraint(bench):
         g[0] = 1.0
         return g
 
-    H = ScalarField(m=1, n=n, fn=lambda x, y: float(y[0]) - 6.0,
+    H = ScalarField(m=1, n=n, fn=lambda x, y: float(y[0]) - cap,
                     grad_x=lambda x, y: np.zeros(1), grad_y=gy, name="cap")
     return replace(bench, problem=replace(bench.problem, ul_constraints=(H,)))
 
@@ -65,10 +66,13 @@ CASES = {
     "step-n1000": (replace(make_sin_problem(1000), y0=np.zeros(1000)), {"K": 1}),
     "pessimistic-sin": (make_pessimistic_sin_problem(2), {}),
     "constrained-sin-pessimistic": (_pessimistic(make_constrained_sin_problem(2, 2.0, 1.0)), {}),
-    "ul-constraint": (_with_ul_constraint(make_sin_problem(2)), {
+    "ul-constraint": (_with_ul_constraint(make_sin_problem(2), 6.0), {
         "aux_H": {"name": "inverse", "modified": True},
         "schedule": {**STATIC, "sigma2_H": {"value": 0.5}}}),
-    "ul-constraint-quadratic": (_with_ul_constraint(make_sin_problem(2)), {"aux_H": "quadratic"}),
+    # the y-solve starts from the z-solve's (3.59, 3.59): y_0 <= 3 is violated
+    # there, so the quadratic penalty is active (under y_0 <= 6 it would add 0)
+    "ul-constraint-quadratic": (_with_ul_constraint(make_sin_problem(2), 3.0),
+                                {"aux_H": "quadratic"}),
     "truncated-log": (make_sin_problem(2), {
         "aux_f": {"name": "truncated-log:0.5", "modified": True}, "schedule": STATIC}),
     "polynomial": (make_sin_problem(2), {"aux_f": "polynomial:3"}),
@@ -84,18 +88,18 @@ CASES = {
 }
 
 GOLDEN = {
-    "sin-con": "f476b80ede88221cb4eff275cdf2ea77def6dca7490ee088f058883a3c9a63b3",
+    "sin-con": "c225fda02f6985eb2bcd4ac590ef0b33886f5c6d12dd9802b601d326f2463fe8",
     "sin-opt": "ba7ae731b37aa347d27956befbe973b1a10e755895a6d72c212d6ebc7c887b8b",
-    "step-n1000": "77ba52ff1d542eac1425bfd2f98800663f4d085e2d2660d66e2f9dc338202cbd",
-    "constrained-sin-pessimistic": "4c72a4b458fef47dcf340914f0c1a3d14dc76f005a6e4c21e44e79470fe935b5",
+    "step-n1000": "289ae87f51be5723bcf520603c9fa039694ac0f93617fceeb3e6de58b2e5951b",
+    "constrained-sin-pessimistic": "97e5b5218457746927891b5f993f53d7efb2e7ec4481433b4f8be9d344a2e47f",
     "constrained-truncated-log": "cfbe428ad204b2139be50dbb24cf2fb226b1324fc25eb388e87b426426f2b84d",
-    "dynamic-shift": "4a2afc14593f4f4268722f705df2b50b090faaab9b7fec13ac67aee84f8d5657",
+    "dynamic-shift": "f768c2887ae43a66549a72be2fb09297d590ffe3114c77d55b3b0303c58660e0",
     "pessimistic-sin": "b8919b05a9732fba60fc06dac51f73ac7dc6721d854d33714d59fac5c9e778c2",
     "polynomial": "f5f9a303aeecb0baebb280ca622d1e5e1a8f4d8ebf83a98875cfbecb45e29622",
     "truncated-log": "14af8ff0fd52b53296b0619e0b5eca10ebd67464421db5b0c4912bbb17e89238",
     "ul-constraint": "b387786918b5784f6cb4f8a05335e377afdd2d045c5f95e14fac3e9a7bd95c3f",
-    "ul-constraint-quadratic": "ba7ae731b37aa347d27956befbe973b1a10e755895a6d72c212d6ebc7c887b8b",
-    "wall-recovery": "00124b98424e7a0dcabab88014710e22a51e5cca7c866b5fd8ce4594ef8bdecb",
+    "ul-constraint-quadratic": "adc734cb6565ac2675de5a906647445d29a3b21579dbaa67904eed46adaf9580",
+    "wall-recovery": "8da4c311572a4be3dbddfa091218e852630074ea5e5cab22e097c03b1adac78f",
 }
 
 
