@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .auxfun import (
     AuxiliaryFunction,
     BarrierWall,
-    DynamicShift,
     InverseBarrier,
     PolynomialPenalty,
     QuadraticPenalty,

@@ -189,28 +189,13 @@ class StaticShift:
 
 
 @dataclass(frozen=True)
-class DynamicShift:
-    """Shift recomputed by the solver each stage as f(x, y) + offset.
-
-    ``offset`` is a problem-supplied lower-bound margin for f (the LL
-    dimension n for the sin benchmarks, 0 for nonnegative losses); it keeps
-    the shifted argument strictly inside the wall at the current iterate.
-    """
-
-    offset: float = 0.0
-
-
-Sigma2Rule = Union[StaticShift, DynamicShift]
-
-
-@dataclass(frozen=True)
 class ScheduleState:
     """The decaying parameter tuple (mu_k, theta_k, sigma_k).
 
     All positive parameters shrink geometrically: one :func:`schedule_step`
     multiplies each by ``decay``.  ``sigma1`` is the one penalty/barrier
-    parameter shared by every term.  ``sigma2`` controls the modified-barrier
-    shift; static shifts decay too (default: sqrt of the global decay, see
+    parameter shared by every term.  ``sigma2`` is the modified-barrier
+    shift sequence; it decays too (default: sqrt of the global decay, see
     StaticShift).
     """
 
@@ -218,7 +203,7 @@ class ScheduleState:
     theta: float = 1.0
     sigma1: float = 1.0
     decay: float = 1.0 / 1.01
-    sigma2: Sigma2Rule = field(default_factory=StaticShift)
+    sigma2: StaticShift = field(default_factory=StaticShift)
     sigma2_H: StaticShift | None = None  # shift sequence for modified barriers on H
     sigma2_h: StaticShift | None = None  # shift sequence for modified barriers on h
 
@@ -239,15 +224,12 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
         factor = sh.decay if sh.decay is not None else math.sqrt(d)
         return StaticShift(sh.value * factor, sh.decay)
 
-    sigma2 = sched.sigma2
-    if isinstance(sigma2, StaticShift):
-        sigma2 = step_shift(sigma2)
     return dataclasses.replace(
         sched,
         mu=sched.mu * d,
         theta=sched.theta * d,
         sigma1=sched.sigma1 * d,
-        sigma2=sigma2,
+        sigma2=step_shift(sched.sigma2),
         sigma2_H=step_shift(sched.sigma2_H),
         sigma2_h=step_shift(sched.sigma2_h),
     )

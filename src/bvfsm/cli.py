@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .auxfun import DynamicShift, ScheduleState, StaticShift, parse_aux
+from .auxfun import ScheduleState, StaticShift, parse_aux
 from .baselines import BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
 from .problems import BenchmarkProblem, list_problems, parse_problem
@@ -112,11 +111,11 @@ def _reject_unknown(section: str, d: dict, known) -> None:
 
 
 SCHEDULE_KEYS = ("mu", "theta", "sigma1", "decay", "sigma2", "sigma2_H", "sigma2_h")
-# the keys of a shift entry in ``schedule``, by rule
-SHIFT_KEYS = {"static": ("rule", "value", "decay_pow"), "dynamic": ("rule", "offset")}
+# the keys of a shift entry in ``schedule``; "static" is the one rule
+SHIFT_KEYS = ("rule", "value", "decay_pow")
 
 
-def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
+def build_schedule(d: dict) -> ScheduleState:
     d = dict(d or {})
     _reject_unknown("schedule", d, SCHEDULE_KEYS)
     decay = float(d.get("decay", 1.0 / 1.01))
@@ -127,12 +126,9 @@ def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
         if not isinstance(cfg_entry, dict):
             return StaticShift(float(cfg_entry), None)
         rule = cfg_entry.get("rule", "static")
-        if rule not in SHIFT_KEYS:
-            raise InvalidParameter(f"{name}: unknown rule {rule!r}; known: {sorted(SHIFT_KEYS)}")
-        _reject_unknown(f"{name} ({rule})", cfg_entry, SHIFT_KEYS[rule])
-        if rule == "dynamic":
-            offset = cfg_entry.get("offset")
-            return DynamicShift(float(offset) if offset is not None else bench.dynamic_offset)
+        if rule != "static":
+            raise InvalidParameter(f"{name}: unknown rule {rule!r}; known: ['static']")
+        _reject_unknown(name, cfg_entry, SHIFT_KEYS)
         value = float(cfg_entry.get("value", 1.0))
         pow_ = cfg_entry.get("decay_pow")
         return StaticShift(value, decay ** float(pow_) if pow_ is not None else None)
@@ -140,9 +136,6 @@ def build_schedule(d: dict, bench: BenchmarkProblem) -> ScheduleState:
     sigma2 = parse_shift("sigma2", d.get("sigma2", {})) or StaticShift()
     sigma2_H = parse_shift("sigma2_H", d.get("sigma2_H"))
     sigma2_h = parse_shift("sigma2_h", d.get("sigma2_h"))
-    for name, rule in (("sigma2_H", sigma2_H), ("sigma2_h", sigma2_h)):
-        if isinstance(rule, DynamicShift):
-            raise InvalidParameter(f"{name}: constraint shifts take only the static rule")
     return ScheduleState(
         mu=float(d.get("mu", 1.0)),
         theta=float(d.get("theta", 1.0)),
@@ -172,7 +165,7 @@ def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     d.update(cfg.get("bvfsm", {}))
     _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
     kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
-    kwargs["schedule"] = build_schedule(d.get("schedule", {}), bench)
+    kwargs["schedule"] = build_schedule(d.get("schedule", {}))
     kwargs["wall_clock_cap_s"] = _wall_clock_cap(cfg)
     return SolverConfig(**kwargs)
 
@@ -426,7 +419,7 @@ def time_step(
                         hypergradient_step(problem, name, x, y0, mcfg)
                     if rep > 0:
                         times.append(time.perf_counter() - t0)
-                median_s, note = statistics.median(times), ""
+                median_s, note = float(np.median(times)), ""
             except Exception as exc:  # per-method failure recorded, timing continues
                 median_s, note = math.nan, f"{type(exc).__name__}: {exc}"
             rows.append(dict(m=int(m), n=int(n), method=str(mspec), median_s=median_s,

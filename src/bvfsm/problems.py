@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .auxfun import AuxiliaryFunction, DynamicShift, ScheduleState, schedule_step
+from .auxfun import AuxiliaryFunction, ScheduleState, schedule_step
 from .core import (
     BilevelProblem,
     InvalidParameter,
@@ -44,7 +44,6 @@ class BenchmarkProblem:
     x_star: np.ndarray | None = None
     y_star: np.ndarray | None = None
     F_star: float | None = None
-    dynamic_offset: float = 0.0  # margin for DynamicShift: shift = f(x,y) + offset
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
     suggested_solver: dict = field(default_factory=dict)
@@ -172,6 +171,8 @@ def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProb
     """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
+    if m < 1:
+        raise InvalidParameter("m must be >= 1")
     c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
     F, f = _sin_fields(n, a, c, pessimistic=False, constrained=False, m=m)
     sol = sin_solution(n, a, c)
@@ -182,7 +183,6 @@ def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProb
         x_star=np.full(m, sol.x_star[0]),
         y_star=sol.y_star,
         F_star=sol.F_star,
-        dynamic_offset=float(n),
         x0=np.full(m, 8.0),
         y0=np.full(n, 8.0),
         suggested_solver=SIN_SOLVER_PROFILE,
@@ -204,7 +204,6 @@ def make_pessimistic_sin_problem(n: int, a: float = 2.0, c=2.0) -> BenchmarkProb
         x_star=sol.x_star,
         y_star=sol.y_star,
         F_star=F_star,
-        dynamic_offset=float(n),
         x0=np.array([8.0]),
         y0=np.full(n, 8.0),
         suggested_solver=SIN_PESS_SOLVER_PROFILE,
@@ -249,7 +248,6 @@ def make_constrained_sin_problem(n: int, a: float = 2.0, c=1.0) -> BenchmarkProb
         x_star=x_star,
         y_star=y_star,
         F_star=float(F_star),
-        dynamic_offset=float(n),
         x0=np.array([0.0]),
         y0=np.full(n, 0.5),
         suggested_solver=SIN_CON_SOLVER_PROFILE,
@@ -306,8 +304,10 @@ def make_hyperclean_problem(
     """
     if not (0.0 <= corruption_rate < 1.0):
         raise InvalidParameter("corruption_rate must lie in [0, 1)")
-    if dim > 20:
-        raise InvalidParameter("dim must stay desk-scale (<= 20)")
+    if not 1 <= dim <= 20:
+        raise InvalidParameter("dim must be >= 1 and stay desk-scale (<= 20)")
+    if not isinstance(explicit_box, bool):
+        raise InvalidParameter(f"explicit_box must be a bool, got {explicit_box!r}")
 
     for attempt in range(10):
         rng = np.random.default_rng(seed + attempt)
@@ -389,7 +389,6 @@ def make_hyperclean_problem(
             "explicit_box": explicit_box,
             "corrupt_mask": mask.tolist(),
         },
-        dynamic_offset=0.0,  # logistic losses are nonnegative
         x0=np.full(m, 0.5) if explicit_box else np.zeros(m),
         y0=np.zeros(n),
         suggested_solver=HYPERCLEAN_SOLVER_PROFILE,
@@ -445,13 +444,11 @@ def brute_force_phi_k(
 
     f*_mu is the grid minimum of f + mu/2 |y|^2; the returned value is the
     grid min (or max, pessimistic) of F +- P(f - f*_mu) +- theta/2 |y|^2.
-    A modified aux_f takes the static sigma2 value as its shift, unpadded; a
-    dynamic rule is rejected.  Unconstrained problems only.
+    A modified aux_f takes the sigma2 value as its shift, unpadded.
+    Unconstrained problems only.
     """
     if problem.constrained:
         raise InvalidParameter("dense penalized oracle supports unconstrained problems only")
-    if aux_f.modified and isinstance(sched.sigma2, DynamicShift):
-        raise InvalidParameter("dense penalized oracle supports static shifts only")
     shift = sched.sigma2.value if aux_f.modified else 0.0
     rho, s1 = aux_f.kind.rho, sched.sigma1
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -516,6 +513,9 @@ def _parse_params(argstr: str) -> dict:
         key, _, val = item.partition("=")
         key = key.strip()
         val = val.strip()
+        if val.lower() in ("true", "false"):
+            out[key] = val.lower() == "true"
+            continue
         try:
             out[key] = int(val)
         except ValueError:

@@ -36,9 +36,7 @@ import numpy as np
 from .auxfun import (
     AuxiliaryFunction,
     BarrierWall,
-    DynamicShift,
     ScheduleState,
-    StaticShift,
     TruncatedLogBarrier,
     schedule_step,
 )
@@ -180,26 +178,18 @@ def _frozen_shifts(raw, n_H: int, f_star: float, sched, cfg) -> tuple:
     """Stage-frozen modified-barrier shifts (shift_f, shifts_H, shifts_h).
 
     ``raw`` holds f, each H and each h at the stage's incoming iterate.  The
-    value-function term takes f + offset under the dynamic rule, else sigma2
-    padded by the incoming violation f - f*: the stage starts a full sigma2
-    inside its wall, so outer x-moves never strand the iterate outside.  A
-    constraint takes sigma2_H or sigma2_h, else the static sigma2, else
-    sigma1, padded by its own violation.  Unmodified terms are not shifted.
+    value-function term takes sigma2 padded by the incoming violation f - f*:
+    the stage starts a full sigma2 inside its wall, so outer x-moves never
+    strand the iterate outside.  A constraint takes sigma2_H or sigma2_h, else
+    sigma2, padded by its own violation.  Unmodified terms are not shifted.
     """
     def constraint_shifts(c0, aux, rule):
         if not aux.modified:
             return np.zeros(len(c0))
-        if rule is None and isinstance(sched.sigma2, StaticShift):
-            rule = sched.sigma2
-        base = rule.value if rule is not None else sched.sigma1
+        base = (rule or sched.sigma2).value
         return np.array([base + max(0.0, c) for c in c0])
 
-    if not cfg.aux_f.modified:
-        shift_f = 0.0
-    elif isinstance(sched.sigma2, DynamicShift):
-        shift_f = raw[0] + sched.sigma2.offset
-    else:
-        shift_f = sched.sigma2.value + max(0.0, raw[0] - f_star)
+    shift_f = sched.sigma2.value + max(0.0, raw[0] - f_star) if cfg.aux_f.modified else 0.0
     return (shift_f, constraint_shifts(raw[1:1 + n_H], cfg.aux_H, sched.sigma2_H),
             constraint_shifts(raw[1 + n_H:], cfg.aux_h, sched.sigma2_h))
 

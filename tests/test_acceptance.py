@@ -13,7 +13,6 @@ import numpy as np
 from bvfsm import (
     AuxiliaryFunction,
     BaselineConfig,
-    DynamicShift,
     InverseBarrier,
     PolynomialPenalty,
     QuadraticPenalty,
@@ -90,13 +89,15 @@ def test_A2_dimension_sweep():
         bench = make_sin_problem(n, 2.0, 2.0)
         x0 = np.array([8.0])
         y0 = np.full(n, 8.0)
-        sched = ScheduleState(sigma2=DynamicShift(float(n)))
-        cfg = SolverConfig(K=2000, schedule=sched,
-                           aux_f=parse_aux("truncated-log", modified=True))
+        sched = ScheduleState(sigma2=StaticShift(50.0, DECAY**0.6))
+        cfg = SolverConfig(K=2000, schedule=sched, aux_f=parse_aux("inverse", modified=True))
         tr = solve(bench.problem, cfg, x0, y0, reference=bench.reference)
         bv = tr.final.rel_err_x
         ok = ok and bv <= 0.30
-        cells = [f"bvfsm={bv:.3f}"]
+        # the LL gap f(x, y) - f* at the last stage, before the polish; f* = -n
+        last_stage = next(r for r in reversed(tr.records) if r.l > 0)
+        cells = [f"bvfsm={bv:.3f} (LL gap {last_stage.f_value + n:.1f}, "
+                 f"rel_F {tr.final.rel_err_F:.2f})"]
         base = BaselineConfig(T=100, I=100, Q=20, ll_step=0.01, alpha=0.01,
                               aggregation=0.5, aggregation_decay=0.95)
         for method in ("rhg", "bda", "cg", "neumann"):

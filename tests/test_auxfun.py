@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bvfsm import (
     AuxiliaryFunction,
     BarrierWall,
-    DynamicShift,
     InvalidParameter,
     InverseBarrier,
     PolynomialPenalty,
@@ -22,7 +21,7 @@ from bvfsm import (
 
 
 def shift(aux, sched):
-    """The wall shift of a modified member under a static rule, applied by hand."""
+    """The wall shift of a modified member, applied by hand."""
     return sched.sigma2.value if aux.modified else 0.0
 
 
@@ -153,18 +152,6 @@ def test_schedule_hundred_steps():
 def test_schedule_rejects_nonpositive():
     with pytest.raises(InvalidParameter):
         ScheduleState(mu=0.0)
-
-
-def test_dynamic_shift_uses_context():
-    # the dynamic rule takes f at the stage's incoming iterate plus the offset,
-    # unpadded; the stage then evaluates P at f - f* - shift
-    from bvfsm.solver import SolverConfig, _frozen_shifts
-
-    aux = AuxiliaryFunction(InverseBarrier(), modified=True)
-    sched = ScheduleState(sigma2=DynamicShift(2.0))
-    shift_f, _, _ = _frozen_shifts([1.0], 0, 0.0, sched, SolverConfig(schedule=sched, aux_f=aux))
-    assert shift_f == 3.0
-    assert aux.kind.rho(1.0 - 0.0 - shift_f, sched.sigma1) == pytest.approx(0.5)
 
 
 def test_static_shift_moves_wall():

@@ -225,12 +225,14 @@ def test_run_experiment_non_finite_start_point_is_config_error(tmp_path, y0, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["sigma2_H", "sigma2_h"])
+@pytest.mark.parametrize("key", ["sigma2", "sigma2_H", "sigma2_h"])
 def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
+    # "static" is the one shift rule, for the value-function term and constraints alike
     cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
                        bvfsm={**FAST_BVFSM, "schedule": {key: {"rule": "dynamic"}}})
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert key in capsys.readouterr().err
+    assert f"config error: bvfsm: {key}: unknown rule 'dynamic'; known: ['static']" \
+        in capsys.readouterr().err
 
 
 def test_run_experiment_timeout_partial_artifacts(tmp_path):
@@ -249,7 +251,7 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     cfg_dict = {
         "problem": "hyperclean:n_train=8,n_val=6,dim=2",
         "methods": ["bvfsm"],
-        "bvfsm": {**FAST_BVFSM, "K": 2, "schedule": {"sigma2": {"rule": "dynamic"}}},
+        "bvfsm": {**FAST_BVFSM, "K": 2},
     }
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg_dict))
@@ -358,7 +360,8 @@ def test_main_time_verb(tmp_path):
     assert len(rows) == 2
 
 
-@pytest.mark.parametrize("spec", ["sin:q=3", "sin:n=abc"])
+@pytest.mark.parametrize("spec", ["sin:q=3", "sin:n=abc", "sin:n=2,m=0", "hyperclean:dim=0",
+                                  "hyperclean:explicit_box=yes"])
 def test_main_validate_bad_problem_parameter_is_config_error(spec, capsys):
     assert main(["validate", "--problem", spec, "--probes", "3"]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

@@ -6,14 +6,12 @@ import pytest
 from bvfsm import (
     AuxiliaryFunction,
     BilevelProblem,
-    DynamicShift,
     EmptyFeasibleSet,
     InvalidParameter,
     Mode,
     QuadraticPenalty,
     ScalarField,
     ScheduleState,
-    TruncatedLogBarrier,
     brute_force_phi,
     brute_force_phi_k,
     list_problems,
@@ -334,20 +332,6 @@ def test_brute_force_phi_k_approaches_phi():
     assert pk == pytest.approx(phi, abs=0.05)
 
 
-def test_brute_force_phi_k_rejects_a_dynamic_shift():
-    # the dynamic shift is decided by the solver at its iterate; the grid
-    # oracle has none, so a modified aux_f under that rule is an error
-    prob, x, grid = make_sin_problem(1, 2.0, 2.0).problem, [1.8], (-20, 20, 201)
-    modified = AuxiliaryFunction(TruncatedLogBarrier(1.0), modified=True)
-    for offset in (1.0, 50.0):
-        with pytest.raises(InvalidParameter, match="static shifts"):
-            brute_force_phi_k(prob, x, ScheduleState(sigma2=DynamicShift(offset)), modified, grid)
-    # an unmodified aux_f takes no shift, so the rule does not matter
-    plain = AuxiliaryFunction(QuadraticPenalty())
-    assert brute_force_phi_k(prob, x, ScheduleState(sigma2=DynamicShift(50.0)), plain, grid) \
-        == brute_force_phi_k(prob, x, ScheduleState(), plain, grid)
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -363,3 +347,14 @@ def test_registry_names_and_parsing():
     assert b.problem.m == 10
     with pytest.raises(InvalidParameter):
         parse_problem("mnist")
+
+
+@pytest.mark.parametrize("spelling, value", [("False", False), ("false", False),
+                                             ("True", True), ("TRUE", True)])
+def test_parse_problem_reads_bool_parameters(spelling, value):
+    b = parse_problem(f"hyperclean:n_train=8,n_val=6,dim=2,explicit_box={spelling}")
+    assert b.params["explicit_box"] is value
+    assert len(b.problem.ul_constraints) == (8 if value else 0)
+    # a string is not a bool, even a non-empty one that reads as one
+    with pytest.raises(InvalidParameter, match="explicit_box"):
+        make_hyperclean_problem(n_train=8, n_val=6, explicit_box=spelling)

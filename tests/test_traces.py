@@ -5,14 +5,14 @@ refactor of the inner solves or the chain rule that changes any rounding
 shows up here as a new digest.  Three cases follow the benchmark workloads
 (``perfbench/workloads.py``): the sin-opt setup and the default sin-con
 profile, both cut to K = 30 stages, and the one-stage n = 1000 point of
-step-n1000.  The other nine cover paths the benchmark does not run.  Each
+step-n1000.  The other eight cover paths the benchmark does not run.  Each
 digest was last recorded when a change moved that case's rounding:
 ul-constraint-quadratic when its cap was lowered from 6 to 3, so that its
-penalty term is active; constrained-sin-pessimistic, dynamic-shift, sin-con,
-step-n1000 and wall-recovery when the guarded inner loop began to stop at the
-rounding floor; sin-opt when the benchmark cases were added, just before the
-plain descent loop moved into ``core``; the others before the stage object
-replaced the written-out penalized sums in ``solver.py``.  A deliberate
+penalty term is active; constrained-sin-pessimistic, sin-con, step-n1000 and
+wall-recovery when the guarded inner loop began to stop at the rounding floor;
+sin-opt when the benchmark cases were added, just before the plain descent
+loop moved into ``core``; the others before the stage object replaced the
+written-out penalized sums in ``solver.py``.  A deliberate
 change re-records a case by copying the digest its failure prints.
 """
 
@@ -76,9 +76,6 @@ CASES = {
     "truncated-log": (make_sin_problem(2), {
         "aux_f": {"name": "truncated-log:0.5", "modified": True}, "schedule": STATIC}),
     "polynomial": (make_sin_problem(2), {"aux_f": "polynomial:3"}),
-    "dynamic-shift": (make_sin_problem(2), {
-        "aux_f": {"name": "truncated-log", "modified": True},
-        "schedule": {"sigma2": {"rule": "dynamic"}}}),
     "constrained-truncated-log": (make_constrained_sin_problem(2, 2.0, 1.0), {
         "aux_h": {"name": "truncated-log:0.5", "modified": True}, "aux_B": "truncated-log"}),
     # alpha = 0.5 strands some stages outside the LL wall: the UL recovery
@@ -93,7 +90,6 @@ GOLDEN = {
     "step-n1000": "289ae87f51be5723bcf520603c9fa039694ac0f93617fceeb3e6de58b2e5951b",
     "constrained-sin-pessimistic": "97e5b5218457746927891b5f993f53d7efb2e7ec4481433b4f8be9d344a2e47f",
     "constrained-truncated-log": "cfbe428ad204b2139be50dbb24cf2fb226b1324fc25eb388e87b426426f2b84d",
-    "dynamic-shift": "f768c2887ae43a66549a72be2fb09297d590ffe3114c77d55b3b0303c58660e0",
     "pessimistic-sin": "b8919b05a9732fba60fc06dac51f73ac7dc6721d854d33714d59fac5c9e778c2",
     "polynomial": "f5f9a303aeecb0baebb280ca622d1e5e1a8f4d8ebf83a98875cfbecb45e29622",
     "truncated-log": "14af8ff0fd52b53296b0619e0b5eca10ebd67464421db5b0c4912bbb17e89238",
