@@ -2,6 +2,7 @@
 
 Runs the value-function solver next to the unrolled/implicit baselines from
 two initial points and writes per-method trace CSVs plus a summary JSON.
+bvfsm runs the benchmark's own solver profile (``SIN_SOLVER_PROFILE``).
 
 Usage: python scripts/run_convergence.py [--out-dir runs/convergence] [--n 2]
 """
@@ -21,11 +22,6 @@ def config(n: int = 2, init: float = 8.0) -> dict:
         "x0": init,
         "y0": init,
         "seed": 0,
-        "bvfsm": {
-            "K": 3000,
-            "aux_f": {"name": "inverse", "modified": True},
-            "schedule": {"sigma2": {"rule": "static", "value": 2.0, "decay_pow": 0.6}},
-        },
         "baseline": {"T": 100, "I": 100, "Q": 20, "ul_steps": 500,
                      "aggregation_decay": 0.95},
     }

@@ -1,5 +1,6 @@
 """Pessimistic (min-max) benchmark: UL-objective error for the value-function
-solver vs unmodified unrolled baselines.
+solver vs unmodified unrolled baselines.  bvfsm runs the benchmark's own
+solver profile (``SIN_PESS_SOLVER_PROFILE``).
 
 Usage: python scripts/run_pessimistic.py [--out-dir runs/pessimistic]
 """
@@ -19,11 +20,6 @@ def config() -> dict:
         "x0": 8.0,
         "y0": 8.0,
         "seed": 0,
-        "bvfsm": {
-            "K": 2000,
-            "aux_f": {"name": "inverse", "modified": True},
-            "schedule": {"sigma2": {"rule": "static", "value": 1.3, "decay_pow": 0.5}},
-        },
         "baseline": {"T": 100, "I": 100, "ul_steps": 400},
     }
 

@@ -162,7 +162,7 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
         kind = PolynomialPenalty(q=int(arg) if arg else 3)
     elif name == "inverse":
         kind = InverseBarrier()
-    elif name in ("truncated-log", "truncated_log", "tlog"):
+    elif name == "truncated-log":
         kind = TruncatedLogBarrier(kappa=float(arg) if arg else 1.0)
     else:
         raise InvalidParameter(f"unknown auxiliary function {spec!r}")

@@ -165,6 +165,7 @@ def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> So
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
+    tol = 1e-20 * rs  # |r| <= 1e-10 |b|: below that a finite-difference product is noise
     flag = ""
     for _ in range(cfg.Q):
         if rs == 0.0:
@@ -178,7 +179,7 @@ def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> So
         v = v + a * p
         r = r - a * Ap
         rs_new = float(r @ r)
-        if rs_new < 1e-32:
+        if rs_new <= tol:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new

@@ -23,6 +23,9 @@ floor, before any trial whose predicted decrease ``step * |g|^2`` is at most
 one ulp of the current value: only rounding could decide it.  The
 unconstrained z-solve has no wall to guard: it takes fixed steps in
 :func:`bvfsm.core.plain_descent`, the loop the baselines' LL descent runs too.
+Each wall rule is one loop: a constrained z-solve that starts outside a wall
+steps along every walled constraint's normal until it is back inside, and a
+stage that still meets a wall retries the previous UL step with halved moves.
 """
 
 from __future__ import annotations
@@ -358,24 +361,17 @@ def solve_regularized_ll(
 
     stage = _Stage.regularized_ll(problem, x, sched, cfg)
     cur, args = stage.value(z)
-    if cur == math.inf:  # a wall; NaN is not one
-        # restoration phase: descend the squared constraint violation until
-        # the point re-enters the barrier domain (outer x-steps routinely
-        # strand a wall-hugging warm start by a small margin)
-        for _ in range(cfg.T_z * 4):
-            viol = [max(h(x, z), 0.0) for h in hs]
-            if not any(v > 0.0 for v in viol):
-                break
-            z = z - cfg.step_z * sum(2.0 * v * h.gy(x, z) for v, h in zip(viol, hs) if v > 0.0)
-        # step slightly past the boundary toward the interior if still walled;
-        # every h is evaluated, as value() stops at the first wall
-        for _ in range(MAX_HALVINGS):
-            cur, args = stage.value(z)
-            if cur != math.inf:
-                break
-            z = z - cfg.step_z * sum(h.gy(x, z) for h in hs if h(x, z) >= 0.0)
-        if cur == math.inf:
-            raise BarrierWall("initial point infeasible for LL constraint barriers")
+    # Restoration: outer x-steps routinely strand a wall-hugging warm start
+    # just outside a wall.  Step along the normal of every walled constraint
+    # at once (value() stops at the first wall, so each h is evaluated) until
+    # the point is back inside; a NaN value is not a wall and leaves too.
+    for _ in range(4 * cfg.T_z + MAX_HALVINGS):
+        if cur != math.inf:
+            break
+        z = z - cfg.step_z * sum(h.gy(x, z) for h in hs if h(x, z) >= 0.0)
+        cur, args = stage.value(z)
+    if cur == math.inf:
+        raise BarrierWall("initial point infeasible for LL constraint barriers")
     if not math.isfinite(cur):
         raise NonFiniteEvaluation("regularized LL value non-finite")
     z, cur, args = _descend(stage, z, cur, args, cfg.T_z, cfg.step_z,
@@ -502,11 +498,11 @@ def solve(
 ) -> SolveTrace:
     """Run K stages of L projected UL steps with schedule-aware inner solves.
 
-    Warm starts persist z and y across (k, l) steps and across stages.  An
-    infeasible constrained stage triggers UL step halving, mirroring the
-    inner wall handling.  Returns the full trace; raises SolveTimeout past
-    cfg.wall_clock_cap_s and SolveError on unrecoverable inner failures, both
-    carrying the partial trace.
+    Warm starts persist z and y across (k, l) steps and across stages.  A
+    stage that meets a barrier wall retries the previous UL step with its
+    move halved, up to ``MAX_HALVINGS`` times.  Returns the full trace; raises
+    SolveTimeout past cfg.wall_clock_cap_s and SolveError on any other inner
+    failure, both carrying the partial trace.
     """
     t0 = time.perf_counter()
     x = project(problem.ul_set, np.atleast_1d(np.asarray(x0, dtype=float)))
@@ -533,27 +529,19 @@ def solve(
                 raise SolveTimeout(
                     f"wall clock cap {cfg.wall_clock_cap_s}s exceeded at k={k}", trace
                 )
-            try:
-                inner = solve_inner(problem, x, sched, cfg, z0=z_warm, y0=y_warm)
-                grad = ul_gradient_for(problem, x, inner, sched, cfg)
-            except BarrierWall as exc:
-                # UL-level recovery: retry the previous step with halved moves.
-                if len(trace.records) < 2:  # no UL step taken yet
-                    raise SolveError(str(exc), k, l, trace) from exc
-                x_prev, step = trace.records[-2].x, 0.5
-                for _ in range(MAX_HALVINGS):
-                    x_try = x_prev + step * (x - x_prev)
-                    try:
-                        inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
-                        grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
-                        break
-                    except BarrierWall:
-                        step *= 0.5
-                else:
-                    raise SolveError(str(exc), k, l, trace) from exc
-                x = x_try
-            except NonFiniteEvaluation as exc:
-                raise SolveError(str(exc), k, l, trace) from exc
+            # Attempt 0 is the step to x; attempt i retries the previous UL
+            # step with its move halved i times, while a stage meets a wall.
+            x_prev = trace.records[-2].x if len(trace.records) > 1 else None
+            for i in range(MAX_HALVINGS + 1):
+                x_try = x if i == 0 else x_prev + 0.5 ** i * (x - x_prev)
+                try:
+                    inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
+                    grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
+                    break
+                except (BarrierWall, NonFiniteEvaluation) as exc:
+                    if not isinstance(exc, BarrierWall) or x_prev is None or i == MAX_HALVINGS:
+                        raise SolveError(str(exc), k, l, trace) from exc
+            x = x_try
             if not all_finite(grad):
                 raise SolveError("UL gradient non-finite", k, l, trace)
             x = project(problem.ul_set, x - cfg.alpha * grad)

@@ -264,5 +264,6 @@ def test_parse_aux_names():
     tl = parse_aux("truncated-log:0.5")
     assert isinstance(tl.kind, TruncatedLogBarrier) and tl.kind.kappa == 0.5
     assert parse_aux({"name": "inverse", "modified": True}).modified
-    with pytest.raises(InvalidParameter):
-        parse_aux("log-cabin")
+    for name in ("log-cabin", "truncated_log:0.5", "tlog"):
+        with pytest.raises(InvalidParameter):
+            parse_aux(name)

@@ -332,7 +332,7 @@ def test_plain_descent_is_bitwise_the_written_out_loop(prob, x, y0):
 # ---------------------------------------------------------------------------
 
 
-ESTIMATOR_DIGEST = "742a881691b6ce03100ed91ec29811c67b3d8a6c9590e32c24205fcf293afdfb"
+ESTIMATOR_DIGEST = "7b126181ed5162f133698673a18f22801bafdd77ce0dcee93f30e50dcc69e100"
 
 
 def test_estimator_outputs_are_unchanged():

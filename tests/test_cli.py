@@ -295,6 +295,16 @@ def test_dimension_sweep_sanity_row_fast():
     assert all(not r["note"] for r in rows)
 
 
+def test_dimension_sweep_constrained_from_default_start(recwarn):
+    # The sweep's default start, x0 = 8 and y0 = 0, is far outside every
+    # band of sin-constrained; the constrained z-solve must step back inside.
+    rows = run_dimension_sweep("sin-constrained", [2], ["bvfsm"],
+                               {"c": 1, "bvfsm": {"K": 50}})
+    assert len(rows) == 1 and rows[0]["note"] == ""
+    assert np.isfinite(rows[0]["rel_err_x"])
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_time_step_stub_medians_stable(monkeypatch):
     # constant-time stub: medians across reruns must agree within 20%
     def stub(problem, method, x, y, cfg):

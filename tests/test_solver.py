@@ -80,11 +80,11 @@ def test_z_solve_regularized_closed_form():
 
 
 def test_z_solve_restoration_steps_past_every_walled_constraint():
-    # Both bands y_i <= 1 start 5 past their walls.  The squared-violation
-    # descent (4 * T_z steps) leaves each 2.048 past, so the boundary step
-    # needs 21 moves of 0.1 along both normals at once: within MAX_HALVINGS.
-    # Stepping along only the constraints value() reached before its first
-    # wall would clear them one after the other, in 42 moves, and give up.
+    # Both bands y_i <= 1 start 2 past their walls.  Stepping along both
+    # normals at once clears them in 21 moves of 0.1, within the budget of
+    # 4 * T_z + MAX_HALVINGS = 34 moves.  Stepping along only the constraints
+    # value() reached before its first wall would clear them one after the
+    # other, in 42 moves, and give up.
     def band(i):
         return field(1, 2, lambda x, y: float(y[i]) - 1.0, lambda x, y: np.zeros(1),
                      lambda x, y: np.eye(2)[i])
@@ -92,7 +92,7 @@ def test_z_solve_restoration_steps_past_every_walled_constraint():
     f = field(1, 2, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1), lambda x, y: y)
     prob = BilevelProblem(m=1, n=2, F=f, f=f, ll_constraints=(band(0), band(1)))
     cfg = SolverConfig(T_z=1, step_z=0.1, aux_B=AuxiliaryFunction(InverseBarrier()))
-    z, f_star, args = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 6.0))
+    z, f_star, args = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 3.0))
     assert math.isfinite(f_star)
     assert len(args) == 2 and all(w < 0.0 for w in args)
     assert np.array_equal(args, [h(np.zeros(1), z) for h in prob.ll_constraints])
@@ -690,6 +690,47 @@ def test_solve_recovers_from_ul_step_into_barrier_wall(monkeypatch):
     assert len(tr.records) == cfg.K + 2  # every stage completed, plus the polish
     final = tr.final
     assert np.all(np.isfinite(final.x)) and math.isfinite(final.F_value)
+
+
+def test_solve_wraps_non_finite_evaluation_during_ul_retry(monkeypatch):
+    # The second stage meets a wall, and its first retry meets a non-finite
+    # value: the solve stops with SolveError and the partial trace, just as a
+    # non-finite value at the first attempt does.
+    import bvfsm.solver as solver_mod
+    from bvfsm import BarrierWall, SolveError
+
+    real_solve_inner = solver_mod.solve_inner
+    outcomes = [None, BarrierWall("stage started outside a wall"),
+                NonFiniteEvaluation("retry value non-finite")]
+
+    def stub(*args, **kwargs):
+        exc = outcomes.pop(0)
+        if exc is not None:
+            raise exc
+        return real_solve_inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "solve_inner", stub)
+    cfg = SolverConfig(K=5, T_z=3, T_y=3, aux_f=QP)
+    with pytest.raises(SolveError, match="retry value non-finite") as exc:
+        solve(_toy_problem(), cfg, [0.5], [0.0])
+    assert (exc.value.k, exc.value.l) == (1, 0)
+    assert [(r.k, r.l) for r in exc.value.trace.records] == [(0, 0), (0, 1)]
+    assert not outcomes
+
+
+def test_constrained_sin_from_far_start_restores_without_warnings(recwarn):
+    # From x0 = 8, y0 = 0 every band x + y_i in [0, 1] is far outside its
+    # wall.  The z-solve steps back inside along the walled normals, and the
+    # solve meets A3's bar with no overflow on the way.
+    from bvfsm import make_constrained_sin_problem
+    from bvfsm.cli import build_solver_config
+
+    bench = make_constrained_sin_problem(2, 2.0, 1.0)
+    cfg = build_solver_config({}, bench)
+    assert cfg.K == 2000
+    tr = solve(bench.problem, cfg, [8.0], np.zeros(2), reference=bench.reference)
+    assert abs(tr.final.x[0] + 2.0 / 3.0) < 0.1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
