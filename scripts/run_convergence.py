@@ -9,6 +9,7 @@ Usage: python scripts/run_convergence.py [--out-dir runs/convergence] [--n 2]
 
 import argparse
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -36,8 +37,10 @@ def main():
         out = Path(args.out_dir) / f"init_{init:g}"
         with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
             json.dump(config(args.n, init), fh)
-            cfg_path = fh.name
-        code = run_experiment(cfg_path, out_dir=out)
+        try:
+            code = run_experiment(fh.name, out_dir=out)
+        finally:
+            os.remove(fh.name)
         print(f"init {init}: exit {code}; artifacts in {out}")
 
 

@@ -23,7 +23,7 @@ def config() -> dict:
             "aux_f": {"name": "inverse", "modified": True},
             # the A2 profile: the sin family's suggested shift 2.0 is tuned for
             # n = 2 and ends at x = 7.60 (rel_x 1.82) at n = 50
-            "schedule": {"sigma2": {"rule": "static", "value": 50.0, "decay_pow": 0.6}},
+            "schedule": {"sigma2": {"value": 50.0, "decay_pow": 0.6}},
         },
         "baseline": {"T": 100, "I": 100, "Q": 20, "ul_steps": 300,
                      "aggregation_decay": 0.95},

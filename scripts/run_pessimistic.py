@@ -7,6 +7,7 @@ Usage: python scripts/run_pessimistic.py [--out-dir runs/pessimistic]
 
 import argparse
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -30,8 +31,10 @@ def main():
     args = ap.parse_args()
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump(config(), fh)
-        path = fh.name
-    code = run_experiment(path, out_dir=Path(args.out_dir))
+    try:
+        code = run_experiment(fh.name, out_dir=Path(args.out_dir))
+    finally:
+        os.remove(fh.name)
     print(f"exit {code}; artifacts in {args.out_dir}")
 
 

@@ -121,7 +121,7 @@ class AuxiliaryFunction:
 
     ``modified=True`` shifts the wall: P(w) = kind.rho(w - shift, sigma).
     Only barrier kinds may be modified.  The solver freezes the shift once per
-    stage from the schedule's sigma2 rule (see ``solver._frozen_shifts``).
+    stage from the schedule's sigma2 sequence (see ``solver._frozen_shifts``).
     """
 
     kind: Kind = field(default_factory=lambda: TruncatedLogBarrier(1.0))
@@ -178,14 +178,19 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
 class StaticShift:
     """A modified-barrier shift that is a plain decaying sequence.
 
-    ``decay=None`` means sqrt of the schedule-wide decay: the shift then
-    shrinks strictly slower than sigma1, which keeps rho(-shift_k; sigma1_k)
-    -> 0 for every barrier in the catalog (the modified-barrier schedule
-    hypothesis) and bounds the wall stiffness sigma1/shift^2.
+    Each :func:`schedule_step` multiplies ``value`` by ``decay ** decay_pow``,
+    with ``decay`` the schedule-wide one.  ``decay_pow`` in (0, 1) makes the
+    shift shrink strictly slower than sigma1, which keeps rho(-shift_k;
+    sigma1_k) -> 0 for every barrier in the catalog (the modified-barrier
+    schedule hypothesis) and bounds the wall stiffness sigma1/shift^2.
     """
 
     value: float = 1.0
-    decay: float | None = None
+    decay_pow: float = field(default=0.5, kw_only=True)
+
+    def __post_init__(self):
+        if not (0.0 < self.value < math.inf and 0.0 < self.decay_pow < 1.0):
+            raise InvalidParameter(f"{self}: value must be positive and finite, decay_pow in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ class ScheduleState:
     All positive parameters shrink geometrically: one :func:`schedule_step`
     multiplies each by ``decay``.  ``sigma1`` is the one penalty/barrier
     parameter shared by every term.  ``sigma2`` is the modified-barrier
-    shift sequence; it decays too (default: sqrt of the global decay, see
+    shift sequence; it decays too, at ``decay ** decay_pow`` (see
     StaticShift).
     """
 
@@ -219,10 +224,8 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
     d = sched.decay
 
     def step_shift(sh: StaticShift | None) -> StaticShift | None:
-        if sh is None:
-            return None
-        factor = sh.decay if sh.decay is not None else math.sqrt(d)
-        return StaticShift(sh.value * factor, sh.decay)
+        return None if sh is None else StaticShift(sh.value * d**sh.decay_pow,
+                                                   decay_pow=sh.decay_pow)
 
     return dataclasses.replace(
         sched,

@@ -8,6 +8,7 @@ timing columns are excluded from that contract.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .solver import (
     TraceRecord,
     solve,
     solve_inner,
+    start_point,
     ul_gradient_for,
 )
 
@@ -97,10 +99,11 @@ def _resolve_seed(cfg: dict, override: int | None) -> int:
 
 
 def load_problem(cfg: dict, seed: int) -> BenchmarkProblem:
-    spec = cfg["problem"]
-    if isinstance(spec, str) and spec.startswith("hyperclean") and "seed=" not in spec:
-        sep = ":" if ":" not in spec else ","
-        spec = f"{spec}{sep}seed={seed}"
+    """The config's problem; hyperclean draws its data from ``seed`` unless the spec names one."""
+    spec = str(cfg["problem"])
+    family, _, argstr = spec.partition(":")  # parse_problem's reading of the family
+    if family.strip().lower() == "hyperclean" and "seed=" not in argstr:
+        spec = f"{spec}{',' if ':' in spec else ':'}seed={seed}"
     return parse_problem(spec)
 
 
@@ -110,41 +113,24 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
 
 
-SCHEDULE_KEYS = ("mu", "theta", "sigma1", "decay", "sigma2", "sigma2_H", "sigma2_h")
-# the keys of a shift entry in ``schedule``; "static" is the one rule
-SHIFT_KEYS = ("rule", "value", "decay_pow")
+def _entries(section: str, d, cls) -> dict:
+    """The non-null entries of config object ``d``, whose keys must be fields of ``cls``."""
+    if not isinstance(d, dict):
+        raise InvalidParameter(f"{section} must be an object, got {d!r}")
+    _reject_unknown(section, d, [f.name for f in dataclasses.fields(cls)])
+    return {key: v for key, v in d.items() if v is not None}
 
 
 def build_schedule(d: dict) -> ScheduleState:
-    d = dict(d or {})
-    _reject_unknown("schedule", d, SCHEDULE_KEYS)
-    decay = float(d.get("decay", 1.0 / 1.01))
-
-    def parse_shift(name, cfg_entry):
-        if cfg_entry is None:
-            return None
-        if not isinstance(cfg_entry, dict):
-            return StaticShift(float(cfg_entry), None)
-        rule = cfg_entry.get("rule", "static")
-        if rule != "static":
-            raise InvalidParameter(f"{name}: unknown rule {rule!r}; known: ['static']")
-        _reject_unknown(name, cfg_entry, SHIFT_KEYS)
-        value = float(cfg_entry.get("value", 1.0))
-        pow_ = cfg_entry.get("decay_pow")
-        return StaticShift(value, decay ** float(pow_) if pow_ is not None else None)
-
-    sigma2 = parse_shift("sigma2", d.get("sigma2", {})) or StaticShift()
-    sigma2_H = parse_shift("sigma2_H", d.get("sigma2_H"))
-    sigma2_h = parse_shift("sigma2_h", d.get("sigma2_h"))
-    return ScheduleState(
-        mu=float(d.get("mu", 1.0)),
-        theta=float(d.get("theta", 1.0)),
-        sigma1=float(d.get("sigma1", 1.0)),
-        decay=decay,
-        sigma2=sigma2,
-        sigma2_H=sigma2_H,
-        sigma2_h=sigma2_h,
-    )
+    """A ScheduleState; a missing or null key takes its default, a sigma2* entry is a StaticShift."""
+    kwargs = _entries("schedule", d or {}, ScheduleState)
+    for key, v in kwargs.items():
+        if key.startswith("sigma2"):
+            shift = _entries(f"schedule.{key}", v, StaticShift)
+            kwargs[key] = StaticShift(**{k: float(x) for k, x in shift.items()})
+        else:
+            kwargs[key] = float(v)
+    return ScheduleState(**kwargs)
 
 
 # the settable SolverConfig fields of a "bvfsm" section, besides "schedule"
@@ -236,8 +222,7 @@ def run_baseline_loop(
     problem = bench.problem
     reference = bench.reference
     t0 = time.perf_counter()
-    x = project(problem.ul_set, x0.copy())
-    y = y0.copy()
+    x, y = start_point(problem, x0, y0)
     trace = SolveTrace()
     F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
     trace.append(TraceRecord(0, 0, x.copy(), F_val, f_val, float("nan"), rel_x, rel_F,

@@ -186,10 +186,10 @@ def _frozen_shifts(raw, n_H: int, f_star: float, sched, cfg) -> tuple:
     strand the iterate outside.  A constraint takes sigma2_H or sigma2_h, else
     sigma2, padded by its own violation.  Unmodified terms are not shifted.
     """
-    def constraint_shifts(c0, aux, rule):
+    def constraint_shifts(c0, aux, shift):
         if not aux.modified:
             return np.zeros(len(c0))
-        base = (rule or sched.sigma2).value
+        base = (shift or sched.sigma2).value
         return np.array([base + max(0.0, c) for c in c0])
 
     shift_f = sched.sigma2.value + max(0.0, raw[0] - f_star) if cfg.aux_f.modified else 0.0
@@ -489,6 +489,17 @@ def _errors(problem, x, y, reference: Reference | None) -> tuple[float, float, f
     return F_val, f_val, rel_x, rel_F
 
 
+def start_point(problem: BilevelProblem, x0, y0=None) -> tuple[np.ndarray, np.ndarray]:
+    """x0 projected onto the UL set, and y0 (zeros for None), each of its problem dimension."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x.shape != (problem.m,):
+        raise InvalidParameter(f"x0 must have dimension {problem.m}")
+    y = np.zeros(problem.n) if y0 is None else as_vector(y0)
+    if y.shape[0] != problem.n:
+        raise InvalidParameter(f"y0 must have dimension {problem.n}")
+    return project(problem.ul_set, x), y
+
+
 def solve(
     problem: BilevelProblem,
     cfg: SolverConfig,
@@ -505,10 +516,7 @@ def solve(
     failure, both carrying the partial trace.
     """
     t0 = time.perf_counter()
-    x = project(problem.ul_set, np.atleast_1d(np.asarray(x0, dtype=float)))
-    y_init = np.zeros(problem.n) if y0 is None else as_vector(y0)
-    if y_init.shape[0] != problem.n:
-        raise InvalidParameter(f"y0 must have dimension {problem.n}")
+    x, y_init = start_point(problem, x0, y0)
     sched = cfg.schedule
     trace = SolveTrace()
 

@@ -42,8 +42,6 @@ from bvfsm.core import BilevelProblem, ScalarField, quadratic_field
 
 from oracles import fd_of_phi, penalized_value
 
-DECAY = 1.0 / 1.01
-
 
 def report(name, ok, detail):
     print(f"[{name}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -51,7 +49,7 @@ def report(name, ok, detail):
 
 
 def sin_profile_config(K=3000):
-    sched = ScheduleState(sigma2=StaticShift(2.0, DECAY**0.6))
+    sched = ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6))
     return SolverConfig(K=K, schedule=sched, aux_f=parse_aux("inverse", modified=True))
 
 
@@ -89,7 +87,7 @@ def test_A2_dimension_sweep():
         bench = make_sin_problem(n, 2.0, 2.0)
         x0 = np.array([8.0])
         y0 = np.full(n, 8.0)
-        sched = ScheduleState(sigma2=StaticShift(50.0, DECAY**0.6))
+        sched = ScheduleState(sigma2=StaticShift(50.0, decay_pow=0.6))
         cfg = SolverConfig(K=2000, schedule=sched, aux_f=parse_aux("inverse", modified=True))
         tr = solve(bench.problem, cfg, x0, y0, reference=bench.reference)
         bv = tr.final.rel_err_x
@@ -118,8 +116,8 @@ def test_A2_dimension_sweep():
 
 def test_A3_constrained_convergence():
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    sched = ScheduleState(sigma2=StaticShift(2.0, DECAY**0.6),
-                          sigma2_h=StaticShift(0.02, DECAY**0.5))
+    sched = ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6),
+                          sigma2_h=StaticShift(0.02, decay_pow=0.5))
     cfg = SolverConfig(K=2000, schedule=sched,
                        aux_f=parse_aux("quadratic"),
                        aux_h=parse_aux("inverse", modified=True),
@@ -140,7 +138,7 @@ def test_A3_constrained_convergence():
 
 def test_A4_pessimistic_convergence():
     bench = make_pessimistic_sin_problem(2, 2.0, 2.0)
-    sched = ScheduleState(sigma2=StaticShift(1.3, DECAY**0.5))
+    sched = ScheduleState(sigma2=StaticShift(1.3, decay_pow=0.5))
     cfg = SolverConfig(K=2000, schedule=sched, aux_f=parse_aux("inverse", modified=True))
     tr = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
     bv = tr.final.rel_err_F
@@ -247,7 +245,7 @@ def test_A6_auxiliary_function_laws():
         AuxiliaryFunction(TruncatedLogBarrier(1.0), modified=True),
     ]
     checks = []
-    sched0 = ScheduleState(decay=0.97, sigma2=StaticShift(1.0, 0.97**0.5))
+    sched0 = ScheduleState(decay=0.97, sigma2=StaticShift(1.0, decay_pow=0.5))
     scheds = [sched0]
     for _ in range(200):
         scheds.append(schedule_step(scheds[-1]))

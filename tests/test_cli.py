@@ -21,7 +21,7 @@ FAST_BVFSM = {
     "K": 40,
     "T_z": 10,
     "T_y": 10,
-    "schedule": {"sigma2": {"rule": "static", "value": 2.0, "decay_pow": 0.6}},
+    "schedule": {"sigma2": {"value": 2.0, "decay_pow": 0.6}},
     "aux_f": {"name": "inverse", "modified": True},
 }
 
@@ -185,18 +185,86 @@ def test_shipped_config_passes_the_key_check():
 SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
-def test_script_config_passes_the_key_checks(path):
-    # each experiment script hands config() to a verb; a sweep script names its
-    # methods in METHODS and runs the sin family
+def _load_script(path):
     import importlib.util
-
-    from bvfsm.cli import _resolve_method, _vector, _wall_clock_cap, load_problem
-    from bvfsm.problems import parse_problem
 
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def _shift_profiles():
+    """The schedule section of every shipped solver profile and of the A2 script."""
+    from bvfsm import problems
+
+    root = Path(__file__).parents[1]
+    sweep = _load_script(root / "scripts" / "run_dimension_sweep.py")
+    shipped = json.loads((root / "configs" / "convergence.json").read_text())
+    return {
+        "sin": problems.SIN_SOLVER_PROFILE.get("schedule", {}),
+        "sin-pessimistic": problems.SIN_PESS_SOLVER_PROFILE.get("schedule", {}),
+        "sin-constrained": problems.SIN_CON_SOLVER_PROFILE.get("schedule", {}),
+        "hyperclean": problems.HYPERCLEAN_SOLVER_PROFILE.get("schedule", {}),
+        "convergence.json": shipped["bvfsm"]["schedule"],
+        "A2": sweep.config()["bvfsm"]["schedule"],
+    }
+
+
+def test_baseline_loop_rejects_start_point_of_wrong_dimension():
+    from bvfsm import BaselineConfig, InvalidParameter
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=2,a=2,c=2")
+    with pytest.raises(InvalidParameter, match="x0 must have dimension 1"):
+        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3), 2,
+                              np.array([8.0, 3.0]), np.zeros(2))
+
+
+def test_hyperclean_family_name_is_case_blind_for_the_seed():
+    from bvfsm.cli import load_problem
+
+    spec = "hyperclean:n_train=8,n_val=6,dim=2"
+    bench = load_problem({"problem": spec.replace("hyperclean", "HyperClean")}, 5)
+    assert bench.params["seed"] == 5
+    assert bench.params == load_problem({"problem": spec}, 5).params
+    assert bench.params != load_problem({"problem": spec}, 0).params
+
+
+SHIFT_PROFILES = _shift_profiles()
+
+
+@pytest.mark.parametrize("section", SHIFT_PROFILES.values(), ids=list(SHIFT_PROFILES))
+def test_shift_steps_keep_their_bits(section):
+    # each stage multiplies a shift by decay ** decay_pow, bit for bit the factor
+    # computed once up front; an entry without decay_pow steps by sqrt(decay)
+    from bvfsm.auxfun import schedule_step
+    from bvfsm.cli import build_schedule
+
+    sched = build_schedule(section)
+    d = sched.decay
+    keys = [k for k in ("sigma2", "sigma2_H", "sigma2_h") if getattr(sched, k) is not None]
+    expected = {}
+    for key in keys:
+        entry = section.get(key) or {}
+        pow_ = entry.get("decay_pow")
+        expected[key] = [float(entry.get("value", 1.0)),
+                         d ** float(pow_) if pow_ is not None else math.sqrt(d)]
+    for _ in range(3000):
+        sched = schedule_step(sched)
+        for e in expected.values():
+            e[0] *= e[1]
+    assert {k: getattr(sched, k).value for k in keys} == {k: e[0] for k, e in expected.items()}
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_script_config_passes_the_key_checks(path):
+    # each experiment script hands config() to a verb; a sweep script names its
+    # methods in METHODS and runs the sin family
+    from bvfsm.cli import _resolve_method, _vector, _wall_clock_cap, load_problem
+    from bvfsm.problems import parse_problem
+
+    script = _load_script(path)
     cfg = script.config()
     bench = load_problem(cfg, 0) if "problem" in cfg else parse_problem("sin:n=2,a=2,c=2")
     methods = cfg["methods"] if "methods" in cfg else script.METHODS
@@ -227,12 +295,31 @@ def test_run_experiment_non_finite_start_point_is_config_error(tmp_path, y0, cap
 
 @pytest.mark.parametrize("key", ["sigma2", "sigma2_H", "sigma2_h"])
 def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
-    # "static" is the one shift rule, for the value-function term and constraints alike
+    # a shift is a static decaying sequence, for the value-function term and
+    # constraints alike: a shift entry has no "rule" key
     cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
                        bvfsm={**FAST_BVFSM, "schedule": {key: {"rule": "dynamic"}}})
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert f"config error: bvfsm: {key}: unknown rule 'dynamic'; known: ['static']" \
-        in capsys.readouterr().err
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert (f"config error: bvfsm: unknown schedule.{key} keys ['rule']; "
+            "known: ['decay_pow', 'value']") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["run_convergence", "run_pessimistic"])
+def test_script_removes_its_temp_config(name, tmp_path, monkeypatch):
+    script = _load_script(Path(__file__).parents[1] / "scripts" / f"{name}.py")
+    seen = []
+
+    def fake_run_experiment(path, out_dir=None):
+        assert Path(path).exists()
+        seen.append(path)
+        return EXIT_OK
+
+    monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
+    monkeypatch.setattr("sys.argv", [name, "--out-dir", str(tmp_path)])
+    script.main()
+    assert seen and not any(Path(p).exists() for p in seen)
 
 
 def test_run_experiment_timeout_partial_artifacts(tmp_path):
@@ -401,6 +488,35 @@ def test_shift_entry_typo_is_config_error(tmp_path, entry, capsys):
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"rule": "static"}, "unknown schedule.sigma2 keys ['rule']"),
+    (2.0, "schedule.sigma2 must be an object, got 2.0"),
+    ({"value": -5, "decay_pow": -1}, "StaticShift(value=-5.0, decay_pow=-1.0): value must"),
+    ({"value": 0}, "StaticShift(value=0.0, decay_pow=0.5): value must"),
+    ({"value": math.inf}, "StaticShift(value=inf, decay_pow=0.5): value must"),
+    ({"decay_pow": 0}, "StaticShift(value=1.0, decay_pow=0.0): value must"),
+    ({"decay_pow": 1}, "StaticShift(value=1.0, decay_pow=1.0): value must"),
+], ids=["rule-key", "bare-number", "negative", "zero-value", "inf-value", "pow-0", "pow-1"])
+def test_shift_entry_outside_its_form_is_config_error(tmp_path, entry, message, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm"],
+                       bvfsm={**FAST_BVFSM, "schedule": {"sigma2": entry}})
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", [None, {}, {"value": None, "decay_pow": None}],
+                         ids=["null", "empty", "null-keys"])
+def test_shift_entry_null_takes_the_default(entry):
+    from bvfsm import StaticShift
+    from bvfsm.cli import build_schedule
+
+    sched = build_schedule({"sigma2": entry, "sigma2_h": entry})
+    assert sched.sigma2 == StaticShift()
+    assert sched.sigma2_h == (None if entry is None else StaticShift())
 
 
 @pytest.mark.parametrize("aux", [{"name": "inverse", "modifed": True},

@@ -357,7 +357,7 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     # A1 profile 2000 stages in: the inverse barrier is stiff enough that
     # restarting every search at step_y costs ~15 F evaluations per gradient
     bench = make_sin_problem(2, 2.0, 2.0)
-    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, (1 / 1.01) ** 0.6)),
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6)),
                        aux_f=parse_aux("inverse", modified=True))
     sched = cfg.schedule
     for _ in range(2000):
@@ -398,9 +398,8 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    decay = 1 / 1.01
-    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay**0.6),
-                                              sigma2_h=StaticShift(0.02, decay**0.5)),
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6),
+                                              sigma2_h=StaticShift(0.02, decay_pow=0.5)),
                        aux_f=parse_aux("quadratic"),
                        aux_h=parse_aux("inverse", modified=True),
                        aux_B=parse_aux("inverse"))
@@ -742,6 +741,21 @@ def test_solve_rejects_non_finite_start_point(bad, recwarn):
     with pytest.raises(NonFiniteEvaluation, match="non-finite entries"):
         solve(bench.problem, cfg, bench.x0, [bad, 0.5])
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("x0, y0, message", [
+    ([8.0, 3.0], [0.0, 0.0], "x0 must have dimension 1"),
+    ([[8.0]], [0.0, 0.0], "x0 must have dimension 1"),
+    ([8.0], [0.0], "y0 must have dimension 2"),
+], ids=["x0-long", "x0-2d", "y0-short"])
+def test_solve_rejects_start_point_of_wrong_dimension(x0, y0, message):
+    # sin n=2 has m=1: a 2-entry x0 is a config error, not two UL variables
+    from bvfsm import InvalidParameter
+
+    bench = make_sin_problem(2, 2.0, 2.0)
+    with pytest.raises(InvalidParameter, match=message):
+        solve(bench.problem, SolverConfig(K=2, T_z=3, T_y=3), x0, y0,
+              reference=bench.reference)
 
 
 def test_solve_timeout_carries_partial_trace():

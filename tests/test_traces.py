@@ -57,7 +57,7 @@ def _pessimistic(bench):
     return replace(bench, problem=replace(bench.problem, mode=Mode.PESSIMISTIC))
 
 
-STATIC = {"sigma2": {"rule": "static", "value": 2.0, "decay_pow": 0.6}}
+STATIC = {"sigma2": {"value": 2.0, "decay_pow": 0.6}}
 
 CASES = {
     # the benchmark workloads sin-opt, sin-con and step-n1000
