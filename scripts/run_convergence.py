@@ -8,9 +8,6 @@ Usage: python scripts/run_convergence.py [--out-dir runs/convergence] [--n 2]
 """
 
 import argparse
-import json
-import os
-import tempfile
 from pathlib import Path
 
 from bvfsm.cli import run_experiment
@@ -35,12 +32,7 @@ def main():
     args = ap.parse_args()
     for init in (8.0, 0.0):
         out = Path(args.out_dir) / f"init_{init:g}"
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(config(args.n, init), fh)
-        try:
-            code = run_experiment(fh.name, out_dir=out)
-        finally:
-            os.remove(fh.name)
+        code = run_experiment(config(args.n, init), out_dir=out)
         print(f"init {init}: exit {code}; artifacts in {out}")
 
 

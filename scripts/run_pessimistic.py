@@ -6,9 +6,6 @@ Usage: python scripts/run_pessimistic.py [--out-dir runs/pessimistic]
 """
 
 import argparse
-import json
-import os
-import tempfile
 from pathlib import Path
 
 from bvfsm.cli import run_experiment
@@ -29,12 +26,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--out-dir", default="runs/pessimistic")
     args = ap.parse_args()
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(config(), fh)
-    try:
-        code = run_experiment(fh.name, out_dir=Path(args.out_dir))
-    finally:
-        os.remove(fh.name)
+    code = run_experiment(config(), out_dir=Path(args.out_dir))
     print(f"exit {code}; artifacts in {args.out_dir}")
 
 

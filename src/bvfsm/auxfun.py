@@ -140,9 +140,9 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
     """Build an AuxiliaryFunction from a config name.
 
     Accepted names: ``quadratic``, ``polynomial:q``, ``inverse``,
-    ``truncated-log:kappa``.  A dict form ``{"name": ..., "modified": bool}``
-    is accepted as well; any other key, or a ``modified`` that is not a bool,
-    raises InvalidParameter.
+    ``truncated-log:kappa``; ``quadratic`` and ``inverse`` take no argument.
+    A dict form ``{"name": ..., "modified": bool}`` is accepted as well; any
+    other key, or a ``modified`` that is not a bool, raises InvalidParameter.
     """
     if isinstance(spec, AuxiliaryFunction):
         return spec
@@ -156,6 +156,8 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
         return parse_aux(spec["name"], modified=mod)
     name, _, arg = str(spec).partition(":")
     name = name.strip().lower()
+    if arg and name in ("quadratic", "inverse"):
+        raise InvalidParameter(f"{name} takes no argument, got {spec!r}")
     if name == "quadratic":
         kind: Kind = QuadraticPenalty()
     elif name == "polynomial":

@@ -80,13 +80,16 @@ def _config_error(exc: Exception) -> int:
 
 
 def _load_config(path) -> dict:
-    """The JSON config at ``path``, or {} for None; a bad file is a config error."""
+    """The JSON object at ``path``, or {} for None; a bad file is a config error."""
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise InvalidParameter(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InvalidParameter(f"{path}: a config must be a JSON object")
+    return cfg
 
 
 def _resolve_seed(cfg: dict, override: int | None) -> int:
@@ -96,15 +99,6 @@ def _resolve_seed(cfg: dict, override: int | None) -> int:
         return int(cfg["seed"])
     env = os.environ.get("BVFSM_SEED")
     return int(env) if env else 0
-
-
-def load_problem(cfg: dict, seed: int) -> BenchmarkProblem:
-    """The config's problem; hyperclean draws its data from ``seed`` unless the spec names one."""
-    spec = str(cfg["problem"])
-    family, _, argstr = spec.partition(":")  # parse_problem's reading of the family
-    if family.strip().lower() == "hyperclean" and "seed=" not in argstr:
-        spec = f"{spec}{',' if ':' in spec else ':'}seed={seed}"
-    return parse_problem(spec)
 
 
 def _reject_unknown(section: str, d: dict, known) -> None:
@@ -144,11 +138,15 @@ SOLVER_KEYS = {
 def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     """Merge user settings over the benchmark's suggested solver profile.
 
-    A key missing from both takes the SolverConfig default; an unknown key in
+    The ``schedule`` merges key by key; every other key, a shift or an
+    auxiliary-function entry included, replaces the profile's value whole.  A
+    key missing from both takes the SolverConfig default; an unknown key in
     the ``bvfsm`` section or its ``schedule`` raises InvalidParameter.
     """
-    d = dict(bench.suggested_solver)
-    d.update(cfg.get("bvfsm", {}))
+    profile, user = bench.suggested_solver, cfg.get("bvfsm", {})
+    d = {**profile, **user}
+    if isinstance(user.get("schedule"), dict):
+        d["schedule"] = {**profile.get("schedule", {}), **user["schedule"]}
     _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
     kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
     kwargs["schedule"] = build_schedule(d.get("schedule", {}))
@@ -165,23 +163,6 @@ def _wall_clock_cap(cfg: dict) -> float | None:
         raise InvalidParameter(f"wall_clock_cap_s: {exc}") from exc
 
 
-def _vector(dim: int, value) -> np.ndarray:
-    """A finite start point of ``dim`` entries: None gives zeros, a scalar is broadcast."""
-    if value is None:
-        return np.zeros(dim)
-    try:
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"start point {value!r}: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise InvalidParameter(f"start point {value!r} has non-finite entries")
-    if arr.size == 1:
-        return np.full(dim, float(arr[0]))
-    if arr.shape != (dim,):
-        raise InvalidParameter(f"start point needs {dim} entries, got shape {arr.shape}")
-    return arr
-
-
 def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
     """Turn one method spec of a config into a configured method.
 
@@ -190,9 +171,12 @@ def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
     ``baseline`` sections: an unknown method or a malformed section raises
     InvalidParameter naming the section.
     """
-    section = "bvfsm" if str(mspec).partition(":")[0].lower() == "bvfsm" else "baseline"
+    name, _, arg = str(mspec).strip().lower().partition(":")
+    section = "bvfsm" if name == "bvfsm" else "baseline"
     try:
         if section == "bvfsm":
+            if arg:
+                raise InvalidParameter(f"bvfsm takes no argument, got {mspec!r}")
             return "bvfsm", build_solver_config(cfg, bench), None
         fields = dict(cfg.get("baseline", {}))
         ul_steps = int(fields.pop("ul_steps", 500))
@@ -263,24 +247,32 @@ def _run_method(bench: BenchmarkProblem, method, x0: np.ndarray, y0: np.ndarray,
     return run_baseline_loop(bench, name, mcfg, ul_steps, x0, y0, cap)
 
 
-def run_experiment(config_path, out_dir=None, seed=None, wall_clock_cap_s=None) -> int:
+def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None) -> int:
     """Execute one experiment config; write trace CSVs and a summary JSON.
 
-    The whole config, every method section included, is checked before the
-    first method runs, so a config error (exit 2) writes no artifacts.
+    ``config`` is left unchanged.  The whole config, every method section
+    included, is checked before the first method runs, so a config error
+    (exit 2) writes no artifacts.  ``summary.json`` reports the seed the
+    problem's data was drawn from: a seed the problem spec names wins over
+    the ``BVFSM_SEED`` fallback, and one that differs from ``seed`` or the
+    config's ``seed`` is a config error.
     """
     try:
-        cfg = _load_config(config_path)
+        cfg = dict(config)
         if wall_clock_cap_s is not None:
             cfg["wall_clock_cap_s"] = wall_clock_cap_s
+        explicit_seed = seed is not None or "seed" in cfg
         seed = _resolve_seed(cfg, seed)
         methods = list(cfg.get("methods", []))
         if not methods:
             raise InvalidParameter("config must list at least one method")
-        bench = load_problem(cfg, seed)
+        bench = parse_problem(cfg["problem"], seed)
+        drawn = bench.params.get("seed", seed)
+        if explicit_seed and drawn != seed:
+            raise InvalidParameter(f"seed {seed} conflicts with the problem spec's seed={drawn}")
+        seed = drawn
         resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
-        x0 = _vector(bench.problem.m, cfg.get("x0", bench.x0))
-        y0 = _vector(bench.problem.n, cfg.get("y0", bench.y0))
+        x0, y0 = start_point(bench.problem, cfg.get("x0", bench.x0), cfg.get("y0", bench.y0))
         cap = _wall_clock_cap(cfg)
         out = Path(out_dir or cfg.get("out_dir", "."))
     except (KeyError, TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
@@ -339,8 +331,7 @@ def _sweep_cell(family: str, n: int, mspec: str, cfg: dict, cap: float | None) -
     started = time.perf_counter()
     bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
     method = _resolve_method(bench, mspec, cfg)
-    x0 = _vector(bench.problem.m, cfg.get("x0", 8.0))
-    y0 = _vector(bench.problem.n, cfg.get("y0", 0.0))
+    x0, y0 = start_point(bench.problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
     try:
         trace, _ = _run_method(bench, method, x0, y0, cap)
         rel_x, rel_F, note = trace.final.rel_err_x, trace.final.rel_err_F, ""
@@ -389,8 +380,7 @@ def time_step(
     for m, n in sizes:
         bench = parse_problem(f"sin:n={int(n)},a=2,c=2,m={int(m)}")
         problem = bench.problem
-        x = _vector(problem.m, cfg.get("x0", 8.0))
-        y0 = _vector(problem.n, cfg.get("y0", 0.0))
+        x, y0 = start_point(problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
         for mspec in methods:
             name, mcfg, _ = _resolve_method(bench, mspec, cfg)
             times = []
@@ -474,7 +464,8 @@ def main(argv=None) -> int:
     # the one mapping from errors to exit codes for every verb
     try:
         if args.verb == "run":
-            return run_experiment(args.config, args.out_dir, args.seed, args.wall_clock_cap_s)
+            return run_experiment(_load_config(args.config), args.out_dir, args.seed,
+                                  args.wall_clock_cap_s)
         if args.verb == "sweep":
             run_dimension_sweep(args.family, args.n, args.methods, _load_config(args.config),
                                 out_path=args.out)

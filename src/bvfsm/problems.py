@@ -19,6 +19,7 @@ import numpy as np
 from .auxfun import AuxiliaryFunction, ScheduleState, schedule_step
 from .core import (
     BilevelProblem,
+    FeasibleSet,
     InvalidParameter,
     Mode,
     ScalarField,
@@ -299,8 +300,8 @@ def make_hyperclean_problem(
     Two Gaussian blobs, labels in {-1, +1}; ``corruption_rate`` of the training
     labels are flipped (mask recorded in params).  LL learns a linear
     classifier under weights sigmoid(x_i); UL is the clean validation loss.
-    With ``explicit_box`` the weights are x_i directly, constrained to [0, 1]
-    through (x_i - 0.5)^2 - 0.25 <= 0 UL constraints instead of the sigmoid.
+    With ``explicit_box`` the weights are x_i directly, kept in [0, 1] by the
+    projection onto the UL box instead of the sigmoid.
     """
     if not (0.0 <= corruption_rate < 1.0):
         raise InvalidParameter("corruption_rate must lie in [0, 1)")
@@ -359,24 +360,8 @@ def make_hyperclean_problem(
         name="validation-loss",
     )
 
-    uls: tuple[ScalarField, ...] = ()
-    if explicit_box:
-        def make_box(i):
-            def fn(x, y):
-                return (x[i] - 0.5) ** 2 - 0.25
-
-            def gx(x, y):
-                g = np.zeros(m)
-                g[i] = 2.0 * (x[i] - 0.5)
-                return g
-
-            return ScalarField(m=m, n=n, fn=fn, grad_x=gx,
-                               grad_y=lambda x, y: np.zeros(n), name=f"weight-box[{i}]")
-
-        uls = tuple(make_box(i) for i in range(m))
-
-    prob = BilevelProblem(m=m, n=n, F=F, f=f, ul_constraints=uls,
-                          name="hyperclean")
+    ul_set = FeasibleSet.box(np.zeros(m), np.ones(m)) if explicit_box else FeasibleSet()
+    prob = BilevelProblem(m=m, n=n, F=F, f=f, ul_set=ul_set, name="hyperclean")
     return BenchmarkProblem(
         problem=prob,
         name="hyperclean",
@@ -534,11 +519,12 @@ PROBLEM_FAMILIES = {
 }
 
 
-def parse_problem(spec: str) -> BenchmarkProblem:
+def parse_problem(spec: str, seed: int | None = None) -> BenchmarkProblem:
     """Registry lookup: "sin:n=2,a=2", "sin-constrained:n=2,a=2,c=1", "hyperclean:seed=0".
 
-    An unknown family, an unknown parameter or a value the constructor
-    rejects raises InvalidParameter naming the spec.
+    hyperclean, the one family that draws data, draws it from ``seed`` unless
+    the spec names its own.  An unknown family, an unknown parameter or a
+    value the constructor rejects raises InvalidParameter naming the spec.
     """
     name, _, argstr = str(spec).strip().partition(":")
     name = name.strip().lower()
@@ -546,8 +532,11 @@ def parse_problem(spec: str) -> BenchmarkProblem:
         raise InvalidParameter(
             f"unknown problem {name!r}; known: {sorted(PROBLEM_FAMILIES)}"
         )
+    params = _parse_params(argstr)
+    if name == "hyperclean" and seed is not None:
+        params.setdefault("seed", int(seed))
     try:
-        return PROBLEM_FAMILIES[name](**_parse_params(argstr))
+        return PROBLEM_FAMILIES[name](**params)
     except (TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
         raise InvalidParameter(f"problem {spec!r}: {exc}") from exc
 

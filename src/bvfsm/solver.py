@@ -49,7 +49,6 @@ from .core import (
     Mode,
     NonFiniteEvaluation,
     all_finite,
-    as_vector,
     plain_descent,
     project,
 )
@@ -489,15 +488,35 @@ def _errors(problem, x, y, reference: Reference | None) -> tuple[float, float, f
     return F_val, f_val, rel_x, rel_F
 
 
+def _start_vector(name: str, value, dim: int) -> np.ndarray:
+    """One start point of ``dim`` entries: None gives zeros, a bare number fills every entry."""
+    if value is None:
+        return np.zeros(dim)
+    try:
+        v = np.asarray(value)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidParameter(f"{name} {value!r} is not a vector: {exc}") from exc
+    if v.dtype.kind not in "iuf":
+        raise InvalidParameter(f"{name} must be numeric, got {value!r}")
+    v = v.astype(float, copy=False)
+    if v.ndim == 0:
+        v = np.full(dim, float(v))
+    if v.shape != (dim,):
+        raise InvalidParameter(f"{name} must have dimension {dim}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise InvalidParameter(f"{name} has non-finite entries: {v}")
+    return v
+
+
 def start_point(problem: BilevelProblem, x0, y0=None) -> tuple[np.ndarray, np.ndarray]:
-    """x0 projected onto the UL set, and y0 (zeros for None), each of its problem dimension."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x.shape != (problem.m,):
-        raise InvalidParameter(f"x0 must have dimension {problem.m}")
-    y = np.zeros(problem.n) if y0 is None else as_vector(y0)
-    if y.shape[0] != problem.n:
-        raise InvalidParameter(f"y0 must have dimension {problem.n}")
-    return project(problem.ul_set, x), y
+    """The one reader of start points: x0 projected onto the UL set, and y0.
+
+    None gives zeros and a bare number fills every entry; anything else must be
+    a finite 1-D vector of the problem's dimension.  Every other value raises
+    InvalidParameter naming ``x0`` or ``y0``.
+    """
+    x = _start_vector("x0", x0, problem.m)
+    return project(problem.ul_set, x), _start_vector("y0", y0, problem.n)
 
 
 def solve(

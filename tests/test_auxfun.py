@@ -293,3 +293,10 @@ def test_parse_aux_names():
     for name in ("log-cabin", "truncated_log:0.5", "tlog"):
         with pytest.raises(InvalidParameter):
             parse_aux(name)
+
+
+@pytest.mark.parametrize("spec", ["quadratic:5", "inverse:7", {"name": "Inverse:2"}],
+                         ids=["quadratic", "inverse", "dict"])
+def test_parse_aux_rejects_an_argument_it_would_drop(spec):
+    with pytest.raises(InvalidParameter, match="takes no argument"):
+        parse_aux(spec)

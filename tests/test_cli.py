@@ -26,7 +26,7 @@ FAST_BVFSM = {
 }
 
 
-def write_config(tmp_path, **overrides):
+def make_config(**overrides) -> dict:
     cfg = {
         "problem": "sin:n=2,a=2,c=2",
         "methods": ["bvfsm", "rhg"],
@@ -37,8 +37,12 @@ def write_config(tmp_path, **overrides):
         "baseline": {"T": 10, "I": 10, "Q": 5, "ul_steps": 15},
     }
     cfg.update(overrides)
+    return cfg
+
+
+def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(make_config(**overrides)))
     return path
 
 
@@ -50,9 +54,10 @@ def read_csv(path):
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
-    cfg = write_config(tmp_path)
+    cfg = make_config()
     out = tmp_path / "out"
     assert run_experiment(cfg, out_dir=out) == EXIT_OK
+    assert cfg == make_config()  # the caller's config is left as it was
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 0
     assert set(summary["results"]) == {"bvfsm", "rhg"}
@@ -61,16 +66,17 @@ def test_run_experiment_writes_artifacts(tmp_path):
                       "rel_err_x", "rel_err_F"]
     assert len(rows) == 42  # initial record + K steps + feasibility polish
     # summary round-trips: the echoed config re-validates end to end
-    from bvfsm.cli import build_solver_config, load_problem
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
 
     echoed = summary["config"]
-    bench = load_problem(echoed, summary["seed"])
+    bench = parse_problem(echoed["problem"], summary["seed"])
     build_solver_config(echoed, bench)
     assert echoed["methods"] == ["bvfsm", "rhg"]
 
 
 def test_run_experiment_deterministic_outside_timing(tmp_path):
-    cfg = write_config(tmp_path)
+    cfg = make_config()
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_experiment(cfg, out_dir=out1) == EXIT_OK
     assert run_experiment(cfg, out_dir=out2) == EXIT_OK
@@ -85,19 +91,19 @@ def test_run_experiment_deterministic_outside_timing(tmp_path):
 
 
 def test_run_experiment_empty_methods_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, methods=[])
+    cfg = make_config(methods=[])
     out = tmp_path / "nothing"
     assert run_experiment(cfg, out_dir=out) == EXIT_CONFIG
     assert not out.exists()
 
 
 def test_run_experiment_unknown_problem_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, problem="mnist:n=2")
+    cfg = make_config(problem="mnist:n=2")
     assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
 
 
 def test_run_experiment_unknown_method_is_config_error(tmp_path):
-    cfg = write_config(tmp_path, methods=["bvfsm", "sgd"])
+    cfg = make_config(methods=["bvfsm", "sgd"])
     assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
 
 
@@ -115,7 +121,7 @@ def test_run_experiment_non_numeric_solver_setting_is_config_error(tmp_path, cap
 
 VERB_ARGS = {
     "run": ["--out-dir", "{out}"],
-    "sweep": ["--n", "1", "--methods", "bvfsm", "--out", "{out}"],
+    "sweep": ["--n", "2", "--methods", "bvfsm", "--out", "{out}"],
     "time": ["--sizes", "1:2", "--methods", "bvfsm", "--repeats", "3", "--out", "{out}"],
 }
 
@@ -175,11 +181,44 @@ def test_suggested_solver_profiles_pass_the_key_check(spec):
     build_solver_config({}, parse_problem(spec))
 
 
+@pytest.mark.parametrize("spec", ["sin:n=2", "sin-constrained:n=2", "sin-pessimistic:n=2",
+                                  "hyperclean:n_train=8,n_val=6,dim=2"])
+def test_default_schedule_values_keep_the_profile(spec):
+    # the schedule merges key by key over the profile: restating a default
+    # keeps the profile's shifts
+    from bvfsm import ScheduleState
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem(spec)
+    defaults = {k: getattr(ScheduleState(), k) for k in ("mu", "theta", "sigma1", "decay")}
+    for key, value in defaults.items():
+        cfg = {"bvfsm": {"schedule": {key: value}}}
+        assert build_solver_config(cfg, bench) == build_solver_config({}, bench), key
+    cfg = {"bvfsm": {"schedule": defaults}}
+    assert build_solver_config(cfg, bench) == build_solver_config({}, bench)
+
+
+def test_solver_entries_other_than_the_schedule_replace_the_profile():
+    # merging sin's {"name": "inverse", "modified": true} with {"name": "quadratic"}
+    # would make an invalid modified quadratic; the entry replaces it whole
+    from bvfsm import parse_aux
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
+
+    cfg = {"bvfsm": {"aux_f": {"name": "quadratic"},
+                     "schedule": {"sigma2": {"value": 5.0}}}}
+    scfg = build_solver_config(cfg, parse_problem("sin:n=2"))
+    assert scfg.aux_f == parse_aux("quadratic")
+    assert (scfg.schedule.sigma2.value, scfg.schedule.sigma2.decay_pow) == (5.0, 0.5)
+
+
 def test_shipped_config_passes_the_key_check():
-    from bvfsm.cli import build_solver_config, load_problem
+    from bvfsm.cli import build_solver_config
+    from bvfsm.problems import parse_problem
 
     cfg = json.loads((Path(__file__).parents[1] / "configs" / "convergence.json").read_text())
-    build_solver_config(cfg, load_problem(cfg, 0))
+    build_solver_config(cfg, parse_problem(cfg["problem"], 0))
 
 
 SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
@@ -222,13 +261,13 @@ def test_baseline_loop_rejects_start_point_of_wrong_dimension():
 
 
 def test_hyperclean_family_name_is_case_blind_for_the_seed():
-    from bvfsm.cli import load_problem
+    from bvfsm.problems import parse_problem
 
     spec = "hyperclean:n_train=8,n_val=6,dim=2"
-    bench = load_problem({"problem": spec.replace("hyperclean", "HyperClean")}, 5)
+    bench = parse_problem(spec.replace("hyperclean", "HyperClean"), 5)
     assert bench.params["seed"] == 5
-    assert bench.params == load_problem({"problem": spec}, 5).params
-    assert bench.params != load_problem({"problem": spec}, 0).params
+    assert bench.params == parse_problem(spec, 5).params
+    assert bench.params != parse_problem(spec, 0).params
 
 
 SHIFT_PROFILES = _shift_profiles()
@@ -261,24 +300,24 @@ def test_shift_steps_keep_their_bits(section):
 def test_script_config_passes_the_key_checks(path):
     # each experiment script hands config() to a verb; a sweep script names its
     # methods in METHODS and runs the sin family
-    from bvfsm.cli import _resolve_method, _vector, _wall_clock_cap, load_problem
+    from bvfsm.cli import _resolve_method, _wall_clock_cap
     from bvfsm.problems import parse_problem
+    from bvfsm.solver import start_point
 
     script = _load_script(path)
     cfg = script.config()
-    bench = load_problem(cfg, 0) if "problem" in cfg else parse_problem("sin:n=2,a=2,c=2")
+    bench = parse_problem(cfg.get("problem", "sin:n=2,a=2,c=2"), 0)
     methods = cfg["methods"] if "methods" in cfg else script.METHODS
     assert methods
     for mspec in methods:
         _resolve_method(bench, mspec, cfg)
-    _vector(bench.problem.m, cfg.get("x0"))
-    _vector(bench.problem.n, cfg.get("y0"))
+    start_point(bench.problem, cfg.get("x0"), cfg.get("y0"))
     _wall_clock_cap(cfg)
 
 
 @pytest.mark.parametrize("x0", ["abc", [1.0, 2.0]])
 def test_run_experiment_malformed_start_point_is_config_error(tmp_path, x0):
-    cfg = write_config(tmp_path, x0=x0)
+    cfg = make_config(x0=x0)
     assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
 
 
@@ -290,6 +329,70 @@ def test_run_experiment_non_finite_start_point_is_config_error(tmp_path, y0, cap
     out = tmp_path / "x"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BAD_START_POINTS = {
+    "nan-entry": ("x0", [math.nan], "x0 has non-finite entries: [nan]"),
+    "wrong-length": ("x0", [8.0, 3.0], "x0 must have dimension 1, got shape (2,)"),
+    "one-entry-for-two": ("y0", [0.5], "y0 must have dimension 2, got shape (1,)"),
+    "2-d": ("x0", [[8.0]], "x0 must have dimension 1, got shape (1, 1)"),
+    "non-numeric": ("x0", "abc", "x0 must be numeric, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("key, value, message", BAD_START_POINTS.values(),
+                         ids=list(BAD_START_POINTS))
+def test_bad_start_point_is_rejected_alike_everywhere(tmp_path, key, value, message, capsys):
+    # one reader, solver.start_point, so the library and every verb agree
+    from bvfsm import BaselineConfig, InvalidParameter, SolverConfig, solve
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=2,a=2,c=2")
+    start = {"x0": [8.0], "y0": [8.0, 8.0], key: value}
+    with pytest.raises(InvalidParameter) as exc:
+        solve(bench.problem, SolverConfig(K=1), start["x0"], start["y0"])
+    assert str(exc.value) == message
+    with pytest.raises(InvalidParameter) as exc:
+        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3), 1,
+                              start["x0"], start["y0"])
+    assert str(exc.value) == message
+    cfg = write_config(tmp_path, methods=["bvfsm"], **{key: value})
+    out = tmp_path / "out"
+    for verb in ("run", "sweep", "time"):
+        argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+        assert main(argv) == EXIT_CONFIG, verb
+        assert capsys.readouterr().err == f"config error: {message}\n", verb
+        assert not out.exists()
+
+
+def test_start_point_forms():
+    from bvfsm.problems import parse_problem
+    from bvfsm.solver import start_point
+
+    problem = parse_problem("sin:n=3").problem
+    x, y = start_point(problem, None, 2)
+    assert x.tolist() == [0.0] and y.tolist() == [2.0, 2.0, 2.0]
+    x, y = start_point(problem, np.int64(4), [1, 2, 3])
+    assert x.tolist() == [4.0] and y.dtype == float and y.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_bvfsm_argument_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, methods=["bvfsm:3"])
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "config error: bvfsm: bvfsm takes no argument, got 'bvfsm:3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_config_that_is_not_an_object_is_config_error(tmp_path, verb, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text("[1, 2]")
+    out = tmp_path / "out"
+    argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+    assert main(argv) == EXIT_CONFIG
+    assert "a config must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -307,25 +410,23 @@ def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, 
 
 
 @pytest.mark.parametrize("name", ["run_convergence", "run_pessimistic"])
-def test_script_removes_its_temp_config(name, tmp_path, monkeypatch):
+def test_script_hands_its_config_to_run_experiment(name, tmp_path, monkeypatch):
     script = _load_script(Path(__file__).parents[1] / "scripts" / f"{name}.py")
     seen = []
 
-    def fake_run_experiment(path, out_dir=None):
-        assert Path(path).exists()
-        seen.append(path)
+    def fake_run_experiment(config, out_dir=None):
+        seen.append(config)
         return EXIT_OK
 
     monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
     monkeypatch.setattr("sys.argv", [name, "--out-dir", str(tmp_path)])
     script.main()
-    assert seen and not any(Path(p).exists() for p in seen)
+    assert seen and all(cfg["problem"] == script.config()["problem"] for cfg in seen)
 
 
 def test_run_experiment_timeout_partial_artifacts(tmp_path):
-    cfg = write_config(tmp_path, methods=["bvfsm"],
-                       bvfsm={**FAST_BVFSM, "K": 100000},
-                       wall_clock_cap_s=0.05)
+    cfg = make_config(methods=["bvfsm"], bvfsm={**FAST_BVFSM, "K": 100000},
+                      wall_clock_cap_s=0.05)
     out = tmp_path / "partial"
     assert run_experiment(cfg, out_dir=out) == EXIT_RUNTIME
     summary = json.loads((out / "summary.json").read_text())
@@ -334,19 +435,43 @@ def test_run_experiment_timeout_partial_artifacts(tmp_path):
     assert 1 <= len(rows) < 100001
 
 
+HYPERCLEAN_RUN = {
+    "problem": "hyperclean:n_train=8,n_val=6,dim=2",
+    "methods": ["bvfsm"],
+    "bvfsm": {**FAST_BVFSM, "K": 2},
+}
+
+
 def test_seed_env_fallback(tmp_path, monkeypatch):
-    cfg_dict = {
-        "problem": "hyperclean:n_train=8,n_val=6,dim=2",
-        "methods": ["bvfsm"],
-        "bvfsm": {**FAST_BVFSM, "K": 2},
-    }
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg_dict))
     monkeypatch.setenv("BVFSM_SEED", "17")
     out = tmp_path / "env"
-    assert run_experiment(path, out_dir=out) == EXIT_OK
+    assert run_experiment(HYPERCLEAN_RUN, out_dir=out) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["seed"] == 17
+    assert summary["seed"] == 17 == summary["problem_params"]["seed"]
+
+
+@pytest.mark.parametrize("argv, cfg_seed", [(["--seed", "5"], None), ([], 5)],
+                         ids=["option", "config"])
+def test_seed_that_conflicts_with_the_spec_is_config_error(tmp_path, argv, cfg_seed, capsys):
+    cfg = {**HYPERCLEAN_RUN, "problem": "hyperclean:seed=3,n_train=8,n_val=6,dim=2"}
+    if cfg_seed is not None:
+        cfg["seed"] = cfg_seed
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)] + argv) == EXIT_CONFIG
+    assert "seed 5 conflicts with the problem spec's seed=3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [None, 3], ids=["fallback", "same"])
+def test_summary_reports_the_seed_the_data_was_drawn_from(tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("BVFSM_SEED", "17")
+    cfg = {**HYPERCLEAN_RUN, "problem": "hyperclean:seed=3,n_train=8,n_val=6,dim=2"}
+    out = tmp_path / "x"
+    assert run_experiment(cfg, out_dir=out, seed=seed) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed"] == 3 == summary["problem_params"]["seed"]
 
 
 def test_dimension_sweep_row_per_cell(tmp_path):

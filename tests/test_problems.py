@@ -237,17 +237,29 @@ def test_hyperclean_zero_corruption_has_empty_mask():
 
 
 def test_hyperclean_box_variant_exposes_constraints():
+    # the weight box [0, 1] is the UL set, enforced by projection
     bench = make_hyperclean_problem(seed=3, n_train=10, n_val=8, dim=2,
                                     explicit_box=True)
     prob = bench.problem
-    assert len(prob.ul_constraints) == 10
+    assert prob.ul_constraints == ()
+    assert prob.ul_set.lower.tolist() == [0.0] * 10 and prob.ul_set.upper.tolist() == [1.0] * 10
     x = np.full(10, 0.5)
     y = np.zeros(3)
-    for H in prob.ul_constraints:
-        assert H(x, y) == pytest.approx(-0.25)
     # weights enter f linearly (no sigmoid): grad_x equals per-sample losses
     gx = prob.f.gx(x, y)
     assert np.all(gx > 0)
+
+
+def test_hyperclean_box_variant_ends_inside_the_box():
+    # a UL constraint on x alone cannot bound x: the y-stage cannot act on it
+    # and the modified barrier's shift pads by the violation; the projection can
+    from bvfsm import solve
+    from bvfsm.cli import build_solver_config
+
+    bench = parse_problem("hyperclean:n_train=20,n_val=20,explicit_box=true")
+    cfg = build_solver_config({"bvfsm": {"K": 100}}, bench)
+    x = solve(bench.problem, cfg, bench.x0, bench.y0).final.x
+    assert 0.0 <= x.min() and x.max() <= 1.0
 
 
 def test_hyperclean_rejects_bad_rate():
@@ -354,7 +366,7 @@ def test_registry_names_and_parsing():
 def test_parse_problem_reads_bool_parameters(spelling, value):
     b = parse_problem(f"hyperclean:n_train=8,n_val=6,dim=2,explicit_box={spelling}")
     assert b.params["explicit_box"] is value
-    assert len(b.problem.ul_constraints) == (8 if value else 0)
+    assert b.problem.ul_set.dim == (8 if value else None)
     # a string is not a bool, even a non-empty one that reads as one
     with pytest.raises(InvalidParameter, match="explicit_box"):
         make_hyperclean_problem(n_train=8, n_val=6, explicit_box=spelling)

@@ -734,11 +734,11 @@ def test_constrained_sin_from_far_start_restores_without_warnings(recwarn):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_rejects_non_finite_start_point(bad, recwarn):
-    from bvfsm import NonFiniteEvaluation, make_constrained_sin_problem
+    from bvfsm import InvalidParameter, make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
     cfg = SolverConfig(K=2, aux_f=QP)
-    with pytest.raises(NonFiniteEvaluation, match="non-finite entries"):
+    with pytest.raises(InvalidParameter, match="y0 has non-finite entries"):
         solve(bench.problem, cfg, bench.x0, [bad, 0.5])
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
