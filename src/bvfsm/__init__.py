@@ -41,9 +41,6 @@ from .core import (
 )
 from .problems import (
     BenchmarkProblem,
-    EmptyFeasibleSet,
-    brute_force_phi,
-    brute_force_phi_k,
     list_problems,
     make_constrained_sin_problem,
     make_hyperclean_problem,
@@ -51,7 +48,6 @@ from .problems import (
     make_sin_problem,
     parse_problem,
     sin_solution,
-    value_function_gap,
 )
 from .solver import (
     InnerState,

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -127,6 +128,18 @@ def build_schedule(d: dict) -> ScheduleState:
     return ScheduleState(**kwargs)
 
 
+def _integers(d: dict) -> dict:
+    """``d`` with its counts as ints; a bool, a fraction or a non-number raises, naming the key."""
+    out = dict(d)
+    for key in [k for k in ("K", "L", "T_z", "T_y", "T", "Q", "I", "ul_steps") if k in out]:
+        v = out[key]
+        if isinstance(v, bool) or not isinstance(v, (numbers.Integral, float)) \
+                or not float(v).is_integer():
+            raise InvalidParameter(f"{key} must be an integer, got {v!r}")
+        out[key] = int(v)
+    return out
+
+
 # the settable SolverConfig fields of a "bvfsm" section, besides "schedule"
 SOLVER_KEYS = {
     "K": int, "L": int, "T_z": int, "T_y": int,
@@ -148,6 +161,7 @@ def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     if isinstance(user.get("schedule"), dict):
         d["schedule"] = {**profile.get("schedule", {}), **user["schedule"]}
     _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
+    d = _integers(d)
     kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
     kwargs["schedule"] = build_schedule(d.get("schedule", {}))
     kwargs["wall_clock_cap_s"] = _wall_clock_cap(cfg)
@@ -178,8 +192,8 @@ def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
             if arg:
                 raise InvalidParameter(f"bvfsm takes no argument, got {mspec!r}")
             return "bvfsm", build_solver_config(cfg, bench), None
-        fields = dict(cfg.get("baseline", {}))
-        ul_steps = int(fields.pop("ul_steps", 500))
+        fields = _integers(cfg.get("baseline", {}))
+        ul_steps = fields.pop("ul_steps", 500)
         name, bcfg = parse_method(mspec, BaselineConfig(**fields))
         return name, bcfg, ul_steps
     except (KeyError, TypeError, ValueError) as exc:

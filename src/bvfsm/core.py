@@ -282,23 +282,3 @@ def validate_gradients(
         max_rel_err_y=worst_y,
         passed=(worst_x <= tol and worst_y <= tol),
     )
-
-
-def quadratic_field(m: int, n: int, A: np.ndarray, name: str = "") -> ScalarField:
-    """f(x, y) = 0.5 * ||y - A x||^2 with analytic gradients; test utility."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (n, m):
-        raise DimensionMismatch(f"A must be ({n},{m}), got {A.shape}")
-
-    def fn(x, y):
-        r = y - A @ x
-        return 0.5 * float(r @ r)
-
-    return ScalarField(
-        m=m,
-        n=n,
-        fn=fn,
-        grad_x=lambda x, y: -A.T @ (y - A @ x),
-        grad_y=lambda x, y: y - A @ x,
-        name=name or "quadratic-tracking",
-    )

@@ -1,22 +1,17 @@
-"""Benchmark problem registry: closed-form sin examples, synthetic hyper-cleaning,
-and brute-force grid oracles for the true value function.
+"""Benchmark problem registry: closed-form sin examples and synthetic hyper-cleaning.
 
 The sin family has known optima, which makes it the workhorse for convergence
-and error measurements; the grid oracles provide an independent route to the
-value function for n <= 2 so solver output can be checked without trusting the
-solver.
+and error measurements.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .auxfun import AuxiliaryFunction, ScheduleState, schedule_step
 from .core import (
     BilevelProblem,
     FeasibleSet,
@@ -25,10 +20,6 @@ from .core import (
     ScalarField,
 )
 from .solver import Reference
-
-
-class EmptyFeasibleSet(RuntimeError):
-    """The grid oracle found no feasible LL point."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +43,7 @@ class BenchmarkProblem:
     def __post_init__(self):
         if self.x_star is not None and self.F_star is not None and self.y_star is not None:
             val = self.problem.F(self.x_star, self.y_star)
-            if abs(val - self.F_star) > 1e-9:
+            if not abs(val - self.F_star) <= 1e-9:  # a NaN fails too
                 raise InvalidParameter(
                     f"reference inconsistent: F(x*, y*)={val!r} vs F*={self.F_star!r}"
                 )
@@ -94,6 +85,16 @@ def sin_solution(n: int, a: float, c) -> SinSolution:
     y_star = C + c - x_star
     F_star = n * (C - 2.0 * a) ** 2 / (1.0 + n)
     return SinSolution(np.array([x_star]), y_star, float(F_star), C, k_star, tie)
+
+
+def _sin_params(n: int, a: float, c) -> np.ndarray:
+    """``c`` broadcast to n entries; n < 1 or a non-finite a or c_i raises InvalidParameter."""
+    if n < 1:
+        raise InvalidParameter("n must be >= 1")
+    c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
+    if not (math.isfinite(a) and np.isfinite(c).all()):
+        raise InvalidParameter(f"a and c must be finite, got a={a!r}, c={c.tolist()!r}")
+    return c
 
 
 def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained: bool,
@@ -170,11 +171,9 @@ def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProb
     (equivalent problem, used to scale UL dimension in timing runs); the
     reference then reports the uniform representative x* . ones.
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    c = _sin_params(n, a, c)
     if m < 1:
         raise InvalidParameter("m must be >= 1")
-    c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
     F, f = _sin_fields(n, a, c, pessimistic=False, constrained=False, m=m)
     sol = sin_solution(n, a, c)
     return BenchmarkProblem(
@@ -192,9 +191,7 @@ def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProb
 
 def make_pessimistic_sin_problem(n: int, a: float = 2.0, c=2.0) -> BenchmarkProblem:
     """Pessimistic variant: F = (x-a)^2 - |y-a-c|^2, same LL, same (x*, y*)."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
+    c = _sin_params(n, a, c)
     F, f = _sin_fields(n, a, c, pessimistic=True, constrained=False)
     sol = sin_solution(n, a, c)
     F_star = float(F(sol.x_star, sol.y_star))
@@ -217,9 +214,7 @@ def make_constrained_sin_problem(n: int, a: float = 2.0, c=1.0) -> BenchmarkProb
     F = (x-a)^2 + |y-a|^2; solution x* = (1-n) a / (1+n), y*_i = -x*,
     F* = 4 n a^2 / (1+n).  Requires c_i in [0, 1].
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
-    c = np.broadcast_to(np.asarray(c, dtype=float), (n,)).copy()
+    c = _sin_params(n, a, c)
     if np.any(c < 0.0) or np.any(c > 1.0):
         raise InvalidParameter("constrained sin problem requires c_i in [0, 1]")
     F, f = _sin_fields(n, a, c, pessimistic=False, constrained=True)
@@ -381,117 +376,12 @@ def make_hyperclean_problem(
 
 
 # ---------------------------------------------------------------------------
-# grid oracles
-# ---------------------------------------------------------------------------
-
-
-def _iter_grid(problem: BilevelProblem, x, y_grid):
-    """Yield (y, f(x,y), feasible) over the grid; n <= 2 only."""
-    if problem.n > 2:
-        raise InvalidParameter("grid oracle supports n <= 2 only")
-    lo, hi, points = y_grid
-    for point in itertools.product(np.linspace(lo, hi, points), repeat=problem.n):
-        y = np.array(point)
-        feas = all(h(x, y) <= 0.0 for h in problem.ll_constraints)
-        yield y, problem.f(x, y), feas
-
-
-def brute_force_phi(
-    problem: BilevelProblem,
-    x,
-    y_grid=(-20.0, 20.0, 2001),
-    ll_tol: float = 1e-3,
-) -> float:
-    """Grid oracle for the true UL value function.
-
-    The LL solution set is taken as grid points (feasible for the LL
-    constraints) whose f-value lies within ``ll_tol * max(1, |f_min|)`` of the
-    grid minimum; returns min (optimistic) or max (pessimistic) of F there.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    entries = [(y, fv) for y, fv, feas in _iter_grid(problem, x, y_grid) if feas]
-    if not entries:
-        raise EmptyFeasibleSet(f"no grid point satisfies the LL constraints at x={x}")
-    f_min = min(fv for _, fv in entries)
-    tol = ll_tol * max(1.0, abs(f_min))
-    values = [problem.F(x, y) for y, fv in entries if fv <= f_min + tol]
-    return max(values) if problem.mode is Mode.PESSIMISTIC else min(values)
-
-
-def brute_force_phi_k(
-    problem: BilevelProblem,
-    x,
-    sched: ScheduleState,
-    aux_f: AuxiliaryFunction,
-    y_grid=(-20.0, 20.0, 2001),
-) -> float:
-    """Dense-grid evaluation of the penalized value function at stage k.
-
-    f*_mu is the grid minimum of f + mu/2 |y|^2; the returned value is the
-    grid min (or max, pessimistic) of F +- P(f - f*_mu) +- theta/2 |y|^2.
-    A modified aux_f takes the sigma2 value as its shift, unpadded.
-    Unconstrained problems only.
-    """
-    if problem.constrained:
-        raise InvalidParameter("dense penalized oracle supports unconstrained problems only")
-    shift = sched.sigma2.value if aux_f.modified else 0.0
-    rho, s1 = aux_f.kind.rho, sched.sigma1
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = [(y, fv) for y, fv, _ in _iter_grid(problem, x, y_grid)]
-    f_star = min(fv + 0.5 * sched.mu * float(y @ y) for y, fv in pts)
-    sgn = -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
-    best = math.inf
-    for y, fv in pts:
-        p = rho(fv - f_star - shift, s1)
-        if p == math.inf:
-            continue
-        v = sgn * problem.F(x, y) + p + 0.5 * sched.theta * float(y @ y)
-        if v < best:
-            best = v
-    return sgn * best
-
-
-def value_function_gap(
-    bench: BenchmarkProblem,
-    xs: Sequence[float],
-    k_list: Sequence[int],
-    sched0: ScheduleState,
-    aux_f: AuxiliaryFunction,
-    y_grid=(-20.0, 20.0, 2001),
-) -> dict[int, float]:
-    """max over xs of |phi_k - phi| for each requested stage k (m = 1 only).
-
-    phi comes from :func:`brute_force_phi`, phi_k from the dense penalized
-    oracle; both use exhaustive grid minimization, independent of the solver.
-    """
-    if bench.problem.m != 1:
-        raise InvalidParameter("value_function_gap expects a scalar UL variable")
-    phi = {float(xv): brute_force_phi(bench.problem, [xv], y_grid) for xv in xs}
-    gaps: dict[int, float] = {}
-    sched = sched0
-    k_sorted = sorted(k_list)
-    k_cur = 0
-    for k_target in k_sorted:
-        while k_cur < k_target:
-            sched = schedule_step(sched)
-            k_cur += 1
-        worst = 0.0
-        for xv in xs:
-            pk = brute_force_phi_k(bench.problem, [xv], sched, aux_f, y_grid)
-            worst = max(worst, abs(pk - phi[float(xv)]))
-        gaps[k_target] = worst
-    return gaps
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
 
 def _parse_params(argstr: str) -> dict:
     out: dict = {}
-    if not argstr:
-        return out
     for item in argstr.split(","):
         if not item:
             continue

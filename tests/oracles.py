@@ -1,60 +1,110 @@
-"""Independent oracles used by the test suite.
+"""Independent references used by the test suite, one of each.
 
 These deliberately avoid the solver's own code paths: inner problems are
-minimized on iteratively refined dense grids, value functions are
-differentiated by central differences, so agreement with the solver is
-evidence rather than tautology.
+minimized on dense grids, value functions are differentiated by central
+differences, so agreement with the solver is evidence rather than tautology.
+The module imports nothing from ``bvfsm`` but ``bvfsm.core``, the problem
+types.  It also holds the two small problems that several test modules share.
 """
+
+import itertools
 
 import numpy as np
 
+from bvfsm.core import (
+    BilevelProblem,
+    DimensionMismatch,
+    InvalidParameter,
+    Mode,
+    ScalarField,
+)
 
-def _refined_grid_min(obj, lo=-8.0, hi=8.0, points=4001, rounds=4):
-    """Iteratively refined dense-grid minimization of a scalar function."""
-    best_y = None
+
+class EmptyFeasibleSet(RuntimeError):
+    """The grid oracle found no feasible LL point."""
+
+
+def grid_min(obj, lo=-8.0, hi=8.0, points=4001, rounds=4):
+    """(min, argmin) of a function of a 1-entry y over a dense grid on [lo, hi].
+
+    Each further round re-grids four spacings around the best point;
+    ``rounds=1`` is the plain grid.
+    """
     for _ in range(rounds):
         ys = np.linspace(lo, hi, points)
         vals = np.array([obj(np.array([y])) for y in ys])
         i = int(np.argmin(vals))
-        best_y = ys[i]
         span = (hi - lo) / (points - 1)
-        lo, hi = best_y - 2 * span, best_y + 2 * span
-    return float(vals[i]), np.array([best_y])
+        lo, hi = ys[i] - 2 * span, ys[i] + 2 * span
+    return float(vals[i]), np.array([ys[i]])
 
 
-def penalized_value(problem, x, sched, aux_f, y0, shift_f=0.0,
-                    aux_H=None, aux_h=None, shifts_H=None, shifts_h=None,
-                    kind_B=None, pessimistic=False):
-    """phi_{mu,theta,sigma}(x) for n = 1 problems by refined grid minimization.
+def phi(problem, x, y_grid=(-20.0, 20.0, 2001), ll_tol=1e-3):
+    """Grid oracle for the true UL value function; n <= 2 only.
 
-    Both the regularized LL value and the penalized inner problem are
-    minimized on iteratively refined dense grids, which are robust to barrier
-    walls in a way quasi-Newton line searches are not.
+    The LL solution set is taken as grid points (feasible for the LL
+    constraints) whose f-value lies within ``ll_tol * max(1, |f_min|)`` of the
+    grid minimum; returns min (optimistic) or max (pessimistic) of F there.
     """
-    assert problem.n == 1, "grid value-function oracle is 1-D only"
+    if problem.n > 2:
+        raise InvalidParameter("grid oracle supports n <= 2 only")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi, points = y_grid
+    entries = []
+    for point in itertools.product(np.linspace(lo, hi, points), repeat=problem.n):
+        y = np.array(point)
+        if all(h(x, y) <= 0.0 for h in problem.ll_constraints):
+            entries.append((y, problem.f(x, y)))
+    if not entries:
+        raise EmptyFeasibleSet(f"no grid point satisfies the LL constraints at x={x}")
+    f_min = min(fv for _, fv in entries)
+    tol = ll_tol * max(1.0, abs(f_min))
+    values = [problem.F(x, y) for y, fv in entries if fv <= f_min + tol]
+    return max(values) if problem.mode is Mode.PESSIMISTIC else min(values)
+
+
+def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
+    """The stage value function phi_{mu,theta,sigma}(x) of an n = 1 problem.
+
+    f*_mu is the grid minimum of f + mu/2 |y|^2 + the aux_B barriers on h;
+    phi_k is the grid min (max, pessimistic) of
+    F +- theta/2 |y|^2 +- P_f(f - f*_mu) +- P_H(H) +- P_h(h).  The auxiliary
+    functions are those of ``cfg``, the schedule is ``sched`` (default
+    ``cfg.schedule``).  A modified term takes its shift from the schedule,
+    unpadded: sigma2 for f, sigma2_H or sigma2_h (else sigma2) for a
+    constraint.
+    """
+    if problem.n != 1:
+        raise InvalidParameter("grid value-function oracle is 1-D only")
+    sched = cfg.schedule if sched is None else sched
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi, points = y_grid
+    s1 = sched.sigma1
+
+    def shift(aux, sigma2):
+        return (sigma2 or sched.sigma2).value if aux.modified else 0.0
 
     def reg_obj(y):
         v = problem.f(x, y) + 0.5 * sched.mu * float(y @ y)
-        if kind_B is not None:
-            for h in problem.ll_constraints:
-                v += kind_B.rho(h(x, y), sched.sigma1)
+        for h in problem.ll_constraints:
+            v += cfg.aux_B.kind.rho(h(x, y), s1)
         return v
 
-    f_star, _ = _refined_grid_min(reg_obj)
-    sgn = -1.0 if pessimistic else 1.0
+    f_star, _ = grid_min(reg_obj, lo, hi, points, rounds)
+    terms = [(problem.f, f_star, shift(cfg.aux_f, sched.sigma2), cfg.aux_f.kind.rho)]
+    terms += [(H, 0.0, shift(cfg.aux_H, sched.sigma2_H), cfg.aux_H.kind.rho)
+              for H in problem.ul_constraints]
+    terms += [(h, 0.0, shift(cfg.aux_h, sched.sigma2_h), cfg.aux_h.kind.rho)
+              for h in problem.ll_constraints]
+    sgn = -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
 
     def obj(y):
         v = sgn * problem.F(x, y) + 0.5 * sched.theta * float(y @ y)
-        v += aux_f.kind.rho(problem.f(x, y) - f_star - shift_f, sched.sigma1)
-        if aux_H is not None:
-            for j, H in enumerate(problem.ul_constraints):
-                v += aux_H.kind.rho(H(x, y) - shifts_H[j], sched.sigma1)
-        if aux_h is not None:
-            for j, h in enumerate(problem.ll_constraints):
-                v += aux_h.kind.rho(h(x, y) - shifts_h[j], sched.sigma1)
+        for c, base, sh, rho in terms:
+            v += rho(c(x, y) - base - sh, s1)
         return v
 
-    best, _ = _refined_grid_min(obj)
+    best, _ = grid_min(obj, lo, hi, points, rounds)
     return sgn * best
 
 
@@ -63,8 +113,38 @@ def fd_of_phi(phi, x_scalar, eps=1e-5):
     return (phi(x_scalar + eps) - phi(x_scalar - eps)) / (2.0 * eps)
 
 
-def grid_argmin(fn, lo=-20.0, hi=20.0, points=2001):
-    ys = np.linspace(lo, hi, points)
-    vals = np.array([fn(np.array([y])) for y in ys])
-    i = int(np.argmin(vals))
-    return np.array([ys[i]]), float(vals[i])
+def quadratic_field(m: int, n: int, A: np.ndarray, name: str = "") -> ScalarField:
+    """f(x, y) = 0.5 * ||y - A x||^2 with analytic gradients."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (n, m):
+        raise DimensionMismatch(f"A must be ({n},{m}), got {A.shape}")
+
+    def fn(x, y):
+        r = y - A @ x
+        return 0.5 * float(r @ r)
+
+    return ScalarField(
+        m=m,
+        n=n,
+        fn=fn,
+        grad_x=lambda x, y: -A.T @ (y - A @ x),
+        grad_y=lambda x, y: y - A @ x,
+        name=name or "quadratic-tracking",
+    )
+
+
+def toy_problem(pessimistic=False):
+    """F = (x-1)^2 +- y^2, f = (y-x)^2; the 1-D smooth toy."""
+    sF = -1.0 if pessimistic else 1.0
+    F = ScalarField(
+        m=1, n=1,
+        fn=lambda x, y: (x[0] - 1.0) ** 2 + sF * y[0] ** 2,
+        grad_x=lambda x, y: np.array([2.0 * (x[0] - 1.0)]),
+        grad_y=lambda x, y: np.array([sF * 2.0 * y[0]]))
+    f = ScalarField(
+        m=1, n=1,
+        fn=lambda x, y: (y[0] - x[0]) ** 2,
+        grad_x=lambda x, y: np.array([-2.0 * (y[0] - x[0])]),
+        grad_y=lambda x, y: np.array([2.0 * (y[0] - x[0])]))
+    return BilevelProblem(m=1, n=1, F=F, f=f,
+                          mode=Mode.PESSIMISTIC if pessimistic else Mode.OPTIMISTIC)

@@ -2,7 +2,7 @@
 
 Budgets and tolerances are frozen here; every expected value is either a
 closed form evaluated independently or produced by the oracles in
-``oracles.py`` / ``bvfsm.problems``.
+``oracles.py``.
 """
 
 import math
@@ -33,14 +33,13 @@ from bvfsm import (
     solve_inner,
     trhg_hypergradient,
     ul_gradient_for,
-    value_function_gap,
 )
 from bvfsm.auxfun import schedule_step
 from bvfsm.baselines import bda_hypergradient
 from bvfsm.cli import run_baseline_loop, time_step
-from bvfsm.core import BilevelProblem, ScalarField, quadratic_field
+from bvfsm.core import BilevelProblem, ScalarField
 
-from oracles import fd_of_phi, penalized_value
+from oracles import fd_of_phi, phi, phi_k, quadratic_field, toy_problem
 
 
 def report(name, ok, detail):
@@ -158,44 +157,21 @@ def test_A4_pessimistic_convergence():
 # ---------------------------------------------------------------------------
 
 
-def _fidelity_toy(pessimistic):
-    sF = -1.0 if pessimistic else 1.0
-    F = ScalarField(
-        m=1, n=1,
-        fn=lambda x, y: (x[0] - 1.0) ** 2 + sF * y[0] ** 2,
-        grad_x=lambda x, y: np.array([2.0 * (x[0] - 1.0)]),
-        grad_y=lambda x, y: np.array([sF * 2.0 * y[0]]))
-    f = ScalarField(
-        m=1, n=1,
-        fn=lambda x, y: (y[0] - x[0]) ** 2,
-        grad_x=lambda x, y: np.array([-2.0 * (y[0] - x[0])]),
-        grad_y=lambda x, y: np.array([2.0 * (y[0] - x[0])]))
-    from bvfsm.core import Mode
-
-    return BilevelProblem(m=1, n=1, F=F, f=f,
-                          mode=Mode.PESSIMISTIC if pessimistic else Mode.OPTIMISTIC)
-
-
 def test_A5_gradient_fidelity():
     qp = AuxiliaryFunction(QuadraticPenalty())
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     lines = []
     ok = True
     for pess in (False, True):
-        prob = _fidelity_toy(pess)
+        prob = toy_problem(pess)
         cfg = SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                            schedule=sched, aux_f=qp)
-
-        def phi(xv, prob=prob, pess=pess):
-            return penalized_value(prob, np.array([xv]), sched, qp, np.zeros(1),
-                                   pessimistic=pess)
-
         worst = 0.0
         for xv in np.linspace(-1.5, 2.5, 21):
             x = np.array([xv])
             inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
             g = ul_gradient_for(prob, x, inner, sched, cfg)
-            num = fd_of_phi(phi, xv, eps=1e-5)
+            num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
             worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
         label = "pessimistic" if pess else "optimistic"
         lines.append(f"{label}: worst rel err {worst:.2e} over 21 probes")
@@ -211,19 +187,13 @@ def test_A5_gradient_fidelity():
     ccfg = SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                         schedule=csched, aux_f=inv_mod, aux_h=inv_mod, aux_B=invb)
 
-    def phi_c(xv):
-        return penalized_value(prob, np.array([xv]), csched, inv_mod,
-                               np.array([0.4 - xv]), shift_f=0.5,
-                               aux_h=inv_mod, shifts_h=np.array([0.3]),
-                               kind_B=invb.kind)
-
     worst = 0.0
     for xv in np.linspace(-0.3, 0.3, 21):
         x = np.array([xv])
         y_feas = np.array([0.4 - xv])
         inner = solve_inner(prob, x, csched, ccfg, z0=y_feas, y0=y_feas)
         g = ul_gradient_for(prob, x, inner, csched, ccfg)
-        num = fd_of_phi(phi_c, xv, eps=1e-5)
+        num = fd_of_phi(lambda v: phi_k(prob, [v], ccfg), xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     lines.append(f"constrained: worst rel err {worst:.2e} over 21 probes")
     ok = ok and worst <= 1e-3
@@ -306,10 +276,17 @@ def test_A6_auxiliary_function_laws():
 def test_A7_empirical_epiconvergence():
     bench = make_sin_problem(1, 2.0, 2.0)
     aux = AuxiliaryFunction(QuadraticPenalty())
+    cfg = SolverConfig(schedule=ScheduleState(theta=0.01), aux_f=aux)
+    y_grid = (-20.0, 20.0, 2001)
     xs = np.linspace(0.5, 3.5, 13)
-    gaps = value_function_gap(bench, xs, [50, 100, 200, 400],
-                              ScheduleState(theta=0.01), aux, (-20.0, 20.0, 2001))
-    vals = [gaps[k] for k in (50, 100, 200, 400)]
+    phis = [phi(bench.problem, [xv], y_grid) for xv in xs]
+    # the max over the x-grid of |phi_k - phi| at k = 50, 100, 200, 400
+    vals, sched, k = [], cfg.schedule, 0
+    for k_target in (50, 100, 200, 400):
+        while k < k_target:
+            sched, k = schedule_step(sched), k + 1
+        vals.append(max(abs(phi_k(bench.problem, [xv], cfg, sched, y_grid, rounds=1) - p)
+                        for xv, p in zip(xs, phis)))
     ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     report("A7", ok, f"max-gap over x-grid at k=50,100,200,400: {[round(v, 3) for v in vals]} (non-increasing)")
 

@@ -21,7 +21,8 @@ from bvfsm import (
     trhg_hypergradient,
 )
 from bvfsm.baselines import hypergradient_step
-from bvfsm.core import quadratic_field
+
+from oracles import quadratic_field
 
 
 def field(m, n, fn, gx, gy, name=""):

@@ -385,6 +385,52 @@ def test_bvfsm_argument_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("param", ["a=inf", "a=nan", "c=inf", "c=nan"])
+@pytest.mark.parametrize("family", ["sin", "sin-constrained", "sin-pessimistic"])
+def test_non_finite_sin_parameter_is_config_error(tmp_path, family, param, capsys):
+    from bvfsm import InvalidParameter
+    from bvfsm.problems import parse_problem
+
+    spec = f"{family}:n=2,{param}"
+    with pytest.raises(InvalidParameter, match="a and c must be finite"):
+        parse_problem(spec)
+    cfg = write_config(tmp_path, problem=spec, methods=["bvfsm"])
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert "a and c must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, section, key, value", [
+    ("bvfsm", "bvfsm", "K", 2.5),
+    ("bvfsm", "bvfsm", "K", True),
+    ("bvfsm", "bvfsm", "T_z", "10"),
+    ("cg", "baseline", "ul_steps", 2.9),
+    ("cg", "baseline", "Q", True),
+    ("cg", "baseline", "T", 50.5),
+])
+def test_integer_key_that_is_not_an_integer_is_config_error(tmp_path, method, section, key,
+                                                            value, capsys):
+    bad = {**make_config()[section], key: value}
+    cfg = write_config(tmp_path, methods=[method], **{section: bad})
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"config error: {section}: {key} must be an integer, got {value!r}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_key_takes_an_integral_float():
+    from bvfsm.cli import _resolve_method, build_solver_config
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=2")
+    assert build_solver_config({"bvfsm": {"K": 40.0}}, bench).K == 40
+    _, bcfg, ul_steps = _resolve_method(bench, "cg", {"baseline": {"Q": 5.0, "ul_steps": 3.0}})
+    assert (bcfg.Q, ul_steps) == (5, 3)
+    assert type(bcfg.Q) is int and type(ul_steps) is int
+
+
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
 def test_config_that_is_not_an_object_is_config_error(tmp_path, verb, capsys):
     cfg = tmp_path / "c.json"

@@ -20,7 +20,9 @@ from bvfsm import (
     solve_regularized_ll,
     validate_gradients,
 )
-from bvfsm.core import all_finite, plain_descent, quadratic_field
+from bvfsm.core import all_finite, plain_descent
+
+from oracles import quadratic_field
 
 
 # ---------------------------------------------------------------------------

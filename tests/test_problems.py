@@ -1,19 +1,20 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvfsm import (
     AuxiliaryFunction,
+    BenchmarkProblem,
     BilevelProblem,
-    EmptyFeasibleSet,
     InvalidParameter,
     Mode,
     QuadraticPenalty,
     ScalarField,
     ScheduleState,
-    brute_force_phi,
-    brute_force_phi_k,
+    SolverConfig,
     list_problems,
     make_constrained_sin_problem,
     make_hyperclean_problem,
@@ -23,6 +24,8 @@ from bvfsm import (
     sin_solution,
     validate_gradients,
 )
+
+from oracles import EmptyFeasibleSet, phi, phi_k
 
 PI = math.pi
 
@@ -149,9 +152,16 @@ def test_sin_fields_m5_embed_the_mean():
 def test_sin_problem_n1_optimum_matches_grid_search():
     bench = make_sin_problem(1, 0.0, 0.0)
     xs = np.linspace(-3.0, 3.0, 241)
-    vals = [brute_force_phi(bench.problem, [xv], y_grid=(-20, 20, 2001)) for xv in xs]
+    vals = [phi(bench.problem, [xv], y_grid=(-20, 20, 2001)) for xv in xs]
     x_best = xs[int(np.argmin(vals))]
     assert abs(x_best - (-PI / 4)) <= 0.05
+
+
+def test_reference_check_rejects_a_nan_value():
+    bench = make_sin_problem(1, 2.0, 2.0)
+    with pytest.raises(InvalidParameter, match="reference inconsistent"):
+        BenchmarkProblem(bench.problem, "sin", x_star=bench.x_star, y_star=bench.y_star,
+                         F_star=math.nan)
 
 
 def test_constrained_sin_reference():
@@ -276,6 +286,20 @@ def field(m, n, fn, gx, gy):
     return ScalarField(m=m, n=n, fn=fn, grad_x=gx, grad_y=gy)
 
 
+def test_oracles_import_nothing_from_bvfsm_but_core():
+    # agreement with the solver is evidence only while the references share
+    # none of its code paths: the problem types of bvfsm.core are all they use
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    bad = [mod for mod in modules if mod.split(".")[0] in ("bvfsm", "") and mod != "bvfsm.core"]
+    assert not bad, f"tests/oracles.py imports {bad}"
+
+
 def test_brute_force_phi_convex_quadratic():
     # f = 0.5 (y - x)^2: S(x) = {x}; phi(x) = F(x, x) up to grid resolution
     f = field(1, 1, lambda x, y: 0.5 * (y[0] - x[0]) ** 2,
@@ -284,17 +308,16 @@ def test_brute_force_phi_convex_quadratic():
     F = field(1, 1, lambda x, y: (y[0] - 1.0) ** 2,
               lambda x, y: np.zeros(1), lambda x, y: np.array([2.0 * (y[0] - 1.0)]))
     prob = BilevelProblem(m=1, n=1, F=F, f=f)
-    got = brute_force_phi(prob, [0.25], y_grid=(-20, 20, 2001), ll_tol=1e-4)
+    got = phi(prob, [0.25], y_grid=(-20, 20, 2001), ll_tol=1e-4)
     assert got == pytest.approx((0.25 - 1.0) ** 2, abs=0.05)
 
 
 def test_brute_force_phi_sin_matches_closed_form():
     # agreement is limited by the LL-membership tolerance (~sqrt(tol) in y)
     bench = make_sin_problem(1, 2.0, 2.0)
-    got = brute_force_phi(bench.problem, bench.x_star, y_grid=(-20, 20, 4001))
+    got = phi(bench.problem, bench.x_star, y_grid=(-20, 20, 4001))
     assert got == pytest.approx(bench.F_star, abs=0.05)
-    tight = brute_force_phi(bench.problem, bench.x_star, y_grid=(-20, 20, 16001),
-                            ll_tol=1e-5)
+    tight = phi(bench.problem, bench.x_star, y_grid=(-20, 20, 16001), ll_tol=1e-5)
     assert tight == pytest.approx(bench.F_star, abs=0.02)
 
 
@@ -306,7 +329,7 @@ def test_brute_force_phi_two_dimensional_grid():
     F = field(1, 2, lambda x, y: float(y @ y), lambda x, y: np.zeros(1),
               lambda x, y: 2.0 * y)
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
-    got = brute_force_phi(prob, [1.0], y_grid=(-2, 2, 81))
+    got = phi(prob, [1.0], y_grid=(-2, 2, 81))
     assert got == pytest.approx(0.5, abs=1e-9)
 
 
@@ -318,7 +341,7 @@ def test_brute_force_phi_pessimistic_picks_max():
     F = field(1, 1, lambda x, y: y[0], lambda x, y: np.zeros(1),
               lambda x, y: np.ones(1))
     prob = BilevelProblem(m=1, n=1, F=F, f=f, mode=Mode.PESSIMISTIC)
-    got = brute_force_phi(prob, [0.0], y_grid=(-3, 3, 6001), ll_tol=1e-6)
+    got = phi(prob, [0.0], y_grid=(-3, 3, 6001), ll_tol=1e-6)
     assert got == pytest.approx(1.0, abs=1e-3)
 
 
@@ -331,17 +354,17 @@ def test_brute_force_phi_empty_feasible_set():
               lambda x, y: np.zeros(1))
     prob = BilevelProblem(m=1, n=1, F=F, f=f, ll_constraints=(h,))
     with pytest.raises(EmptyFeasibleSet):
-        brute_force_phi(prob, [0.0], y_grid=(-2, 2, 101))
+        phi(prob, [0.0], y_grid=(-2, 2, 101))
 
 
 def test_brute_force_phi_k_approaches_phi():
     bench = make_sin_problem(1, 2.0, 2.0)
     aux = AuxiliaryFunction(QuadraticPenalty())
     x = [1.8]
-    phi = brute_force_phi(bench.problem, x, y_grid=(-20, 20, 4001))
-    sched_late = ScheduleState(mu=1e-5, theta=1e-5, sigma1=1e-5)
-    pk = brute_force_phi_k(bench.problem, x, sched_late, aux, y_grid=(-20, 20, 4001))
-    assert pk == pytest.approx(phi, abs=0.05)
+    want = phi(bench.problem, x, y_grid=(-20, 20, 4001))
+    cfg = SolverConfig(schedule=ScheduleState(mu=1e-5, theta=1e-5, sigma1=1e-5), aux_f=aux)
+    pk = phi_k(bench.problem, x, cfg, y_grid=(-20, 20, 4001), rounds=1)
+    assert pk == pytest.approx(want, abs=0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from bvfsm import (
 from bvfsm.auxfun import schedule_step
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
 
-from oracles import fd_of_phi, grid_argmin, penalized_value
+from oracles import fd_of_phi, grid_min, phi_k, toy_problem
 
 QP = AuxiliaryFunction(QuadraticPenalty())
 INV_MOD = AuxiliaryFunction(InverseBarrier(), modified=True)
@@ -109,7 +109,8 @@ def test_z_solve_sin_against_grid_oracle():
     mu = 0.1
     cfg = SolverConfig(T_z=4000, step_z=0.1, schedule=ScheduleState(mu=mu))
     z, f_star, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
-    y_grid, v_grid = grid_argmin(lambda y: math.sin(y[0] - 2.0) + 0.05 * y[0] ** 2)
+    v_grid, y_grid = grid_min(lambda y: math.sin(y[0] - 2.0) + 0.05 * y[0] ** 2,
+                              -20.0, 20.0, 2001, rounds=1)
     assert abs(z[0] - y_grid[0]) <= 0.05
     assert f_star == pytest.approx(v_grid, abs=1e-3)
 
@@ -487,56 +488,16 @@ def test_pessimistic_ul_gradient_trivial_regimes():
 # ---------------------------------------------------------------------------
 
 
-def _toy_problem(pessimistic=False):
-    """F = (x-1)^2 +- y^2, f = (y-x)^2; 1-D smooth toy."""
-    sF = -1.0 if pessimistic else 1.0
-    F = field(1, 1,
-              lambda x, y: (x[0] - 1.0) ** 2 + sF * y[0] ** 2,
-              lambda x, y: np.array([2.0 * (x[0] - 1.0)]),
-              lambda x, y: np.array([sF * 2.0 * y[0]]))
-    f = field(1, 1,
-              lambda x, y: (y[0] - x[0]) ** 2,
-              lambda x, y: np.array([-2.0 * (y[0] - x[0])]),
-              lambda x, y: np.array([2.0 * (y[0] - x[0])]))
-    return BilevelProblem(m=1, n=1, F=F, f=f,
-                          mode=Mode.PESSIMISTIC if pessimistic else Mode.OPTIMISTIC)
-
-
 def _accurate_cfg(sched, aux_f, **kw):
     # budgets sized for ~1e-10 inner accuracy on the 1-D toys
     return SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                         schedule=sched, aux_f=aux_f, **kw)
 
 
-@pytest.mark.parametrize("pessimistic", [False, True])
-def test_gradient_fidelity_smooth_toy(pessimistic):
-    prob = _toy_problem(pessimistic)
-    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
-    cfg = _accurate_cfg(sched, QP)
-
-    def phi(xv):
-        return penalized_value(prob, np.array([xv]), sched, QP, np.zeros(1),
-                               pessimistic=pessimistic)
-
-    worst = 0.0
-    for xv in np.linspace(-1.5, 2.5, 21):
-        x = np.array([xv])
-        inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
-        g = ul_gradient_for(prob, x, inner, sched, cfg)
-        num = fd_of_phi(phi, xv, eps=1e-5)
-        denom = max(abs(num), 1e-8)
-        worst = max(worst, abs(g[0] - num) / denom)
-    assert worst <= 1e-3, f"worst rel err {worst:.2e}"
-
-
 def test_gradient_fidelity_modified_barrier_static_shift():
-    prob = _toy_problem()
+    prob = toy_problem()
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1, sigma2=StaticShift(0.5))
     cfg = _accurate_cfg(sched, INV_MOD)
-
-    def phi(xv):
-        return penalized_value(prob, np.array([xv]), sched, INV_MOD, np.zeros(1),
-                               shift_f=0.5)
 
     worst = 0.0
     for xv in np.linspace(-1.0, 2.0, 21):
@@ -544,43 +505,33 @@ def test_gradient_fidelity_modified_barrier_static_shift():
         inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
         assert inner.shift_f == pytest.approx(0.5)  # no safeguard pad when feasible
         g = ul_gradient_for(prob, x, inner, sched, cfg)
-        num = fd_of_phi(phi, xv, eps=1e-5)
+        num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
 
-@pytest.mark.parametrize("mode", [Mode.OPTIMISTIC, Mode.PESSIMISTIC],
-                         ids=["optimistic", "pessimistic"])
+@pytest.mark.parametrize("mode", [Mode.PESSIMISTIC], ids=["pessimistic"])
 def test_gradient_fidelity_constrained_interior(mode):
-    # constrained sin instance at n=1, probed strictly inside the band; the
-    # pessimistic variant checks the sign of the constraint and LL-barrier
-    # terms of the chain rule on fewer probes of the same interval
-    from dataclasses import replace
-
+    # constrained sin instance at n=1, probed strictly inside the band on 5
+    # points of A5's interval: A5 runs the optimistic case, this one checks
+    # the sign of the constraint and LL-barrier terms of the chain rule
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(1, 2.0, 1.0)
     prob = replace(bench.problem, mode=mode)
-    pessimistic = mode is Mode.PESSIMISTIC
     invb = AuxiliaryFunction(InverseBarrier())
     inv_mod = AuxiliaryFunction(InverseBarrier(), modified=True)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1,
                           sigma2=StaticShift(0.5), sigma2_h=StaticShift(0.3))
     cfg = _accurate_cfg(sched, inv_mod, aux_h=inv_mod, aux_B=invb)
 
-    def phi(xv):
-        return penalized_value(prob, np.array([xv]), sched, inv_mod,
-                               np.array([0.4 - xv]),  # interior start
-                               shift_f=0.5, aux_h=inv_mod, shifts_h=np.array([0.3]),
-                               kind_B=invb.kind, pessimistic=pessimistic)
-
     worst = 0.0
-    for xv in np.linspace(-0.3, 0.3, 5 if pessimistic else 21):
+    for xv in np.linspace(-0.3, 0.3, 5):
         x = np.array([xv])
         y_feas = np.array([0.4 - xv])
         inner = solve_inner(prob, x, sched, cfg, z0=y_feas, y0=y_feas)
         g = ul_gradient_for(prob, x, inner, sched, cfg)
-        num = fd_of_phi(phi, xv, eps=1e-5)
+        num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
@@ -591,7 +542,7 @@ def test_gradient_fidelity_constrained_interior(mode):
 
 
 def test_solve_k_zero_returns_initial_record_only():
-    prob = _toy_problem()
+    prob = toy_problem()
     cfg = SolverConfig(K=0, schedule=ScheduleState(), aux_f=QP)
     tr = solve(prob, cfg, [1.3], [0.0])
     assert len(tr.records) == 1
@@ -599,7 +550,7 @@ def test_solve_k_zero_returns_initial_record_only():
 
 
 def test_solve_projects_every_iterate_into_box():
-    base = _toy_problem()
+    base = toy_problem()
     prob = BilevelProblem(m=1, n=1, F=base.F, f=base.f,
                           ul_set=FeasibleSet.box([0.0], [0.6]))
     cfg = SolverConfig(K=40, T_z=50, T_y=25, schedule=ScheduleState(), aux_f=QP)
@@ -609,7 +560,7 @@ def test_solve_projects_every_iterate_into_box():
 
 
 def test_solve_schedule_snapshot_strictly_decreasing():
-    prob = _toy_problem()
+    prob = toy_problem()
     cfg = SolverConfig(K=10, T_z=10, T_y=10, schedule=ScheduleState(decay=0.9), aux_f=QP)
     tr = solve(prob, cfg, [0.5], [0.0])
     mus = [r.mu for r in tr.records[1:] if r.l >= 1]  # per-stage records only
@@ -649,7 +600,7 @@ def _negated(f):
 
 
 def test_pessimistic_matches_optimistic_on_negated_F_bitwise():
-    pess = _toy_problem(pessimistic=True)
+    pess = toy_problem(pessimistic=True)
     opt_neg = BilevelProblem(m=1, n=1, F=_negated(pess.F), f=pess.f)
     sched = ScheduleState(mu=0.3, theta=0.3, sigma1=0.3)
     cfg = SolverConfig(T_z=50, T_y=25, schedule=sched, aux_f=QP)
@@ -711,7 +662,7 @@ def test_solve_wraps_non_finite_evaluation_during_ul_retry(monkeypatch):
     monkeypatch.setattr(solver_mod, "solve_inner", stub)
     cfg = SolverConfig(K=5, T_z=3, T_y=3, aux_f=QP)
     with pytest.raises(SolveError, match="retry value non-finite") as exc:
-        solve(_toy_problem(), cfg, [0.5], [0.0])
+        solve(toy_problem(), cfg, [0.5], [0.0])
     assert (exc.value.k, exc.value.l) == (1, 0)
     assert [(r.k, r.l) for r in exc.value.trace.records] == [(0, 0), (0, 1)]
     assert not outcomes
@@ -761,7 +712,7 @@ def test_solve_rejects_start_point_of_wrong_dimension(x0, y0, message):
 def test_solve_timeout_carries_partial_trace():
     from bvfsm import SolveTimeout
 
-    prob = _toy_problem()
+    prob = toy_problem()
     cfg = SolverConfig(K=10_000, T_z=200, T_y=200, schedule=ScheduleState(),
                        aux_f=QP, wall_clock_cap_s=0.05)
     with pytest.raises(SolveTimeout) as exc:
