@@ -215,8 +215,8 @@ class ScheduleState:
     sigma2_h: StaticShift | None = None  # shift sequence for modified barriers on h
 
     def __post_init__(self):
-        if min(self.mu, self.theta, self.sigma1) <= 0:
-            raise InvalidParameter("schedule parameters must be strictly positive")
+        if not all(0.0 < v < math.inf for v in (self.mu, self.theta, self.sigma1)):
+            raise InvalidParameter("schedule parameters must be positive and finite")
         if not (0.0 < self.decay <= 1.0):
             raise InvalidParameter("decay must lie in (0, 1]")
 

@@ -59,8 +59,8 @@ class BaselineConfig:
             raise InvalidParameter("aggregation must lie in (0, 1)")
         if not (0.0 < self.aggregation_decay <= 1.0):
             raise InvalidParameter("aggregation_decay must lie in (0, 1]")
-        if min(self.ll_step, self.alpha, self.hvp_eps) <= 0:
-            raise InvalidParameter("steps and hvp_eps must be positive")
+        if not all(0.0 < v < math.inf for v in (self.ll_step, self.alpha, self.hvp_eps)):
+            raise InvalidParameter("steps and hvp_eps must be positive and finite")
 
 
 class Hypergradient(NamedTuple):

@@ -23,7 +23,7 @@ from . import __version__
 from .auxfun import ScheduleState, StaticShift, parse_aux
 from .baselines import BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
-from .problems import BenchmarkProblem, list_problems, parse_problem
+from .problems import BenchmarkProblem, list_problems, make_problem, parse_problem
 from .solver import (
     SolveError,
     SolveTimeout,
@@ -48,11 +48,8 @@ BASELINE_NAMES = ["rhg", "trhg", "bda", "cg", "neumann"]
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
-    return str(v)
+    """A CSV cell; a float, np.float64 included, as a plain number (``nan``, ``inf`` too)."""
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def _write_csv(path, cols, rows):
@@ -93,13 +90,37 @@ def _load_config(path) -> dict:
     return cfg
 
 
+# the keys a config may set at its top level, in every verb
+CONFIG_KEYS = ("problem", "methods", "x0", "y0", "seed", "out_dir", "wall_clock_cap_s",
+               "bvfsm", "baseline", "a", "c")
+
+
+def _number(key: str, value, kind: str) -> int | float:
+    """``value`` as the ``kind`` "int" or "float"; a bool, a non-number, a
+    fraction for an int or an int beyond float range for a float raises
+    InvalidParameter naming ``key``."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        integral = isinstance(value, numbers.Integral)
+        if kind == "int" and (integral or float(value).is_integer()):
+            return int(value)
+        if kind == "float" and (not integral or abs(value) <= sys.float_info.max):
+            return float(value)
+    noun = "an integer" if kind == "int" else "a number"
+    raise InvalidParameter(f"{key} must be {noun}, got {value!r}")
+
+
 def _resolve_seed(cfg: dict, override: int | None) -> int:
+    """``override``, else the config's ``seed``, else ``BVFSM_SEED``, else 0."""
     if override is not None:
-        return int(override)
+        return _number("seed", override, "int")
     if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("BVFSM_SEED")
-    return int(env) if env else 0
+        return _number("seed", cfg["seed"], "int")
+    env = os.environ.get("BVFSM_SEED") or "0"
+    try:  # the environment holds text: read it as a JSON number, for _number to judge
+        value = json.loads(env)
+    except ValueError:
+        value = env
+    return _number("BVFSM_SEED", value, "int")
 
 
 def _reject_unknown(section: str, d: dict, known) -> None:
@@ -108,44 +129,31 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
 
 
-def _entries(section: str, d, cls) -> dict:
-    """The non-null entries of config object ``d``, whose keys must be fields of ``cls``."""
+def _section(section: str, d, cls, readers=None) -> dict:
+    """The keyword arguments of ``cls`` that config object ``d`` sets.
+
+    A key of ``readers`` goes through its reader, one whose field is annotated
+    ``int`` or ``float`` through _number (named ``schedule.mu`` in a nested
+    section); any other key raises, and a null entry takes the default.
+    """
     if not isinstance(d, dict):
         raise InvalidParameter(f"{section} must be an object, got {d!r}")
-    _reject_unknown(section, d, [f.name for f in dataclasses.fields(cls)])
-    return {key: v for key, v in d.items() if v is not None}
+    readers = readers or {}
+    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.type in ("int", "float")}
+    _reject_unknown(section, d, [*kinds, *readers])
+    prefix = "" if section in ("bvfsm", "baseline") else f"{section}."
+    return {key: readers[key](v) if key in readers else _number(prefix + key, v, kinds[key])
+            for key, v in d.items() if v is not None}
+
+
+def _shift_reader(section: str):
+    return lambda d: StaticShift(**_section(section, d, StaticShift))
 
 
 def build_schedule(d: dict) -> ScheduleState:
     """A ScheduleState; a missing or null key takes its default, a sigma2* entry is a StaticShift."""
-    kwargs = _entries("schedule", d or {}, ScheduleState)
-    for key, v in kwargs.items():
-        if key.startswith("sigma2"):
-            shift = _entries(f"schedule.{key}", v, StaticShift)
-            kwargs[key] = StaticShift(**{k: float(x) for k, x in shift.items()})
-        else:
-            kwargs[key] = float(v)
-    return ScheduleState(**kwargs)
-
-
-def _integers(d: dict) -> dict:
-    """``d`` with its counts as ints; a bool, a fraction or a non-number raises, naming the key."""
-    out = dict(d)
-    for key in [k for k in ("K", "L", "T_z", "T_y", "T", "Q", "I", "ul_steps") if k in out]:
-        v = out[key]
-        if isinstance(v, bool) or not isinstance(v, (numbers.Integral, float)) \
-                or not float(v).is_integer():
-            raise InvalidParameter(f"{key} must be an integer, got {v!r}")
-        out[key] = int(v)
-    return out
-
-
-# the settable SolverConfig fields of a "bvfsm" section, besides "schedule"
-SOLVER_KEYS = {
-    "K": int, "L": int, "T_z": int, "T_y": int,
-    "alpha": float, "step_z": float, "step_y": float,
-    "aux_f": parse_aux, "aux_H": parse_aux, "aux_h": parse_aux, "aux_B": parse_aux,
-}
+    shifts = {key: _shift_reader(f"schedule.{key}") for key in ("sigma2", "sigma2_H", "sigma2_h")}
+    return ScheduleState(**_section("schedule", d or {}, ScheduleState, shifts))
 
 
 def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
@@ -156,25 +164,25 @@ def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     key missing from both takes the SolverConfig default; an unknown key in
     the ``bvfsm`` section or its ``schedule`` raises InvalidParameter.
     """
-    profile, user = bench.suggested_solver, cfg.get("bvfsm", {})
+    profile, user = bench.suggested_solver, cfg.get("bvfsm") or {}
     d = {**profile, **user}
     if isinstance(user.get("schedule"), dict):
         d["schedule"] = {**profile.get("schedule", {}), **user["schedule"]}
-    _reject_unknown("bvfsm", d, [*SOLVER_KEYS, "schedule"])
-    d = _integers(d)
-    kwargs = {key: cast(d[key]) for key, cast in SOLVER_KEYS.items() if key in d}
-    kwargs["schedule"] = build_schedule(d.get("schedule", {}))
-    kwargs["wall_clock_cap_s"] = _wall_clock_cap(cfg)
-    return SolverConfig(**kwargs)
+    readers = {"schedule": build_schedule,
+               **dict.fromkeys(("aux_f", "aux_H", "aux_h", "aux_B"), parse_aux)}
+    return SolverConfig(**_section("bvfsm", d, SolverConfig, readers),
+                        wall_clock_cap_s=_wall_clock_cap(cfg))
 
 
 def _wall_clock_cap(cfg: dict) -> float | None:
-    """The config's ``wall_clock_cap_s`` as a float, or None when unset."""
+    """The config's ``wall_clock_cap_s`` as a float, or None when unset; NaN raises."""
     cap = cfg.get("wall_clock_cap_s")
-    try:
-        return float(cap) if cap is not None else None
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"wall_clock_cap_s: {exc}") from exc
+    if cap is None:
+        return None
+    cap = _number("wall_clock_cap_s", cap, "float")
+    if math.isnan(cap):
+        raise InvalidParameter("wall_clock_cap_s must not be NaN")
+    return cap
 
 
 def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
@@ -192,7 +200,8 @@ def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
             if arg:
                 raise InvalidParameter(f"bvfsm takes no argument, got {mspec!r}")
             return "bvfsm", build_solver_config(cfg, bench), None
-        fields = _integers(cfg.get("baseline", {}))
+        fields = _section("baseline", cfg.get("baseline") or {}, BaselineConfig,
+                          {"ul_steps": lambda v: _number("ul_steps", v, "int")})
         ul_steps = fields.pop("ul_steps", 500)
         name, bcfg = parse_method(mspec, BaselineConfig(**fields))
         return name, bcfg, ul_steps
@@ -273,8 +282,10 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
     """
     try:
         cfg = dict(config)
+        _reject_unknown("config", cfg, CONFIG_KEYS)
         if wall_clock_cap_s is not None:
             cfg["wall_clock_cap_s"] = wall_clock_cap_s
+        cap = _wall_clock_cap(cfg)
         explicit_seed = seed is not None or "seed" in cfg
         seed = _resolve_seed(cfg, seed)
         methods = list(cfg.get("methods", []))
@@ -287,7 +298,6 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
         seed = drawn
         resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
         x0, y0 = start_point(bench.problem, cfg.get("x0", bench.x0), cfg.get("y0", bench.y0))
-        cap = _wall_clock_cap(cfg)
         out = Path(out_dir or cfg.get("out_dir", "."))
     except (KeyError, TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
         return _config_error(exc)
@@ -340,10 +350,11 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(family: str, n: int, mspec: str, cfg: dict, cap: float | None) -> dict:
-    """One sweep row; a config error raises, a failed run goes into ``note``."""
+def _sweep_cell(family: str, params: dict, mspec: str, cfg: dict, cap: float | None) -> dict:
+    """One sweep row of the problem ``params``; a config error raises, a failed
+    run goes into ``note``."""
     started = time.perf_counter()
-    bench = parse_problem(f"{family}:n={n},a={cfg.get('a', 2)},c={cfg.get('c', 2)}")
+    bench = make_problem(family, params)
     method = _resolve_method(bench, mspec, cfg)
     x0, y0 = start_point(bench.problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
     try:
@@ -351,7 +362,7 @@ def _sweep_cell(family: str, n: int, mspec: str, cfg: dict, cap: float | None) -
         rel_x, rel_F, note = trace.final.rel_err_x, trace.final.rel_err_F, ""
     except Exception as exc:  # per-cell failure recorded, sweep continues
         rel_x, rel_F, note = math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-    return dict(n=n, method=mspec, rel_err_x=rel_x, rel_err_F=rel_F,
+    return dict(n=params["n"], method=mspec, rel_err_x=rel_x, rel_err_F=rel_F,
                 wall_time_s=time.perf_counter() - started, note=note)
 
 
@@ -361,8 +372,11 @@ def run_dimension_sweep(family: str, n_list, methods, cfg: dict | None = None,
     if not n_list:
         raise InvalidParameter("n_list must be non-empty")
     cfg = cfg or {}
+    _reject_unknown("config", cfg, CONFIG_KEYS)
     cap = _wall_clock_cap(cfg)
-    rows = [_sweep_cell(family, int(n), str(m), cfg, cap) for n in n_list for m in methods]
+    ac = {key: _number(key, cfg.get(key, 2), "float") for key in ("a", "c")}
+    rows = [_sweep_cell(family, {"n": _number("n", n, "int"), **ac}, str(m), cfg, cap)
+            for n in n_list for m in methods]
     if out_path is not None:
         _write_csv(out_path, SWEEP_COLUMNS, [[r[c] for c in SWEEP_COLUMNS] for r in rows])
     return rows
@@ -390,9 +404,11 @@ def time_step(
     if repeats < 3:
         raise InvalidParameter("repeats must be >= 3")
     cfg = cfg or {}
+    _reject_unknown("config", cfg, CONFIG_KEYS)
     rows = []
     for m, n in sizes:
-        bench = parse_problem(f"sin:n={int(n)},a=2,c=2,m={int(m)}")
+        m, n = _number("m", m, "int"), _number("n", n, "int")
+        bench = make_problem("sin", {"n": n, "a": 2, "c": 2, "m": m})
         problem = bench.problem
         x, y0 = start_point(problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
         for mspec in methods:
@@ -411,7 +427,7 @@ def time_step(
                 median_s, note = float(np.median(times)), ""
             except Exception as exc:  # per-method failure recorded, timing continues
                 median_s, note = math.nan, f"{type(exc).__name__}: {exc}"
-            rows.append(dict(m=int(m), n=int(n), method=str(mspec), median_s=median_s,
+            rows.append(dict(m=m, n=n, method=str(mspec), median_s=median_s,
                              repeats=repeats, note=note))
     if out_path is not None:
         _write_csv(out_path, TIMING_COLUMNS, [[r[c] for c in TIMING_COLUMNS] for r in rows])

@@ -409,26 +409,30 @@ PROBLEM_FAMILIES = {
 }
 
 
-def parse_problem(spec: str, seed: int | None = None) -> BenchmarkProblem:
-    """Registry lookup: "sin:n=2,a=2", "sin-constrained:n=2,a=2,c=1", "hyperclean:seed=0".
+def make_problem(name: str, params: dict, seed: int | None = None) -> BenchmarkProblem:
+    """The problem of family ``name`` (case-blind) built from keyword ``params``.
 
     hyperclean, the one family that draws data, draws it from ``seed`` unless
-    the spec names its own.  An unknown family, an unknown parameter or a
-    value the constructor rejects raises InvalidParameter naming the spec.
+    ``params`` names its own.  An unknown family, an unknown parameter or a
+    value the constructor rejects raises InvalidParameter.
     """
-    name, _, argstr = str(spec).strip().partition(":")
     name = name.strip().lower()
     if name not in PROBLEM_FAMILIES:
         raise InvalidParameter(
             f"unknown problem {name!r}; known: {sorted(PROBLEM_FAMILIES)}"
         )
-    params = _parse_params(argstr)
     if name == "hyperclean" and seed is not None:
-        params.setdefault("seed", int(seed))
+        params = {"seed": seed, **params}
     try:
         return PROBLEM_FAMILIES[name](**params)
     except (TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
-        raise InvalidParameter(f"problem {spec!r}: {exc}") from exc
+        raise InvalidParameter(f"problem {name} with {params}: {exc}") from exc
+
+
+def parse_problem(spec: str, seed: int | None = None) -> BenchmarkProblem:
+    """The problem of a spec: "sin:n=2,a=2", "sin-constrained:n=2,c=1", "hyperclean:seed=0"."""
+    name, _, argstr = str(spec).strip().partition(":")
+    return make_problem(name, _parse_params(argstr), seed)
 
 
 def list_problems() -> list[str]:

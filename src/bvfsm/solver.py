@@ -110,8 +110,10 @@ class SolverConfig:
             raise InvalidParameter("K must be >= 0")
         if min(self.L, self.T_z, self.T_y) < 1:
             raise InvalidParameter("L, T_z, T_y must be >= 1")
-        if min(self.alpha, self.step_z, self.step_y) <= 0:
-            raise InvalidParameter("step sizes must be positive")
+        if not all(0.0 < v < math.inf for v in (self.alpha, self.step_z, self.step_y)):
+            raise InvalidParameter("step sizes must be positive and finite")
+        if self.wall_clock_cap_s is not None and math.isnan(self.wall_clock_cap_s):
+            raise InvalidParameter("wall_clock_cap_s must not be NaN")
         if not (self.aux_B.is_barrier and not self.aux_B.modified):
             raise InvalidParameter("aux_B must be a standard (unmodified) barrier")
 
@@ -571,7 +573,10 @@ def solve(
             x = x_try
             if not all_finite(grad):
                 raise SolveError("UL gradient non-finite", k, l, trace)
-            x = project(problem.ul_set, x - cfg.alpha * grad)
+            try:
+                x = project(problem.ul_set, x - cfg.alpha * grad)
+            except NonFiniteEvaluation as exc:
+                raise SolveError("UL iterate non-finite", k, l, trace) from exc
             z_warm, y_warm = inner.z, inner.y
 
             record(k, l + 1, inner.y, float(np.linalg.norm(grad)))

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,150 @@ def test_integer_key_takes_an_integral_float():
     _, bcfg, ul_steps = _resolve_method(bench, "cg", {"baseline": {"Q": 5.0, "ul_steps": 3.0}})
     assert (bcfg.Q, ul_steps) == (5, 3)
     assert type(bcfg.Q) is int and type(ul_steps) is int
+    assert cli._resolve_seed({"seed": 10**400}, None) == 10**400  # no float on the way
+
+
+# verb, top-level config entries, BVFSM_SEED, the message after "config error: "
+CONFIG_PROBES = {
+    "alpha-bool": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": True}}, None,
+                   "bvfsm: alpha must be a number, got True"),
+    "alpha-string": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": "0.5"}}, None,
+                     "bvfsm: alpha must be a number, got '0.5'"),
+    "schedule-mu": ("run", {"bvfsm": {**FAST_BVFSM, "schedule": {"mu": True}}}, None,
+                    "bvfsm: schedule.mu must be a number, got True"),
+    "shift-value": ("run", {"bvfsm": {**FAST_BVFSM, "schedule": {"sigma2": {"value": True}}}},
+                    None, "bvfsm: schedule.sigma2.value must be a number, got True"),
+    "cap-bool": ("run", {"wall_clock_cap_s": True}, None,
+                 "wall_clock_cap_s must be a number, got True"),
+    "ll_step-bool": ("run", {"methods": ["rhg"], "baseline": {"ll_step": True}}, None,
+                     "baseline: ll_step must be a number, got True"),
+    "seed-fraction": ("run", {"seed": 1.5}, None, "seed must be an integer, got 1.5"),
+    "seed-bool": ("run", {"seed": True}, None, "seed must be an integer, got True"),
+    "alpha-beyond-float": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": 10**400}}, None,
+                           f"bvfsm: alpha must be a number, got {10**400!r}"),
+    "top-key-run": ("run", {"sed": 3}, None, "unknown config keys ['sed']"),
+    "top-key-time": ("time", {"x_0": 3}, None, "unknown config keys ['x_0']"),
+    "sweep-a-spec": ("sweep", {"a": "2,n=5"}, None, "a must be a number, got '2,n=5'"),
+    "sweep-a-bool": ("sweep", {"a": True}, None, "a must be a number, got True"),
+    "env-seed": ("validate", {}, "abc", "BVFSM_SEED must be an integer, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("verb, entries, env_seed, message", CONFIG_PROBES.values(),
+                         ids=list(CONFIG_PROBES))
+def test_config_value_outside_its_kind_is_config_error(tmp_path, monkeypatch, capsys, verb,
+                                                        entries, env_seed, message):
+    # one number rule and one key check for every section and verb
+    if env_seed is not None:
+        monkeypatch.setenv("BVFSM_SEED", env_seed)
+    cfg = write_config(tmp_path, **{"methods": ["bvfsm"], **entries})
+    out = tmp_path / "out"
+    argv = ["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate" else \
+        [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_and_time_sizes_must_be_integers():
+    from bvfsm import InvalidParameter
+
+    with pytest.raises(InvalidParameter, match="n must be an integer, got 2.7"):
+        run_dimension_sweep("sin", [2.7], ["bvfsm"])
+    with pytest.raises(InvalidParameter, match="m must be an integer, got True"):
+        time_step([(True, 2)], ["bvfsm"], repeats=3)
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # numpy 2 prints np.float64(...) as its repr; every number cell is a plain one
+    cfg = {"bvfsm": {**FAST_BVFSM, "K": 3}, "baseline": {"T": 5, "I": 5, "Q": 3, "ul_steps": 3}}
+    assert run_experiment({**make_config(**cfg), "methods": ["bvfsm", "rhg"]},
+                          out_dir=tmp_path / "run") == EXIT_OK
+    run_dimension_sweep("sin", [1], ["bvfsm", "rhg"], cfg, out_path=tmp_path / "sweep.csv")
+    time_step([(1, 2)], ["bvfsm", "cg"], repeats=3, cfg=cfg, out_path=tmp_path / "time.csv")
+    for path in [tmp_path / "run" / "trace_bvfsm.csv", tmp_path / "run" / "trace_rhg.csv",
+                 tmp_path / "sweep.csv", tmp_path / "time.csv"]:
+        _, rows = read_csv(path)
+        assert rows
+        for row in rows:
+            for col, cell in row.items():
+                if col not in ("method", "note"):
+                    float(cell)  # raises on np.float64(...)
+
+
+def _resolved_by_hand():
+    """Every shipped config with each of its methods resolved by hand:
+    (config, problem spec, {method: (name, config, ul_steps)})."""
+    from bvfsm import BaselineConfig, ScheduleState, SolverConfig, StaticShift, parse_aux
+
+    root = Path(__file__).parents[1]
+    inverse_mod = parse_aux("inverse", modified=True)
+
+    def shift(value, pow_):
+        return StaticShift(value, decay_pow=pow_)
+
+    def baselines(ul_steps, **fields):
+        """rhg, bda:0.5, cg:20 and neumann:20 over BaselineConfig(T=100, I=100, **fields)."""
+        base = BaselineConfig(T=100, I=100, **fields)
+        return {m: (m.partition(":")[0], replace(base, **over), ul_steps)
+                for m, over in [("rhg", {}), ("bda:0.5", {"aggregation": 0.5}),
+                                ("cg:20", {"Q": 20}), ("neumann:20", {"Q": 20})]}
+
+    sin = SolverConfig(aux_f=inverse_mod, schedule=ScheduleState(sigma2=shift(2.0, 0.6)))
+    profiles = {
+        "sin:n=2": sin,
+        "sin-pessimistic:n=2": SolverConfig(K=2000, aux_f=inverse_mod,
+                                            schedule=ScheduleState(sigma2=shift(1.3, 0.5))),
+        "sin-constrained:n=2": SolverConfig(
+            K=2000, aux_f=parse_aux("quadratic"), aux_h=inverse_mod, aux_B=parse_aux("inverse"),
+            schedule=ScheduleState(sigma2=shift(2.0, 0.6), sigma2_h=shift(0.02, 0.5))),
+        "hyperclean:n_train=8,n_val=6,dim=2": SolverConfig(K=400, aux_f=parse_aux("quadratic")),
+    }
+    cases = {spec: ({}, spec, {"bvfsm": ("bvfsm", want, None)})
+             for spec, want in profiles.items()}
+    shipped = json.loads((root / "configs" / "convergence.json").read_text())
+    cases["convergence.json"] = (shipped, shipped["problem"], {
+        "bvfsm": ("bvfsm", SolverConfig(
+            K=3000, L=1, T_z=50, T_y=25, alpha=0.01, step_z=0.01, step_y=0.01,
+            aux_f=inverse_mod, aux_B=parse_aux("inverse"),
+            schedule=ScheduleState(mu=1.0, theta=1.0, sigma1=1.0, decay=0.9900990099009901,
+                                   sigma2=shift(2.0, 0.6))), None),
+        **baselines(500, Q=20, ll_step=0.01, alpha=0.01, aggregation=0.5,
+                    aggregation_decay=0.95)})
+    scripts = {p.stem: _load_script(p) for p in SCRIPTS}
+    cases["run_convergence"] = (scripts["run_convergence"].config(), "sin:n=2,a=2,c=2", {
+        "bvfsm": ("bvfsm", sin, None), **baselines(500, Q=20, aggregation_decay=0.95)})
+    # the sweep script names its methods in METHODS, not in its config
+    sweep = scripts["run_dimension_sweep"]
+    cases["run_dimension_sweep"] = ({**sweep.config(), "methods": sweep.METHODS},
+                                    "sin:n=2,a=2,c=2", {
+        "bvfsm": ("bvfsm", SolverConfig(K=2000, aux_f=inverse_mod,
+                                        schedule=ScheduleState(sigma2=shift(50.0, 0.6))), None),
+        **baselines(300, Q=20, aggregation_decay=0.95)})
+    pess, pess_cfg = baselines(400), scripts["run_pessimistic"].config()
+    cases["run_pessimistic"] = (pess_cfg, pess_cfg["problem"], {
+        "bvfsm": ("bvfsm", profiles["sin-pessimistic:n=2"], None),
+        "rhg": pess["rhg"], "bda:0.5": pess["bda:0.5"]})
+    assert set(scripts) <= set(cases)
+    return cases
+
+
+RESOLVED_BY_HAND = _resolved_by_hand()
+
+
+@pytest.mark.parametrize("cfg, spec, expected", RESOLVED_BY_HAND.values(),
+                         ids=list(RESOLVED_BY_HAND))
+def test_shipped_configs_resolve_to_hand_written_values(cfg, spec, expected):
+    # repr tells 2000 from 2000.0, which == does not
+    from bvfsm.cli import CONFIG_KEYS, _reject_unknown, _resolve_method, build_solver_config
+    from bvfsm.problems import parse_problem
+
+    _reject_unknown("config", cfg, CONFIG_KEYS)
+    bench = parse_problem(spec, 0)
+    assert set(cfg.get("methods", ["bvfsm"])) == set(expected)
+    got = {mspec: _resolve_method(bench, mspec, cfg) for mspec in expected}
+    assert repr(got) == repr(expected)
+    assert repr(build_solver_config(cfg, bench)) == repr(expected["bvfsm"][1])
 
 
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))

@@ -7,6 +7,7 @@ import pytest
 
 from bvfsm import (
     AuxiliaryFunction,
+    BaselineConfig,
     BilevelProblem,
     FeasibleSet,
     InverseBarrier,
@@ -782,6 +783,39 @@ def test_solve_rejects_non_finite_ul_gradient(bad):
     cfg = SolverConfig(K=2, T_z=3, T_y=3, aux_f=QP)
     with pytest.raises(SolveError, match="UL gradient non-finite"):
         solve(prob, cfg, np.zeros(1), np.ones(2))
+
+
+def test_solve_rejects_overflowing_ul_step():
+    # a finite UL gradient of 1e308 times alpha = 10 overflows x to -inf; the
+    # solve stops with its partial trace instead of a bare NonFiniteEvaluation
+    from bvfsm import SolveError
+
+    prob = _bad_gradient_problem(1e308, "F.gx")
+    cfg = SolverConfig(K=3, T_z=3, T_y=3, alpha=10.0, aux_f=QP)
+    with np.errstate(over="ignore"), pytest.raises(SolveError, match="UL iterate non-finite") \
+            as exc:
+        solve(prob, cfg, np.zeros(1), np.ones(2))
+    assert (exc.value.k, exc.value.l) == (0, 0)
+    assert [r.x.tolist() for r in exc.value.trace.records] == [[0.0]]
+
+
+NON_FINITE_FIELDS = [
+    (cls, key, bad)
+    for cls, keys in [(SolverConfig, ("alpha", "step_z", "step_y")),
+                      (ScheduleState, ("mu", "theta", "sigma1")),
+                      (BaselineConfig, ("ll_step", "alpha", "hvp_eps"))]
+    for key in keys for bad in (math.nan, math.inf)
+] + [(SolverConfig, "wall_clock_cap_s", math.nan)]
+
+
+@pytest.mark.parametrize("cls, key, bad", NON_FINITE_FIELDS,
+                         ids=[f"{c.__name__}.{k}={b}" for c, k, b in NON_FINITE_FIELDS])
+def test_non_finite_step_or_schedule_parameter_is_rejected(cls, key, bad):
+    # a NaN passed the old "min(...) <= 0" checks and ran a solve that never moved
+    from bvfsm import InvalidParameter
+
+    with pytest.raises(InvalidParameter, match="finite|NaN"):
+        cls(**{key: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
