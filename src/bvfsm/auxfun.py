@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from .core import InvalidParameter
+from .core import InvalidParameter, _inline
 
 
 class BarrierWall(RuntimeError):
@@ -161,11 +161,11 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
     if name == "quadratic":
         kind: Kind = QuadraticPenalty()
     elif name == "polynomial":
-        kind = PolynomialPenalty(q=int(arg) if arg else 3)
+        kind = PolynomialPenalty(**_inline(PolynomialPenalty, "q", arg))
     elif name == "inverse":
         kind = InverseBarrier()
     elif name == "truncated-log":
-        kind = TruncatedLogBarrier(kappa=float(arg) if arg else 1.0)
+        kind = TruncatedLogBarrier(**_inline(TruncatedLogBarrier, "kappa", arg))
     else:
         raise InvalidParameter(f"unknown auxiliary function {spec!r}")
     return AuxiliaryFunction(kind=kind, modified=bool(modified))

@@ -13,7 +13,7 @@ grad_x along y-perturbations (:func:`_mixed_vjp`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +22,7 @@ from .core import (
     BilevelProblem,
     InvalidParameter,
     NonFiniteEvaluation,
+    _inline,
     all_finite,
     hvp,
     plain_descent,
@@ -36,7 +37,8 @@ class BaselineConfig:
     series; ``Q`` linear-solve steps (CG iterations or Neumann terms); ``I``
     truncation window for TRHG; ``aggregation`` in (0, 1) for BDA;
     ``hvp_eps`` for finite differences.
-    ``alpha`` is the UL step size used by experiment drivers.
+    ``alpha`` and ``ul_steps`` are the UL step size and step count used by
+    experiment drivers.
     """
 
     T: int = 100
@@ -47,6 +49,7 @@ class BaselineConfig:
     ll_step: float = 0.01
     alpha: float = 0.01
     hvp_eps: float = 1e-5
+    ul_steps: int = 500
 
     def __post_init__(self):
         if self.T < 0:
@@ -61,6 +64,8 @@ class BaselineConfig:
             raise InvalidParameter("aggregation_decay must lie in (0, 1]")
         if not all(0.0 < v < math.inf for v in (self.ll_step, self.alpha, self.hvp_eps)):
             raise InvalidParameter("steps and hvp_eps must be positive and finite")
+        if self.ul_steps < 0:
+            raise InvalidParameter("ul_steps must be >= 0")
 
 
 class Hypergradient(NamedTuple):
@@ -233,23 +238,13 @@ def hypergradient_step(problem: BilevelProblem, method: str, x, y, cfg: Baseline
 def parse_method(spec: str, base: BaselineConfig | None = None) -> tuple[str, BaselineConfig]:
     """Parse "rhg", "trhg:I", "bda:agg", "cg:Q", "neumann:Q" into (name, config).
 
-    Without an argument a method keeps ``base``; ``rhg`` takes none.
+    An argument fills the field named in ``fills`` and takes its kind; without
+    one a method keeps ``base``.  ``rhg`` takes none.
     """
-    base = base or BaselineConfig()
+    fills = {"rhg": None, "trhg": "I", "bda": "aggregation", "cg": "Q", "neumann": "Q"}
     name, _, arg = str(spec).strip().lower().partition(":")
-    if name == "rhg":
-        if arg:
-            raise InvalidParameter(f"rhg takes no argument, got {spec!r}")
-        return "rhg", base
-    if name == "trhg":
-        I = int(arg) if arg else base.I
-        return "trhg", BaselineConfig(**{**base.__dict__, "I": I})
-    if name == "bda":
-        agg = float(arg) if arg else base.aggregation
-        return "bda", BaselineConfig(**{**base.__dict__, "aggregation": agg})
-    if name in ("cg", "neumann"):
-        cfgd = dict(base.__dict__)
-        if arg:
-            cfgd["Q"] = int(arg)
-        return name, BaselineConfig(**cfgd)
-    raise InvalidParameter(f"unknown baseline method {spec!r}")
+    if name not in fills:
+        raise InvalidParameter(f"unknown baseline method {spec!r}")
+    if arg and fills[name] is None:
+        raise InvalidParameter(f"{name} takes no argument, got {spec!r}")
+    return name, replace(base or BaselineConfig(), **_inline(BaselineConfig, fills[name], arg))

@@ -8,10 +8,8 @@ timing columns are excluded from that contract.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -23,6 +21,7 @@ from . import __version__
 from .auxfun import ScheduleState, StaticShift, parse_aux
 from .baselines import BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
+from .core import _number, _read_text, _reject_unknown, _section
 from .problems import BenchmarkProblem, list_problems, make_problem, parse_problem
 from .solver import (
     SolveError,
@@ -90,23 +89,13 @@ def _load_config(path) -> dict:
     return cfg
 
 
-# the keys a config may set at its top level, in every verb
-CONFIG_KEYS = ("problem", "methods", "x0", "y0", "seed", "out_dir", "wall_clock_cap_s",
-               "bvfsm", "baseline", "a", "c")
-
-
-def _number(key: str, value, kind: str) -> int | float:
-    """``value`` as the ``kind`` "int" or "float"; a bool, a non-number, a
-    fraction for an int or an int beyond float range for a float raises
-    InvalidParameter naming ``key``."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        integral = isinstance(value, numbers.Integral)
-        if kind == "int" and (integral or float(value).is_integer()):
-            return int(value)
-        if kind == "float" and (not integral or abs(value) <= sys.float_info.max):
-            return float(value)
-    noun = "an integer" if kind == "int" else "a number"
-    raise InvalidParameter(f"{key} must be {noun}, got {value!r}")
+# the keys a config may set at its top level: those its verb reads
+CONFIG_KEYS = {
+    "run": ("problem", "methods", "x0", "y0", "seed", "out_dir", "wall_clock_cap_s",
+            "bvfsm", "baseline"),
+    "sweep": ("x0", "y0", "wall_clock_cap_s", "bvfsm", "baseline", "a", "c"),
+    "time": ("x0", "y0", "bvfsm", "baseline"),
+}
 
 
 def _resolve_seed(cfg: dict, override: int | None) -> int:
@@ -116,44 +105,17 @@ def _resolve_seed(cfg: dict, override: int | None) -> int:
     if "seed" in cfg:
         return _number("seed", cfg["seed"], "int")
     env = os.environ.get("BVFSM_SEED") or "0"
-    try:  # the environment holds text: read it as a JSON number, for _number to judge
-        value = json.loads(env)
-    except ValueError:
-        value = env
-    return _number("BVFSM_SEED", value, "int")
-
-
-def _reject_unknown(section: str, d: dict, known) -> None:
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
-
-
-def _section(section: str, d, cls, readers=None) -> dict:
-    """The keyword arguments of ``cls`` that config object ``d`` sets.
-
-    A key of ``readers`` goes through its reader, one whose field is annotated
-    ``int`` or ``float`` through _number (named ``schedule.mu`` in a nested
-    section); any other key raises, and a null entry takes the default.
-    """
-    if not isinstance(d, dict):
-        raise InvalidParameter(f"{section} must be an object, got {d!r}")
-    readers = readers or {}
-    kinds = {f.name: f.type for f in dataclasses.fields(cls) if f.type in ("int", "float")}
-    _reject_unknown(section, d, [*kinds, *readers])
-    prefix = "" if section in ("bvfsm", "baseline") else f"{section}."
-    return {key: readers[key](v) if key in readers else _number(prefix + key, v, kinds[key])
-            for key, v in d.items() if v is not None}
+    return _number("BVFSM_SEED", _read_text(env), "int")
 
 
 def _shift_reader(section: str):
-    return lambda d: StaticShift(**_section(section, d, StaticShift))
+    return lambda d: StaticShift(**_section(section, d, StaticShift, nested=True))
 
 
 def build_schedule(d: dict) -> ScheduleState:
     """A ScheduleState; a missing or null key takes its default, a sigma2* entry is a StaticShift."""
     shifts = {key: _shift_reader(f"schedule.{key}") for key in ("sigma2", "sigma2_H", "sigma2_h")}
-    return ScheduleState(**_section("schedule", d or {}, ScheduleState, shifts))
+    return ScheduleState(**_section("schedule", d or {}, ScheduleState, shifts, nested=True))
 
 
 def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
@@ -188,8 +150,8 @@ def _wall_clock_cap(cfg: dict) -> float | None:
 def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
     """Turn one method spec of a config into a configured method.
 
-    Returns ``("bvfsm", SolverConfig, None)`` or a baseline's ``(name,
-    BaselineConfig, ul_steps)``.  This is the only reader of the ``bvfsm`` and
+    Returns ``("bvfsm", SolverConfig)`` or a baseline's ``(name,
+    BaselineConfig)``.  This is the only reader of the ``bvfsm`` and
     ``baseline`` sections: an unknown method or a malformed section raises
     InvalidParameter naming the section.
     """
@@ -199,12 +161,9 @@ def _resolve_method(bench: BenchmarkProblem, mspec, cfg: dict):
         if section == "bvfsm":
             if arg:
                 raise InvalidParameter(f"bvfsm takes no argument, got {mspec!r}")
-            return "bvfsm", build_solver_config(cfg, bench), None
-        fields = _section("baseline", cfg.get("baseline") or {}, BaselineConfig,
-                          {"ul_steps": lambda v: _number("ul_steps", v, "int")})
-        ul_steps = fields.pop("ul_steps", 500)
-        name, bcfg = parse_method(mspec, BaselineConfig(**fields))
-        return name, bcfg, ul_steps
+            return "bvfsm", build_solver_config(cfg, bench)
+        fields = _section("baseline", cfg.get("baseline") or {}, BaselineConfig)
+        return parse_method(mspec, BaselineConfig(**fields))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidParameter(f"{section}: {exc}") from exc
 
@@ -213,12 +172,12 @@ def run_baseline_loop(
     bench: BenchmarkProblem,
     method: str,
     bcfg: BaselineConfig,
-    ul_steps: int,
     x0: np.ndarray,
     y0: np.ndarray,
     wall_clock_cap_s: float | None = None,
 ) -> tuple[SolveTrace, str]:
-    """Projected UL descent driven by a baseline hypergradient estimator.
+    """``bcfg.ul_steps`` steps of projected UL descent driven by a baseline
+    hypergradient estimator.
 
     Returns the trace and the last estimator flag.  The loop stops at the first
     non-finite gradient, iterate or trace value, after recording that step
@@ -236,7 +195,7 @@ def run_baseline_loop(
                              time.perf_counter() - t0, math.nan, math.nan, math.nan,
                              y=y.copy()))
     last_flag = ""
-    for k in range(ul_steps):
+    for k in range(bcfg.ul_steps):
         if wall_clock_cap_s is not None and time.perf_counter() - t0 > wall_clock_cap_s:
             raise SolveTimeout(f"baseline {method} exceeded wall clock cap", trace)
         try:
@@ -264,10 +223,10 @@ def _run_method(bench: BenchmarkProblem, method, x0: np.ndarray, y0: np.ndarray,
 
     SolveTimeout and SolveError carry the partial trace.
     """
-    name, mcfg, ul_steps = method
+    name, mcfg = method
     if isinstance(mcfg, SolverConfig):
         return solve(bench.problem, mcfg, x0, y0, reference=bench.reference), ""
-    return run_baseline_loop(bench, name, mcfg, ul_steps, x0, y0, cap)
+    return run_baseline_loop(bench, name, mcfg, x0, y0, cap)
 
 
 def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None) -> int:
@@ -282,7 +241,7 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
     """
     try:
         cfg = dict(config)
-        _reject_unknown("config", cfg, CONFIG_KEYS)
+        _reject_unknown("config", cfg, CONFIG_KEYS["run"])
         if wall_clock_cap_s is not None:
             cfg["wall_clock_cap_s"] = wall_clock_cap_s
         cap = _wall_clock_cap(cfg)
@@ -350,11 +309,10 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
 # ---------------------------------------------------------------------------
 
 
-def _sweep_cell(family: str, params: dict, mspec: str, cfg: dict, cap: float | None) -> dict:
-    """One sweep row of the problem ``params``; a config error raises, a failed
-    run goes into ``note``."""
+def _sweep_cell(bench: BenchmarkProblem, mspec: str, cfg: dict, cap: float | None) -> dict:
+    """One sweep row of ``bench``; a config error raises, a failed run goes
+    into ``note``."""
     started = time.perf_counter()
-    bench = make_problem(family, params)
     method = _resolve_method(bench, mspec, cfg)
     x0, y0 = start_point(bench.problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
     try:
@@ -362,21 +320,22 @@ def _sweep_cell(family: str, params: dict, mspec: str, cfg: dict, cap: float | N
         rel_x, rel_F, note = trace.final.rel_err_x, trace.final.rel_err_F, ""
     except Exception as exc:  # per-cell failure recorded, sweep continues
         rel_x, rel_F, note = math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-    return dict(n=params["n"], method=mspec, rel_err_x=rel_x, rel_err_F=rel_F,
+    return dict(n=bench.problem.n, method=mspec, rel_err_x=rel_x, rel_err_F=rel_F,
                 wall_time_s=time.perf_counter() - started, note=note)
 
 
 def run_dimension_sweep(family: str, n_list, methods, cfg: dict | None = None,
                         out_path=None) -> list[dict]:
-    """One row per (n, method) with final rel_err_x and wall time."""
+    """One row per (n, method) with final rel_err_x and wall time; every problem,
+    of ``n`` and the config's ``a`` and ``c`` (else the family's), is built first."""
     if not n_list:
         raise InvalidParameter("n_list must be non-empty")
     cfg = cfg or {}
-    _reject_unknown("config", cfg, CONFIG_KEYS)
+    _reject_unknown("config", cfg, CONFIG_KEYS["sweep"])
     cap = _wall_clock_cap(cfg)
-    ac = {key: _number(key, cfg.get(key, 2), "float") for key in ("a", "c")}
-    rows = [_sweep_cell(family, {"n": _number("n", n, "int"), **ac}, str(m), cfg, cap)
-            for n in n_list for m in methods]
+    ac = {key: cfg[key] for key in ("a", "c") if key in cfg}
+    benches = [make_problem(family, {"n": n, **ac}) for n in n_list]
+    rows = [_sweep_cell(bench, str(m), cfg, cap) for bench in benches for m in methods]
     if out_path is not None:
         _write_csv(out_path, SWEEP_COLUMNS, [[r[c] for c in SWEEP_COLUMNS] for r in rows])
     return rows
@@ -404,15 +363,13 @@ def time_step(
     if repeats < 3:
         raise InvalidParameter("repeats must be >= 3")
     cfg = cfg or {}
-    _reject_unknown("config", cfg, CONFIG_KEYS)
+    _reject_unknown("config", cfg, CONFIG_KEYS["time"])
     rows = []
-    for m, n in sizes:
-        m, n = _number("m", m, "int"), _number("n", n, "int")
-        bench = make_problem("sin", {"n": n, "a": 2, "c": 2, "m": m})
+    for bench in [make_problem("sin", {"n": n, "m": m}) for m, n in sizes]:
         problem = bench.problem
         x, y0 = start_point(problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
         for mspec in methods:
-            name, mcfg, _ = _resolve_method(bench, mspec, cfg)
+            name, mcfg = _resolve_method(bench, mspec, cfg)
             times = []
             try:
                 for rep in range(repeats + 1):
@@ -427,7 +384,7 @@ def time_step(
                 median_s, note = float(np.median(times)), ""
             except Exception as exc:  # per-method failure recorded, timing continues
                 median_s, note = math.nan, f"{type(exc).__name__}: {exc}"
-            rows.append(dict(m=m, n=n, method=str(mspec), median_s=median_s,
+            rows.append(dict(m=problem.m, n=problem.n, method=str(mspec), median_s=median_s,
                              repeats=repeats, note=note))
     if out_path is not None:
         _write_csv(out_path, TIMING_COLUMNS, [[r[c] for c in TIMING_COLUMNS] for r in rows])
@@ -439,12 +396,12 @@ def time_step(
 # ---------------------------------------------------------------------------
 
 
-def _size_pair(spec: str) -> tuple[int, int]:
-    m, _, n = spec.partition(":")
-    try:
-        return int(m), int(n)
-    except ValueError as exc:
-        raise InvalidParameter(f"size {spec!r} is not m:n") from exc
+def _size_pair(spec: str) -> tuple:
+    """The m and n of a ``--sizes`` entry ``m:n`` as _read_text reads them."""
+    m, sep, n = spec.partition(":")
+    if not sep:
+        raise InvalidParameter(f"size {spec!r} is not m:n")
+    return _read_text(m), _read_text(n)
 
 
 def main(argv=None) -> int:

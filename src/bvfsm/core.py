@@ -10,7 +10,10 @@ solver loops.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,6 +30,64 @@ class DimensionMismatch(ValueError):
 
 class InvalidParameter(ValueError):
     """A configuration parameter violates its documented domain."""
+
+
+def _read_text(text: str):
+    """A value written as text: ``true`` or ``false`` in any case as a bool,
+    else an int, else a float, else the text itself, for _number to judge."""
+    text = text.strip()
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _number(key: str, value, kind: str) -> int | float | bool:
+    """``value`` as the ``kind`` "int", "float" or "bool"; a bool for another
+    kind, anything else for a bool, a non-number, a fraction for an int or an
+    int beyond float range for a float raises InvalidParameter naming ``key``."""
+    if kind == "bool" and isinstance(value, bool):
+        return value
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        integral = isinstance(value, numbers.Integral)
+        if kind == "int" and (integral or float(value).is_integer()):
+            return int(value)
+        if kind == "float" and (not integral or abs(value) <= sys.float_info.max):
+            return float(value)
+    noun = {"int": "an integer", "float": "a number", "bool": "a bool"}[kind]
+    raise InvalidParameter(f"{key} must be {noun}, got {value!r}")
+
+
+def _reject_unknown(section: str, d: dict, known) -> None:
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
+
+
+def _section(section: str, d, target, readers=None, nested: bool = False) -> dict:
+    """The keyword arguments of ``target``, a class or function, that object ``d``
+    sets: a key of ``readers`` through its reader, one whose parameter is
+    annotated ``int``, ``float`` or ``bool`` through _number (named ``schedule.mu``
+    when ``nested``); any other key raises, and a null entry takes the default."""
+    if not isinstance(d, dict):
+        raise InvalidParameter(f"{section} must be an object, got {d!r}")
+    readers = readers or {}
+    kinds = {p.name: p.annotation for p in inspect.signature(target).parameters.values()
+             if p.annotation in ("int", "float", "bool")}
+    _reject_unknown(section, d, [*kinds, *readers])
+    prefix = f"{section}." if nested else ""
+    return {key: readers[key](v) if key in readers else _number(prefix + key, v, kinds[key])
+            for key, v in d.items() if v is not None}
+
+
+def _inline(target, key: str, arg: str) -> dict:
+    """``{key: value}`` of an inline argument (the 5 of ``cg:5``), read by _read_text
+    and typed by the parameter ``key`` of ``target``; {} when ``arg`` is empty."""
+    return _section(key, {key: _read_text(arg)}, target) if arg else {}
 
 
 def all_finite(v: np.ndarray) -> bool:
@@ -158,10 +219,6 @@ class BilevelProblem:
                 )
         if self.ul_set.dim is not None and self.ul_set.dim != self.m:
             raise DimensionMismatch("ul_set dimension does not match m")
-
-    @property
-    def constrained(self) -> bool:
-        return bool(self.ul_constraints or self.ll_constraints)
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x, eps: float = 1e-5) -> np.ndarray:

@@ -18,6 +18,8 @@ from .core import (
     InvalidParameter,
     Mode,
     ScalarField,
+    _read_text,
+    _section,
 )
 from .solver import Reference
 
@@ -164,7 +166,7 @@ HYPERCLEAN_SOLVER_PROFILE = {
 }
 
 
-def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProblem:
+def make_sin_problem(n: int, a: float = 2.0, c: float = 2.0, m: int = 1) -> BenchmarkProblem:
     """Optimistic sin benchmark: F = (x-a)^2 + |y-a-c|^2, f = sum_i sin(x+y_i-c_i).
 
     ``m > 1`` replaces the scalar UL variable by the mean of an m-vector
@@ -189,7 +191,7 @@ def make_sin_problem(n: int, a: float = 2.0, c=2.0, m: int = 1) -> BenchmarkProb
     )
 
 
-def make_pessimistic_sin_problem(n: int, a: float = 2.0, c=2.0) -> BenchmarkProblem:
+def make_pessimistic_sin_problem(n: int, a: float = 2.0, c: float = 2.0) -> BenchmarkProblem:
     """Pessimistic variant: F = (x-a)^2 - |y-a-c|^2, same LL, same (x*, y*)."""
     c = _sin_params(n, a, c)
     F, f = _sin_fields(n, a, c, pessimistic=True, constrained=False)
@@ -208,7 +210,7 @@ def make_pessimistic_sin_problem(n: int, a: float = 2.0, c=2.0) -> BenchmarkProb
     )
 
 
-def make_constrained_sin_problem(n: int, a: float = 2.0, c=1.0) -> BenchmarkProblem:
+def make_constrained_sin_problem(n: int, a: float = 2.0, c: float = 1.0) -> BenchmarkProblem:
     """Constrained sin benchmark: x + y_i in [0, 1] via (x + y_i - 0.5)^2 - 0.25 <= 0.
 
     F = (x-a)^2 + |y-a|^2; solution x* = (1-n) a / (1+n), y*_i = -x*,
@@ -381,24 +383,9 @@ def make_hyperclean_problem(
 
 
 def _parse_params(argstr: str) -> dict:
-    out: dict = {}
-    for item in argstr.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-            continue
-        try:
-            out[key] = int(val)
-        except ValueError:
-            try:
-                out[key] = float(val)
-            except ValueError:
-                out[key] = val
-    return out
+    """The ``key=value`` pairs of a spec, each value as _read_text reads it."""
+    pairs = (item.partition("=") for item in argstr.split(",") if item)
+    return {key.strip(): _read_text(val) for key, _, val in pairs}
 
 
 PROBLEM_FAMILIES = {
@@ -413,8 +400,9 @@ def make_problem(name: str, params: dict, seed: int | None = None) -> BenchmarkP
     """The problem of family ``name`` (case-blind) built from keyword ``params``.
 
     hyperclean, the one family that draws data, draws it from ``seed`` unless
-    ``params`` names its own.  An unknown family, an unknown parameter or a
-    value the constructor rejects raises InvalidParameter.
+    ``params`` names its own.  A value takes the kind of the parameter it
+    fills (core._number); an unknown family or parameter, a value of another
+    kind or one the constructor rejects raises InvalidParameter.
     """
     name = name.strip().lower()
     if name not in PROBLEM_FAMILIES:
@@ -423,8 +411,9 @@ def make_problem(name: str, params: dict, seed: int | None = None) -> BenchmarkP
         )
     if name == "hyperclean" and seed is not None:
         params = {"seed": seed, **params}
+    family = PROBLEM_FAMILIES[name]
     try:
-        return PROBLEM_FAMILIES[name](**params)
+        return family(**_section(name, params, family))
     except (TypeError, ValueError) as exc:  # InvalidParameter is a ValueError
         raise InvalidParameter(f"problem {name} with {params}: {exc}") from exc
 

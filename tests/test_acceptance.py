@@ -7,6 +7,7 @@ closed form evaluated independently or produced by the oracles in
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,7 +99,7 @@ def test_A2_dimension_sweep():
         base = BaselineConfig(T=100, I=100, Q=20, ll_step=0.01, alpha=0.01,
                               aggregation=0.5, aggregation_decay=0.95)
         for method in ("rhg", "bda", "cg", "neumann"):
-            btr, _ = run_baseline_loop(bench, method, base, 300, x0, y0)
+            btr, _ = run_baseline_loop(bench, method, replace(base, ul_steps=300), x0, y0)
             err = btr.final.rel_err_x
             ok = ok and err > 1.5
             cells.append(f"{method}={err:.3f}")
@@ -145,7 +146,8 @@ def test_A4_pessimistic_convergence():
     cells = [f"bvfsm={bv:.4f}"]
     ok = bv < 0.1
     for method in ("rhg", "bda"):
-        btr, _ = run_baseline_loop(bench, method, base, 400, bench.x0, bench.y0)
+        btr, _ = run_baseline_loop(bench, method, replace(base, ul_steps=400),
+                                   bench.x0, bench.y0)
         err = btr.final.rel_err_F
         cells.append(f"{method}={err:.3g}")
         ok = ok and (err > 0.5 or math.isnan(err))
@@ -334,8 +336,6 @@ A9_CFG = {"baseline": {"T": 100, "I": 100, "Q": 20}}
 
 def a9_oracle_calls(methods):
     """Oracle calls of one step per method, as ``time_step`` takes it at n=1000."""
-    from dataclasses import replace
-
     from bvfsm.baselines import hypergradient_step
     from bvfsm.cli import _resolve_method
     from bvfsm.problems import parse_problem
@@ -356,7 +356,7 @@ def a9_oracle_calls(methods):
     x, y0 = np.full(1, 8.0), np.zeros(1000)
     out = {}
     for mspec in methods:
-        name, mcfg, _ = _resolve_method(bench, mspec, A9_CFG)
+        name, mcfg = _resolve_method(bench, mspec, A9_CFG)
         calls[0] = 0
         if name == "bvfsm":
             inner = solve_inner(prob, x, mcfg.schedule, mcfg, z0=y0, y0=y0)

@@ -47,6 +47,15 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def write_verb_config(tmp_path, verb, **entries):
+    """make_config(methods=["bvfsm"]) cut to the top-level keys ``verb`` reads, then ``entries``."""
+    keys = cli.CONFIG_KEYS[verb]
+    cfg = {key: v for key, v in make_config(methods=["bvfsm"]).items() if key in keys}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg, **entries}))
+    return path
+
+
 def read_csv(path):
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -129,11 +138,11 @@ VERB_ARGS = {
 
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
 def test_non_numeric_solver_setting_is_config_error_in_every_verb(tmp_path, verb, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "K": "abc"})
+    cfg = write_verb_config(tmp_path, verb, bvfsm={**FAST_BVFSM, "K": "abc"})
     out = tmp_path / "out"
     argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
     assert main(argv) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    assert "config error: bvfsm: K must be an integer, got 'abc'" in capsys.readouterr().err
     assert not out.exists()  # rejected before any method ran
 
 
@@ -152,7 +161,7 @@ def test_baseline_section_reaches_a_method_without_argument(method, baseline, ke
     from bvfsm.problems import parse_problem
 
     cfg = {"baseline": baseline, "methods": [method]}
-    name, bcfg, _ = _resolve_method(parse_problem("sin:n=2"), method, cfg)
+    name, bcfg = _resolve_method(parse_problem("sin:n=2"), method, cfg)
     assert name == method and getattr(bcfg, key) == value
 
 
@@ -257,7 +266,7 @@ def test_baseline_loop_rejects_start_point_of_wrong_dimension():
 
     bench = parse_problem("sin:n=2,a=2,c=2")
     with pytest.raises(InvalidParameter, match="x0 must have dimension 1"):
-        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3), 2,
+        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3, ul_steps=2),
                               np.array([8.0, 3.0]), np.zeros(2))
 
 
@@ -355,12 +364,12 @@ def test_bad_start_point_is_rejected_alike_everywhere(tmp_path, key, value, mess
         solve(bench.problem, SolverConfig(K=1), start["x0"], start["y0"])
     assert str(exc.value) == message
     with pytest.raises(InvalidParameter) as exc:
-        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3), 1,
+        cli.run_baseline_loop(bench, "rhg", BaselineConfig(T=3, I=3, ul_steps=1),
                               start["x0"], start["y0"])
     assert str(exc.value) == message
-    cfg = write_config(tmp_path, methods=["bvfsm"], **{key: value})
     out = tmp_path / "out"
     for verb in ("run", "sweep", "time"):
+        cfg = write_verb_config(tmp_path, verb, **{key: value})
         argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
         assert main(argv) == EXIT_CONFIG, verb
         assert capsys.readouterr().err == f"config error: {message}\n", verb
@@ -422,15 +431,20 @@ def test_integer_key_that_is_not_an_integer_is_config_error(tmp_path, method, se
 
 
 def test_integer_key_takes_an_integral_float():
+    from bvfsm import parse_aux
     from bvfsm.cli import _resolve_method, build_solver_config
     from bvfsm.problems import parse_problem
 
     bench = parse_problem("sin:n=2")
     assert build_solver_config({"bvfsm": {"K": 40.0}}, bench).K == 40
-    _, bcfg, ul_steps = _resolve_method(bench, "cg", {"baseline": {"Q": 5.0, "ul_steps": 3.0}})
-    assert (bcfg.Q, ul_steps) == (5, 3)
-    assert type(bcfg.Q) is int and type(ul_steps) is int
+    _, bcfg = _resolve_method(bench, "cg", {"baseline": {"Q": 5.0, "ul_steps": 3.0}})
+    assert (bcfg.Q, bcfg.ul_steps) == (5, 3)
+    assert type(bcfg.Q) is int and type(bcfg.ul_steps) is int
     assert cli._resolve_seed({"seed": 10**400}, None) == 10**400  # no float on the way
+    # an inline argument fills its int field as a config entry does
+    Q = _resolve_method(bench, "cg:5.0", {})[1].Q
+    q = parse_aux("polynomial:3.0").kind.q
+    assert (Q, q) == (5, 3) and type(Q) is int and type(q) is int
 
 
 # verb, top-level config entries, BVFSM_SEED, the message after "config error: "
@@ -453,8 +467,26 @@ CONFIG_PROBES = {
                            f"bvfsm: alpha must be a number, got {10**400!r}"),
     "top-key-run": ("run", {"sed": 3}, None, "unknown config keys ['sed']"),
     "top-key-time": ("time", {"x_0": 3}, None, "unknown config keys ['x_0']"),
-    "sweep-a-spec": ("sweep", {"a": "2,n=5"}, None, "a must be a number, got '2,n=5'"),
-    "sweep-a-bool": ("sweep", {"a": True}, None, "a must be a number, got True"),
+    "run-a": ("run", {"a": 5}, None, "unknown config keys ['a']"),
+    "sweep-problem": ("sweep", {"problem": "sin:n=5"}, None, "unknown config keys ['problem']"),
+    "time-cap": ("time", {"wall_clock_cap_s": 5}, None,
+                 "unknown config keys ['wall_clock_cap_s']"),
+    "sweep-a-spec": ("sweep", {"a": "2,n=5"}, None,
+                     "problem sin with {'n': 2, 'a': '2,n=5'}: a must be a number, got '2,n=5'"),
+    "sweep-a-bool": ("sweep", {"a": True}, None,
+                     "problem sin with {'n': 2, 'a': True}: a must be a number, got True"),
+    "spec-a-bool": ("run", {"problem": "sin:n=2,a=true"}, None,
+                    "problem sin with {'n': 2, 'a': True}: a must be a number, got True"),
+    "spec-c-bool": ("run", {"problem": "sin-constrained:n=2,c=true"}, None,
+                    "problem sin-constrained with {'n': 2, 'c': True}: c must be a number, "
+                    "got True"),
+    "spec-seed-bool": ("run", {"problem": "hyperclean:seed=true,n_train=8,n_val=6"}, None,
+                       "problem hyperclean with {'seed': True, 'n_train': 8, 'n_val': 6}: "
+                       "seed must be an integer, got True"),
+    "trhg-bool": ("run", {"methods": ["trhg:true"]}, None,
+                  "baseline: I must be an integer, got True"),
+    "truncated-log-bool": ("run", {"bvfsm": {**FAST_BVFSM, "aux_f": "truncated-log:true"}},
+                           None, "bvfsm: kappa must be a number, got True"),
     "env-seed": ("validate", {}, "abc", "BVFSM_SEED must be an integer, got 'abc'"),
 }
 
@@ -463,10 +495,10 @@ CONFIG_PROBES = {
                          ids=list(CONFIG_PROBES))
 def test_config_value_outside_its_kind_is_config_error(tmp_path, monkeypatch, capsys, verb,
                                                         entries, env_seed, message):
-    # one number rule and one key check for every section and verb
+    # one number rule for every value read from outside, one key check per verb
     if env_seed is not None:
         monkeypatch.setenv("BVFSM_SEED", env_seed)
-    cfg = write_config(tmp_path, **{"methods": ["bvfsm"], **entries})
+    cfg = write_verb_config(tmp_path, "run" if verb == "validate" else verb, **entries)
     out = tmp_path / "out"
     argv = ["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate" else \
         [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
@@ -482,6 +514,18 @@ def test_sweep_and_time_sizes_must_be_integers():
         run_dimension_sweep("sin", [2.7], ["bvfsm"])
     with pytest.raises(InvalidParameter, match="m must be an integer, got True"):
         time_step([(True, 2)], ["bvfsm"], repeats=3)
+
+
+def test_sizes_entries_are_read_by_the_number_rule(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["time", "--sizes", "1:true", "--methods", "bvfsm", "--repeats", "3", "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "n must be an integer, got True" in capsys.readouterr().err
+    assert not out.exists()
+    argv[2] = "1.0:2.0"  # integral values fill the ints m and n
+    assert main(argv) == EXIT_OK
+    _, rows = read_csv(out)
+    assert (rows[0]["m"], rows[0]["n"]) == ("1", "2")
 
 
 def test_csv_cells_are_plain_numbers(tmp_path):
@@ -502,8 +546,8 @@ def test_csv_cells_are_plain_numbers(tmp_path):
 
 
 def _resolved_by_hand():
-    """Every shipped config with each of its methods resolved by hand:
-    (config, problem spec, {method: (name, config, ul_steps)})."""
+    """Every shipped config with each of its methods resolved by hand: (verb,
+    config, methods, problem spec, {method: (name, config)})."""
     from bvfsm import BaselineConfig, ScheduleState, SolverConfig, StaticShift, parse_aux
 
     root = Path(__file__).parents[1]
@@ -514,8 +558,8 @@ def _resolved_by_hand():
 
     def baselines(ul_steps, **fields):
         """rhg, bda:0.5, cg:20 and neumann:20 over BaselineConfig(T=100, I=100, **fields)."""
-        base = BaselineConfig(T=100, I=100, **fields)
-        return {m: (m.partition(":")[0], replace(base, **over), ul_steps)
+        base = BaselineConfig(T=100, I=100, ul_steps=ul_steps, **fields)
+        return {m: (m.partition(":")[0], replace(base, **over))
                 for m, over in [("rhg", {}), ("bda:0.5", {"aggregation": 0.5}),
                                 ("cg:20", {"Q": 20}), ("neumann:20", {"Q": 20})]}
 
@@ -529,30 +573,30 @@ def _resolved_by_hand():
             schedule=ScheduleState(sigma2=shift(2.0, 0.6), sigma2_h=shift(0.02, 0.5))),
         "hyperclean:n_train=8,n_val=6,dim=2": SolverConfig(K=400, aux_f=parse_aux("quadratic")),
     }
-    cases = {spec: ({}, spec, {"bvfsm": ("bvfsm", want, None)})
+    cases = {spec: ("run", {}, ["bvfsm"], spec, {"bvfsm": ("bvfsm", want)})
              for spec, want in profiles.items()}
     shipped = json.loads((root / "configs" / "convergence.json").read_text())
-    cases["convergence.json"] = (shipped, shipped["problem"], {
+    cases["convergence.json"] = ("run", shipped, shipped["methods"], shipped["problem"], {
         "bvfsm": ("bvfsm", SolverConfig(
             K=3000, L=1, T_z=50, T_y=25, alpha=0.01, step_z=0.01, step_y=0.01,
             aux_f=inverse_mod, aux_B=parse_aux("inverse"),
             schedule=ScheduleState(mu=1.0, theta=1.0, sigma1=1.0, decay=0.9900990099009901,
-                                   sigma2=shift(2.0, 0.6))), None),
+                                   sigma2=shift(2.0, 0.6)))),
         **baselines(500, Q=20, ll_step=0.01, alpha=0.01, aggregation=0.5,
                     aggregation_decay=0.95)})
     scripts = {p.stem: _load_script(p) for p in SCRIPTS}
-    cases["run_convergence"] = (scripts["run_convergence"].config(), "sin:n=2,a=2,c=2", {
-        "bvfsm": ("bvfsm", sin, None), **baselines(500, Q=20, aggregation_decay=0.95)})
+    conv = scripts["run_convergence"].config()
+    cases["run_convergence"] = ("run", conv, conv["methods"], "sin:n=2,a=2,c=2", {
+        "bvfsm": ("bvfsm", sin), **baselines(500, Q=20, aggregation_decay=0.95)})
     # the sweep script names its methods in METHODS, not in its config
     sweep = scripts["run_dimension_sweep"]
-    cases["run_dimension_sweep"] = ({**sweep.config(), "methods": sweep.METHODS},
-                                    "sin:n=2,a=2,c=2", {
+    cases["run_dimension_sweep"] = ("sweep", sweep.config(), sweep.METHODS, "sin:n=2,a=2,c=2", {
         "bvfsm": ("bvfsm", SolverConfig(K=2000, aux_f=inverse_mod,
-                                        schedule=ScheduleState(sigma2=shift(50.0, 0.6))), None),
+                                        schedule=ScheduleState(sigma2=shift(50.0, 0.6)))),
         **baselines(300, Q=20, aggregation_decay=0.95)})
     pess, pess_cfg = baselines(400), scripts["run_pessimistic"].config()
-    cases["run_pessimistic"] = (pess_cfg, pess_cfg["problem"], {
-        "bvfsm": ("bvfsm", profiles["sin-pessimistic:n=2"], None),
+    cases["run_pessimistic"] = ("run", pess_cfg, pess_cfg["methods"], pess_cfg["problem"], {
+        "bvfsm": ("bvfsm", profiles["sin-pessimistic:n=2"]),
         "rhg": pess["rhg"], "bda:0.5": pess["bda:0.5"]})
     assert set(scripts) <= set(cases)
     return cases
@@ -561,16 +605,16 @@ def _resolved_by_hand():
 RESOLVED_BY_HAND = _resolved_by_hand()
 
 
-@pytest.mark.parametrize("cfg, spec, expected", RESOLVED_BY_HAND.values(),
+@pytest.mark.parametrize("verb, cfg, methods, spec, expected", RESOLVED_BY_HAND.values(),
                          ids=list(RESOLVED_BY_HAND))
-def test_shipped_configs_resolve_to_hand_written_values(cfg, spec, expected):
+def test_shipped_configs_resolve_to_hand_written_values(verb, cfg, methods, spec, expected):
     # repr tells 2000 from 2000.0, which == does not
     from bvfsm.cli import CONFIG_KEYS, _reject_unknown, _resolve_method, build_solver_config
     from bvfsm.problems import parse_problem
 
-    _reject_unknown("config", cfg, CONFIG_KEYS)
+    _reject_unknown("config", cfg, CONFIG_KEYS[verb])
     bench = parse_problem(spec, 0)
-    assert set(cfg.get("methods", ["bvfsm"])) == set(expected)
+    assert set(methods) == set(expected)
     got = {mspec: _resolve_method(bench, mspec, cfg) for mspec in expected}
     assert repr(got) == repr(expected)
     assert repr(build_solver_config(cfg, bench)) == repr(expected["bvfsm"][1])
@@ -871,14 +915,12 @@ def test_baseline_loop_stops_at_divergence():
     F = ScalarField(m=1, n=1, fn=lambda x, y: 0.5 * float(y @ y),
                     grad_x=lambda x, y: np.zeros(1), grad_y=lambda x, y: y.copy())
     bench = BenchmarkProblem(problem=BilevelProblem(m=1, n=1, F=F, f=f), name="unbounded-ll")
-    bcfg = BaselineConfig(T=10, I=10, ll_step=1.0, alpha=0.01)
-    ul_steps = 400
+    bcfg = BaselineConfig(T=10, I=10, ll_step=1.0, alpha=0.01, ul_steps=400)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        trace, flag = cli.run_baseline_loop(bench, "rhg", bcfg, ul_steps,
-                                            np.zeros(1), np.ones(1))
+        trace, flag = cli.run_baseline_loop(bench, "rhg", bcfg, np.zeros(1), np.ones(1))
     assert flag == "diverging"
-    assert len(trace.records) < ul_steps + 1
+    assert len(trace.records) < bcfg.ul_steps + 1
     values = lambda r: (r.F_value, r.f_value, r.ul_grad_norm)  # noqa: E731
     assert all(map(math.isfinite, values(trace.records[-2])))
     assert not all(map(math.isfinite, values(trace.final)))

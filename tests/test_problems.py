@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from bvfsm import (
     sin_solution,
     validate_gradients,
 )
+from bvfsm.problems import PROBLEM_FAMILIES
 
 from oracles import EmptyFeasibleSet, phi, phi_k
 
@@ -382,6 +384,15 @@ def test_registry_names_and_parsing():
     assert b.problem.m == 10
     with pytest.raises(InvalidParameter):
         parse_problem("mnist")
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_FAMILIES))
+def test_family_parameters_are_typed(name):
+    # make_problem types each spec value by the annotation of the parameter it
+    # fills, so a parameter without one could take any value at all
+    params = inspect.signature(PROBLEM_FAMILIES[name]).parameters.values()
+    untyped = {p.name: p.annotation for p in params if p.annotation not in ("int", "float", "bool")}
+    assert untyped == {}
 
 
 @pytest.mark.parametrize("spelling, value", [("False", False), ("false", False),
