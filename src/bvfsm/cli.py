@@ -108,6 +108,20 @@ def _resolve_seed(cfg: dict, override: int | None) -> int:
     return _number("BVFSM_SEED", _read_text(env), "int")
 
 
+def _seeded_problem(spec: str, cfg: dict, override: int | None):
+    """``(bench, seed)``: the problem of ``spec`` built with the seed of
+    _resolve_seed, and the seed its data was drawn from.  A seed the spec names
+    wins over the ``BVFSM_SEED`` fallback; one that differs from ``override``
+    or the config's ``seed`` is a config error."""
+    explicit = override is not None or "seed" in cfg
+    seed = _resolve_seed(cfg, override)
+    bench = parse_problem(spec, seed)
+    drawn = bench.params.get("seed", seed)
+    if explicit and drawn != seed:
+        raise InvalidParameter(f"seed {seed} conflicts with the problem spec's seed={drawn}")
+    return bench, drawn
+
+
 def _shift_reader(section: str):
     return lambda d: StaticShift(**_section(section, d, StaticShift, nested=True))
 
@@ -245,16 +259,10 @@ def run_experiment(config: dict, out_dir=None, seed=None, wall_clock_cap_s=None)
         if wall_clock_cap_s is not None:
             cfg["wall_clock_cap_s"] = wall_clock_cap_s
         cap = _wall_clock_cap(cfg)
-        explicit_seed = seed is not None or "seed" in cfg
-        seed = _resolve_seed(cfg, seed)
         methods = list(cfg.get("methods", []))
         if not methods:
             raise InvalidParameter("config must list at least one method")
-        bench = parse_problem(cfg["problem"], seed)
-        drawn = bench.params.get("seed", seed)
-        if explicit_seed and drawn != seed:
-            raise InvalidParameter(f"seed {seed} conflicts with the problem spec's seed={drawn}")
-        seed = drawn
+        bench, seed = _seeded_problem(cfg["problem"], cfg, seed)
         resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
         x0, y0 = start_point(bench.problem, cfg.get("x0", bench.x0), cfg.get("y0", bench.y0))
         out = Path(out_dir or cfg.get("out_dir", "."))
@@ -462,8 +470,7 @@ def main(argv=None) -> int:
                       _load_config(args.config), out_path=args.out)
             return EXIT_OK
         # validate, the one verb left
-        bench = parse_problem(args.problem)
-        seed = _resolve_seed({}, args.seed)
+        bench, seed = _seeded_problem(args.problem, {}, args.seed)
         ok = True
         for label, fld in [("F", bench.problem.F), ("f", bench.problem.f)] + [
             (f"H[{j}]", h) for j, h in enumerate(bench.problem.ul_constraints)

@@ -10,10 +10,12 @@ solver loops.
 from __future__ import annotations
 
 import enum
+import functools
 import inspect
 import math
 import numbers
 import sys
+import types
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,6 +70,15 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise InvalidParameter(f"unknown {section} keys {unknown}; known: {sorted(known)}")
 
 
+@functools.cache
+def _kinds(target) -> types.MappingProxyType:
+    """Read-only name -> "int" | "float" | "bool" of the parameters of ``target``,
+    a class or function, annotated with one of those kinds; read once per target."""
+    return types.MappingProxyType({p.name: p.annotation
+                                   for p in inspect.signature(target).parameters.values()
+                                   if p.annotation in ("int", "float", "bool")})
+
+
 def _section(section: str, d, target, readers=None, nested: bool = False) -> dict:
     """The keyword arguments of ``target``, a class or function, that object ``d``
     sets: a key of ``readers`` through its reader, one whose parameter is
@@ -76,8 +87,7 @@ def _section(section: str, d, target, readers=None, nested: bool = False) -> dic
     if not isinstance(d, dict):
         raise InvalidParameter(f"{section} must be an object, got {d!r}")
     readers = readers or {}
-    kinds = {p.name: p.annotation for p in inspect.signature(target).parameters.values()
-             if p.annotation in ("int", "float", "bool")}
+    kinds = _kinds(target)
     _reject_unknown(section, d, [*kinds, *readers])
     prefix = f"{section}." if nested else ""
     return {key: readers[key](v) if key in readers else _number(prefix + key, v, kinds[key])

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,38 @@ def test_parse_method_variants():
     assert name == "neumann" and cfg.Q == 40
     with pytest.raises(InvalidParameter):
         parse_method("sgd")
+
+
+PARSE_BASE = BaselineConfig(T=60, Q=7, I=30, aggregation=0.7, ll_step=0.02, ul_steps=50)
+
+
+@pytest.mark.parametrize("spec, fills", [
+    ("rhg", {}), ("trhg:25", {"I": 25}), ("bda:0.3", {"aggregation": 0.3}),
+    ("cg:15", {"Q": 15}), ("cg:5.0", {"Q": 5}), ("neumann:40", {"Q": 40}),
+])
+@pytest.mark.parametrize("base", [None, PARSE_BASE], ids=["default", "base"])
+def test_parse_method_answers_are_pinned(spec, fills, base):
+    """Each answer, the kind of each typed field included (repr tells 5 from 5.0),
+    is the one the uncached signature reader gave."""
+    name, cfg = parse_method(spec, base)
+    expected = replace(base or BaselineConfig(), **fills)
+    assert name == spec.partition(":")[0]
+    assert repr(cfg) == repr(expected)
+    # a second parse, served from the kept signature reading, gives the same answer
+    assert repr(parse_method(spec, base)) == repr((name, expected))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("rhg:3", "rhg takes no argument, got 'rhg:3'"),
+    ("cg:2.5", "Q must be an integer, got 2.5"),
+    ("trhg:true", "I must be an integer, got True"),
+    ("sgd", "unknown baseline method 'sgd'"),
+])
+def test_parse_method_messages_are_pinned(spec, message):
+    for _ in range(2):
+        with pytest.raises(InvalidParameter) as err:
+            parse_method(spec)
+        assert str(err.value) == message
 
 
 def test_baseline_config_validation():

@@ -817,6 +817,38 @@ def test_main_time_verb(tmp_path):
     assert len(rows) == 2
 
 
+VALIDATE_SPEC = "hyperclean:n_train=8,n_val=6"
+
+
+@pytest.mark.parametrize("argv, env_seed, seed", [(["--seed", "5"], None, 5), ([], "7", 7)],
+                         ids=["option", "env"])
+def test_main_validate_checks_the_data_of_its_seed(monkeypatch, capsys, argv, env_seed, seed):
+    # validate draws the data from the seed every verb resolves, not the
+    # constructor default, and probes with that seed too
+    from bvfsm.problems import parse_problem
+
+    if env_seed is not None:
+        monkeypatch.setenv("BVFSM_SEED", env_seed)
+    checked = []
+    validate = cli.validate_gradients
+    monkeypatch.setattr(cli, "validate_gradients",
+                        lambda fld, **kw: checked.append((fld, kw["seed"])) or validate(fld, **kw))
+    assert main(["validate", "--problem", VALIDATE_SPEC, "--probes", "2"] + argv) == EXIT_OK
+    capsys.readouterr()
+    wanted, default = parse_problem(VALIDATE_SPEC, seed).problem, parse_problem(VALIDATE_SPEC).problem
+    x, y = np.full(wanted.m, 0.5), np.linspace(-1.0, 1.0, wanted.n)
+    fields = [fld for fld, _ in checked]
+    assert [fld.fn(x, y) for fld in fields[:2]] == [wanted.F.fn(x, y), wanted.f.fn(x, y)]
+    assert fields[0].fn(x, y) != default.F.fn(x, y)
+    assert {probe_seed for _, probe_seed in checked} == {seed}
+
+
+def test_main_validate_seed_that_conflicts_with_the_spec_is_config_error(capsys):
+    spec = "hyperclean:seed=3,n_train=8,n_val=6"
+    assert main(["validate", "--problem", spec, "--probes", "2", "--seed", "5"]) == EXIT_CONFIG
+    assert "seed 5 conflicts with the problem spec's seed=3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["sin:q=3", "sin:n=abc", "sin:n=2,m=0", "hyperclean:dim=0",
                                   "hyperclean:explicit_box=yes"])
 def test_main_validate_bad_problem_parameter_is_config_error(spec, capsys):

@@ -1,3 +1,5 @@
+import collections
+import inspect
 import math
 from dataclasses import replace
 
@@ -20,7 +22,11 @@ from bvfsm import (
     solve_regularized_ll,
     validate_gradients,
 )
-from bvfsm.core import all_finite, plain_descent
+from bvfsm.auxfun import PolynomialPenalty, ScheduleState, StaticShift, TruncatedLogBarrier
+from bvfsm.baselines import BaselineConfig, parse_method
+from bvfsm.cli import build_solver_config
+from bvfsm.core import _kinds, all_finite, plain_descent
+from bvfsm.problems import PROBLEM_FAMILIES, make_problem
 
 from oracles import quadratic_field
 
@@ -245,3 +251,54 @@ def test_validate_gradients_constant_field():
     rep = validate_gradients(fld, probes=3, tol=1e-12, seed=0)
     assert rep.passed
     assert rep.max_rel_err_x == 0.0 and rep.max_rel_err_y == 0.0
+
+
+# ---------------------------------------------------------------------------
+# _kinds: the parameter kinds of a typed reader's target, read once
+# ---------------------------------------------------------------------------
+
+KIND_TARGETS = [SolverConfig, ScheduleState, StaticShift, BaselineConfig, PolynomialPenalty,
+                TruncatedLogBarrier, *PROBLEM_FAMILIES.values()]
+
+
+@pytest.mark.parametrize("target", KIND_TARGETS, ids=lambda t: t.__name__)
+def test_kinds_equal_a_fresh_signature_reading(target):
+    fresh = {p.name: p.annotation for p in inspect.signature(target).parameters.values()
+             if p.annotation in ("int", "float", "bool")}
+    assert fresh  # every target has typed parameters to read
+    assert dict(_kinds(target)) == fresh
+    assert _kinds(target) is _kinds(target)
+
+
+def test_kinds_cannot_be_mutated():
+    kinds = _kinds(BaselineConfig)
+    with pytest.raises(TypeError):
+        kinds["Q"] = "float"
+    with pytest.raises(TypeError):
+        del kinds["Q"]
+    assert _kinds(BaselineConfig)["Q"] == "int"
+
+
+def test_repeated_typed_readers_read_each_signature_once(monkeypatch):
+    reads = collections.Counter()
+    signature = inspect.signature
+
+    def counting(target, *args, **kwargs):
+        reads[target] += 1
+        return signature(target, *args, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", counting)
+    _kinds.cache_clear()
+    bench = make_problem("sin-constrained", {"n": 2})
+    cfg = {"bvfsm": {"K": 3, "aux_f": "polynomial:3", "aux_B": "truncated-log:0.5",
+                     "schedule": {"mu": 0.5, "sigma2": {"value": 2.0, "decay_pow": 0.6}}}}
+    for _ in range(5):
+        parse_method("cg:20", BaselineConfig())
+        parse_method("trhg:5")
+        make_problem("sin", {"n": 2, "a": 2.0})
+        make_problem("sin-constrained", {"n": 2, "c": 1})
+        build_solver_config(cfg, bench)
+    targets = [SolverConfig, ScheduleState, StaticShift, BaselineConfig, PolynomialPenalty,
+               TruncatedLogBarrier, PROBLEM_FAMILIES["sin"], PROBLEM_FAMILIES["sin-constrained"]]
+    assert {t: reads[t] for t in targets} == dict.fromkeys(targets, 1)
+    assert _kinds.cache_info().misses == len(targets)
