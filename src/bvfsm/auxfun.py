@@ -12,7 +12,6 @@ comparisons without NaN.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -229,12 +228,7 @@ def schedule_step(sched: ScheduleState) -> ScheduleState:
         return None if sh is None else StaticShift(sh.value * d**sh.decay_pow,
                                                    decay_pow=sh.decay_pow)
 
-    return dataclasses.replace(
-        sched,
-        mu=sched.mu * d,
-        theta=sched.theta * d,
-        sigma1=sched.sigma1 * d,
-        sigma2=step_shift(sched.sigma2),
-        sigma2_H=step_shift(sched.sigma2_H),
-        sigma2_h=step_shift(sched.sigma2_h),
-    )
+    return ScheduleState(mu=sched.mu * d, theta=sched.theta * d, sigma1=sched.sigma1 * d,
+                         decay=d, sigma2=step_shift(sched.sigma2),
+                         sigma2_H=step_shift(sched.sigma2_H),
+                         sigma2_h=step_shift(sched.sigma2_h))

@@ -197,14 +197,14 @@ def run_baseline_loop(
     non-finite gradient, iterate or trace value, after recording that step
     when its values could be formed, and returns the flag "diverging".
     """
-    from .solver import _errors  # shared rel-error bookkeeping
+    from .solver import _errors_for  # shared rel-error bookkeeping
 
     problem = bench.problem
-    reference = bench.reference
+    errors = _errors_for(problem, bench.reference)
     t0 = time.perf_counter()
     x, y = start_point(problem, x0, y0)
     trace = SolveTrace()
-    F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
+    F_val, f_val, rel_x, rel_F = errors(x, y)
     trace.append(TraceRecord(0, 0, x.copy(), F_val, f_val, float("nan"), rel_x, rel_F,
                              time.perf_counter() - t0, math.nan, math.nan, math.nan,
                              y=y.copy()))
@@ -217,7 +217,7 @@ def run_baseline_loop(
             x = project(problem.ul_set, x - bcfg.alpha * g)
             # a diverging run overflows first in these values, checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
+                F_val, f_val, rel_x, rel_F = errors(x, y)
                 g_norm = float(np.linalg.norm(g))
         except (NonFiniteEvaluation, OverflowError):
             return trace, "diverging"

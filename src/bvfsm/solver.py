@@ -7,12 +7,13 @@ objective in y, and finally takes one projected gradient step in x.  Both
 inner objectives are one stage object, ``_Stage``, with P and P' bound once:
 its value returns the penalty arguments it computed, so each gradient and
 the chain rule's multipliers come from the accepted trial, and f* is the
-z-solve's last accepted value.  The UL gradient comes from one signed chain
-rule, :func:`ul_gradient_for`: the penalty terms enter with the sign of the
-inner problem, so optimistic, pessimistic and constrained problems share a
-single formula.  Modified-barrier shifts are decided here only, by
-:func:`_frozen_shifts`: frozen per stage and padded just enough to keep the
-incoming iterate strictly inside the wall.  The y-solve and the constrained
+z-solve's last accepted value.  The chain rule reuses the y-solve's stage.
+The UL gradient comes from one signed chain rule, :func:`ul_gradient_for`:
+the penalty terms enter with the sign of the inner problem, so optimistic,
+pessimistic and constrained problems share a single formula.
+Modified-barrier shifts are decided here only, by :func:`_frozen_shifts`:
+frozen per stage and padded just enough to keep the incoming iterate
+strictly inside the wall.  The y-solve and the constrained
 z-solve share one guarded loop, :func:`_descend`: a step that would increase
 the frozen stage objective backtracks to the minimizer of the quadratic
 through the current value, its slope -|g|^2 and the rejected trial, kept
@@ -131,6 +132,8 @@ class InnerState:
     # penalty arguments at y and z; None (built by hand): the chain rule evaluates them
     args_y: list | None = None
     args_z: list | None = None
+    # the y-solve's stage, which the chain rule reuses; None (built by hand): it builds one
+    stage: _Stage | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -309,14 +312,15 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     backtracks the iterate is pinned, and the solve ends too.  Returns
     ``(v, cur, args)`` at the last accepted point.
     """
-    value, step = stage.value, step0
+    value, gradient, step = stage.value, stage.gradient, step0
+    vdot, isfinite, ulp = np.vdot, math.isfinite, math.ulp  # bound once: n = 2 steps are dispatch
     for _ in range(steps):
-        g = stage.gradient(v, args)
-        gg = float(np.vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
-        if not (math.isfinite(gg) or np.isfinite(g).all()):
+        g = gradient(v, args)
+        gg = float(vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
+        if not (isfinite(gg) or np.isfinite(g).all()):
             raise NonFiniteEvaluation(message)
         for _ in range(MAX_HALVINGS + 1):
-            if gg * step <= math.ulp(cur):  # the rounding floor
+            if gg * step <= ulp(cur):  # the rounding floor
                 return v, cur, args
             v_new = v - step * g
             trial, trial_args = value(v_new)
@@ -369,7 +373,10 @@ def solve_regularized_ll(
     for _ in range(4 * cfg.T_z + MAX_HALVINGS):
         if cur != math.inf:
             break
-        z = z - cfg.step_z * sum(h.gy(x, z) for h in hs if h(x, z) >= 0.0)
+        normals = [h.gy(x, z) for h in hs if h(x, z) >= 0.0]
+        if not normals:  # no wall: f is +inf there, or the sum overflowed
+            raise NonFiniteEvaluation("regularized LL value non-finite")
+        z = z - cfg.step_z * sum(normals)
         cur, args = stage.value(z)
     if cur == math.inf:
         raise BarrierWall("initial point infeasible for LL constraint barriers")
@@ -410,7 +417,7 @@ def solve_penalized_inner(
         raise NonFiniteEvaluation("inner objective non-finite at stage start")
     y, _, args = _descend(stage, y, cur, args, cfg.T_y, cfg.step_y,
                           "inner gradient non-finite during y-solve")
-    return InnerState(np.empty(0), f_star_approx, y, *shifts, args_y=args)
+    return InnerState(np.empty(0), f_star_approx, y, *shifts, args_y=args, stage=stage)
 
 
 def solve_inner(
@@ -423,8 +430,7 @@ def solve_inner(
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results."""
     z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
-    start = np.array(z if y0 is None else y0, dtype=float)
-    inner = solve_penalized_inner(problem, x, f_star, sched, cfg, start)
+    inner = solve_penalized_inner(problem, x, f_star, sched, cfg, z if y0 is None else y0)
     inner.z, inner.args_z = z, args_z
     return inner
 
@@ -449,13 +455,17 @@ def ul_gradient_for(
 
     Each multiplier is P' of its stage-frozen penalty argument at y and z,
     taken from the inner solves' last evaluations when ``inner`` carries
-    them, else evaluated there.  ``s`` is the inner sign: -1 in pessimistic
-    mode, where the inner problem ascends F - P, else +1.  Terms are
-    evaluated only for nonzero multipliers, and the sign is exact, so the
-    optimistic gradient is bitwise the unsigned formula.
+    them, else evaluated there.  The y-stage is the y-solve's own when
+    ``inner`` carries it, else built from ``inner``'s f* and shifts.  ``s``
+    is the inner sign: -1 in pessimistic mode, where the inner problem
+    ascends F - P, else +1.  Terms are evaluated only for nonzero
+    multipliers, and the sign is exact, so the optimistic gradient is
+    bitwise the unsigned formula.
     """
-    stage = _Stage.penalized(problem, x, sched, cfg, inner.f_star_approx,
-                             inner.shift_f, inner.shifts_H, inner.shifts_h)
+    stage = inner.stage
+    if stage is None:
+        stage = _Stage.penalized(problem, x, sched, cfg, inner.f_star_approx,
+                                 inner.shift_f, inner.shifts_H, inner.shifts_h)
     y, z = inner.y, inner.z
     lams = stage.multipliers(y, inner.args_y)
     if stage.negate:
@@ -463,9 +473,10 @@ def ul_gradient_for(
     g = problem.F.gx(x, y)
     if lams[0] != 0.0:
         dfstar_dx = problem.f.gx(x, z)
-        ll = _Stage.regularized_ll(problem, x, sched, cfg)
-        for (h, *_), lam_B in zip(ll.terms, ll.multipliers(z, inner.args_z)):
-            dfstar_dx = dfstar_dx + lam_B * h.gx(x, z)
+        if problem.ll_constraints:
+            ll = _Stage.regularized_ll(problem, x, sched, cfg)
+            for (h, *_), lam_B in zip(ll.terms, ll.multipliers(z, inner.args_z)):
+                dfstar_dx = dfstar_dx + lam_B * h.gx(x, z)
         g = g + lams[0] * (problem.f.gx(x, y) - dfstar_dx)
     for (c, *_), lam in zip(stage.terms[1:], lams[1:]):
         if lam != 0.0:
@@ -478,16 +489,27 @@ def ul_gradient_for(
 # ---------------------------------------------------------------------------
 
 
-def _errors(problem, x, y, reference: Reference | None) -> tuple[float, float, float, float]:
-    F_val, f_val = problem.F(x, y), problem.f(x, y)
-    rel_x = rel_F = float("nan")
-    if reference is not None:
-        nx = np.linalg.norm(reference.x_star)
-        rel_x = float(np.linalg.norm(x - reference.x_star)) / (nx if nx > 0 else 1.0)
-        if reference.F_star is not None:
-            den = abs(reference.F_star)
-            rel_F = abs(F_val - reference.F_star) / (den if den > 0 else 1.0)
-    return F_val, f_val, rel_x, rel_F
+def _errors_for(problem, reference: Reference | None):
+    """``errors(x, y) -> (F, f, rel_err_x, rel_err_F)``, the trace's value columns.
+
+    The reference's scales |x*| and |F*| (1 where zero) are computed here,
+    once per solve, not once per record.  Without a reference both errors
+    are NaN.
+    """
+    F, f, nan = problem.F, problem.f, float("nan")
+    if reference is None:
+        return lambda x, y: (F(x, y), f(x, y), nan, nan)
+    x_star, F_star = reference.x_star, reference.F_star
+    nx = np.linalg.norm(x_star)  # a NumPy float, so rel_err_x is one: the digests hash its repr
+    x_scale = nx if nx > 0 else 1.0
+    F_scale = None if F_star is None else (abs(F_star) if abs(F_star) > 0 else 1.0)
+
+    def errors(x, y):
+        F_val, f_val = F(x, y), f(x, y)
+        rel_F = nan if F_star is None else abs(F_val - F_star) / F_scale
+        return F_val, f_val, float(np.linalg.norm(x - x_star)) / x_scale, rel_F
+
+    return errors
 
 
 def _start_vector(name: str, value, dim: int) -> np.ndarray:
@@ -540,9 +562,10 @@ def solve(
     x, y_init = start_point(problem, x0, y0)
     sched = cfg.schedule
     trace = SolveTrace()
+    errors = _errors_for(problem, reference)
 
     def record(k, l, y, grad_norm=float("nan")):
-        F_val, f_val, rel_x, rel_F = _errors(problem, x, y, reference)
+        F_val, f_val, rel_x, rel_F = errors(x, y)
         trace.append(TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
                                  time.perf_counter() - t0, sched.mu, sched.theta,
                                  sched.sigma1, y=y.copy()))

@@ -105,6 +105,30 @@ def test_plain_descent_never_writes_to_what_grad_y_returns(mu):
     assert cache.tolist() == [0.25, -3.0]
 
 
+@pytest.mark.parametrize("n", [2, 1000])
+@pytest.mark.parametrize("mu", [None, 0.37], ids=["no-mu", "mu"])
+def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(n, mu):
+    bench = make_sin_problem(n)
+    x, gy = bench.x0, bench.problem.f.grad_y
+    y0 = np.random.default_rng(n).uniform(-5.0, 5.0, n)
+
+    def logged(calls):
+        def grad_y(x, y):
+            calls.append(y.tobytes())
+            return gy(x, y)
+        return grad_y
+
+    want_calls, got_calls = [], []
+    written_out = logged(want_calls)
+    y = y0.copy()
+    for _ in range(50):
+        g = written_out(x, y)
+        y = y - 0.01 * (g if mu is None else g + mu * y)
+    got = plain_descent(logged(got_calls), x, y0.copy(), 50, 0.01, mu)
+    assert got.tobytes() == y.tobytes()
+    assert got_calls == want_calls
+
+
 # ---------------------------------------------------------------------------
 # fd_gradient
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -19,6 +20,7 @@ from bvfsm import (
     SolverConfig,
     StaticShift,
     TruncatedLogBarrier,
+    make_constrained_sin_problem,
     make_sin_problem,
     parse_aux,
     solve,
@@ -28,6 +30,7 @@ from bvfsm import (
     ul_gradient_for,
 )
 from bvfsm.auxfun import schedule_step
+from bvfsm.cli import build_solver_config
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
 
 from oracles import fd_of_phi, grid_min, phi_k, toy_problem
@@ -38,6 +41,18 @@ INV_MOD = AuxiliaryFunction(InverseBarrier(), modified=True)
 
 def field(m, n, fn, gx, gy, name=""):
     return ScalarField(m=m, n=n, fn=fn, grad_x=gx, grad_y=gy, name=name)
+
+
+def counting(fld, calls):
+    """``fld`` with each oracle call tallied in the Counter ``calls`` under (name, kind)."""
+    def counted(fn, kind):
+        def wrapped(x, y):
+            calls[fld.name, kind] += 1
+            return fn(x, y)
+        return wrapped
+
+    return replace(fld, fn=counted(fld.fn, "val"), grad_x=counted(fld.grad_x, "gx"),
+                   grad_y=counted(fld.grad_y, "gy"))
 
 
 def shifted_quadratic_problem(b, F_fn=None, F_gx=None, F_gy=None, mode=Mode.OPTIMISTIC):
@@ -97,6 +112,22 @@ def test_z_solve_restoration_steps_past_every_walled_constraint():
     assert math.isfinite(f_star)
     assert len(args) == 2 and all(w < 0.0 for w in args)
     assert np.array_equal(args, [h(np.zeros(1), z) for h in prob.ll_constraints])
+
+
+def test_z_solve_restoration_stops_when_no_constraint_is_walled():
+    # f is +inf everywhere, so the value is inf at a start inside the band:
+    # no wall, and no normal to step along.  The first pass of the loop sees
+    # that, after one h call for the start value and one for the wall test,
+    # and reports the value, not a wall (230 futile passes made 461 calls).
+    bench = make_constrained_sin_problem(1, 2.0, 1.0)
+    calls = collections.Counter()
+    (h,) = bench.problem.ll_constraints
+    f = replace(bench.problem.f, fn=lambda x, y: math.inf)
+    prob = replace(bench.problem, f=f, ll_constraints=(counting(h, calls),))
+    cfg = build_solver_config({}, bench)
+    with pytest.raises(NonFiniteEvaluation, match="^regularized LL value non-finite$"):
+        solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(1, 0.5))
+    assert calls == {("band[0]", "val"): 2}
 
 
 def test_z_solve_sin_against_grid_oracle():
@@ -568,6 +599,37 @@ def test_solve_schedule_snapshot_strictly_decreasing():
     assert all(b < a for a, b in zip(mus, mus[1:]))
     times = [r.wall_time_s for r in tr.records]
     assert all(b >= a for a, b in zip(times, times[1:]))
+
+
+# Oracle calls per field and kind in the K = 30 solves of the sin-opt and
+# sin-con golden traces (tests/test_traces.py), the record's two calls per
+# stage included.  A change to the loops that adds or drops a call fails here
+# by name, even where it keeps every bit of the trace.
+SOLVE_ORACLE_CALLS = {
+    "sin-opt": {
+        ("sin-ul", "val"): 812, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 750,
+        ("sin-ll", "val"): 843, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 2300,
+    },
+    "sin-con": {
+        ("sin-ul", "val"): 812, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 750,
+        ("sin-ll", "val"): 1955, ("sin-ll", "gy"): 1892,
+        ("band[0]", "val"): 1923, ("band[0]", "gx"): 30, ("band[0]", "gy"): 1892,
+        ("band[1]", "val"): 1923, ("band[1]", "gx"): 30, ("band[1]", "gy"): 1892,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
+def test_golden_solve_oracle_calls_are_pinned(name):
+    bench = {"sin-opt": make_sin_problem(2),
+             "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
+    calls = collections.Counter()
+    p = bench.problem
+    prob = replace(p, F=counting(p.F, calls), f=counting(p.f, calls),
+                   ll_constraints=tuple(counting(h, calls) for h in p.ll_constraints))
+    cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
+    solve(prob, cfg, bench.x0, bench.y0, reference=bench.reference)
+    assert dict(calls) == SOLVE_ORACLE_CALLS[name]
 
 
 def test_solve_zero_penalty_regime_reduces_to_direct_gradient():
