@@ -29,6 +29,7 @@ from .solver import (
     SolveTrace,
     SolverConfig,
     TraceRecord,
+    _errors_for,
     solve,
     solve_inner,
     start_point,
@@ -197,8 +198,6 @@ def run_baseline_loop(
     non-finite gradient, iterate or trace value, after recording that step
     when its values could be formed, and returns the flag "diverging".
     """
-    from .solver import _errors_for  # shared rel-error bookkeeping
-
     problem = bench.problem
     errors = _errors_for(problem, bench.reference)
     t0 = time.perf_counter()
@@ -354,6 +353,21 @@ def run_dimension_sweep(family: str, n_list, methods, cfg: dict | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _step(problem, method, x: np.ndarray, y0: np.ndarray) -> None:
+    """One UL-gradient computation of a resolved ``(name, config)`` method at x.
+
+    For the sequential-minimization solver a step is both inner solves from
+    y0 plus the chain-rule assembly; for a baseline it is the T-step LL solve
+    from y0 plus the estimator.
+    """
+    name, mcfg = method
+    if isinstance(mcfg, SolverConfig):
+        inner = solve_inner(problem, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
+        ul_gradient_for(problem, x, inner, mcfg.schedule, mcfg)
+    else:
+        hypergradient_step(problem, name, x, y0, mcfg)
+
+
 def time_step(
     sizes,
     methods,
@@ -361,12 +375,10 @@ def time_step(
     cfg: dict | None = None,
     out_path=None,
 ) -> list[dict]:
-    """Median wall time of one UL-gradient computation per (m, n, method).
+    """Median wall time of one ``_step`` per (m, n, method).
 
-    For the sequential-minimization solver a step is both inner solves plus
-    the chain-rule assembly; for baselines it is the T-step LL solve plus the
-    estimator.  One warm-up repetition is excluded.  A config error raises; a
-    failed step is recorded in the row's ``note``.
+    One warm-up repetition is excluded.  A config error raises; a failed step
+    is recorded in the row's ``note``.
     """
     if repeats < 3:
         raise InvalidParameter("repeats must be >= 3")
@@ -377,16 +389,12 @@ def time_step(
         problem = bench.problem
         x, y0 = start_point(problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
         for mspec in methods:
-            name, mcfg = _resolve_method(bench, mspec, cfg)
+            method = _resolve_method(bench, mspec, cfg)
             times = []
             try:
                 for rep in range(repeats + 1):
                     t0 = time.perf_counter()
-                    if isinstance(mcfg, SolverConfig):
-                        inner = solve_inner(problem, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
-                        ul_gradient_for(problem, x, inner, mcfg.schedule, mcfg)
-                    else:
-                        hypergradient_step(problem, name, x, y0, mcfg)
+                    _step(problem, method, x, y0)
                     if rep > 0:
                         times.append(time.perf_counter() - t0)
                 median_s, note = float(np.median(times)), ""

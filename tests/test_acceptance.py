@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import bvfsm.cli as cli
 from bvfsm import (
     AuxiliaryFunction,
     BaselineConfig,
@@ -335,9 +336,7 @@ A9_CFG = {"baseline": {"T": 100, "I": 100, "Q": 20}}
 
 
 def a9_oracle_calls(methods):
-    """Oracle calls of one step per method, as ``time_step`` takes it at n=1000."""
-    from bvfsm.baselines import hypergradient_step
-    from bvfsm.cli import _resolve_method
+    """Oracle calls of one ``time_step`` step per method at n=1000."""
     from bvfsm.problems import parse_problem
 
     calls = [0]
@@ -356,13 +355,9 @@ def a9_oracle_calls(methods):
     x, y0 = np.full(1, 8.0), np.zeros(1000)
     out = {}
     for mspec in methods:
-        name, mcfg = _resolve_method(bench, mspec, A9_CFG)
+        method = cli._resolve_method(bench, mspec, A9_CFG)
         calls[0] = 0
-        if name == "bvfsm":
-            inner = solve_inner(prob, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
-            ul_gradient_for(prob, x, inner, mcfg.schedule, mcfg)
-        else:
-            hypergradient_step(prob, name, x, y0, mcfg)
+        cli._step(prob, method, x, y0)
         out[mspec] = calls[0]
     return out
 

@@ -25,6 +25,7 @@ FAST_BVFSM = {
     "schedule": {"sigma2": {"value": 2.0, "decay_pow": 0.6}},
     "aux_f": {"name": "inverse", "modified": True},
 }
+FAST_BASELINE = {"T": 10, "I": 10, "Q": 5, "ul_steps": 15}
 
 
 def make_config(**overrides) -> dict:
@@ -35,16 +36,10 @@ def make_config(**overrides) -> dict:
         "y0": 8.0,
         "seed": 0,
         "bvfsm": FAST_BVFSM,
-        "baseline": {"T": 10, "I": 10, "Q": 5, "ul_steps": 15},
+        "baseline": FAST_BASELINE,
     }
     cfg.update(overrides)
     return cfg
-
-
-def write_config(tmp_path, **overrides):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(make_config(**overrides)))
-    return path
 
 
 def write_verb_config(tmp_path, verb, **entries):
@@ -100,56 +95,29 @@ def test_run_experiment_deterministic_outside_timing(tmp_path):
                 assert r1[col] == r2[col], f"{name}:{col}"
 
 
-def test_run_experiment_empty_methods_is_config_error(tmp_path):
-    cfg = make_config(methods=[])
-    out = tmp_path / "nothing"
-    assert run_experiment(cfg, out_dir=out) == EXIT_CONFIG
-    assert not out.exists()
-
-
-def test_run_experiment_unknown_problem_is_config_error(tmp_path):
-    cfg = make_config(problem="mnist:n=2")
-    assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
-
-
-def test_run_experiment_unknown_method_is_config_error(tmp_path):
-    cfg = make_config(methods=["bvfsm", "sgd"])
-    assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
-
-
-def test_run_experiment_mistyped_baseline_key_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, methods=["rhg"], baseline={"Tee": 3})
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-
-
-def test_run_experiment_non_numeric_solver_setting_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "K": "abc"})
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-
-
 VERB_ARGS = {
     "run": ["--out-dir", "{out}"],
     "sweep": ["--n", "2", "--methods", "bvfsm", "--out", "{out}"],
-    "time": ["--sizes", "1:2", "--methods", "bvfsm", "--repeats", "3", "--out", "{out}"],
+    "time": ["--sizes", "1:2", "--methods", "bvfsm", "cg", "--repeats", "3", "--out", "{out}"],
 }
 
 
+def verb_argv(verb, cfg, out) -> list:
+    """The argv of ``verb`` with the config file ``cfg``, writing its artifacts to ``out``."""
+    return [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+
+
 @pytest.mark.parametrize("verb", sorted(VERB_ARGS))
-def test_non_numeric_solver_setting_is_config_error_in_every_verb(tmp_path, verb, capsys):
-    cfg = write_verb_config(tmp_path, verb, bvfsm={**FAST_BVFSM, "K": "abc"})
+def test_main_verb_writes_its_artifacts(tmp_path, verb):
     out = tmp_path / "out"
-    argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
-    assert main(argv) == EXIT_CONFIG
-    assert "config error: bvfsm: K must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not out.exists()  # rejected before any method ran
-
-
-def test_run_experiment_non_numeric_ul_steps_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, methods=["rhg"], baseline={"ul_steps": "x"})
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "config error: baseline" in capsys.readouterr().err
+    assert main(verb_argv(verb, write_verb_config(tmp_path, verb), out)) == EXIT_OK
+    if verb == "run":
+        assert (out / "summary.json").exists()
+        return
+    header, rows = read_csv(out)
+    head = {"sweep": ["n", "method"], "time": ["m", "n", "method", "median_s"]}[verb]
+    assert header[:len(head)] == head
+    assert [r["method"] for r in rows] == (["bvfsm"] if verb == "sweep" else ["bvfsm", "cg"])
 
 
 @pytest.mark.parametrize("method, baseline, key, value", [
@@ -163,32 +131,6 @@ def test_baseline_section_reaches_a_method_without_argument(method, baseline, ke
     cfg = {"baseline": baseline, "methods": [method]}
     name, bcfg = _resolve_method(parse_problem("sin:n=2"), method, cfg)
     assert name == method and getattr(bcfg, key) == value
-
-
-def test_run_experiment_rhg_argument_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, methods=["rhg:5"])
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    assert "config error: baseline" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bvfsm, key", [
-    ({**FAST_BVFSM, "T_Y": 5, "stepy": 0.5}, "T_Y"),
-    ({**FAST_BVFSM, "schedule": {"sigma_1": 9}}, "sigma_1"),
-], ids=["section-key", "schedule-key"])
-def test_run_experiment_unknown_solver_key_is_config_error(tmp_path, bvfsm, key, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm=bvfsm)
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "config error" in err and key in err
-
-
-@pytest.mark.parametrize("spec", ["sin:n=2", "sin-constrained:n=2", "sin-pessimistic:n=2",
-                                  "hyperclean:n_train=8,n_val=6,dim=2"])
-def test_suggested_solver_profiles_pass_the_key_check(spec):
-    from bvfsm.cli import build_solver_config
-    from bvfsm.problems import parse_problem
-
-    build_solver_config({}, parse_problem(spec))
 
 
 @pytest.mark.parametrize("spec", ["sin:n=2", "sin-constrained:n=2", "sin-pessimistic:n=2",
@@ -221,14 +163,6 @@ def test_solver_entries_other_than_the_schedule_replace_the_profile():
     scfg = build_solver_config(cfg, parse_problem("sin:n=2"))
     assert scfg.aux_f == parse_aux("quadratic")
     assert (scfg.schedule.sigma2.value, scfg.schedule.sigma2.decay_pow) == (5.0, 0.5)
-
-
-def test_shipped_config_passes_the_key_check():
-    from bvfsm.cli import build_solver_config
-    from bvfsm.problems import parse_problem
-
-    cfg = json.loads((Path(__file__).parents[1] / "configs" / "convergence.json").read_text())
-    build_solver_config(cfg, parse_problem(cfg["problem"], 0))
 
 
 SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
@@ -325,23 +259,6 @@ def test_script_config_passes_the_key_checks(path):
     _wall_clock_cap(cfg)
 
 
-@pytest.mark.parametrize("x0", ["abc", [1.0, 2.0]])
-def test_run_experiment_malformed_start_point_is_config_error(tmp_path, x0):
-    cfg = make_config(x0=x0)
-    assert run_experiment(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("y0", [[math.nan, 0.5], [0.5, math.inf], -math.inf],
-                         ids=["nan", "inf", "scalar-inf"])
-def test_run_experiment_non_finite_start_point_is_config_error(tmp_path, y0, capsys):
-    # json writes NaN and Infinity, and reads them back as floats
-    cfg = write_config(tmp_path, problem="sin-constrained:n=2", methods=["bvfsm"], y0=y0)
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert "non-finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 BAD_START_POINTS = {
     "nan-entry": ("x0", [math.nan], "x0 has non-finite entries: [nan]"),
     "wrong-length": ("x0", [8.0, 3.0], "x0 must have dimension 1, got shape (2,)"),
@@ -370,8 +287,7 @@ def test_bad_start_point_is_rejected_alike_everywhere(tmp_path, key, value, mess
     out = tmp_path / "out"
     for verb in ("run", "sweep", "time"):
         cfg = write_verb_config(tmp_path, verb, **{key: value})
-        argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
-        assert main(argv) == EXIT_CONFIG, verb
+        assert main(verb_argv(verb, cfg, out)) == EXIT_CONFIG, verb
         assert capsys.readouterr().err == f"config error: {message}\n", verb
         assert not out.exists()
 
@@ -385,49 +301,6 @@ def test_start_point_forms():
     assert x.tolist() == [0.0] and y.tolist() == [2.0, 2.0, 2.0]
     x, y = start_point(problem, np.int64(4), [1, 2, 3])
     assert x.tolist() == [4.0] and y.dtype == float and y.tolist() == [1.0, 2.0, 3.0]
-
-
-def test_bvfsm_argument_is_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm:3"])
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert "config error: bvfsm: bvfsm takes no argument, got 'bvfsm:3'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("param", ["a=inf", "a=nan", "c=inf", "c=nan"])
-@pytest.mark.parametrize("family", ["sin", "sin-constrained", "sin-pessimistic"])
-def test_non_finite_sin_parameter_is_config_error(tmp_path, family, param, capsys):
-    from bvfsm import InvalidParameter
-    from bvfsm.problems import parse_problem
-
-    spec = f"{family}:n=2,{param}"
-    with pytest.raises(InvalidParameter, match="a and c must be finite"):
-        parse_problem(spec)
-    cfg = write_config(tmp_path, problem=spec, methods=["bvfsm"])
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert "a and c must be finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("method, section, key, value", [
-    ("bvfsm", "bvfsm", "K", 2.5),
-    ("bvfsm", "bvfsm", "K", True),
-    ("bvfsm", "bvfsm", "T_z", "10"),
-    ("cg", "baseline", "ul_steps", 2.9),
-    ("cg", "baseline", "Q", True),
-    ("cg", "baseline", "T", 50.5),
-])
-def test_integer_key_that_is_not_an_integer_is_config_error(tmp_path, method, section, key,
-                                                            value, capsys):
-    bad = {**make_config()[section], key: value}
-    cfg = write_config(tmp_path, methods=[method], **{section: bad})
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert f"config error: {section}: {key} must be an integer, got {value!r}" \
-        in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_integer_key_takes_an_integral_float():
@@ -447,63 +320,219 @@ def test_integer_key_takes_an_integral_float():
     assert (Q, q) == (5, 3) and type(Q) is int and type(q) is int
 
 
-# verb, top-level config entries, BVFSM_SEED, the message after "config error: "
+def _bvfsm(**entries) -> dict:
+    """A ``bvfsm`` section: FAST_BVFSM with ``entries`` over it."""
+    return {"bvfsm": {**FAST_BVFSM, **entries}}
+
+
+def _shift(entry) -> dict:
+    """A ``bvfsm`` section whose schedule sets ``sigma2`` to ``entry``."""
+    return _bvfsm(schedule={"sigma2": entry})
+
+
+def _baseline(method, **entries) -> dict:
+    """The one method ``method`` and FAST_BASELINE with ``entries`` over it."""
+    return {"methods": [method], "baseline": {**FAST_BASELINE, **entries}}
+
+
+def _non_finite_sin(family, key, value):
+    """The probe of the spec ``family:n=2,key=value``; the other of a and c keeps its default."""
+    got = {"a": 2.0, "c": 1.0 if family == "sin-constrained" else 2.0, key: value}
+    return ("run", {"problem": f"{family}:n=2,{key}={value}"}, None, [],
+            f"problem {family} with {{'n': 2, '{key}': {value}}}: a and c must be finite, "
+            f"got a={got['a']}, c=[{got['c']}, {got['c']}]")
+
+
+SHIFT_FORM = "value must be positive and finite, decay_pow in (0, 1)"
+SHIFT_KEYS = "known: ['decay_pow', 'value']"
+SEEDED_SPEC = "hyperclean:seed=3,n_train=8,n_val=6,dim=2"
+TOP_KEYS = {  # the top-level keys each verb reads
+    "run": "known: ['baseline', 'bvfsm', 'methods', 'out_dir', 'problem', 'seed', "
+           "'wall_clock_cap_s', 'x0', 'y0']",
+    "sweep": "known: ['a', 'baseline', 'bvfsm', 'c', 'wall_clock_cap_s', 'x0', 'y0']",
+    "time": "known: ['baseline', 'bvfsm', 'x0', 'y0']",
+}
+
+# verb, top-level config entries, BVFSM_SEED, argv after the verb's own (a
+# repeated option takes the later value), the message after "config error: "
 CONFIG_PROBES = {
-    "alpha-bool": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": True}}, None,
+    "alpha-bool": ("run", _bvfsm(alpha=True), None, [],
                    "bvfsm: alpha must be a number, got True"),
-    "alpha-string": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": "0.5"}}, None,
+    "alpha-string": ("run", _bvfsm(alpha="0.5"), None, [],
                      "bvfsm: alpha must be a number, got '0.5'"),
-    "schedule-mu": ("run", {"bvfsm": {**FAST_BVFSM, "schedule": {"mu": True}}}, None,
+    "schedule-mu": ("run", _bvfsm(schedule={"mu": True}), None, [],
                     "bvfsm: schedule.mu must be a number, got True"),
-    "shift-value": ("run", {"bvfsm": {**FAST_BVFSM, "schedule": {"sigma2": {"value": True}}}},
-                    None, "bvfsm: schedule.sigma2.value must be a number, got True"),
-    "cap-bool": ("run", {"wall_clock_cap_s": True}, None,
+    "shift-value": ("run", _shift({"value": True}), None, [],
+                    "bvfsm: schedule.sigma2.value must be a number, got True"),
+    "cap-bool": ("run", {"wall_clock_cap_s": True}, None, [],
                  "wall_clock_cap_s must be a number, got True"),
-    "ll_step-bool": ("run", {"methods": ["rhg"], "baseline": {"ll_step": True}}, None,
+    "ll_step-bool": ("run", {"methods": ["rhg"], "baseline": {"ll_step": True}}, None, [],
                      "baseline: ll_step must be a number, got True"),
-    "seed-fraction": ("run", {"seed": 1.5}, None, "seed must be an integer, got 1.5"),
-    "seed-bool": ("run", {"seed": True}, None, "seed must be an integer, got True"),
-    "alpha-beyond-float": ("run", {"bvfsm": {**FAST_BVFSM, "alpha": 10**400}}, None,
+    "seed-fraction": ("run", {"seed": 1.5}, None, [], "seed must be an integer, got 1.5"),
+    "seed-bool": ("run", {"seed": True}, None, [], "seed must be an integer, got True"),
+    "alpha-beyond-float": ("run", _bvfsm(alpha=10**400), None, [],
                            f"bvfsm: alpha must be a number, got {10**400!r}"),
-    "top-key-run": ("run", {"sed": 3}, None, "unknown config keys ['sed']"),
-    "top-key-time": ("time", {"x_0": 3}, None, "unknown config keys ['x_0']"),
-    "run-a": ("run", {"a": 5}, None, "unknown config keys ['a']"),
-    "sweep-problem": ("sweep", {"problem": "sin:n=5"}, None, "unknown config keys ['problem']"),
-    "time-cap": ("time", {"wall_clock_cap_s": 5}, None,
-                 "unknown config keys ['wall_clock_cap_s']"),
-    "sweep-a-spec": ("sweep", {"a": "2,n=5"}, None,
+    "top-key-run": ("run", {"sed": 3}, None, [],
+                    f"unknown config keys ['sed']; {TOP_KEYS['run']}"),
+    "top-key-time": ("time", {"x_0": 3}, None, [],
+                     f"unknown config keys ['x_0']; {TOP_KEYS['time']}"),
+    "run-a": ("run", {"a": 5}, None, [], f"unknown config keys ['a']; {TOP_KEYS['run']}"),
+    "sweep-problem": ("sweep", {"problem": "sin:n=5"}, None, [],
+                      f"unknown config keys ['problem']; {TOP_KEYS['sweep']}"),
+    "time-cap": ("time", {"wall_clock_cap_s": 5}, None, [],
+                 f"unknown config keys ['wall_clock_cap_s']; {TOP_KEYS['time']}"),
+    "sweep-a-spec": ("sweep", {"a": "2,n=5"}, None, [],
                      "problem sin with {'n': 2, 'a': '2,n=5'}: a must be a number, got '2,n=5'"),
-    "sweep-a-bool": ("sweep", {"a": True}, None,
+    "sweep-a-bool": ("sweep", {"a": True}, None, [],
                      "problem sin with {'n': 2, 'a': True}: a must be a number, got True"),
-    "spec-a-bool": ("run", {"problem": "sin:n=2,a=true"}, None,
+    "spec-a-bool": ("run", {"problem": "sin:n=2,a=true"}, None, [],
                     "problem sin with {'n': 2, 'a': True}: a must be a number, got True"),
-    "spec-c-bool": ("run", {"problem": "sin-constrained:n=2,c=true"}, None,
+    "spec-c-bool": ("run", {"problem": "sin-constrained:n=2,c=true"}, None, [],
                     "problem sin-constrained with {'n': 2, 'c': True}: c must be a number, "
                     "got True"),
-    "spec-seed-bool": ("run", {"problem": "hyperclean:seed=true,n_train=8,n_val=6"}, None,
+    "spec-seed-bool": ("run", {"problem": "hyperclean:seed=true,n_train=8,n_val=6"}, None, [],
                        "problem hyperclean with {'seed': True, 'n_train': 8, 'n_val': 6}: "
                        "seed must be an integer, got True"),
-    "trhg-bool": ("run", {"methods": ["trhg:true"]}, None,
+    "trhg-bool": ("run", {"methods": ["trhg:true"]}, None, [],
                   "baseline: I must be an integer, got True"),
-    "truncated-log-bool": ("run", {"bvfsm": {**FAST_BVFSM, "aux_f": "truncated-log:true"}},
-                           None, "bvfsm: kappa must be a number, got True"),
-    "env-seed": ("validate", {}, "abc", "BVFSM_SEED must be an integer, got 'abc'"),
+    "truncated-log-bool": ("run", _bvfsm(aux_f="truncated-log:true"), None, [],
+                           "bvfsm: kappa must be a number, got True"),
+    "env-seed": ("validate", {}, "abc", [], "BVFSM_SEED must be an integer, got 'abc'"),
+    # what a run needs: a method, a known problem and method, and no argument
+    # where a method takes none
+    "no-methods": ("run", {"methods": []}, None, [], "config must list at least one method"),
+    "unknown-problem": ("run", {"problem": "mnist:n=2"}, None, [],
+                        "unknown problem 'mnist'; known: ['hyperclean', 'sin', "
+                        "'sin-constrained', 'sin-pessimistic']"),
+    "unknown-method": ("run", {"methods": ["bvfsm", "sgd"]}, None, [],
+                       "baseline: unknown baseline method 'sgd'"),
+    "rhg-argument": ("run", {"methods": ["rhg:5"]}, None, [],
+                     "baseline: rhg takes no argument, got 'rhg:5'"),
+    "bvfsm-argument": ("run", {"methods": ["bvfsm:3"]}, None, [],
+                       "bvfsm: bvfsm takes no argument, got 'bvfsm:3'"),
+    # the keys of each section, and an int key takes only an integral value
+    "baseline-key": ("run", {"methods": ["rhg"], "baseline": {"Tee": 3}}, None, [],
+                     "baseline: unknown baseline keys ['Tee']; known: ['I', 'Q', 'T', "
+                     "'aggregation', 'aggregation_decay', 'alpha', 'hvp_eps', 'll_step', "
+                     "'ul_steps']"),
+    "bvfsm-key": ("run", _bvfsm(T_Y=5, stepy=0.5), None, [],
+                  "bvfsm: unknown bvfsm keys ['T_Y', 'stepy']; known: ['K', 'L', 'T_y', 'T_z', "
+                  "'alpha', 'aux_B', 'aux_H', 'aux_f', 'aux_h', 'schedule', 'step_y', 'step_z']"),
+    "schedule-key": ("run", _bvfsm(schedule={"sigma_1": 9}), None, [],
+                     "bvfsm: unknown schedule keys ['sigma_1']; known: ['decay', 'mu', "
+                     "'sigma1', 'sigma2', 'sigma2_H', 'sigma2_h', 'theta']"),
+    **{f"K-string-{verb}": (verb, _bvfsm(K="abc"), None, [],
+                            "bvfsm: K must be an integer, got 'abc'") for verb in VERB_ARGS},
+    "K-fraction": ("run", _bvfsm(K=2.5), None, [], "bvfsm: K must be an integer, got 2.5"),
+    "K-bool": ("run", _bvfsm(K=True), None, [], "bvfsm: K must be an integer, got True"),
+    "T_z-string": ("run", _bvfsm(T_z="10"), None, [],
+                   "bvfsm: T_z must be an integer, got '10'"),
+    "ul_steps-string": ("run", {"methods": ["rhg"], "baseline": {"ul_steps": "x"}}, None, [],
+                        "baseline: ul_steps must be an integer, got 'x'"),
+    "ul_steps-fraction": ("run", _baseline("cg", ul_steps=2.9), None, [],
+                          "baseline: ul_steps must be an integer, got 2.9"),
+    "Q-bool": ("run", _baseline("cg", Q=True), None, [],
+               "baseline: Q must be an integer, got True"),
+    "T-fraction": ("run", _baseline("cg", T=50.5), None, [],
+                   "baseline: T must be an integer, got 50.5"),
+    "sweep-cap-string": ("sweep", {"wall_clock_cap_s": "abc"}, None, [],
+                         "wall_clock_cap_s must be a number, got 'abc'"),
+    # a shift is a static decaying sequence, for the value-function term and
+    # constraints alike: a shift entry has no "rule" key
+    **{f"{key}-rule": ("run", {"problem": "sin-constrained:n=2,a=2,c=1",
+                               **_bvfsm(schedule={key: {"rule": "dynamic"}})}, None, [],
+                       f"bvfsm: unknown schedule.{key} keys ['rule']; {SHIFT_KEYS}")
+       for key in ("sigma2", "sigma2_H", "sigma2_h")},
+    "shift-rule-typo": ("run", _shift({"rule": "dynamc"}), None, [],
+                        f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
+    "shift-value-typo": ("run", _shift({"valu": 5}), None, [],
+                         f"bvfsm: unknown schedule.sigma2 keys ['valu']; {SHIFT_KEYS}"),
+    "shift-rule-and-value": ("run", _shift({"rule": "dynamic", "value": 5}), None, [],
+                             f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
+    "shift-rule-key": ("run", _shift({"rule": "static"}), None, [],
+                       f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
+    "shift-bare-number": ("run", _shift(2.0), None, [],
+                          "bvfsm: schedule.sigma2 must be an object, got 2.0"),
+    "shift-negative": ("run", _shift({"value": -5, "decay_pow": -1}), None, [],
+                       f"bvfsm: StaticShift(value=-5.0, decay_pow=-1.0): {SHIFT_FORM}"),
+    "shift-zero-value": ("run", _shift({"value": 0}), None, [],
+                         f"bvfsm: StaticShift(value=0.0, decay_pow=0.5): {SHIFT_FORM}"),
+    "shift-inf-value": ("run", _shift({"value": math.inf}), None, [],
+                        f"bvfsm: StaticShift(value=inf, decay_pow=0.5): {SHIFT_FORM}"),
+    "shift-pow-0": ("run", _shift({"decay_pow": 0}), None, [],
+                    f"bvfsm: StaticShift(value=1.0, decay_pow=0.0): {SHIFT_FORM}"),
+    "shift-pow-1": ("run", _shift({"decay_pow": 1}), None, [],
+                    f"bvfsm: StaticShift(value=1.0, decay_pow=1.0): {SHIFT_FORM}"),
+    "aux-key-typo": ("run", _bvfsm(aux_f={"name": "inverse", "modifed": True}), None, [],
+                     "bvfsm: unknown auxiliary-function keys ['modifed'] in "
+                     "{'name': 'inverse', 'modifed': True}"),
+    "aux-string-bool": ("run", _bvfsm(aux_f={"name": "inverse", "modified": "false"}), None, [],
+                        "bvfsm: auxiliary-function 'modified' must be a bool, got 'false'"),
+    # start points: json writes NaN and Infinity, and reads them back as floats
+    "x0-non-numeric": ("run", {"x0": "abc"}, None, [], "x0 must be numeric, got 'abc'"),
+    "x0-two-entries": ("run", {"x0": [1.0, 2.0]}, None, [],
+                       "x0 must have dimension 1, got shape (2,)"),
+    **{f"y0-{name}": ("run", {"problem": "sin-constrained:n=2", "y0": y0}, None, [],
+                      f"y0 has non-finite entries: {shown}")
+       for name, y0, shown in [("nan", [math.nan, 0.5], "[nan 0.5]"),
+                               ("inf", [0.5, math.inf], "[0.5 inf]"),
+                               ("scalar-inf", -math.inf, "[-inf -inf]")]},
+    # problem specs, in a config and on the command line
+    **{f"{family}-{key}={value}": _non_finite_sin(family, key, value)
+       for family in ("sin", "sin-constrained", "sin-pessimistic")
+       for key in ("a", "c") for value in ("inf", "nan")},
+    "validate-unknown-key": ("validate", {}, None, ["--problem", "sin:q=3"],
+                             "problem sin with {'q': 3}: unknown sin keys ['q']; "
+                             "known: ['a', 'c', 'm', 'n']"),
+    "validate-n-string": ("validate", {}, None, ["--problem", "sin:n=abc"],
+                          "problem sin with {'n': 'abc'}: n must be an integer, got 'abc'"),
+    "validate-m-zero": ("validate", {}, None, ["--problem", "sin:n=2,m=0"],
+                        "problem sin with {'n': 2, 'm': 0}: m must be >= 1"),
+    "validate-dim-zero": ("validate", {}, None, ["--problem", "hyperclean:dim=0"],
+                          "problem hyperclean with {'seed': 0, 'dim': 0}: dim must be >= 1 and "
+                          "stay desk-scale (<= 20)"),
+    "validate-box-string": ("validate", {}, None, ["--problem", "hyperclean:explicit_box=yes"],
+                            "problem hyperclean with {'seed': 0, 'explicit_box': 'yes'}: "
+                            "explicit_box must be a bool, got 'yes'"),
+    # a seed the spec names must agree with one the config or --seed sets
+    **{name: (verb, entries, None, argv, "seed 5 conflicts with the problem spec's seed=3")
+       for name, verb, entries, argv in [
+           ("seed-option-conflict", "run", {"problem": SEEDED_SPEC}, ["--seed", "5"]),
+           ("seed-config-conflict", "run", {"problem": SEEDED_SPEC, "seed": 5}, []),
+           ("validate-seed-conflict", "validate", {}, ["--problem", SEEDED_SPEC, "--seed", "5"])]},
+    "sweep-family-without-n": ("sweep", {}, None, ["--family", "hyperclean"],
+                               "problem hyperclean with {'n': 2}: unknown hyperclean keys "
+                               "['n']; known: ['corruption_rate', 'dim', 'explicit_box', "
+                               "'n_train', 'n_val', 'seed']"),
 }
 
 
-@pytest.mark.parametrize("verb, entries, env_seed, message", CONFIG_PROBES.values(),
+@pytest.mark.parametrize("verb, entries, env_seed, argv, message", CONFIG_PROBES.values(),
                          ids=list(CONFIG_PROBES))
 def test_config_value_outside_its_kind_is_config_error(tmp_path, monkeypatch, capsys, verb,
-                                                        entries, env_seed, message):
-    # one number rule for every value read from outside, one key check per verb
+                                                        entries, env_seed, argv, message):
+    # one rejection rule for every input a verb reads: exit 2, one message,
+    # and no artifacts
     if env_seed is not None:
         monkeypatch.setenv("BVFSM_SEED", env_seed)
-    cfg = write_verb_config(tmp_path, "run" if verb == "validate" else verb, **entries)
     out = tmp_path / "out"
-    argv = ["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate" else \
-        [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
+    argv = (["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate"
+            else verb_argv(verb, write_verb_config(tmp_path, verb, **entries), out)) + argv
     assert main(argv) == EXIT_CONFIG
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["list", "not-json"])
+@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
+def test_config_text_that_is_not_an_object_is_config_error(tmp_path, verb, text, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(verb_argv(verb, cfg, out)) == EXIT_CONFIG
+    reason = {"[1, 2]": "a config must be a JSON object", "{not json":
+              "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"}
+    assert capsys.readouterr().err == f"config error: {cfg}: {reason[text]}\n"
     assert not out.exists()
 
 
@@ -620,30 +649,6 @@ def test_shipped_configs_resolve_to_hand_written_values(verb, cfg, methods, spec
     assert repr(build_solver_config(cfg, bench)) == repr(expected["bvfsm"][1])
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_ARGS))
-def test_config_that_is_not_an_object_is_config_error(tmp_path, verb, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text("[1, 2]")
-    out = tmp_path / "out"
-    argv = [verb, "--config", str(cfg)] + [a.format(out=out) for a in VERB_ARGS[verb]]
-    assert main(argv) == EXIT_CONFIG
-    assert "a config must be a JSON object" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["sigma2", "sigma2_H", "sigma2_h"])
-def test_run_experiment_dynamic_constraint_shift_is_config_error(tmp_path, key, capsys):
-    # a shift is a static decaying sequence, for the value-function term and
-    # constraints alike: a shift entry has no "rule" key
-    cfg = write_config(tmp_path, problem="sin-constrained:n=2,a=2,c=1", methods=["bvfsm"],
-                       bvfsm={**FAST_BVFSM, "schedule": {key: {"rule": "dynamic"}}})
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert (f"config error: bvfsm: unknown schedule.{key} keys ['rule']; "
-            "known: ['decay_pow', 'value']") in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("name", ["run_convergence", "run_pessimistic"])
 def test_script_hands_its_config_to_run_experiment(name, tmp_path, monkeypatch):
     script = _load_script(Path(__file__).parents[1] / "scripts" / f"{name}.py")
@@ -683,20 +688,6 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert run_experiment(HYPERCLEAN_RUN, out_dir=out) == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 17 == summary["problem_params"]["seed"]
-
-
-@pytest.mark.parametrize("argv, cfg_seed", [(["--seed", "5"], None), ([], 5)],
-                         ids=["option", "config"])
-def test_seed_that_conflicts_with_the_spec_is_config_error(tmp_path, argv, cfg_seed, capsys):
-    cfg = {**HYPERCLEAN_RUN, "problem": "hyperclean:seed=3,n_train=8,n_val=6,dim=2"}
-    if cfg_seed is not None:
-        cfg["seed"] = cfg_seed
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(path), "--out-dir", str(out)] + argv) == EXIT_CONFIG
-    assert "seed 5 conflicts with the problem spec's seed=3" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [None, 3], ids=["fallback", "same"])
@@ -787,36 +778,6 @@ def test_main_validate_verb(capsys):
     assert "PASS" in out
 
 
-def test_main_run_verb(tmp_path):
-    cfg = write_config(tmp_path, methods=["bvfsm"])
-    out = tmp_path / "cli-run"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_OK
-    assert (out / "summary.json").exists()
-
-
-def test_main_sweep_verb(tmp_path):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"bvfsm": FAST_BVFSM}))
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--config", str(cfg), "--n", "1", "--methods", "bvfsm",
-                 "--out", str(out)])
-    assert code == EXIT_OK
-    assert out.exists()
-
-
-def test_main_time_verb(tmp_path):
-    out = tmp_path / "timing.csv"
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"bvfsm": {**FAST_BVFSM, "K": 1},
-                               "baseline": {"T": 5, "I": 5, "Q": 3}}))
-    code = main(["time", "--config", str(cfg), "--sizes", "1:4", "--methods",
-                 "bvfsm", "cg", "--repeats", "3", "--out", str(out)])
-    assert code == EXIT_OK
-    header, rows = read_csv(out)
-    assert header[:4] == ["m", "n", "method", "median_s"]
-    assert len(rows) == 2
-
-
 VALIDATE_SPEC = "hyperclean:n_train=8,n_val=6"
 
 
@@ -843,63 +804,6 @@ def test_main_validate_checks_the_data_of_its_seed(monkeypatch, capsys, argv, en
     assert {probe_seed for _, probe_seed in checked} == {seed}
 
 
-def test_main_validate_seed_that_conflicts_with_the_spec_is_config_error(capsys):
-    spec = "hyperclean:seed=3,n_train=8,n_val=6"
-    assert main(["validate", "--problem", spec, "--probes", "2", "--seed", "5"]) == EXIT_CONFIG
-    assert "seed 5 conflicts with the problem spec's seed=3" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("spec", ["sin:q=3", "sin:n=abc", "sin:n=2,m=0", "hyperclean:dim=0",
-                                  "hyperclean:explicit_box=yes"])
-def test_main_validate_bad_problem_parameter_is_config_error(spec, capsys):
-    assert main(["validate", "--problem", spec, "--probes", "3"]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-
-
-def test_main_sweep_family_without_n_is_config_error(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--family", "hyperclean", "--n", "1", "--methods", "bvfsm",
-                 "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_main_bad_config_exit_code(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("entry", [{"rule": "dynamc"}, {"valu": 5},
-                                   {"rule": "dynamic", "value": 5}])
-def test_shift_entry_typo_is_config_error(tmp_path, entry, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"],
-                       bvfsm={**FAST_BVFSM, "schedule": {"sigma2": entry}})
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("entry, message", [
-    ({"rule": "static"}, "unknown schedule.sigma2 keys ['rule']"),
-    (2.0, "schedule.sigma2 must be an object, got 2.0"),
-    ({"value": -5, "decay_pow": -1}, "StaticShift(value=-5.0, decay_pow=-1.0): value must"),
-    ({"value": 0}, "StaticShift(value=0.0, decay_pow=0.5): value must"),
-    ({"value": math.inf}, "StaticShift(value=inf, decay_pow=0.5): value must"),
-    ({"decay_pow": 0}, "StaticShift(value=1.0, decay_pow=0.0): value must"),
-    ({"decay_pow": 1}, "StaticShift(value=1.0, decay_pow=1.0): value must"),
-], ids=["rule-key", "bare-number", "negative", "zero-value", "inf-value", "pow-0", "pow-1"])
-def test_shift_entry_outside_its_form_is_config_error(tmp_path, entry, message, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"],
-                       bvfsm={**FAST_BVFSM, "schedule": {"sigma2": entry}})
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("entry", [None, {}, {"value": None, "decay_pow": None}],
                          ids=["null", "empty", "null-keys"])
 def test_shift_entry_null_takes_the_default(entry):
@@ -909,29 +813,6 @@ def test_shift_entry_null_takes_the_default(entry):
     sched = build_schedule({"sigma2": entry, "sigma2_h": entry})
     assert sched.sigma2 == StaticShift()
     assert sched.sigma2_h == (None if entry is None else StaticShift())
-
-
-@pytest.mark.parametrize("aux", [{"name": "inverse", "modifed": True},
-                                 {"name": "inverse", "modified": "false"}],
-                         ids=["key-typo", "string-bool"])
-def test_aux_entry_typo_is_config_error(tmp_path, aux, capsys):
-    cfg = write_config(tmp_path, methods=["bvfsm"], bvfsm={**FAST_BVFSM, "aux_f": aux})
-    out = tmp_path / "x"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_non_numeric_wall_clock_cap_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({"wall_clock_cap_s": "abc",
-                               "baseline": {"T": 5, "I": 5, "ul_steps": 2}}))
-    out = tmp_path / "cap.csv"
-    code = main(["sweep", "--config", str(cfg), "--n", "1", "--methods", "rhg",
-                 "--out", str(out)])
-    assert code == EXIT_CONFIG
-    assert "wall_clock_cap_s" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_baseline_loop_stops_at_divergence():

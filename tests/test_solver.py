@@ -601,6 +601,43 @@ def test_solve_schedule_snapshot_strictly_decreasing():
     assert all(b >= a for a, b in zip(times, times[1:]))
 
 
+@pytest.mark.parametrize("spec", ["sin:n=2", "sin-constrained:n=2,a=2,c=1",
+                                  "sin-pessimistic:n=2"])
+def test_L_steps_per_stage_are_L_stages_when_the_schedule_is_held(spec):
+    # at decay = 1 every stage has the same schedule, so (K, L) and (K*L, 1)
+    # take the same UL steps: every record agrees bit for bit but its label
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem(spec)
+
+    def records(K, L):
+        cfg = build_solver_config({"bvfsm": {"K": K, "L": L, "schedule": {"decay": 1}}}, bench)
+        return solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference).records
+
+    staged, flat = records(15, 2), records(30, 1)
+    # the initial record, 30 UL steps and, optimistic only, the polish
+    assert len(staged) == len(flat) == (31 if spec.startswith("sin-pessimistic") else 32)
+    for a, b in zip(staged, flat):
+        assert (a.x.tobytes(), a.y.tobytes(), a.F_value) == (b.x.tobytes(), b.y.tobytes(),
+                                                             b.F_value)
+
+
+def test_L_steps_per_stage_share_the_stage_schedule():
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=2")
+    cfg = build_solver_config({"bvfsm": {"K": 30, "L": 2}}, bench)
+    recs = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference).records
+    assert [(r.k, r.l) for r in recs] == \
+        [(0, 0)] + [(k, l) for k in range(30) for l in (1, 2)] + [(30, 0)]
+    sched = cfg.schedule
+    for k in range(30):  # mu is held within a stage and decays across stages
+        assert recs[1 + 2 * k].mu == recs[2 + 2 * k].mu == sched.mu
+        sched = schedule_step(sched)
+    assert recs[1].mu == recs[2].mu == 1.0 > recs[3].mu
+    assert recs[-1].mu == sched.mu  # the polish runs at the schedule after K stages
+
+
 # Oracle calls per field and kind in the K = 30 solves of the sin-opt and
 # sin-con golden traces (tests/test_traces.py), the record's two calls per
 # stage included.  A change to the loops that adds or drops a call fails here
