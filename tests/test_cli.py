@@ -421,79 +421,19 @@ CONFIG_PROBES = {
     "schedule-key": ("run", _bvfsm(schedule={"sigma_1": 9}), None, [],
                      "bvfsm: unknown schedule keys ['sigma_1']; known: ['decay', 'mu', "
                      "'sigma1', 'sigma2', 'sigma2_H', 'sigma2_h', 'theta']"),
-    **{f"K-string-{verb}": (verb, _bvfsm(K="abc"), None, [],
-                            "bvfsm: K must be an integer, got 'abc'") for verb in VERB_ARGS},
-    "K-fraction": ("run", _bvfsm(K=2.5), None, [], "bvfsm: K must be an integer, got 2.5"),
-    "K-bool": ("run", _bvfsm(K=True), None, [], "bvfsm: K must be an integer, got True"),
-    "T_z-string": ("run", _bvfsm(T_z="10"), None, [],
-                   "bvfsm: T_z must be an integer, got '10'"),
     "ul_steps-string": ("run", {"methods": ["rhg"], "baseline": {"ul_steps": "x"}}, None, [],
                         "baseline: ul_steps must be an integer, got 'x'"),
-    "ul_steps-fraction": ("run", _baseline("cg", ul_steps=2.9), None, [],
-                          "baseline: ul_steps must be an integer, got 2.9"),
-    "Q-bool": ("run", _baseline("cg", Q=True), None, [],
-               "baseline: Q must be an integer, got True"),
-    "T-fraction": ("run", _baseline("cg", T=50.5), None, [],
-                   "baseline: T must be an integer, got 50.5"),
     "sweep-cap-string": ("sweep", {"wall_clock_cap_s": "abc"}, None, [],
                          "wall_clock_cap_s must be a number, got 'abc'"),
-    # a shift is a static decaying sequence, for the value-function term and
-    # constraints alike: a shift entry has no "rule" key
-    **{f"{key}-rule": ("run", {"problem": "sin-constrained:n=2,a=2,c=1",
-                               **_bvfsm(schedule={key: {"rule": "dynamic"}})}, None, [],
-                       f"bvfsm: unknown schedule.{key} keys ['rule']; {SHIFT_KEYS}")
-       for key in ("sigma2", "sigma2_H", "sigma2_h")},
-    "shift-rule-typo": ("run", _shift({"rule": "dynamc"}), None, [],
-                        f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
-    "shift-value-typo": ("run", _shift({"valu": 5}), None, [],
-                         f"bvfsm: unknown schedule.sigma2 keys ['valu']; {SHIFT_KEYS}"),
-    "shift-rule-and-value": ("run", _shift({"rule": "dynamic", "value": 5}), None, [],
-                             f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
-    "shift-rule-key": ("run", _shift({"rule": "static"}), None, [],
-                       f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
-    "shift-bare-number": ("run", _shift(2.0), None, [],
-                          "bvfsm: schedule.sigma2 must be an object, got 2.0"),
-    "shift-negative": ("run", _shift({"value": -5, "decay_pow": -1}), None, [],
-                       f"bvfsm: StaticShift(value=-5.0, decay_pow=-1.0): {SHIFT_FORM}"),
-    "shift-zero-value": ("run", _shift({"value": 0}), None, [],
-                         f"bvfsm: StaticShift(value=0.0, decay_pow=0.5): {SHIFT_FORM}"),
-    "shift-inf-value": ("run", _shift({"value": math.inf}), None, [],
-                        f"bvfsm: StaticShift(value=inf, decay_pow=0.5): {SHIFT_FORM}"),
-    "shift-pow-0": ("run", _shift({"decay_pow": 0}), None, [],
-                    f"bvfsm: StaticShift(value=1.0, decay_pow=0.0): {SHIFT_FORM}"),
-    "shift-pow-1": ("run", _shift({"decay_pow": 1}), None, [],
-                    f"bvfsm: StaticShift(value=1.0, decay_pow=1.0): {SHIFT_FORM}"),
     "aux-key-typo": ("run", _bvfsm(aux_f={"name": "inverse", "modifed": True}), None, [],
                      "bvfsm: unknown auxiliary-function keys ['modifed'] in "
                      "{'name': 'inverse', 'modifed': True}"),
     "aux-string-bool": ("run", _bvfsm(aux_f={"name": "inverse", "modified": "false"}), None, [],
                         "bvfsm: auxiliary-function 'modified' must be a bool, got 'false'"),
-    # start points: json writes NaN and Infinity, and reads them back as floats
+    # start points
     "x0-non-numeric": ("run", {"x0": "abc"}, None, [], "x0 must be numeric, got 'abc'"),
     "x0-two-entries": ("run", {"x0": [1.0, 2.0]}, None, [],
                        "x0 must have dimension 1, got shape (2,)"),
-    **{f"y0-{name}": ("run", {"problem": "sin-constrained:n=2", "y0": y0}, None, [],
-                      f"y0 has non-finite entries: {shown}")
-       for name, y0, shown in [("nan", [math.nan, 0.5], "[nan 0.5]"),
-                               ("inf", [0.5, math.inf], "[0.5 inf]"),
-                               ("scalar-inf", -math.inf, "[-inf -inf]")]},
-    # problem specs, in a config and on the command line
-    **{f"{family}-{key}={value}": _non_finite_sin(family, key, value)
-       for family in ("sin", "sin-constrained", "sin-pessimistic")
-       for key in ("a", "c") for value in ("inf", "nan")},
-    "validate-unknown-key": ("validate", {}, None, ["--problem", "sin:q=3"],
-                             "problem sin with {'q': 3}: unknown sin keys ['q']; "
-                             "known: ['a', 'c', 'm', 'n']"),
-    "validate-n-string": ("validate", {}, None, ["--problem", "sin:n=abc"],
-                          "problem sin with {'n': 'abc'}: n must be an integer, got 'abc'"),
-    "validate-m-zero": ("validate", {}, None, ["--problem", "sin:n=2,m=0"],
-                        "problem sin with {'n': 2, 'm': 0}: m must be >= 1"),
-    "validate-dim-zero": ("validate", {}, None, ["--problem", "hyperclean:dim=0"],
-                          "problem hyperclean with {'seed': 0, 'dim': 0}: dim must be >= 1 and "
-                          "stay desk-scale (<= 20)"),
-    "validate-box-string": ("validate", {}, None, ["--problem", "hyperclean:explicit_box=yes"],
-                            "problem hyperclean with {'seed': 0, 'explicit_box': 'yes'}: "
-                            "explicit_box must be a bool, got 'yes'"),
     # a seed the spec names must agree with one the config or --seed sets
     **{name: (verb, entries, None, argv, "seed 5 conflicts with the problem spec's seed=3")
        for name, verb, entries, argv in [
@@ -506,21 +446,87 @@ CONFIG_PROBES = {
                                "'n_train', 'n_val', 'seed']"),
 }
 
+# more rows of the same table, each set under the name of the rule it probes
+NON_NUMERIC_K = {verb: (verb, _bvfsm(K="abc"), None, [], "bvfsm: K must be an integer, got 'abc'")
+                 for verb in VERB_ARGS}
+NON_INTEGRAL = {f"{method}-{section}-{key}-{value}": (
+    "run", _baseline(method, **{key: value}) if section == "baseline" else _bvfsm(**{key: value}),
+    None, [], f"{section}: {key} must be an integer, got {value!r}")
+    for method, section, key, value in [
+        ("bvfsm", "bvfsm", "K", 2.5), ("bvfsm", "bvfsm", "K", True),
+        ("bvfsm", "bvfsm", "T_z", "10"), ("cg", "baseline", "ul_steps", 2.9),
+        ("cg", "baseline", "Q", True), ("cg", "baseline", "T", 50.5)]}
+# a shift is a static decaying sequence, for the value-function term and
+# constraints alike: a shift entry has no "rule" key
+DYNAMIC_SHIFTS = {key: ("run", {"problem": "sin-constrained:n=2,a=2,c=1",
+                                **_bvfsm(schedule={key: {"rule": "dynamic"}})}, None, [],
+                        f"bvfsm: unknown schedule.{key} keys ['rule']; {SHIFT_KEYS}")
+                  for key in ("sigma2", "sigma2_H", "sigma2_h")}
+SHIFT_TYPOS = {f"entry{i}": ("run", _shift(entry), None, [],
+                             f"bvfsm: unknown schedule.sigma2 keys [{key!r}]; {SHIFT_KEYS}")
+               for i, (entry, key) in enumerate([({"rule": "dynamc"}, "rule"),
+                                                 ({"valu": 5}, "valu"),
+                                                 ({"rule": "dynamic", "value": 5}, "rule")])}
+SHIFTS_OUTSIDE_THE_FORM = {
+    "rule-key": ("run", _shift({"rule": "static"}), None, [],
+                 f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
+    "bare-number": ("run", _shift(2.0), None, [],
+                    "bvfsm: schedule.sigma2 must be an object, got 2.0"),
+    **{name: ("run", _shift(entry), None, [], f"bvfsm: StaticShift({shown}): {SHIFT_FORM}")
+       for name, entry, shown in [
+           ("negative", {"value": -5, "decay_pow": -1}, "value=-5.0, decay_pow=-1.0"),
+           ("zero-value", {"value": 0}, "value=0.0, decay_pow=0.5"),
+           ("inf-value", {"value": math.inf}, "value=inf, decay_pow=0.5"),
+           ("pow-0", {"decay_pow": 0}, "value=1.0, decay_pow=0.0"),
+           ("pow-1", {"decay_pow": 1}, "value=1.0, decay_pow=1.0")]},
+}
+# json writes NaN and Infinity, and reads them back as floats
+NON_FINITE_START = {name: ("run", {"problem": "sin-constrained:n=2", "y0": y0}, None, [],
+                           f"y0 has non-finite entries: {shown}")
+                    for name, y0, shown in [("nan", [math.nan, 0.5], "[nan 0.5]"),
+                                            ("inf", [0.5, math.inf], "[0.5 inf]"),
+                                            ("scalar-inf", -math.inf, "[-inf -inf]")]}
+NON_FINITE_SIN = {f"{family}-{key}={value}": _non_finite_sin(family, key, value)
+                  for family in ("sin", "sin-constrained", "sin-pessimistic")
+                  for key in ("a", "c") for value in ("inf", "nan")}
+BAD_SPECS = {spec: ("validate", {}, None, ["--problem", spec], f"problem {message}")
+             for spec, message in [
+                 ("sin:q=3", "sin with {'q': 3}: unknown sin keys ['q']; "
+                             "known: ['a', 'c', 'm', 'n']"),
+                 ("sin:n=abc", "sin with {'n': 'abc'}: n must be an integer, got 'abc'"),
+                 ("sin:n=2,m=0", "sin with {'n': 2, 'm': 0}: m must be >= 1"),
+                 ("hyperclean:dim=0", "hyperclean with {'seed': 0, 'dim': 0}: dim must be >= 1 "
+                                      "and stay desk-scale (<= 20)"),
+                 ("hyperclean:explicit_box=yes", "hyperclean with {'seed': 0, 'explicit_box': "
+                                                 "'yes'}: explicit_box must be a bool, got 'yes'")]}
 
-@pytest.mark.parametrize("verb, entries, env_seed, argv, message", CONFIG_PROBES.values(),
-                         ids=list(CONFIG_PROBES))
-def test_config_value_outside_its_kind_is_config_error(tmp_path, monkeypatch, capsys, verb,
-                                                        entries, env_seed, argv, message):
-    # one rejection rule for every input a verb reads: exit 2, one message,
-    # and no artifacts
-    if env_seed is not None:
-        monkeypatch.setenv("BVFSM_SEED", env_seed)
-    out = tmp_path / "out"
-    argv = (["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate"
-            else verb_argv(verb, write_verb_config(tmp_path, verb, **entries), out)) + argv
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+
+def _rejects(probes):
+    """One test of the rows ``probes``: exit 2, one message, and no artifacts."""
+    @pytest.mark.parametrize("verb, entries, env_seed, argv, message", probes.values(),
+                             ids=list(probes))
+    def test(tmp_path, monkeypatch, capsys, verb, entries, env_seed, argv, message):
+        if env_seed is not None:
+            monkeypatch.setenv("BVFSM_SEED", env_seed)
+        out = tmp_path / "out"
+        argv = (["validate", "--problem", "sin:n=2", "--probes", "3"] if verb == "validate"
+                else verb_argv(verb, write_verb_config(tmp_path, verb, **entries), out)) + argv
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+    return test
+
+
+# one rejection rule for every input a verb reads
+test_config_value_outside_its_kind_is_config_error = _rejects(CONFIG_PROBES)
+test_non_numeric_solver_setting_is_config_error_in_every_verb = _rejects(NON_NUMERIC_K)
+test_integer_key_that_is_not_an_integer_is_config_error = _rejects(NON_INTEGRAL)
+test_run_experiment_dynamic_constraint_shift_is_config_error = _rejects(DYNAMIC_SHIFTS)
+test_shift_entry_typo_is_config_error = _rejects(SHIFT_TYPOS)
+test_shift_entry_outside_its_form_is_config_error = _rejects(SHIFTS_OUTSIDE_THE_FORM)
+test_run_experiment_non_finite_start_point_is_config_error = _rejects(NON_FINITE_START)
+test_non_finite_sin_parameter_is_config_error = _rejects(NON_FINITE_SIN)
+test_main_validate_bad_problem_parameter_is_config_error = _rejects(BAD_SPECS)
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{not json"], ids=["list", "not-json"])
