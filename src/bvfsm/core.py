@@ -270,28 +270,23 @@ def hvp(grad_fn: Callable[[np.ndarray], np.ndarray], x, v, eps: float = 1e-5) ->
 
 
 def plain_descent(grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray], x, y: np.ndarray,
-                  steps: int, step_size: float, mu: float | None = None,
-                  where: str = "") -> np.ndarray:
-    """``steps`` fixed gradient steps ``y <- y - step_size * g`` on ``y``, in place.
+                  steps: int, step_size: float) -> np.ndarray:
+    """``steps`` fixed gradient steps ``y <- y - step_size * grad_y(x, y)`` on ``y``, in place.
 
-    ``g`` is ``grad_y(x, y)``, plus ``mu * y`` when ``mu`` is given (the
-    gradient of a ``mu/2 |y|^2`` regularizer); without ``mu`` no term is
-    added, so signed zeros keep their bits.  ``y`` must be a float array the
+    The loop of the baselines' LL descent.  ``y`` must be a float array the
     caller owns: it is updated in place and returned.  Only ``y`` is written,
-    never ``g``, so an array that ``grad_y`` returns (its input, or one it
-    caches) is left as it was.  Each step computes the same bits as
-    ``y = y - step_size * g``.  A non-finite gradient raises
-    NonFiniteEvaluation at its step, before ``y`` moves, naming the step and
-    ``where``.  The test is :func:`all_finite`'s, written out: at n = 2 a
-    step costs a few NumPy calls, so every name the loop uses is bound once.
+    never the gradient, so an array that ``grad_y`` returns (its input, or
+    one it caches) is left as it was.  Each step computes the same bits as
+    ``y = y - step_size * grad_y(x, y)``.  A non-finite gradient raises
+    NonFiniteEvaluation at its step, before ``y`` moves, naming the step.
+    The test is :func:`all_finite`'s, written out: at n = 2 a step costs a
+    few NumPy calls, so every name the loop uses is bound once.
     """
     asarray, vdot, isfinite, np_isfinite = np.asarray, np.vdot, math.isfinite, np.isfinite
     for t in range(steps):
         g = asarray(grad_y(x, y), dtype=float)
-        if mu is not None:
-            g = g + mu * y
         if not (isfinite(vdot(g, g)) or np_isfinite(g).all()):
-            raise NonFiniteEvaluation(f"non-finite LL gradient at step {t}{where}")
+            raise NonFiniteEvaluation(f"non-finite LL gradient at step {t}")
         y -= step_size * g
     return y
 

@@ -1,7 +1,7 @@
 """Value-function-based sequential minimization solver for bi-level problems.
 
 Each outer stage freezes the current penalty/barrier parameters, approximates
-the regularized LL value function by a short gradient descent (the z-solve),
+the regularized LL value function by a guarded gradient descent (the z-solve),
 then descends (or ascends, pessimistic mode) a penalized single-level
 objective in y, and finally takes one projected gradient step in x.  Both
 inner objectives are one stage object, ``_Stage``, with P and P' bound once:
@@ -13,20 +13,20 @@ the penalty terms enter with the sign of the inner problem, so optimistic,
 pessimistic and constrained problems share a single formula.
 Modified-barrier shifts are decided here only, by :func:`_frozen_shifts`:
 frozen per stage and padded just enough to keep the incoming iterate
-strictly inside the wall.  The y-solve and the constrained
-z-solve share one guarded loop, :func:`_descend`: a step that would increase
-the frozen stage objective backtracks to the minimizer of the quadratic
-through the current value, its slope -|g|^2 and the rejected trial, kept
-within a tenth to a half of the step; a wall or NaN trial halves it.  At
-most ``MAX_HALVINGS`` backtracks follow each start from ``min(step, 2 * last
-accepted step)`` of the same inner solve.  The solve ends at the rounding
-floor, before any trial whose predicted decrease ``step * |g|^2`` is at most
-one ulp of the current value: only rounding could decide it.  The
-unconstrained z-solve has no wall to guard: it takes fixed steps in
-:func:`bvfsm.core.plain_descent`, the loop the baselines' LL descent runs too.
-Each wall rule is one loop: a constrained z-solve that starts outside a wall
-steps along every walled constraint's normal until it is back inside, and a
-stage that still meets a wall retries the previous UL step with halved moves.
+strictly inside the wall.  The y-solve and the z-solve share one guarded
+loop, :func:`_descend`: a step that would increase the frozen stage
+objective backtracks to the minimizer of the quadratic through the current
+value, its slope -|g|^2 and the rejected trial, kept within a tenth to a
+half of the step; a wall or NaN trial halves it.  At most ``MAX_HALVINGS``
+backtracks follow each start.  The first start is ``step_z`` or ``step_y``;
+each later one is twice the last accepted step, capped at the inverse secant
+curvature along it.  The solve ends at the rounding floor, before any trial
+whose predicted decrease ``step * |g|^2`` is at most one ulp of the current
+value: only rounding could decide it.  ``T_z`` and ``T_y`` only cap the
+number of steps.  Each wall rule is one loop: a z-solve that starts outside
+a wall steps along every walled constraint's normal until it is back inside,
+and a stage that still meets a wall retries the previous UL step with halved
+moves.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .core import (
     Mode,
     NonFiniteEvaluation,
     all_finite,
-    plain_descent,
     project,
 )
 
@@ -90,6 +89,8 @@ class SolverConfig:
 
     Defaults follow the reference benchmark settings: alpha = step_z = step_y
     = 0.01, T_z = 50, T_y = 25, L = 1, geometric schedule decay 1/1.01.
+    ``step_z`` and ``step_y`` are the first trial step of each inner solve,
+    and ``T_z`` and ``T_y`` cap its number of steps.
     """
 
     K: int = 3000
@@ -294,15 +295,19 @@ class _Stage:
 
 def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
              step0: float, message: str) -> tuple[np.ndarray, float, list]:
-    """``steps`` guarded gradient steps on a stage-frozen objective.
+    """At most ``steps`` guarded gradient steps on a stage-frozen objective.
 
     ``cur`` and ``args`` are the stage value and penalty arguments at ``v``.
     Each step takes the gradient ``g`` at ``v`` and |g|^2 with it; a finite
     |g|^2 proves ``g`` finite (see :func:`bvfsm.core.all_finite`), else a
     non-finite ``g`` raises NonFiniteEvaluation with ``message``.  It tries
-    steps ``s`` along ``g``, starting from ``min(step0, 2 * last accepted
-    step)``, until the objective does not exceed ``cur``; a wall (``inf``) or
-    NaN trial never does.  A finite rejected trial is followed by the
+    steps ``s`` along ``g`` until the objective does not exceed ``cur``; a
+    wall (``inf``) or NaN trial never does.  The first step starts from
+    ``step0``.  Each later one starts from twice the last accepted step
+    ``s_p``, but at most 1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p
+    |g_p|^2) is the secant curvature along that step and g_p the gradient it
+    was taken along: the step grows up to the local curvature, not past it
+    into a farther basin.  A finite rejected trial is followed by the
     minimizer of the quadratic with phi(0) = cur, phi'(0) = -|g|^2 and
     phi(s) = trial, clamped to [0.1 s, 0.5 s] (safeguarded quadratic
     backtracking, Nocedal & Wright section 3.5).  A wall or NaN trial halves
@@ -314,18 +319,22 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     """
     value, gradient, step = stage.value, stage.gradient, step0
     vdot, isfinite, ulp = np.vdot, math.isfinite, math.ulp  # bound once: n = 2 steps are dispatch
+    g_prev = None
     for _ in range(steps):
         g = gradient(v, args)
         gg = float(vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
         if not (isfinite(gg) or np.isfinite(g).all()):
             raise NonFiniteEvaluation(message)
+        if g_prev is not None:  # twice the last step, at most 1/kappa
+            d = abs(gg_prev - float(vdot(g, g_prev)))
+            step *= 2.0 if 2.0 * d <= gg_prev else gg_prev / d
         for _ in range(MAX_HALVINGS + 1):
             if gg * step <= ulp(cur):  # the rounding floor
                 return v, cur, args
             v_new = v - step * g
             trial, trial_args = value(v_new)
             if trial <= cur:
-                v, cur, args = v_new, trial, trial_args
+                v, cur, args, g_prev, gg_prev = v_new, trial, trial_args, g, gg
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
                 fit = gg * step * step / (2.0 * (trial - cur + gg * step))
@@ -334,7 +343,6 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
                 step *= 0.5
         else:
             break  # pinned for this stage
-        step = min(step0, 2.0 * step)
     return v, cur, args
 
 
@@ -345,25 +353,16 @@ def solve_regularized_ll(
     cfg: SolverConfig,
     z0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, list]:
-    """T_z gradient steps on f(x, .) + mu/2 |y|^2 (+ LL-constraint barriers).
+    """At most T_z guarded steps on f(x, .) + mu/2 |y|^2 (+ LL-constraint barriers).
 
-    Returns (z, f_star_approx, args): f_star_approx is the objective at the
-    returned z, barrier terms included, and args are the barrier arguments
-    h(x, z) behind it (empty without LL constraints).
+    The steps are :func:`_descend`'s, from ``z0`` (zeros when None) with a
+    first trial of ``step_z``.  Returns (z, f_star_approx, args):
+    f_star_approx is the objective at the returned z, barrier terms
+    included, and args are the barrier arguments h(x, z) behind it (empty
+    without LL constraints).
     """
-    f, hs, mu = problem.f, problem.ll_constraints, sched.mu
+    hs = problem.ll_constraints
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
-
-    if not hs:
-        # No wall to guard: fixed steps, and no value call until the end.  A
-        # guarded loop would add one value call per step, and sin-opt takes
-        # 150,050 z-steps per solve.
-        z = plain_descent(f.grad_y, x, z, cfg.T_z, cfg.step_z, mu, " during z-solve")
-        f_star = f(x, z) + 0.5 * mu * float(z @ z)
-        if not math.isfinite(f_star):
-            raise NonFiniteEvaluation("regularized LL value non-finite")
-        return z, f_star, []
-
     stage = _Stage.regularized_ll(problem, x, sched, cfg)
     cur, args = stage.value(z)
     # Restoration: outer x-steps routinely strand a wall-hugging warm start
@@ -397,7 +396,7 @@ def solve_penalized_inner(
     cfg: SolverConfig,
     y0: np.ndarray,
 ) -> InnerState:
-    """T_y guarded gradient steps on the stage-frozen penalized objective.
+    """At most T_y guarded gradient steps on the stage-frozen penalized objective.
 
     Optimistic mode minimizes F + P-terms + theta/2 |y|^2; pessimistic mode
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
@@ -500,7 +499,7 @@ def _errors_for(problem, reference: Reference | None):
     if reference is None:
         return lambda x, y: (F(x, y), f(x, y), nan, nan)
     x_star, F_star = reference.x_star, reference.F_star
-    nx = np.linalg.norm(x_star)  # a NumPy float, so rel_err_x is one: the digests hash its repr
+    nx = float(np.linalg.norm(x_star))  # a Python float, so every error column is one
     x_scale = nx if nx > 0 else 1.0
     F_scale = None if F_star is None else (abs(F_star) if abs(F_star) > 0 else 1.0)
 
@@ -606,9 +605,9 @@ def solve(
         sched = schedule_step(sched)
 
     # Feasibility polish: penalty/barrier iterates end a vanishing distance on
-    # the relaxed side of LL optimality, so finish with a plain LL descent
-    # from y.  Optimistic mode only: a pessimistic iterate encodes the
-    # worst-case selection, which an unguided descent would abandon.
+    # the relaxed side of LL optimality, so finish with a z-solve from y.
+    # Optimistic mode only: a pessimistic iterate encodes the worst-case
+    # selection, which an unguided descent would abandon.
     if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
         try:
             record(cfg.K, 0, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0])

@@ -5,11 +5,13 @@ closed form evaluated independently or produced by the oracles in
 ``oracles.py``.
 """
 
+import collections
 import math
 import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import bvfsm.cli as cli
 from bvfsm import (
@@ -336,15 +338,34 @@ A9_CFG = {"baseline": {"T": 100, "I": 100, "Q": 20}}
 
 
 def a9_oracle_calls(methods):
-    """Oracle calls of one ``time_step`` step per method at n=1000."""
+    """Oracle calls of one ``cli._step`` per method at n=1000, split by phase,
+    and the LL residual at the y each method differentiates at.
+
+    bvfsm's phases are the z-solve, the y-solve and the chain rule, and its
+    residual is the z-solve's, |grad_y f + mu z| at its z.  A baseline's
+    phases are its LL descent and its estimator, and its residual is
+    |grad_y f| where the LL descent ends.  Returns ``{method: (calls by
+    phase, residual)}``.
+    """
+    from bvfsm import baselines, solver
     from bvfsm.problems import parse_problem
 
-    calls = [0]
+    phase, calls, ends = [""], collections.Counter(), {}
 
     def counted(fn):
         def wrapped(x, y):
-            calls[0] += 1
+            calls[phase[0]] += 1
             return fn(x, y)
+        return wrapped
+
+    def tagged(run, label):
+        def wrapped(*args):
+            outer, phase[0] = phase[0], label
+            try:
+                ends[label] = run(*args)
+            finally:
+                phase[0] = outer
+            return ends[label]
         return wrapped
 
     bench = parse_problem("sin:n=1000,a=2,c=2,m=1")
@@ -354,11 +375,24 @@ def a9_oracle_calls(methods):
                          for role, fld in (("F", p.F), ("f", p.f))})
     x, y0 = np.full(1, 8.0), np.zeros(1000)
     out = {}
-    for mspec in methods:
-        method = cli._resolve_method(bench, mspec, A9_CFG)
-        calls[0] = 0
-        cli._step(prob, method, x, y0)
-        out[mspec] = calls[0]
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, label in ((solver, "solve_regularized_ll", "z-solve"),
+                                    (solver, "solve_penalized_inner", "y-solve"),
+                                    (cli, "ul_gradient_for", "chain rule"),
+                                    (baselines, "ll_descent", "LL descent")):
+            mp.setattr(module, name, tagged(getattr(module, name), label))
+        for mspec in methods:
+            method = cli._resolve_method(bench, mspec, A9_CFG)
+            bvfsm = isinstance(method[1], SolverConfig)
+            calls.clear()
+            phase[0] = "" if bvfsm else "estimator"
+            cli._step(prob, method, x, y0)
+            if bvfsm:
+                z, mu = ends["z-solve"][0], method[1].schedule.mu
+                residual = float(np.linalg.norm(p.f.gy(x, z) + mu * z))
+            else:
+                residual = float(np.linalg.norm(p.f.gy(x, ends["LL descent"])))
+            out[mspec] = (dict(calls), residual)
     return out
 
 
@@ -366,21 +400,28 @@ def test_A9_timing_ratio():
     methods = ["bvfsm", "cg", "neumann"]
     rows = time_step([(1, 1000)], methods, repeats=5, cfg=A9_CFG)
     med = {r["method"]: r["median_s"] for r in rows}
-    calls = a9_oracle_calls(methods)
+    split = a9_oracle_calls(methods)
+    calls = {m: sum(phases.values()) for m, (phases, _) in split.items()}
     ratio = min(med["cg"], med["neumann"]) / med["bvfsm"]
     call_ratio = min(calls["cg"], calls["neumann"]) / calls["bvfsm"]
     ok = med["bvfsm"] <= 0.5 * min(med["cg"], med["neumann"])
+
+    def timed(m):
+        return f"{m}={med[m]*1e3:.2f}ms (LL residual {split[m][1]:.3g})"
+
+    def counted(m):
+        parts = ", ".join(f"{n} {label}" for label, n in split[m][0].items())
+        return f"{m}={calls[m]} ({parts})"
+
     report(
         "A9", ok,
-        f"bvfsm={med['bvfsm']*1e3:.2f}ms cg={med['cg']*1e3:.2f}ms "
-        f"neumann={med['neumann']*1e3:.2f}ms ratio={ratio:.2f} (bar: >=2.0); "
-        f"oracle calls per step bvfsm={calls['bvfsm']} cg={calls['cg']} "
-        f"neumann={calls['neumann']} ratio={call_ratio:.2f}. "
-        "With finite-difference Hessian-vector products an implicit step costs "
-        "~T+2Q gradient evaluations; the value-function step's calls split into 51 "
-        "z-solve, 46 y-solve (its line search stops at the rounding floor after "
-        "6 gradients) and 3 chain-rule calls, so the paper's AD-based 17x gap "
-        "cannot materialize here.",
+        f"{timed('bvfsm')} {timed('cg')} {timed('neumann')} ratio={ratio:.2f} "
+        f"(bar: >=2.0); oracle calls per step {counted('bvfsm')} {counted('cg')} "
+        f"{counted('neumann')} ratio={call_ratio:.2f}. The LL residual is "
+        "|grad_y f + mu z| at bvfsm's z and |grad_y f| where a baseline's LL "
+        "descent ends. With finite-difference Hessian-vector products an "
+        "implicit step costs ~T+2Q gradient evaluations, so the paper's AD-based "
+        "17x gap cannot materialize here.",
     )
 
 

@@ -22,6 +22,7 @@ from bvfsm import (
     trhg_hypergradient,
 )
 from bvfsm.baselines import hypergradient_step
+from bvfsm.core import plain_descent
 
 from oracles import quadratic_field
 
@@ -335,7 +336,7 @@ def test_baseline_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# plain descent: ll_descent and the unconstrained z-solve
+# the LL loops: ll_descent's fixed steps and the z-solve's guarded steps
 # ---------------------------------------------------------------------------
 
 
@@ -351,14 +352,15 @@ def test_plain_descent_is_bitwise_the_written_out_loop(prob, x, y0):
         y = y - 0.01 * prob.f.gy(x, y)
     assert ll_descent(prob, x, y0, 100, 0.01).tobytes() == y.tobytes()
 
+    # the z-solve is not a fixed-step loop: it ends where a 3,000-step
+    # descent of step 0.1 on f + mu/2 |y|^2 from the same start ends
     cfg = SolverConfig(T_z=50)
     sched = schedule_step(schedule_step(cfg.schedule))
-    z = y0.copy()
-    for _ in range(cfg.T_z):
-        z = z - cfg.step_z * (prob.f.gy(x, z) + sched.mu * z)
+    mu = sched.mu
+    z = plain_descent(lambda x, y: prob.f.gy(x, y) + mu * y, x, y0.copy(), 3000, 0.1)
     got, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
-    assert got.tobytes() == z.tobytes()
-    assert f_star == prob.f(x, z) + 0.5 * sched.mu * float(z @ z)
+    assert np.max(np.abs(got - z)) <= 1e-6
+    assert f_star == prob.f(x, got) + 0.5 * mu * float(got @ got)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_all_finite_agrees_with_isfinite(n, seed, scale, entries):
 
 
 # ---------------------------------------------------------------------------
-# plain_descent: the loop behind ll_descent and the unconstrained z-solve
+# plain_descent, the loop behind ll_descent, and the z-solve's guarded loop
 # ---------------------------------------------------------------------------
 
 
@@ -73,8 +73,12 @@ def _ll_descent(prob, x, y0, steps):
     return ll_descent(prob, x, y0, steps, 0.01)
 
 
-@pytest.mark.parametrize("run", [_z_solve, _ll_descent], ids=["z-solve", "ll_descent"])
-def test_plain_descent_raises_at_the_first_non_finite_step(run):
+@pytest.mark.parametrize("run,message", [
+    (_z_solve, "LL gradient non-finite during z-solve"),  # _descend's message
+    (_ll_descent, "non-finite LL gradient at step 3"),
+], ids=["z-solve", "ll_descent"])
+def test_plain_descent_raises_at_the_first_non_finite_step(run, message):
+    # both LL loops raise at the first NaN gradient and make no gradient call after it
     calls = []
 
     def gy(x, y):  # the fourth call, at step 3, returns NaN
@@ -83,31 +87,28 @@ def test_plain_descent_raises_at_the_first_non_finite_step(run):
 
     bench = make_sin_problem(2)
     prob = replace(bench.problem, f=replace(bench.problem.f, grad_y=gy))
-    with pytest.raises(NonFiniteEvaluation, match="LL gradient at step 3"):
+    with pytest.raises(NonFiniteEvaluation, match=f"^{message}$"):
         run(prob, bench.x0, bench.y0, 10)
     assert len(calls) == 4
 
 
-@pytest.mark.parametrize("mu", [None, 0.5])
-def test_plain_descent_never_writes_to_what_grad_y_returns(mu):
+def test_plain_descent_never_writes_to_what_grad_y_returns():
     def written_out(gy, y0):
         y = np.array(y0)
         for _ in range(5):
-            g = gy(x, y) if mu is None else gy(x, y) + mu * y
-            y = y - 0.1 * g
+            y = y - 0.1 * gy(x, y)
         return y
 
     x, y0 = np.zeros(1), np.array([1.0, -2.0])
     cache = np.array([0.25, -3.0])
     for gy in (lambda x, y: y, lambda x, y: cache):
-        got = plain_descent(gy, x, y0.copy(), 5, 0.1, mu)
+        got = plain_descent(gy, x, y0.copy(), 5, 0.1)
         assert got.tobytes() == written_out(gy, y0).tobytes()
     assert cache.tolist() == [0.25, -3.0]
 
 
 @pytest.mark.parametrize("n", [2, 1000])
-@pytest.mark.parametrize("mu", [None, 0.37], ids=["no-mu", "mu"])
-def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(n, mu):
+def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(n):
     bench = make_sin_problem(n)
     x, gy = bench.x0, bench.problem.f.grad_y
     y0 = np.random.default_rng(n).uniform(-5.0, 5.0, n)
@@ -122,9 +123,8 @@ def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(n, mu):
     written_out = logged(want_calls)
     y = y0.copy()
     for _ in range(50):
-        g = written_out(x, y)
-        y = y - 0.01 * (g if mu is None else g + mu * y)
-    got = plain_descent(logged(got_calls), x, y0.copy(), 50, 0.01, mu)
+        y = y - 0.01 * written_out(x, y)
+    got = plain_descent(logged(got_calls), x, y0.copy(), 50, 0.01)
     assert got.tobytes() == y.tobytes()
     assert got_calls == want_calls
 

@@ -29,8 +29,10 @@ from bvfsm import (
     solve_regularized_ll,
     ul_gradient_for,
 )
+from bvfsm import solver as solver_module
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
+from bvfsm.core import plain_descent
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
 
 from oracles import fd_of_phi, grid_min, phi_k, toy_problem
@@ -365,25 +367,42 @@ def test_descend_rejects_a_non_finite_first_gradient():
     assert stage.grads == 1 and stage.trials == []
 
 
-def test_y_solve_without_halving_is_fixed_step_descent():
-    # F = 0.5 y'Dy with an inactive penalty.  Every first trial descends, and
-    # so would a doubled step (2 * 0.1 * 3.05 < 2): a step memory that ever
-    # started above step_y would leave the fixed-step sequence.
-    d = np.array([1.0, 3.0])
-    counts = {"val": 0, "gy": 0}
+def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
+    # F = 0.5 y'Dy with an inactive penalty: the stage objective is 0.5 y'Ay
+    # with A = D + theta I.  On a quadratic the secant curvature along the
+    # last step is the Rayleigh quotient of A along the gradient it took, so
+    # each step is min(2 * last step, |g_p|^2 / g_p'A g_p).  A's condition
+    # number is under 2, so every first trial descends.
+    d = np.array([1.0, 1.5])
+    trials = []
     f = field(1, 2, lambda x, y: 0.0, lambda x, y: np.zeros(1), lambda x, y: np.zeros(2))
-    F = counting_field(field(1, 2, lambda x, y: 0.5 * float(y @ (d * y)),
-                             lambda x, y: np.zeros(1), lambda x, y: d * y), counts)
+
+    def F_fn(x, y):
+        trials.append(y)
+        return 0.5 * float(y @ (d * y))
+
+    F = field(1, 2, F_fn, lambda x, y: np.zeros(1), lambda x, y: d * y)
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     sched = ScheduleState(theta=0.05, sigma1=1.0)
-    cfg = SolverConfig(T_y=40, step_y=0.1, schedule=sched, aux_f=QP)
+    cfg = SolverConfig(T_y=10, step_y=0.1, schedule=sched, aux_f=QP)
     y0 = np.array([1.0, -2.0])
     inner = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
-    assert counts == {"val": cfg.T_y + 1, "gy": cfg.T_y}  # one trial per step
-    y = y0.copy()
+    a = d + sched.theta
+    y, step, g_prev, want, steps = y0.copy(), cfg.step_y, None, [], []
     for _ in range(cfg.T_y):
-        y = y - cfg.step_y * (d * y + sched.theta * y)
-    assert np.array_equal(inner.y, y)
+        g = a * y
+        if g_prev is not None:
+            step = min(2.0 * step, float(g_prev @ g_prev) / float(g_prev @ (a * g_prev)))
+        y = y - step * g
+        g_prev = g
+        want.append(y)
+        steps.append(step)
+    # one trial per step: the start value, then every trial accepted
+    assert len(trials) == cfg.T_y + 1
+    assert np.allclose(trials[1:], want, rtol=1e-9, atol=0.0)
+    assert np.allclose(inner.y, want[-1], rtol=1e-9, atol=0.0)
+    # three doublings from step_y, then the curvature cap binds
+    assert steps[:3] == [0.1, 0.2, 0.4] and steps[3] < 0.8
 
 
 def test_late_stage_sin_y_solve_evaluations_per_gradient():
@@ -644,14 +663,14 @@ def test_L_steps_per_stage_share_the_stage_schedule():
 # by name, even where it keeps every bit of the trace.
 SOLVE_ORACLE_CALLS = {
     "sin-opt": {
-        ("sin-ul", "val"): 812, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 750,
-        ("sin-ll", "val"): 843, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 2300,
+        ("sin-ul", "val"): 284, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 250,
+        ("sin-ll", "val"): 591, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 556,
     },
     "sin-con": {
-        ("sin-ul", "val"): 812, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 750,
-        ("sin-ll", "val"): 1955, ("sin-ll", "gy"): 1892,
-        ("band[0]", "val"): 1923, ("band[0]", "gx"): 30, ("band[0]", "gy"): 1892,
-        ("band[1]", "val"): 1923, ("band[1]", "gx"): 30, ("band[1]", "gy"): 1892,
+        ("sin-ul", "val"): 194, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 162,
+        ("sin-ll", "val"): 351, ("sin-ll", "gy"): 319,
+        ("band[0]", "val"): 319, ("band[0]", "gx"): 30, ("band[0]", "gy"): 319,
+        ("band[1]", "val"): 319, ("band[1]", "gx"): 30, ("band[1]", "gy"): 319,
     },
 }
 
@@ -667,6 +686,62 @@ def test_golden_solve_oracle_calls_are_pinned(name):
     cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
     solve(prob, cfg, bench.x0, bench.y0, reference=bench.reference)
     assert dict(calls) == SOLVE_ORACLE_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
+def test_golden_solve_inner_solves_end_at_the_rounding_floor(name, monkeypatch):
+    # Every z-solve (the polish's too) and y-solve of the K = 30 golden solves
+    # ends at its rounding floor: after fewer gradients than its cap T_z or
+    # T_y, and with at most MAX_HALVINGS trials after the last one (a pinned
+    # iterate takes one more).
+    ends = []
+    descend = solver_module._descend
+
+    class Probe:
+        def __init__(self, stage):
+            self.stage, self.grads, self.trials = stage, 0, 0
+
+        def value(self, v):
+            self.trials += 1
+            return self.stage.value(v)
+
+        def gradient(self, v, args):
+            self.grads, self.trials = self.grads + 1, 0
+            return self.stage.gradient(v, args)
+
+    def probed(stage, v, cur, args, steps, step0, message):
+        probe = Probe(stage)
+        out = descend(probe, v, cur, args, steps, step0, message)
+        ends.append((message.endswith("z-solve"), steps, probe.grads, probe.trials))
+        return out
+
+    monkeypatch.setattr(solver_module, "_descend", probed)
+    bench = {"sin-opt": make_sin_problem(2),
+             "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
+    cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
+    assert sorted(z for z, *_ in ends) == [False] * 30 + [True] * 31
+    for z_solve, steps, grads, trials in ends:
+        assert steps == (cfg.T_z if z_solve else cfg.T_y)
+        assert grads < steps and trials <= MAX_HALVINGS
+
+
+@pytest.mark.parametrize("n", [2, 50])
+@pytest.mark.parametrize("mu", [1e-3, 1e-9])
+def test_z_solve_from_random_starts_ends_where_a_long_small_step_descent_does(n, mu):
+    # The step grows up to the secant curvature and not past it, so from
+    # cold starts the z-solve (default T_z and step_z) ends within 1e-6 of a
+    # 3,000-step descent of step 0.1 from the same start.  A step that only
+    # doubled would land some of these 200 starts in a farther LL basin.
+    bench = make_sin_problem(n)
+    gy = bench.problem.f.grad_y
+    cfg = SolverConfig(schedule=ScheduleState(mu=mu))
+    rng = np.random.default_rng([n, round(-math.log10(mu))])
+    for _ in range(50):
+        x, y0 = rng.uniform(-10.0, 10.0, 1), rng.uniform(-10.0, 10.0, n)
+        z = solve_regularized_ll(bench.problem, x, cfg.schedule, cfg, y0)[0]
+        want = plain_descent(lambda x, y: gy(x, y) + mu * y, x, y0.copy(), 3000, 0.1)
+        assert np.max(np.abs(z - want)) <= 1e-6
 
 
 def test_solve_zero_penalty_regime_reduces_to_direct_gradient():

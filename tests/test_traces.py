@@ -5,15 +5,14 @@ refactor of the inner solves or the chain rule that changes any rounding
 shows up here as a new digest.  Three cases follow the benchmark workloads
 (``perfbench/workloads.py``): the sin-opt setup and the default sin-con
 profile, both cut to K = 30 stages, and the one-stage n = 1000 point of
-step-n1000.  The other eight cover paths the benchmark does not run.  Each
-digest was last recorded when a change moved that case's rounding:
-ul-constraint-quadratic when its cap was lowered from 6 to 3, so that its
-penalty term is active; constrained-sin-pessimistic, sin-con, step-n1000 and
-wall-recovery when the guarded inner loop began to stop at the rounding floor;
-sin-opt when the benchmark cases were added, just before the plain descent
-loop moved into ``core``; the others before the stage object replaced the
-written-out penalized sums in ``solver.py``.  A deliberate
-change re-records a case by copying the digest its failure prints.
+step-n1000.  The other eight cover paths the benchmark does not run.  Every
+digest was last recorded when the z-solve moved onto the guarded loop and
+each inner solve's step began to grow up to the secant curvature: every
+inner solve now ends at its rounding floor, so every iterate moved.  In the
+same change ``rel_err_x`` became a Python float, whose repr the digests hash,
+and ul-constraint-quadratic's cap fell from 3 to 2, so that its penalty term
+stays active.  A deliberate change re-records a case by copying the digest
+its failure prints.
 """
 
 import hashlib
@@ -69,9 +68,10 @@ CASES = {
     "ul-constraint": (_with_ul_constraint(make_sin_problem(2), 6.0), {
         "aux_H": {"name": "inverse", "modified": True},
         "schedule": {**STATIC, "sigma2_H": {"value": 0.5}}}),
-    # the y-solve starts from the z-solve's (3.59, 3.59): y_0 <= 3 is violated
-    # there, so the quadratic penalty is active (under y_0 <= 6 it would add 0)
-    "ul-constraint-quadratic": (_with_ul_constraint(make_sin_problem(2), 3.0),
+    # F pulls y toward (4, 4), and without the cap y_0 reaches 2.73 by the
+    # third stage: under y_0 <= 2 the quadratic penalty is active in 28 of
+    # the 30 stages (under y_0 <= 3 it would add 0)
+    "ul-constraint-quadratic": (_with_ul_constraint(make_sin_problem(2), 2.0),
                                 {"aux_H": "quadratic"}),
     "truncated-log": (make_sin_problem(2), {
         "aux_f": {"name": "truncated-log:0.5", "modified": True}, "schedule": STATIC}),
@@ -85,17 +85,17 @@ CASES = {
 }
 
 GOLDEN = {
-    "sin-con": "c225fda02f6985eb2bcd4ac590ef0b33886f5c6d12dd9802b601d326f2463fe8",
-    "sin-opt": "ba7ae731b37aa347d27956befbe973b1a10e755895a6d72c212d6ebc7c887b8b",
-    "step-n1000": "289ae87f51be5723bcf520603c9fa039694ac0f93617fceeb3e6de58b2e5951b",
-    "constrained-sin-pessimistic": "97e5b5218457746927891b5f993f53d7efb2e7ec4481433b4f8be9d344a2e47f",
-    "constrained-truncated-log": "cfbe428ad204b2139be50dbb24cf2fb226b1324fc25eb388e87b426426f2b84d",
-    "pessimistic-sin": "b8919b05a9732fba60fc06dac51f73ac7dc6721d854d33714d59fac5c9e778c2",
-    "polynomial": "f5f9a303aeecb0baebb280ca622d1e5e1a8f4d8ebf83a98875cfbecb45e29622",
-    "truncated-log": "14af8ff0fd52b53296b0619e0b5eca10ebd67464421db5b0c4912bbb17e89238",
-    "ul-constraint": "b387786918b5784f6cb4f8a05335e377afdd2d045c5f95e14fac3e9a7bd95c3f",
-    "ul-constraint-quadratic": "adc734cb6565ac2675de5a906647445d29a3b21579dbaa67904eed46adaf9580",
-    "wall-recovery": "8da4c311572a4be3dbddfa091218e852630074ea5e5cab22e097c03b1adac78f",
+    "sin-con": "e20dda32e28aaf86ba990f4b5adecc210f626f879f940da9de97eb2a39b28ff9",
+    "sin-opt": "913a8117b3acdb0b488e23ba4b388090ad2f8af810143200cfcec5509880fc27",
+    "step-n1000": "23501542cd0f6a78b5416dec1c8b86c04aa4c1d3b608d2c25d6f3040b84078d6",
+    "constrained-sin-pessimistic": "2ec7910cb6ae747e2468e6221d7c7315add4a1c0d8f199026c07377bdf417eb1",
+    "constrained-truncated-log": "84fd548cb2f685d170302c297447c11025bb57b4a488c217c1a42fc5267b2c15",
+    "pessimistic-sin": "55852d76e6791113946dba114ce39c1aa3d9561941c20c97e7e8b0fc5166ca97",
+    "polynomial": "5111a22ac51292ee712bf99ee8dfde26c5b204d706a1ebbe55cc89c91b6d62ad",
+    "truncated-log": "ed017230638c89d4f6346822bd6f40a6bca0bdde8053f8811c3dd9c02278a49d",
+    "ul-constraint": "120d076fe830e9c8da8f3ed7407e89f7d45d6c3b8a74fb0f3b8a84547a7febbf",
+    "ul-constraint-quadratic": "276a8f0eb2f5beb7ee41c2de369c4c3d9753248a490a85b5a14e6b2e3bb98b9a",
+    "wall-recovery": "46ae78f9132bf47eb77c970939692ea78d982209a34dc3c714cd351ce51e3e20",
 }
 
 
