@@ -4,7 +4,8 @@ Explicit (unrolled) estimators share one forward recorder and one reverse
 pass (:func:`_unrolled`): RHG differentiates all T steps of LL gradient
 descent, TRHG only the last I, and BDA all T of the blended map that mixes
 the UL gradient into each step.  Implicit estimators solve the stationarity
-system at y_T.  Second-order information is obtained matrix-free through
+system at y_T, where :func:`ll_descent`'s fixed steps end.  Every estimator
+returns one :class:`Hypergradient`.  Second-order information is obtained matrix-free through
 finite differences of the user's analytic gradients: Hessian-vector products
 via :func:`bvfsm.core.hvp`, mixed d2f/dydx products via differences of
 grad_x along y-perturbations (:func:`_mixed_vjp`).
@@ -25,8 +26,10 @@ from .core import (
     _inline,
     all_finite,
     hvp,
-    plain_descent,
 )
+
+# method name -> the BaselineConfig field its inline argument fills (None: it takes none)
+METHODS = {"rhg": None, "trhg": "I", "bda": "aggregation", "cg": "Q", "neumann": "Q"}
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,11 @@ class BaselineConfig:
 
 
 class Hypergradient(NamedTuple):
+    """What every estimator returns: the UL gradient, the LL point it was taken at, a flag."""
+
     grad_x: np.ndarray
     y_T: np.ndarray
-
-
-class SolveFlag(NamedTuple):
-    grad_x: np.ndarray
-    flag: str  # "" | "cg-breakdown" | "diverging"
+    flag: str = ""  # "" | "cg-breakdown" | "diverging"
 
 
 def _check(v, what):
@@ -84,9 +85,26 @@ def _check(v, what):
     return v
 
 
-def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float):
-    """Plain gradient descent on f(x, .) for ``steps`` steps."""
-    return plain_descent(problem.f.grad_y, x, np.array(y0, dtype=float), steps, step_size)
+def ll_descent(problem: BilevelProblem, x, y0, steps: int, step_size: float) -> np.ndarray:
+    """``steps`` fixed gradient steps ``y <- y - step_size * grad_y f(x, y)`` from ``y0``.
+
+    The iterate is a private copy of ``y0``, updated in place and returned.
+    Only it is written, never the gradient, so an array that ``grad_y``
+    returns (its input, or one it caches) is left as it was.  Each step
+    computes the same bits as ``y = y - step_size * grad_y(x, y)``.  A
+    non-finite gradient raises NonFiniteEvaluation at its step, before the
+    iterate moves, naming the step.  The test is :func:`all_finite`'s,
+    written out: at n = 2 a step costs a few NumPy calls, so every name the
+    loop uses is bound once.
+    """
+    grad_y, y = problem.f.grad_y, np.array(y0, dtype=float)
+    asarray, vdot, isfinite, np_isfinite = np.asarray, np.vdot, math.isfinite, np.isfinite
+    for t in range(steps):
+        g = asarray(grad_y(x, y), dtype=float)
+        if not (isfinite(vdot(g, g)) or np_isfinite(g).all()):
+            raise NonFiniteEvaluation(f"non-finite LL gradient at step {t}")
+        y -= step_size * g
+    return y
 
 
 def _mixed_vjp(gx, y, v, eps):
@@ -154,7 +172,7 @@ def bda_hypergradient(problem: BilevelProblem, x, y0, cfg: BaselineConfig) -> Hy
     return _unrolled(problem, x, y0, cfg, cfg.T, bda=True)
 
 
-def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> SolveFlag:
+def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> Hypergradient:
     """Implicit hypergradient with a Q-step conjugate-gradient linear solve.
 
     Solves (d2f/dydy) v = dF/dy at y_T matrix-free, then assembles
@@ -189,10 +207,10 @@ def cg_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> So
         p = r + (rs_new / rs) * p
         rs = rs_new
     g = problem.F.gx(x, y_T) - _mixed_vjp(grad_fx, y_T, v, cfg.hvp_eps)
-    return SolveFlag(_check(g, "CG hypergradient"), flag)
+    return Hypergradient(_check(g, "CG hypergradient"), y_T, flag)
 
 
-def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> SolveFlag:
+def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) -> Hypergradient:
     """Implicit hypergradient with a Q-term Neumann series for the inverse Hessian.
 
     v = s * sum_q (I - s H)^q dF/dy with s = ll_step, via repeated Hessian
@@ -219,32 +237,33 @@ def neumann_hypergradient(problem: BilevelProblem, x, y_T, cfg: BaselineConfig) 
             break
     v = s * total
     g = problem.F.gx(x, y_T) - _mixed_vjp(grad_fx, y_T, v, cfg.hvp_eps)
-    return SolveFlag(_check(g, "Neumann hypergradient"), flag)
+    return Hypergradient(_check(g, "Neumann hypergradient"), y_T, flag)
 
 
 def hypergradient_step(problem: BilevelProblem, method: str, x, y, cfg: BaselineConfig):
-    """One full UL-gradient computation for a named method; returns (grad, y_T, flag)."""
-    unrolled = {"rhg": rhg_hypergradient, "trhg": trhg_hypergradient, "bda": bda_hypergradient}
-    if method in unrolled:
-        return (*unrolled[method](problem, x, y, cfg), "")
+    """One full UL-gradient computation of a named method: its estimator's Hypergradient.
+
+    The implicit methods, cg and neumann, first take ``cfg.T`` LL descent
+    steps from ``y``; the unrolled ones descend inside their estimator.
+    """
+    if method not in METHODS:
+        raise InvalidParameter(f"unknown baseline method {method!r}")
     if method in ("cg", "neumann"):
-        y_T = ll_descent(problem, x, y, cfg.T, cfg.ll_step)
-        fn = cg_hypergradient if method == "cg" else neumann_hypergradient
-        g, flag = fn(problem, x, y_T, cfg)
-        return g, y_T, flag
-    raise InvalidParameter(f"unknown baseline method {method!r}")
+        y = ll_descent(problem, x, y, cfg.T, cfg.ll_step)
+    estimator = {"rhg": rhg_hypergradient, "trhg": trhg_hypergradient, "bda": bda_hypergradient,
+                 "cg": cg_hypergradient, "neumann": neumann_hypergradient}[method]
+    return estimator(problem, x, y, cfg)
 
 
 def parse_method(spec: str, base: BaselineConfig | None = None) -> tuple[str, BaselineConfig]:
     """Parse "rhg", "trhg:I", "bda:agg", "cg:Q", "neumann:Q" into (name, config).
 
-    An argument fills the field named in ``fills`` and takes its kind; without
+    An argument fills the field that METHODS names and takes its kind; without
     one a method keeps ``base``.  ``rhg`` takes none.
     """
-    fills = {"rhg": None, "trhg": "I", "bda": "aggregation", "cg": "Q", "neumann": "Q"}
     name, _, arg = str(spec).strip().lower().partition(":")
-    if name not in fills:
+    if name not in METHODS:
         raise InvalidParameter(f"unknown baseline method {spec!r}")
-    if arg and fills[name] is None:
+    if arg and METHODS[name] is None:
         raise InvalidParameter(f"{name} takes no argument, got {spec!r}")
-    return name, replace(base or BaselineConfig(), **_inline(BaselineConfig, fills[name], arg))
+    return name, replace(base or BaselineConfig(), **_inline(BaselineConfig, METHODS[name], arg))

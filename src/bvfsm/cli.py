@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .auxfun import ScheduleState, StaticShift, parse_aux
-from .baselines import BaselineConfig, hypergradient_step, parse_method
+from .baselines import METHODS, BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
 from .core import _number, _read_text, _reject_unknown, _section
 from .problems import BenchmarkProblem, list_problems, make_problem, parse_problem
@@ -28,8 +28,7 @@ from .solver import (
     SolveTimeout,
     SolveTrace,
     SolverConfig,
-    TraceRecord,
-    _errors_for,
+    _recorder,
     solve,
     solve_inner,
     start_point,
@@ -43,8 +42,6 @@ EXIT_RUNTIME = 3
 TRACE_COLUMNS = ["k", "l", "wall_time_s", "F", "f", "ul_grad_norm", "rel_err_x", "rel_err_F"]
 SWEEP_COLUMNS = ["n", "method", "rel_err_x", "rel_err_F", "wall_time_s", "note"]
 TIMING_COLUMNS = ["m", "n", "method", "median_s", "repeats", "note"]
-
-BASELINE_NAMES = ["rhg", "trhg", "bda", "cg", "neumann"]
 
 
 def _fmt(v) -> str:
@@ -199,14 +196,11 @@ def run_baseline_loop(
     when its values could be formed, and returns the flag "diverging".
     """
     problem = bench.problem
-    errors = _errors_for(problem, bench.reference)
     t0 = time.perf_counter()
     x, y = start_point(problem, x0, y0)
     trace = SolveTrace()
-    F_val, f_val, rel_x, rel_F = errors(x, y)
-    trace.append(TraceRecord(0, 0, x.copy(), F_val, f_val, float("nan"), rel_x, rel_F,
-                             time.perf_counter() - t0, math.nan, math.nan, math.nan,
-                             y=y.copy()))
+    record = _recorder(problem, bench.reference, trace, t0)
+    record(0, 0, x, y)
     last_flag = ""
     for k in range(bcfg.ul_steps):
         if wall_clock_cap_s is not None and time.perf_counter() - t0 > wall_clock_cap_s:
@@ -216,16 +210,13 @@ def run_baseline_loop(
             x = project(problem.ul_set, x - bcfg.alpha * g)
             # a diverging run overflows first in these values, checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                F_val, f_val, rel_x, rel_F = errors(x, y)
                 g_norm = float(np.linalg.norm(g))
+                rec = record(k, 1, x, y, g_norm)
         except (NonFiniteEvaluation, OverflowError):
             return trace, "diverging"
         last_flag = flag or last_flag
-        trace.append(TraceRecord(k, 1, x.copy(), F_val, f_val, g_norm,
-                                 rel_x, rel_F, time.perf_counter() - t0,
-                                 math.nan, math.nan, math.nan, y=np.array(y)))
-        if not (math.isfinite(F_val) and math.isfinite(f_val) and math.isfinite(g_norm)
-                and np.isfinite(y).all()):
+        if not (math.isfinite(rec.F_value) and math.isfinite(rec.f_value)
+                and math.isfinite(g_norm) and np.isfinite(y).all()):
             return trace, "diverging"
     return trace, last_flag
 
@@ -460,7 +451,7 @@ def main(argv=None) -> int:
             print(name)
         return EXIT_OK
     if args.verb == "list-methods":
-        for name in ["bvfsm"] + BASELINE_NAMES:
+        for name in ["bvfsm", *METHODS]:
             print(name)
         return EXIT_OK
 

@@ -269,28 +269,6 @@ def hvp(grad_fn: Callable[[np.ndarray], np.ndarray], x, v, eps: float = 1e-5) ->
     return (gp - gm) / (2.0 * eps)
 
 
-def plain_descent(grad_y: Callable[[np.ndarray, np.ndarray], np.ndarray], x, y: np.ndarray,
-                  steps: int, step_size: float) -> np.ndarray:
-    """``steps`` fixed gradient steps ``y <- y - step_size * grad_y(x, y)`` on ``y``, in place.
-
-    The loop of the baselines' LL descent.  ``y`` must be a float array the
-    caller owns: it is updated in place and returned.  Only ``y`` is written,
-    never the gradient, so an array that ``grad_y`` returns (its input, or
-    one it caches) is left as it was.  Each step computes the same bits as
-    ``y = y - step_size * grad_y(x, y)``.  A non-finite gradient raises
-    NonFiniteEvaluation at its step, before ``y`` moves, naming the step.
-    The test is :func:`all_finite`'s, written out: at n = 2 a step costs a
-    few NumPy calls, so every name the loop uses is bound once.
-    """
-    asarray, vdot, isfinite, np_isfinite = np.asarray, np.vdot, math.isfinite, np.isfinite
-    for t in range(steps):
-        g = asarray(grad_y(x, y), dtype=float)
-        if not (isfinite(vdot(g, g)) or np_isfinite(g).all()):
-            raise NonFiniteEvaluation(f"non-finite LL gradient at step {t}")
-        y -= step_size * g
-    return y
-
-
 @dataclass
 class GradientCheckReport:
     """Result of comparing analytic gradients against central differences."""
@@ -320,7 +298,6 @@ def validate_gradients(
     tol: float = 1e-5,
     eps: float = 1e-5,
     seed: int = 0,
-    scale: float = 1.0,
 ) -> GradientCheckReport:
     """Compare grad_x/grad_y against fd_gradient at random probe points.
 
@@ -333,8 +310,8 @@ def validate_gradients(
     worst_x = 0.0
     worst_y = 0.0
     for _ in range(probes):
-        x = scale * rng.standard_normal(fld.m)
-        y = scale * rng.standard_normal(fld.n)
+        x = rng.standard_normal(fld.m)
+        y = rng.standard_normal(fld.n)
         gx_num = fd_gradient(lambda xv: fld(xv, y), x, eps)
         gy_num = fd_gradient(lambda yv: fld(x, yv), y, eps)
         worst_x = max(worst_x, _rel_err(fld.gx(x, y), gx_num))

@@ -488,27 +488,35 @@ def ul_gradient_for(
 # ---------------------------------------------------------------------------
 
 
-def _errors_for(problem, reference: Reference | None):
-    """``errors(x, y) -> (F, f, rel_err_x, rel_err_F)``, the trace's value columns.
+def _recorder(problem, reference: Reference | None, trace: SolveTrace, t0: float):
+    """``record(k, l, x, y, grad_norm=nan, sched=None)``, the one trace record builder.
 
-    The reference's scales |x*| and |F*| (1 where zero) are computed here,
-    once per solve, not once per record.  Without a reference both errors
-    are NaN.
+    Each call appends one TraceRecord of copies of ``x`` and ``y``, with F, f
+    and the errors to ``reference`` at them, the wall time since ``t0`` and
+    the schedule's mu, theta and sigma1 (NaN without a schedule, as for a
+    baseline), and returns it.  The reference's scales |x*| and |F*| (1 where
+    zero) are computed here, once per trace, not once per record.  Without a
+    reference both errors are NaN.
     """
     F, f, nan = problem.F, problem.f, float("nan")
-    if reference is None:
-        return lambda x, y: (F(x, y), f(x, y), nan, nan)
-    x_star, F_star = reference.x_star, reference.F_star
-    nx = float(np.linalg.norm(x_star))  # a Python float, so every error column is one
-    x_scale = nx if nx > 0 else 1.0
-    F_scale = None if F_star is None else (abs(F_star) if abs(F_star) > 0 else 1.0)
+    x_star = F_star = None
+    if reference is not None:
+        x_star, F_star = reference.x_star, reference.F_star
+        nx = float(np.linalg.norm(x_star))  # a Python float, so every error column is one
+        x_scale = nx if nx > 0 else 1.0
+        F_scale = None if F_star is None else (abs(F_star) if abs(F_star) > 0 else 1.0)
 
-    def errors(x, y):
+    def record(k, l, x, y, grad_norm=nan, sched=None) -> TraceRecord:
         F_val, f_val = F(x, y), f(x, y)
+        rel_x = nan if x_star is None else float(np.linalg.norm(x - x_star)) / x_scale
         rel_F = nan if F_star is None else abs(F_val - F_star) / F_scale
-        return F_val, f_val, float(np.linalg.norm(x - x_star)) / x_scale, rel_F
+        mu, theta, sigma1 = (nan,) * 3 if sched is None else (sched.mu, sched.theta, sched.sigma1)
+        rec = TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
+                          time.perf_counter() - t0, mu, theta, sigma1, y=y.copy())
+        trace.append(rec)
+        return rec
 
-    return errors
+    return record
 
 
 def _start_vector(name: str, value, dim: int) -> np.ndarray:
@@ -561,15 +569,8 @@ def solve(
     x, y_init = start_point(problem, x0, y0)
     sched = cfg.schedule
     trace = SolveTrace()
-    errors = _errors_for(problem, reference)
-
-    def record(k, l, y, grad_norm=float("nan")):
-        F_val, f_val, rel_x, rel_F = errors(x, y)
-        trace.append(TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
-                                 time.perf_counter() - t0, sched.mu, sched.theta,
-                                 sched.sigma1, y=y.copy()))
-
-    record(0, 0, y_init)
+    record = _recorder(problem, reference, trace, t0)
+    record(0, 0, x, y_init, sched=sched)
 
     z_warm: np.ndarray | None = y_init.copy()
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
@@ -601,7 +602,7 @@ def solve(
                 raise SolveError("UL iterate non-finite", k, l, trace) from exc
             z_warm, y_warm = inner.z, inner.y
 
-            record(k, l + 1, inner.y, float(np.linalg.norm(grad)))
+            record(k, l + 1, x, inner.y, float(np.linalg.norm(grad)), sched)
         sched = schedule_step(sched)
 
     # Feasibility polish: penalty/barrier iterates end a vanishing distance on
@@ -610,7 +611,8 @@ def solve(
     # selection, which an unguided descent would abandon.
     if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
         try:
-            record(cfg.K, 0, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0])
+            record(cfg.K, 0, x, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0],
+                   sched=sched)
         except (BarrierWall, NonFiniteEvaluation):
             pass  # keep the raw final record
     return trace

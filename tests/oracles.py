@@ -4,7 +4,7 @@ These deliberately avoid the solver's own code paths: inner problems are
 minimized on dense grids, value functions are differentiated by central
 differences, so agreement with the solver is evidence rather than tautology.
 The module imports nothing from ``bvfsm`` but ``bvfsm.core``, the problem
-types.  It also holds the two small problems that several test modules share.
+types.  It also holds the small problems that several test modules share.
 """
 
 import itertools
@@ -108,6 +108,14 @@ def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
     return sgn * best
 
 
+def fixed_step_descent(grad, y0, steps, step):
+    """``steps`` gradient steps ``y <- y - step * grad(y)`` from ``y0``, written out."""
+    y = np.array(y0, dtype=float)
+    for _ in range(steps):
+        y = y - step * grad(y)
+    return y
+
+
 def fd_of_phi(phi, x_scalar, eps=1e-5):
     """Central difference of a scalar-argument value function."""
     return (phi(x_scalar + eps) - phi(x_scalar - eps)) / (2.0 * eps)
@@ -131,6 +139,16 @@ def quadratic_field(m: int, n: int, A: np.ndarray, name: str = "") -> ScalarFiel
         grad_y=lambda x, y: y - A @ x,
         name=name or "quadratic-tracking",
     )
+
+
+def tracking_problem(m=2, n=3, seed=0):
+    """F = 0.5|y|^2, f = 0.5|y - Ax|^2: y*(x) = Ax, dphi/dx = A^T A x."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, m)) * 0.6
+    f = quadratic_field(m, n, A, name="tracking")
+    F = ScalarField(m=m, n=n, fn=lambda x, y: 0.5 * float(y @ y),
+                    grad_x=lambda x, y: np.zeros(m), grad_y=lambda x, y: y, name="half-norm")
+    return BilevelProblem(m=m, n=n, F=F, f=f), A
 
 
 def toy_problem(pessimistic=False):

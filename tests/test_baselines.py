@@ -9,36 +9,21 @@ from bvfsm import (
     BilevelProblem,
     InvalidParameter,
     ScalarField,
-    SolverConfig,
     bda_hypergradient,
     cg_hypergradient,
     ll_descent,
-    make_sin_problem,
     neumann_hypergradient,
     parse_method,
     rhg_hypergradient,
-    schedule_step,
-    solve_regularized_ll,
     trhg_hypergradient,
 )
 from bvfsm.baselines import hypergradient_step
-from bvfsm.core import plain_descent
 
-from oracles import quadratic_field
+from oracles import tracking_problem
 
 
 def field(m, n, fn, gx, gy, name=""):
     return ScalarField(m=m, n=n, fn=fn, grad_x=gx, grad_y=gy, name=name)
-
-
-def tracking_problem(m=2, n=3, seed=0):
-    """F = 0.5|y|^2, f = 0.5|y - Ax|^2: y*(x) = Ax, dphi/dx = A^T A x."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, m)) * 0.6
-    f = quadratic_field(m, n, A, name="tracking")
-    F = field(m, n, lambda x, y: 0.5 * float(y @ y),
-              lambda x, y: np.zeros(m), lambda x, y: y, name="half-norm")
-    return BilevelProblem(m=m, n=n, F=F, f=f), A
 
 
 def x_only_ll():
@@ -59,7 +44,7 @@ def test_rhg_indirect_term_vanishes_when_ll_gradient_x_free():
     prob = x_only_ll()
     cfg = BaselineConfig(T=40, I=40, ll_step=0.3)
     x = np.array([0.7, -0.4])
-    g, y_T = rhg_hypergradient(prob, x, np.array([1.0, 1.0]), cfg)
+    g, y_T, _ = rhg_hypergradient(prob, x, np.array([1.0, 1.0]), cfg)
     assert np.allclose(g, 2.0 * x, atol=1e-8)
 
 
@@ -67,7 +52,7 @@ def test_rhg_quadratic_tracking_matches_analytic():
     prob, A = tracking_problem()
     cfg = BaselineConfig(T=400, I=400, ll_step=0.5)
     x = np.array([0.8, -0.5])
-    g, y_T = rhg_hypergradient(prob, x, np.zeros(3), cfg)
+    g, y_T, _ = rhg_hypergradient(prob, x, np.zeros(3), cfg)
     assert np.allclose(y_T, A @ x, atol=1e-8)
     assert np.allclose(g, A.T @ (A @ x), atol=1e-4)
 
@@ -77,7 +62,7 @@ def test_rhg_t_zero_returns_direct_gradient():
     cfg = BaselineConfig(T=0, I=0, Q=1)
     x = np.array([0.3, 0.2])
     y0 = np.array([1.0, -1.0, 0.5])
-    g, y_T = rhg_hypergradient(prob, x, y0, cfg)
+    g, y_T, _ = rhg_hypergradient(prob, x, y0, cfg)
     assert np.array_equal(y_T, y0)
     assert np.array_equal(g, prob.F.gx(x, y0))
 
@@ -86,8 +71,8 @@ def test_trhg_full_window_equals_rhg_bitwise():
     prob, _ = tracking_problem(seed=3)
     cfg = BaselineConfig(T=60, I=60, ll_step=0.4)
     x = np.array([0.2, 0.9])
-    g1, y1 = rhg_hypergradient(prob, x, np.zeros(3), cfg)
-    g2, y2 = trhg_hypergradient(prob, x, np.zeros(3), cfg)
+    g1, y1, _ = rhg_hypergradient(prob, x, np.zeros(3), cfg)
+    g2, y2, _ = trhg_hypergradient(prob, x, np.zeros(3), cfg)
     assert np.array_equal(g1, g2)
     assert np.array_equal(y1, y2)
 
@@ -96,7 +81,7 @@ def test_trhg_zero_window_is_direct_gradient():
     prob, _ = tracking_problem()
     cfg = BaselineConfig(T=30, I=0, ll_step=0.4)
     x = np.array([0.2, 0.9])
-    g, y_T = trhg_hypergradient(prob, x, np.zeros(3), cfg)
+    g, y_T, _ = trhg_hypergradient(prob, x, np.zeros(3), cfg)
     assert np.array_equal(g, prob.F.gx(x, y_T))
 
 
@@ -107,7 +92,7 @@ def test_trhg_half_window_between_extremes_in_norm():
     norms = {}
     for I in (0, 15, 30):
         cfg = BaselineConfig(T=30, I=I, ll_step=0.4)
-        g, _ = trhg_hypergradient(prob, x, y0, cfg)
+        g, _, _ = trhg_hypergradient(prob, x, y0, cfg)
         norms[I] = np.linalg.norm(g)
     lo, hi = sorted((norms[0], norms[30]))
     assert lo - 1e-12 <= norms[15] <= hi + 1e-12
@@ -124,8 +109,8 @@ def test_bda_small_aggregation_recovers_rhg_trajectory():
     y0 = np.full(3, 0.3)
     cfg_r = BaselineConfig(T=50, I=50, ll_step=0.3)
     cfg_b = BaselineConfig(T=50, I=50, ll_step=0.3, aggregation=1e-12)
-    g_r, y_r = rhg_hypergradient(prob, x, y0, cfg_r)
-    g_b, y_b = bda_hypergradient(prob, x, y0, cfg_b)
+    g_r, y_r, _ = rhg_hypergradient(prob, x, y0, cfg_r)
+    g_b, y_b, _ = bda_hypergradient(prob, x, y0, cfg_b)
     assert np.allclose(y_r, y_b, atol=1e-8)
     assert np.allclose(g_r, g_b, atol=1e-6)
 
@@ -136,7 +121,7 @@ def test_bda_aggregation_one_limit_descends_F_only():
     x = np.array([0.4, 0.6])
     y0 = np.full(3, 1.0)
     cfg = BaselineConfig(T=20, I=20, ll_step=0.25, aggregation=1.0 - 1e-14)
-    _, y_b = bda_hypergradient(prob, x, y0, cfg)
+    _, y_b, _ = bda_hypergradient(prob, x, y0, cfg)
     y = y0.copy()
     for _ in range(20):
         y = y - 0.25 * prob.F.gy(x, y)
@@ -333,34 +318,6 @@ def test_baseline_config_validation():
         BaselineConfig(aggregation=0.0)
     with pytest.raises(InvalidParameter):
         BaselineConfig(Q=0)
-
-
-# ---------------------------------------------------------------------------
-# the LL loops: ll_descent's fixed steps and the z-solve's guarded steps
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("prob,x,y0", [
-    pytest.param(make_sin_problem(2).problem, np.array([8.0]), np.full(2, 8.0), id="sin-n2"),
-    pytest.param(make_sin_problem(1000).problem, np.array([8.0]), np.zeros(1000), id="sin-n1000"),
-    pytest.param(tracking_problem(m=2, n=3, seed=3)[0], np.array([0.8, -0.5]),
-                 np.array([0.4, -1.1, 0.7]), id="tracking"),
-])
-def test_plain_descent_is_bitwise_the_written_out_loop(prob, x, y0):
-    y = y0.copy()
-    for _ in range(100):
-        y = y - 0.01 * prob.f.gy(x, y)
-    assert ll_descent(prob, x, y0, 100, 0.01).tobytes() == y.tobytes()
-
-    # the z-solve is not a fixed-step loop: it ends where a 3,000-step
-    # descent of step 0.1 on f + mu/2 |y|^2 from the same start ends
-    cfg = SolverConfig(T_z=50)
-    sched = schedule_step(schedule_step(cfg.schedule))
-    mu = sched.mu
-    z = plain_descent(lambda x, y: prob.f.gy(x, y) + mu * y, x, y0.copy(), 3000, 0.1)
-    got, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
-    assert np.max(np.abs(got - z)) <= 1e-6
-    assert f_star == prob.f(x, got) + 0.5 * mu * float(got @ got)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from bvfsm import (
 from bvfsm.auxfun import PolynomialPenalty, ScheduleState, StaticShift, TruncatedLogBarrier
 from bvfsm.baselines import BaselineConfig, parse_method
 from bvfsm.cli import build_solver_config
-from bvfsm.core import _kinds, all_finite, plain_descent
+from bvfsm.core import _kinds, all_finite
 from bvfsm.problems import PROBLEM_FAMILIES, make_problem
 
-from oracles import quadratic_field
+from oracles import fixed_step_descent, quadratic_field, tracking_problem
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,7 @@ def test_all_finite_agrees_with_isfinite(n, seed, scale, entries):
 
 
 # ---------------------------------------------------------------------------
-# plain_descent, the loop behind ll_descent, and the z-solve's guarded loop
+# ll_descent's fixed-step loop and the z-solve's guarded loop
 # ---------------------------------------------------------------------------
 
 
@@ -92,40 +92,45 @@ def test_plain_descent_raises_at_the_first_non_finite_step(run, message):
     assert len(calls) == 4
 
 
-def test_plain_descent_never_writes_to_what_grad_y_returns():
-    def written_out(gy, y0):
-        y = np.array(y0)
-        for _ in range(5):
-            y = y - 0.1 * gy(x, y)
-        return y
+def _with_grad_y(prob, grad_y):
+    return replace(prob, f=replace(prob.f, grad_y=grad_y))
 
+
+def test_plain_descent_never_writes_to_what_grad_y_returns():
+    # ll_descent updates a private copy of y0 in place, never the gradient
+    prob = make_sin_problem(2).problem
     x, y0 = np.zeros(1), np.array([1.0, -2.0])
     cache = np.array([0.25, -3.0])
     for gy in (lambda x, y: y, lambda x, y: cache):
-        got = plain_descent(gy, x, y0.copy(), 5, 0.1)
-        assert got.tobytes() == written_out(gy, y0).tobytes()
+        got = ll_descent(_with_grad_y(prob, gy), x, y0, 5, 0.1)
+        assert got.tobytes() == fixed_step_descent(lambda y: gy(x, y), y0, 5, 0.1).tobytes()
     assert cache.tolist() == [0.25, -3.0]
+    assert y0.tolist() == [1.0, -2.0]
 
 
-@pytest.mark.parametrize("n", [2, 1000])
-def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(n):
+def _sin_start(n):
     bench = make_sin_problem(n)
-    x, gy = bench.x0, bench.problem.f.grad_y
-    y0 = np.random.default_rng(n).uniform(-5.0, 5.0, n)
+    return bench.problem, bench.x0, np.random.default_rng(n).uniform(-5.0, 5.0, n)
 
+
+@pytest.mark.parametrize("prob,x,y0", [
+    pytest.param(*_sin_start(2), id="2"),
+    pytest.param(*_sin_start(1000), id="1000"),
+    pytest.param(tracking_problem(m=2, n=3, seed=3)[0], np.array([0.8, -0.5]),
+                 np.array([0.4, -1.1, 0.7]), id="tracking"),
+])
+def test_plain_descent_is_bitwise_the_written_out_loop_call_for_call(prob, x, y0):
     def logged(calls):
         def grad_y(x, y):
             calls.append(y.tobytes())
-            return gy(x, y)
+            return prob.f.grad_y(x, y)
         return grad_y
 
     want_calls, got_calls = [], []
     written_out = logged(want_calls)
-    y = y0.copy()
-    for _ in range(50):
-        y = y - 0.01 * written_out(x, y)
-    got = plain_descent(logged(got_calls), x, y0.copy(), 50, 0.01)
-    assert got.tobytes() == y.tobytes()
+    want = fixed_step_descent(lambda y: written_out(x, y), y0, 100, 0.01)
+    got = ll_descent(_with_grad_y(prob, logged(got_calls)), x, y0, 100, 0.01)
+    assert got.tobytes() == want.tobytes()
     assert got_calls == want_calls
 
 

@@ -32,10 +32,9 @@ from bvfsm import (
 from bvfsm import solver as solver_module
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
-from bvfsm.core import plain_descent
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
 
-from oracles import fd_of_phi, grid_min, phi_k, toy_problem
+from oracles import fd_of_phi, fixed_step_descent, grid_min, phi_k, toy_problem, tracking_problem
 
 QP = AuxiliaryFunction(QuadraticPenalty())
 INV_MOD = AuxiliaryFunction(InverseBarrier(), modified=True)
@@ -406,8 +405,11 @@ def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
 
 
 def test_late_stage_sin_y_solve_evaluations_per_gradient():
-    # A1 profile 2000 stages in: the inverse barrier is stiff enough that
-    # restarting every search at step_y costs ~15 F evaluations per gradient
+    # A1 profile 2000 stages in, where the inverse barrier is stiff.  The
+    # y-solve ends at the rounding floor after 11 gradients and 14 F
+    # evaluations (the start value included): 13 trials for 11 gradients,
+    # 1.18 per gradient.  T_y caps the steps, not the gradients, so the exact
+    # counts are pinned rather than a ratio to T_y.
     bench = make_sin_problem(2, 2.0, 2.0)
     cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6)),
                        aux_f=parse_aux("inverse", modified=True))
@@ -419,10 +421,7 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     x, y0 = bench.reference.x_star, bench.reference.y_star
     _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    # the solve ends at the rounding floor: 19 evaluations, against 29 when
-    # no-op steps were skipped and 46 when each one paid
-    assert counts["gy"] <= cfg.T_y
-    assert counts["val"] / cfg.T_y <= 1.5
+    assert counts == {"val": 14, "gy": 11}
 
 
 def test_a9_step_y_solve_stops_at_the_rounding_floor():
@@ -444,9 +443,11 @@ def test_a9_step_y_solve_stops_at_the_rounding_floor():
 
 def test_late_stage_constrained_sin_evaluations_per_gradient():
     # A3 profile in its last stage, near the solution (y* sits on the band's
-    # wall, so the iterate starts 0.05 inside): interpolated backtracking
-    # takes at most 1.52 f evaluations per z-step and 2.32 F evaluations per
-    # y-step; the bounds fail step halving's 2.26 and 2.84
+    # wall, so the iterate starts 0.05 inside).  With the start value
+    # counted, the z-solve takes 13 gradients and 24 f evaluations (1.77
+    # trials per gradient) and the y-solve 7 gradients and 29 F evaluations
+    # (4.0 trials per gradient).  T_z and T_y cap the steps, not the
+    # gradients, so the exact counts are pinned rather than a ratio to them.
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
@@ -465,9 +466,8 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     y_counts = {"val": 0, "gy": 0}
     prob = replace(bench.problem, F=counting_field(bench.problem.F, y_counts))
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert z_counts["gy"] <= cfg.T_z and y_counts["gy"] <= cfg.T_y
-    assert z_counts["val"] / cfg.T_z <= 1.8
-    assert y_counts["val"] / cfg.T_y <= 2.6
+    assert z_counts == {"val": 24, "gy": 13}
+    assert y_counts == {"val": 29, "gy": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +740,27 @@ def test_z_solve_from_random_starts_ends_where_a_long_small_step_descent_does(n,
     for _ in range(50):
         x, y0 = rng.uniform(-10.0, 10.0, 1), rng.uniform(-10.0, 10.0, n)
         z = solve_regularized_ll(bench.problem, x, cfg.schedule, cfg, y0)[0]
-        want = plain_descent(lambda x, y: gy(x, y) + mu * y, x, y0.copy(), 3000, 0.1)
+        want = fixed_step_descent(lambda y: gy(x, y) + mu * y, y0, 3000, 0.1)
         assert np.max(np.abs(z - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("prob,x,y0", [
+    pytest.param(make_sin_problem(2).problem, np.array([8.0]), np.full(2, 8.0), id="sin-n2"),
+    pytest.param(make_sin_problem(1000).problem, np.array([8.0]), np.zeros(1000), id="sin-n1000"),
+    pytest.param(tracking_problem(m=2, n=3, seed=3)[0], np.array([0.8, -0.5]),
+                 np.array([0.4, -1.1, 0.7]), id="tracking"),
+])
+def test_z_solve_ends_where_a_long_fixed_step_descent_does(prob, x, y0):
+    # the z-solve is not a fixed-step loop: it ends where a 3,000-step
+    # descent of step 0.1 on f + mu/2 |y|^2 from the same start ends, and
+    # its f* is the objective there, bit for bit
+    cfg = SolverConfig(T_z=50)
+    sched = schedule_step(schedule_step(cfg.schedule))
+    mu = sched.mu
+    z = fixed_step_descent(lambda y: prob.f.gy(x, y) + mu * y, y0, 3000, 0.1)
+    got, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
+    assert np.max(np.abs(got - z)) <= 1e-6
+    assert f_star == prob.f(x, got) + 0.5 * mu * float(got @ got)
 
 
 def test_solve_zero_penalty_regime_reduces_to_direct_gradient():
