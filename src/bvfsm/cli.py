@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, solver
 from .auxfun import ScheduleState, StaticShift, parse_aux
 from .baselines import METHODS, BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
@@ -30,9 +30,7 @@ from .solver import (
     SolverConfig,
     _recorder,
     solve,
-    solve_inner,
     start_point,
-    ul_gradient_for,
 )
 
 EXIT_OK = 0
@@ -349,12 +347,13 @@ def _step(problem, method, x: np.ndarray, y0: np.ndarray) -> None:
 
     For the sequential-minimization solver a step is both inner solves from
     y0 plus the chain-rule assembly; for a baseline it is the T-step LL solve
-    from y0 plus the estimator.
+    from y0 plus the estimator.  The solver's layers are looked up in
+    ``solver`` when called, so a wrapper put there sees every step.
     """
     name, mcfg = method
     if isinstance(mcfg, SolverConfig):
-        inner = solve_inner(problem, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
-        ul_gradient_for(problem, x, inner, mcfg.schedule, mcfg)
+        inner = solver.solve_inner(problem, x, mcfg.schedule, mcfg, z0=y0, y0=y0)
+        solver.ul_gradient_for(problem, x, inner, mcfg.schedule, mcfg)
     else:
         hypergradient_step(problem, name, x, y0, mcfg)
 

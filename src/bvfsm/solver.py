@@ -7,7 +7,8 @@ objective in y, and finally takes one projected gradient step in x.  Both
 inner objectives are one stage object, ``_Stage``, with P and P' bound once:
 its value returns the penalty arguments it computed, so each gradient and
 the chain rule's multipliers come from the accepted trial, and f* is the
-z-solve's last accepted value.  The chain rule reuses the y-solve's stage.
+z-solve's last accepted value.  The chain rule reads the y-solve's stage
+from the InnerState that only :func:`solve_inner` builds.
 The UL gradient comes from one signed chain rule, :func:`ul_gradient_for`:
 the penalty terms enter with the sign of the inner problem, so optimistic,
 pessimistic and constrained problems share a single formula.
@@ -120,21 +121,17 @@ class SolverConfig:
             raise InvalidParameter("aux_B must be a standard (unmodified) barrier")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InnerState:
-    """Outputs of one stage's inner solves, with the stage-frozen shifts."""
+    """One stage's inner solves, built by :func:`solve_inner` only: with z, f*
+    and y, the penalty arguments at each and the y-solve's stage itself."""
 
     z: np.ndarray
     f_star_approx: float
     y: np.ndarray
-    shift_f: float = 0.0
-    shifts_H: np.ndarray | None = None
-    shifts_h: np.ndarray | None = None
-    # penalty arguments at y and z; None (built by hand): the chain rule evaluates them
-    args_y: list | None = None
-    args_z: list | None = None
-    # the y-solve's stage, which the chain rule reuses; None (built by hand): it builds one
-    stage: _Stage | None = field(default=None, repr=False)
+    args_z: list
+    args_y: list
+    stage: _Stage = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class TraceRecord:
     mu: float
     theta: float
     sigma1: float
-    y: np.ndarray | None = None
+    y: np.ndarray
 
 
 @dataclass
@@ -209,11 +206,12 @@ class _Stage:
 
     The y-stage: F with the inner sign s (-1 in pessimistic mode), theta, and
     the terms f - f* - shift_f, each H and each h.  The z-stage: f, mu, and
-    each h under aux_B.  P and P' are bound once per stage.  ``gradient`` and
-    ``multipliers`` take back the penalty arguments ``value`` computed, so an
-    accepted trial is never evaluated again.  Sums keep the order of the
-    written-out formulas, bit for bit.  The hot paths call a field's ``fn``
-    and ``grad_y`` with ScalarField's own conversions, one call frame less.
+    each h under aux_B.  P and P' are bound once per stage, and the terms
+    hold the stage-frozen shifts.  ``gradient`` and ``multipliers`` take the
+    penalty arguments ``value`` computed, so an accepted trial is never
+    evaluated again.  Sums keep the order of the written-out formulas, bit
+    for bit.  The hot paths call a field's ``fn`` and ``grad_y`` with
+    ScalarField's own conversions, one call frame less.
     """
 
     __slots__ = ("x", "negate", "lead", "reg", "half_reg", "sigma", "terms", "vf")
@@ -227,7 +225,6 @@ class _Stage:
     @classmethod
     def penalized(cls, problem, x, sched, cfg, f_star, shift_f, shifts_H, shifts_h):
         def terms(fields, aux, shifts):
-            shifts = np.zeros(len(fields)) if shifts is None else shifts
             return [(c, 0.0, sh, aux.kind.rho, aux.kind.drho) for c, sh in zip(fields, shifts)]
 
         kf = cfg.aux_f.kind
@@ -262,11 +259,8 @@ class _Stage:
                 return math.inf, args
         return total, args
 
-    def multipliers(self, v, args=None):
-        """P' of every term at ``v``; evaluates the fields when ``args`` is None."""
-        if args is None:
-            x = self.x
-            args = [c(x, v) - base - shift for c, base, shift, _, _ in self.terms]
+    def multipliers(self, args):
+        """P' of every term at the complete penalty arguments ``args``."""
         s = self.sigma
         return [dP(w, s) for (_, _, _, _, dP), w in zip(self.terms, args)]
 
@@ -395,14 +389,15 @@ def solve_penalized_inner(
     sched: ScheduleState,
     cfg: SolverConfig,
     y0: np.ndarray,
-) -> InnerState:
+) -> tuple[np.ndarray, list, _Stage]:
     """At most T_y guarded gradient steps on the stage-frozen penalized objective.
 
     Optimistic mode minimizes F + P-terms + theta/2 |y|^2; pessimistic mode
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
     negated objective).  Shifts for modified barriers are frozen per stage
     from one evaluation of f, each H and each h at y0, which also gives the
-    start value.  Returns the full InnerState (z is filled in by the caller).
+    start value.  Returns (y, args, stage): args are the penalty arguments
+    at y, and stage is the objective, its terms holding the frozen shifts.
     """
     y = np.array(y0, dtype=float)
     raw = [c(x, y) for c in (problem.f, *problem.ul_constraints, *problem.ll_constraints)]
@@ -416,7 +411,7 @@ def solve_penalized_inner(
         raise NonFiniteEvaluation("inner objective non-finite at stage start")
     y, _, args = _descend(stage, y, cur, args, cfg.T_y, cfg.step_y,
                           "inner gradient non-finite during y-solve")
-    return InnerState(np.empty(0), f_star_approx, y, *shifts, args_y=args, stage=stage)
+    return y, args, stage
 
 
 def solve_inner(
@@ -429,9 +424,9 @@ def solve_inner(
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results."""
     z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
-    inner = solve_penalized_inner(problem, x, f_star, sched, cfg, z if y0 is None else y0)
-    inner.z, inner.args_z = z, args_z
-    return inner
+    y, args_y, stage = solve_penalized_inner(problem, x, f_star, sched, cfg,
+                                             z if y0 is None else y0)
+    return InnerState(z, f_star, y, args_z, args_y, stage)
 
 
 # ---------------------------------------------------------------------------
@@ -453,29 +448,23 @@ def ul_gradient_for(
         df*/dx = df/dx(z) + sum_h rho_B'(h(z)) * dh/dx(z)
 
     Each multiplier is P' of its stage-frozen penalty argument at y and z,
-    taken from the inner solves' last evaluations when ``inner`` carries
-    them, else evaluated there.  The y-stage is the y-solve's own when
-    ``inner`` carries it, else built from ``inner``'s f* and shifts.  ``s``
-    is the inner sign: -1 in pessimistic mode, where the inner problem
+    read from the inner solves' last evaluations: the y-terms' from the
+    y-solve's stage and ``inner.args_y``, rho_B' from ``inner.args_z``.
+    ``s`` is the inner sign: -1 in pessimistic mode, where the inner problem
     ascends F - P, else +1.  Terms are evaluated only for nonzero
     multipliers, and the sign is exact, so the optimistic gradient is
     bitwise the unsigned formula.
     """
-    stage = inner.stage
-    if stage is None:
-        stage = _Stage.penalized(problem, x, sched, cfg, inner.f_star_approx,
-                                 inner.shift_f, inner.shifts_H, inner.shifts_h)
-    y, z = inner.y, inner.z
-    lams = stage.multipliers(y, inner.args_y)
+    stage, y, z = inner.stage, inner.y, inner.z
+    lams = stage.multipliers(inner.args_y)
     if stage.negate:
         lams = [-lam for lam in lams]
     g = problem.F.gx(x, y)
     if lams[0] != 0.0:
         dfstar_dx = problem.f.gx(x, z)
-        if problem.ll_constraints:
-            ll = _Stage.regularized_ll(problem, x, sched, cfg)
-            for (h, *_), lam_B in zip(ll.terms, ll.multipliers(z, inner.args_z)):
-                dfstar_dx = dfstar_dx + lam_B * h.gx(x, z)
+        drho_B, s = cfg.aux_B.kind.drho, sched.sigma1
+        for h, w in zip(problem.ll_constraints, inner.args_z):
+            dfstar_dx = dfstar_dx + drho_B(w, s) * h.gx(x, z)
         g = g + lams[0] * (problem.f.gx(x, y) - dfstar_dx)
     for (c, *_), lam in zip(stage.terms[1:], lams[1:]):
         if lam != 0.0:
@@ -512,7 +501,7 @@ def _recorder(problem, reference: Reference | None, trace: SolveTrace, t0: float
         rel_F = nan if F_star is None else abs(F_val - F_star) / F_scale
         mu, theta, sigma1 = (nan,) * 3 if sched is None else (sched.mu, sched.theta, sched.sigma1)
         rec = TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
-                          time.perf_counter() - t0, mu, theta, sigma1, y=y.copy())
+                          time.perf_counter() - t0, mu, theta, sigma1, y.copy())
         trace.append(rec)
         return rec
 
@@ -572,7 +561,7 @@ def solve(
     record = _recorder(problem, reference, trace, t0)
     record(0, 0, x, y_init, sched=sched)
 
-    z_warm: np.ndarray | None = y_init.copy()
+    z_warm = y_init
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
 
     for k in range(cfg.K):
@@ -609,7 +598,7 @@ def solve(
     # the relaxed side of LL optimality, so finish with a z-solve from y.
     # Optimistic mode only: a pessimistic iterate encodes the worst-case
     # selection, which an unguided descent would abandon.
-    if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC and y_warm is not None:
+    if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC:  # L >= 1, so y_warm is set
         try:
             record(cfg.K, 0, x, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0],
                    sched=sched)

@@ -108,6 +108,39 @@ def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
     return sgn * best
 
 
+def chain_rule(problem, x, z, y, f_star, shifts, sched, cfg):
+    """The signed value-function chain rule at inner solutions z and y, written out.
+
+        g = dF/dx(y) + s * [ lam_f * (df/dx(y) - df*/dx)
+                             + sum_H lam_H * dH/dx(y) + sum_h lam_h * dh/dx(y) ]
+        df*/dx = df/dx(z) + sum_h rho_B'(h(z)) * dh/dx(z)
+
+    with lam_f = P_f'(f(y) - f* - shift_f), lam_H = P_H'(H(y) - shift_H) and
+    lam_h = P_h'(h(y) - shift_h), each P' the derivative of ``cfg``'s
+    auxiliary function at ``sched.sigma1``, every multiplier evaluated here
+    from the fields.  ``shifts`` is (shift_f, shifts_H, shifts_h); s is -1 in
+    pessimistic mode, else +1.  A term enters only with a nonzero
+    multiplier, and the sums run in the order written.
+    """
+    s1 = sched.sigma1
+    sgn = -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
+    shift_f, shifts_H, shifts_h = shifts
+    g = problem.F.gx(x, y)
+    lam_f = sgn * cfg.aux_f.kind.drho(problem.f(x, y) - f_star - shift_f, s1)
+    if lam_f != 0.0:
+        dfstar_dx = problem.f.gx(x, z)
+        for h in problem.ll_constraints:
+            dfstar_dx = dfstar_dx + cfg.aux_B.kind.drho(h(x, z), s1) * h.gx(x, z)
+        g = g + lam_f * (problem.f.gx(x, y) - dfstar_dx)
+    for fields, aux, shs in ((problem.ul_constraints, cfg.aux_H, shifts_H),
+                             (problem.ll_constraints, cfg.aux_h, shifts_h)):
+        for c, sh in zip(fields, shs):
+            lam = sgn * aux.kind.drho(c(x, y) - sh, s1)
+            if lam != 0.0:
+                g = g + lam * c.gx(x, y)
+    return g
+
+
 def fixed_step_descent(grad, y0, steps, step):
     """``steps`` gradient steps ``y <- y - step * grad(y)`` from ``y0``, written out."""
     y = np.array(y0, dtype=float)

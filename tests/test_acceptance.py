@@ -378,7 +378,7 @@ def a9_oracle_calls(methods):
     with pytest.MonkeyPatch.context() as mp:
         for module, name, label in ((solver, "solve_regularized_ll", "z-solve"),
                                     (solver, "solve_penalized_inner", "y-solve"),
-                                    (cli, "ul_gradient_for", "chain rule"),
+                                    (solver, "ul_gradient_for", "chain rule"),
                                     (baselines, "ll_descent", "LL descent")):
             mp.setattr(module, name, tagged(getattr(module, name), label))
         for mspec in methods:

@@ -799,11 +799,22 @@ def test_every_traced_layer_is_looked_up_when_it_is_called(monkeypatch):
         monkeypatch.setattr(mod, name, counted((module, name), getattr(mod, name)))
     bench = parse_problem("sin:n=2")
     x, y0 = start_point(bench.problem, bench.x0, bench.y0)
-    for mspec in ("bvfsm", "cg", "neumann"):
+    # each step on its own: a `bvfsm time` step must reach every layer it runs
+    solver_layers = {("bvfsm.solver", name) for name in
+                     ("solve_inner", "solve_regularized_ll", "solve_penalized_inner",
+                      "ul_gradient_for")}
+    for mspec, estimator in (("bvfsm", None), ("cg", "cg_hypergradient"),
+                             ("neumann", "neumann_hypergradient")):
+        ran.clear()
         cli._step(bench.problem, cli._resolve_method(bench, mspec, {}), x, y0)
+        want = solver_layers if estimator is None else {
+            ("bvfsm.baselines", "ll_descent"), ("bvfsm.baselines", estimator),
+            ("bvfsm.baselines", "hvp")}
+        assert set(ran) == want, mspec
+    ran.clear()
     _, cfg = cli._resolve_method(bench, "bvfsm", {"bvfsm": {"K": 1}})
     solve(bench.problem, cfg, x, y0)
-    assert [key for key in TRACED_LAYERS if not ran[key]] == []
+    assert set(ran) == solver_layers | {("bvfsm.solver", "schedule_step")}
 
 
 def test_main_validate_verb(capsys):

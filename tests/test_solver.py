@@ -32,7 +32,7 @@ from bvfsm import (
 from bvfsm import solver as solver_module
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
-from bvfsm.solver import MAX_HALVINGS, InnerState, _descend
+from bvfsm.solver import MAX_HALVINGS, InnerState, _descend, _Stage
 
 from oracles import fd_of_phi, fixed_step_descent, grid_min, phi_k, toy_problem, tracking_problem
 
@@ -161,8 +161,8 @@ def test_y_solve_plain_quadratic():
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
     cfg = SolverConfig(T_y=4000, step_y=0.2, schedule=sched, aux_f=QP)
-    inner = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.array([1.0, 1.0]))
-    assert np.allclose(inner.y, [0.0, 0.0], atol=1e-3)
+    y, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.array([1.0, 1.0]))
+    assert np.allclose(y, [0.0, 0.0], atol=1e-3)
 
 
 def test_y_solve_pessimistic_ascent():
@@ -176,8 +176,8 @@ def test_y_solve_pessimistic_ascent():
     prob = BilevelProblem(m=1, n=2, F=F, f=f, mode=Mode.PESSIMISTIC)
     sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
     cfg = SolverConfig(T_y=4000, step_y=0.2, schedule=sched, aux_f=QP)
-    inner = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.zeros(2))
-    assert np.allclose(inner.y, b, atol=1e-3)
+    y, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.zeros(2))
+    assert np.allclose(y, b, atol=1e-3)
 
 
 def test_y_solve_sin_against_grid_oracle():
@@ -385,7 +385,7 @@ def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
     sched = ScheduleState(theta=0.05, sigma1=1.0)
     cfg = SolverConfig(T_y=10, step_y=0.1, schedule=sched, aux_f=QP)
     y0 = np.array([1.0, -2.0])
-    inner = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
+    y_end, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
     a = d + sched.theta
     y, step, g_prev, want, steps = y0.copy(), cfg.step_y, None, [], []
     for _ in range(cfg.T_y):
@@ -399,7 +399,7 @@ def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
     # one trial per step: the start value, then every trial accepted
     assert len(trials) == cfg.T_y + 1
     assert np.allclose(trials[1:], want, rtol=1e-9, atol=0.0)
-    assert np.allclose(inner.y, want[-1], rtol=1e-9, atol=0.0)
+    assert np.allclose(y_end, want[-1], rtol=1e-9, atol=0.0)
     # three doublings from step_y, then the curvature cap binds
     assert steps[:3] == [0.1, 0.2, 0.4] and steps[3] < 0.8
 
@@ -475,6 +475,14 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
 # ---------------------------------------------------------------------------
 
 
+def _state_at(prob, x, sched, cfg, z, f_star, y):
+    """The InnerState the solves would leave at iterates z and y, with unshifted terms."""
+    stage = _Stage.penalized(prob, x, sched, cfg, f_star, 0.0,
+                             np.zeros(len(prob.ul_constraints)), np.zeros(len(prob.ll_constraints)))
+    args_y = [c(x, y) - base - shift for c, base, shift, _, _ in stage.terms]
+    return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage)
+
+
 def test_ul_gradient_zero_penalty_region():
     # argument f - f* < 0 with a penalty: indirect term vanishes
     prob = shifted_quadratic_problem(
@@ -483,9 +491,10 @@ def test_ul_gradient_zero_penalty_region():
         F_gy=lambda x, y: 2.0 * y)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP)
-    inner = InnerState(z=np.array([1.0 / 1.1]), f_star_approx=0.3, y=np.array([1.0]))
+    x = np.array([0.5])
+    inner = _state_at(prob, x, sched, cfg, np.array([1.0 / 1.1]), 0.3, np.array([1.0]))
     # f(x, y=b) = 0 < 0.3 -> quadratic penalty derivative is 0
-    g = ul_gradient_for(prob, np.array([0.5]), inner, sched, cfg)
+    g = ul_gradient_for(prob, x, inner, sched, cfg)
     assert np.allclose(g, [2.0 * (0.5 - 1.0)])
 
 
@@ -496,8 +505,9 @@ def test_ul_gradient_f_independent_of_x():
         F_gy=lambda x, y: 2.0 * y)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP)
-    inner = InnerState(z=np.zeros(1), f_star_approx=0.0, y=np.array([2.0]))
-    g = ul_gradient_for(prob, np.array([3.0]), inner, sched, cfg)
+    x = np.array([3.0])
+    inner = _state_at(prob, x, sched, cfg, np.zeros(1), 0.0, np.array([2.0]))
+    g = ul_gradient_for(prob, x, inner, sched, cfg)
     assert np.allclose(g, [6.0])  # G = 0 since df/dx = 0 at both y and z
 
 
@@ -512,13 +522,11 @@ def test_ul_gradient_inactive_ul_constraint():
     prob = BilevelProblem(m=1, n=1, F=base.F, f=base.f, ul_constraints=(H,))
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP, aux_H=QP)
-    inner = InnerState(z=np.array([0.4]), f_star_approx=0.05, y=np.array([0.8]),
-                       shifts_H=np.zeros(1), shifts_h=np.zeros(0))
-    x = np.array([0.2])
+    x, z, y = np.array([0.2]), np.array([0.4]), np.array([0.8])
     pruned = BilevelProblem(m=1, n=1, F=base.F, f=base.f)
     assert np.array_equal(
-        ul_gradient_for(prob, x, inner, sched, cfg),
-        ul_gradient_for(pruned, x, inner, sched, cfg),
+        ul_gradient_for(prob, x, _state_at(prob, x, sched, cfg, z, 0.05, y), sched, cfg),
+        ul_gradient_for(pruned, x, _state_at(pruned, x, sched, cfg, z, 0.05, y), sched, cfg),
     )
 
 
@@ -529,8 +537,9 @@ def test_pessimistic_ul_gradient_trivial_regimes():
         F_gy=lambda x, y: -2.0 * y, mode=Mode.PESSIMISTIC)
     sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1)
     cfg = SolverConfig(schedule=sched, aux_f=QP)
-    inner = InnerState(z=np.zeros(1), f_star_approx=0.0, y=np.array([1.0]))
-    g = ul_gradient_for(prob, np.array([2.0]), inner, sched, cfg)
+    x = np.array([2.0])
+    inner = _state_at(prob, x, sched, cfg, np.zeros(1), 0.0, np.array([1.0]))
+    g = ul_gradient_for(prob, x, inner, sched, cfg)
     assert np.allclose(g, [4.0])
 
 
@@ -554,7 +563,8 @@ def test_gradient_fidelity_modified_barrier_static_shift():
     for xv in np.linspace(-1.0, 2.0, 21):
         x = np.array([xv])
         inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
-        assert inner.shift_f == pytest.approx(0.5)  # no safeguard pad when feasible
+        shift_f = inner.stage.terms[0][2]
+        assert shift_f == pytest.approx(0.5)  # no safeguard pad when feasible
         g = ul_gradient_for(prob, x, inner, sched, cfg)
         num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
         worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))

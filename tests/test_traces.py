@@ -33,7 +33,8 @@ from bvfsm import (
 )
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
-from bvfsm.solver import InnerState
+
+from oracles import chain_rule
 
 K = 30
 
@@ -99,8 +100,19 @@ GOLDEN = {
 }
 
 
+# The chain-rule check's cases beyond the golden ones: in no golden case is
+# lam_f nonzero with LL constraints, so none reaches the LL-barrier term of
+# df*/dx.  A modified barrier on f - f* does.
+MODIFIED_F = {"aux_f": {"name": "inverse", "modified": True}, "schedule": STATIC}
+LL_BARRIER_CASES = {
+    "constrained-modified-f": (make_constrained_sin_problem(2, 2.0, 1.0), MODIFIED_F),
+    "constrained-modified-f-pessimistic": (
+        _pessimistic(make_constrained_sin_problem(2, 2.0, 1.0)), MODIFIED_F),
+}
+
+
 def _config(name):
-    bench, overrides = CASES[name]
+    bench, overrides = CASES[name] if name in CASES else LL_BARRIER_CASES[name]
     return bench, build_solver_config({"bvfsm": {"K": K, **overrides}}, bench)
 
 
@@ -122,19 +134,22 @@ def test_short_solve_trace_is_unchanged(name):
     assert digest == GOLDEN[name], f"{name}: trace digest is now {digest}"
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(LL_BARRIER_CASES))
 def test_chain_rule_same_from_solved_and_hand_built_state(name):
-    # 20 stages into the schedule, where the barriers are stiff; the hand-built
-    # state carries only what a caller can know: iterates, f* and the shifts
+    # 20 stages into the schedule, where the barriers are stiff; the formula
+    # is given a hand-built state, only what a caller can know (iterates, f*
+    # and the shifts), and evaluates every multiplier from the fields that
+    # the solves' penalty arguments came from
     bench, cfg = _config(name)
     sched = cfg.schedule
     for _ in range(20):
         sched = schedule_step(sched)
-    x = bench.x0
-    inner = solve_inner(bench.problem, x, sched, cfg, z0=bench.y0, y0=bench.y0)
-    bare = InnerState(z=inner.z, f_star_approx=inner.f_star_approx, y=inner.y,
-                      shift_f=inner.shift_f, shifts_H=inner.shifts_H, shifts_h=inner.shifts_h)
-    g_solved = ul_gradient_for(bench.problem, x, inner, sched, cfg)
-    g_bare = ul_gradient_for(bench.problem, x, bare, sched, cfg)
-    assert np.array_equal(g_solved, g_bare)
+    x, prob = bench.x0, bench.problem
+    inner = solve_inner(prob, x, sched, cfg, z0=bench.y0, y0=bench.y0)
+    shifts = [shift for _, _, shift, _, _ in inner.stage.terms]
+    n_H = len(prob.ul_constraints)
+    shifts = (shifts[0], shifts[1:1 + n_H], shifts[1 + n_H:])
+    g_solved = ul_gradient_for(prob, x, inner, sched, cfg)
+    g_formula = chain_rule(prob, x, inner.z, inner.y, inner.f_star_approx, shifts, sched, cfg)
+    assert np.array_equal(g_solved, g_formula)
     assert np.isfinite(g_solved).all()
