@@ -120,7 +120,7 @@ class AuxiliaryFunction:
 
     ``modified=True`` shifts the wall: P(w) = kind.rho(w - shift, sigma).
     Only barrier kinds may be modified.  The solver freezes the shift once per
-    stage from the schedule's sigma2 sequence (see ``solver._frozen_shifts``).
+    stage from the schedule's sigma2 sequence (see ``solver._Stage.penalized``).
     """
 
     kind: Kind = field(default_factory=lambda: TruncatedLogBarrier(1.0))
@@ -135,7 +135,7 @@ class AuxiliaryFunction:
         return isinstance(self.kind, BARRIER_KINDS)
 
 
-def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
+def parse_aux(spec, modified: bool = False) -> AuxiliaryFunction:
     """Build an AuxiliaryFunction from a config name.
 
     Accepted names: ``quadratic``, ``polynomial:q``, ``inverse``,
@@ -143,8 +143,6 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
     A dict form ``{"name": ..., "modified": bool}`` is accepted as well; any
     other key, or a ``modified`` that is not a bool, raises InvalidParameter.
     """
-    if isinstance(spec, AuxiliaryFunction):
-        return spec
     if isinstance(spec, dict):
         unknown = sorted(set(spec) - {"name", "modified"})
         if unknown:
@@ -167,7 +165,7 @@ def parse_aux(spec, modified: bool | None = None) -> AuxiliaryFunction:
         kind = TruncatedLogBarrier(**_inline(TruncatedLogBarrier, "kappa", arg))
     else:
         raise InvalidParameter(f"unknown auxiliary function {spec!r}")
-    return AuxiliaryFunction(kind=kind, modified=bool(modified))
+    return AuxiliaryFunction(kind=kind, modified=modified)
 
 
 # ---------------------------------------------------------------------------

@@ -367,8 +367,11 @@ def time_step(
 ) -> list[dict]:
     """Median wall time of one ``_step`` per (m, n, method).
 
-    One warm-up repetition is excluded.  A config error raises; a failed step
-    is recorded in the row's ``note``.
+    Every method is resolved first, so a config error raises before any
+    timing.  The steps then run in rounds, one ``_step`` per method in turn,
+    so that a change in the machine's speed falls on every method alike: one
+    warm-up round, excluded, then ``repeats`` timed rounds.  A failed step is
+    recorded in its row's ``note``, and that method sits out later rounds.
     """
     if repeats < 3:
         raise InvalidParameter("repeats must be >= 3")
@@ -378,19 +381,21 @@ def time_step(
     for bench in [make_problem("sin", {"n": n, "m": m}) for m, n in sizes]:
         problem = bench.problem
         x, y0 = start_point(problem, cfg.get("x0", 8.0), cfg.get("y0", 0.0))
-        for mspec in methods:
-            method = _resolve_method(bench, mspec, cfg)
-            times = []
-            try:
-                for rep in range(repeats + 1):
+        resolved = [_resolve_method(bench, mspec, cfg) for mspec in methods]
+        times, notes = [[] for _ in resolved], [""] * len(resolved)
+        for _ in range(repeats + 1):
+            for i, method in enumerate(resolved):
+                if notes[i]:
+                    continue
+                try:
                     t0 = time.perf_counter()
                     _step(problem, method, x, y0)
-                    if rep > 0:
-                        times.append(time.perf_counter() - t0)
-                median_s, note = float(np.median(times)), ""
-            except Exception as exc:  # per-method failure recorded, timing continues
-                median_s, note = math.nan, f"{type(exc).__name__}: {exc}"
-            rows.append(dict(m=problem.m, n=problem.n, method=str(mspec), median_s=median_s,
+                    times[i].append(time.perf_counter() - t0)
+                except Exception as exc:  # per-method failure recorded, timing continues
+                    notes[i] = f"{type(exc).__name__}: {exc}"
+        for mspec, t, note in zip(methods, times, notes):  # t[0]: the warm-up round
+            rows.append(dict(m=problem.m, n=problem.n, method=str(mspec),
+                             median_s=math.nan if note else float(np.median(t[1:])),
                              repeats=repeats, note=note))
     if out_path is not None:
         _write_csv(out_path, TIMING_COLUMNS, [[r[c] for c in TIMING_COLUMNS] for r in rows])

@@ -12,22 +12,23 @@ from the InnerState that only :func:`solve_inner` builds.
 The UL gradient comes from one signed chain rule, :func:`ul_gradient_for`:
 the penalty terms enter with the sign of the inner problem, so optimistic,
 pessimistic and constrained problems share a single formula.
-Modified-barrier shifts are decided here only, by :func:`_frozen_shifts`:
-frozen per stage and padded just enough to keep the incoming iterate
-strictly inside the wall.  The y-solve and the z-solve share one guarded
-loop, :func:`_descend`: a step that would increase the frozen stage
-objective backtracks to the minimizer of the quadratic through the current
-value, its slope -|g|^2 and the rejected trial, kept within a tenth to a
-half of the step; a wall or NaN trial halves it.  At most ``MAX_HALVINGS``
-backtracks follow each start.  The first start is ``step_z`` or ``step_y``;
-each later one is twice the last accepted step, capped at the inverse secant
-curvature along it.  The solve ends at the rounding floor, before any trial
-whose predicted decrease ``step * |g|^2`` is at most one ulp of the current
-value: only rounding could decide it.  ``T_z`` and ``T_y`` only cap the
-number of steps.  Each wall rule is one loop: a z-solve that starts outside
-a wall steps along every walled constraint's normal until it is back inside,
-and a stage that still meets a wall retries the previous UL step with halved
-moves.
+Modified-barrier shifts are decided here only, by one rule in
+:meth:`_Stage.penalized`: frozen per stage and padded just enough to keep the
+incoming iterate strictly inside the wall.  The y-solve and the z-solve share
+one guarded loop, :func:`_descend`, which checks both solves' start and end
+values and names the solve in every error.  A step that would increase the
+frozen stage objective backtracks to the minimizer of the quadratic through
+the current value, its slope -|g|^2 and the rejected trial, kept within a
+tenth to a half of the step; a wall or NaN trial halves it.  At most
+``MAX_HALVINGS`` backtracks follow each start.  The first start is
+``step_z`` or ``step_y``; each later one is twice the last accepted step,
+capped at the inverse secant curvature along it.  The solve ends at the
+rounding floor, before any trial whose predicted decrease ``step * |g|^2``
+is at most one ulp of the current value: only rounding could decide it.
+``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
+loop: a z-solve that starts outside a wall steps along every walled
+constraint's normal until it is back inside, and a stage that still meets a
+wall retries the previous UL step with halved moves.
 """
 
 from __future__ import annotations
@@ -179,26 +180,6 @@ class Reference:
 # ---------------------------------------------------------------------------
 
 
-def _frozen_shifts(raw, n_H: int, f_star: float, sched, cfg) -> tuple:
-    """Stage-frozen modified-barrier shifts (shift_f, shifts_H, shifts_h).
-
-    ``raw`` holds f, each H and each h at the stage's incoming iterate.  The
-    value-function term takes sigma2 padded by the incoming violation f - f*:
-    the stage starts a full sigma2 inside its wall, so outer x-moves never
-    strand the iterate outside.  A constraint takes sigma2_H or sigma2_h, else
-    sigma2, padded by its own violation.  Unmodified terms are not shifted.
-    """
-    def constraint_shifts(c0, aux, shift):
-        if not aux.modified:
-            return np.zeros(len(c0))
-        base = (shift or sched.sigma2).value
-        return np.array([base + max(0.0, c) for c in c0])
-
-    shift_f = sched.sigma2.value + max(0.0, raw[0] - f_star) if cfg.aux_f.modified else 0.0
-    return (shift_f, constraint_shifts(raw[1:1 + n_H], cfg.aux_H, sched.sigma2_H),
-            constraint_shifts(raw[1 + n_H:], cfg.aux_h, sched.sigma2_h))
-
-
 class _Stage:
     """One stage-frozen inner objective at a fixed UL point ``x``:
 
@@ -223,15 +204,25 @@ class _Stage:
         self.vf = vf  # the first term is f - f* - shift_f, whose gradient precedes reg * v
 
     @classmethod
-    def penalized(cls, problem, x, sched, cfg, f_star, shift_f, shifts_H, shifts_h):
-        def terms(fields, aux, shifts):
-            return [(c, 0.0, sh, aux.kind.rho, aux.kind.drho) for c, sh in zip(fields, shifts)]
+    def penalized(cls, problem, x, sched, cfg, f_star, raw):
+        """The y-stage, its shifts frozen from ``raw``: f, each H and each h at
+        the incoming y.
 
-        kf = cfg.aux_f.kind
+        A modified term's shift is its sequence's value, padded by the
+        incoming violation ``max(0, raw - base)``, so the stage starts inside
+        its wall and outer x-moves never strand the iterate outside.  The
+        sequence is sigma2 for f and sigma2_H or sigma2_h (else sigma2) for a
+        constraint.  An unmodified term is not shifted.
+        """
+        sigma2 = sched.sigma2
+        specs = [(problem.f, f_star, cfg.aux_f, sigma2)]
+        specs += [(H, 0.0, cfg.aux_H, sched.sigma2_H or sigma2) for H in problem.ul_constraints]
+        specs += [(h, 0.0, cfg.aux_h, sched.sigma2_h or sigma2) for h in problem.ll_constraints]
+        terms = tuple((c, base, seq.value + max(0.0, w0 - base) if aux.modified else 0.0,
+                       aux.kind.rho, aux.kind.drho)
+                      for (c, base, aux, seq), w0 in zip(specs, raw))
         return cls(x, problem.mode is Mode.PESSIMISTIC, problem.F, sched.theta, sched.sigma1,
-                   ((problem.f, f_star, shift_f, kf.rho, kf.drho),
-                    *terms(problem.ul_constraints, cfg.aux_H, shifts_H),
-                    *terms(problem.ll_constraints, cfg.aux_h, shifts_h)), True)
+                   terms, True)
 
     @classmethod
     def regularized_ll(cls, problem, x, sched, cfg):
@@ -288,29 +279,36 @@ class _Stage:
 
 
 def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
-             step0: float, message: str) -> tuple[np.ndarray, float, list]:
+             step0: float, name: str) -> tuple[np.ndarray, float, list]:
     """At most ``steps`` guarded gradient steps on a stage-frozen objective.
 
-    ``cur`` and ``args`` are the stage value and penalty arguments at ``v``.
+    ``cur`` and ``args`` are the stage value and penalty arguments at ``v``,
+    and every error raised names the solve, ``name``.  A start at a wall
+    (``cur`` = +inf) raises BarrierWall, and a NaN start NonFiniteEvaluation.
     Each step takes the gradient ``g`` at ``v`` and |g|^2 with it; a finite
     |g|^2 proves ``g`` finite (see :func:`bvfsm.core.all_finite`), else a
-    non-finite ``g`` raises NonFiniteEvaluation with ``message``.  It tries
-    steps ``s`` along ``g`` until the objective does not exceed ``cur``; a
-    wall (``inf``) or NaN trial never does.  The first step starts from
-    ``step0``.  Each later one starts from twice the last accepted step
-    ``s_p``, but at most 1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p
-    |g_p|^2) is the secant curvature along that step and g_p the gradient it
-    was taken along: the step grows up to the local curvature, not past it
-    into a farther basin.  A finite rejected trial is followed by the
-    minimizer of the quadratic with phi(0) = cur, phi'(0) = -|g|^2 and
-    phi(s) = trial, clamped to [0.1 s, 0.5 s] (safeguarded quadratic
-    backtracking, Nocedal & Wright section 3.5).  A wall or NaN trial halves
-    the step.  The solve ends at the rounding floor: a trial whose predicted
-    decrease ``s |g|^2`` is at most one ulp of ``cur`` could only be decided
-    by rounding, so it is not tried.  After ``MAX_HALVINGS`` failed
-    backtracks the iterate is pinned, and the solve ends too.  Returns
-    ``(v, cur, args)`` at the last accepted point.
+    non-finite ``g`` raises NonFiniteEvaluation.  It tries steps ``s``
+    along ``g`` until the objective does not exceed ``cur``; a wall (``inf``)
+    or NaN trial never does.  The first step starts from ``step0``.  Each
+    later one starts from twice the last accepted step ``s_p``, but at most
+    1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is the secant
+    curvature along that step and g_p the gradient it was taken along: the
+    step grows up to the local curvature, not past it into a farther basin.
+    A finite rejected trial is followed by the minimizer of the quadratic
+    with phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
+    [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
+    section 3.5).  A wall or NaN trial halves the step.  The solve ends at
+    the rounding floor: a trial whose predicted decrease ``s |g|^2`` is at
+    most one ulp of ``cur`` could only be decided by rounding, so it is not
+    tried.  After ``MAX_HALVINGS`` failed backtracks the iterate is pinned,
+    and the solve ends too.  An accepted trial can be -inf, so an end value
+    that is not finite raises NonFiniteEvaluation.  Returns ``(v, cur,
+    args)`` at the last accepted point.
     """
+    if cur == math.inf:  # a wall; NaN is not one
+        raise BarrierWall(f"{name} starts at a barrier wall")
+    if math.isnan(cur):
+        raise NonFiniteEvaluation(f"{name} value non-finite")
     value, gradient, step = stage.value, stage.gradient, step0
     vdot, isfinite, ulp = np.vdot, math.isfinite, math.ulp  # bound once: n = 2 steps are dispatch
     g_prev = None
@@ -318,13 +316,13 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
         g = gradient(v, args)
         gg = float(vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
         if not (isfinite(gg) or np.isfinite(g).all()):
-            raise NonFiniteEvaluation(message)
+            raise NonFiniteEvaluation(f"{name} gradient non-finite")
         if g_prev is not None:  # twice the last step, at most 1/kappa
             d = abs(gg_prev - float(vdot(g, g_prev)))
             step *= 2.0 if 2.0 * d <= gg_prev else gg_prev / d
         for _ in range(MAX_HALVINGS + 1):
             if gg * step <= ulp(cur):  # the rounding floor
-                return v, cur, args
+                break
             v_new = v - step * g
             trial, trial_args = value(v_new)
             if trial <= cur:
@@ -335,8 +333,10 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
                 step = max(0.1 * step, min(0.5 * step, fit))  # a NaN fit (inf/inf) halves
             else:  # a wall or NaN
                 step *= 0.5
-        else:
-            break  # pinned for this stage
+        if g_prev is not g:  # no trial accepted: at the rounding floor, or pinned
+            break
+    if not isfinite(cur):
+        raise NonFiniteEvaluation(f"{name} value non-finite")
     return v, cur, args
 
 
@@ -368,18 +368,10 @@ def solve_regularized_ll(
             break
         normals = [h.gy(x, z) for h in hs if h(x, z) >= 0.0]
         if not normals:  # no wall: f is +inf there, or the sum overflowed
-            raise NonFiniteEvaluation("regularized LL value non-finite")
+            raise NonFiniteEvaluation("z-solve value non-finite")
         z = z - cfg.step_z * sum(normals)
         cur, args = stage.value(z)
-    if cur == math.inf:
-        raise BarrierWall("initial point infeasible for LL constraint barriers")
-    if not math.isfinite(cur):
-        raise NonFiniteEvaluation("regularized LL value non-finite")
-    z, cur, args = _descend(stage, z, cur, args, cfg.T_z, cfg.step_z,
-                            "LL gradient non-finite during z-solve")
-    if not math.isfinite(cur):
-        raise NonFiniteEvaluation("regularized LL value non-finite")
-    return z, cur, args
+    return _descend(stage, z, cur, args, cfg.T_z, cfg.step_z, "z-solve")
 
 
 def solve_penalized_inner(
@@ -394,23 +386,15 @@ def solve_penalized_inner(
 
     Optimistic mode minimizes F + P-terms + theta/2 |y|^2; pessimistic mode
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
-    negated objective).  Shifts for modified barriers are frozen per stage
-    from one evaluation of f, each H and each h at y0, which also gives the
-    start value.  Returns (y, args, stage): args are the penalty arguments
-    at y, and stage is the objective, its terms holding the frozen shifts.
+    negated objective).  One evaluation of f, each H and each h at y0 gives
+    the stage its frozen shifts (see :meth:`_Stage.penalized`) and the start
+    value.  Returns (y, args, stage): args are the penalty arguments at y,
+    and stage is the objective, its terms holding the frozen shifts.
     """
     y = np.array(y0, dtype=float)
     raw = [c(x, y) for c in (problem.f, *problem.ul_constraints, *problem.ll_constraints)]
-    shifts = _frozen_shifts(raw, len(problem.ul_constraints), f_star_approx, sched, cfg)
-    stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, *shifts)
-
-    cur, args = stage.value(y, raw)
-    if cur == math.inf:  # a wall; NaN is not one
-        raise BarrierWall("stage started outside a constraint barrier wall")
-    if not math.isfinite(cur):
-        raise NonFiniteEvaluation("inner objective non-finite at stage start")
-    y, _, args = _descend(stage, y, cur, args, cfg.T_y, cfg.step_y,
-                          "inner gradient non-finite during y-solve")
+    stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, raw)
+    y, _, args = _descend(stage, y, *stage.value(y, raw), cfg.T_y, cfg.step_y, "y-solve")
     return y, args, stage
 
 

@@ -63,6 +63,21 @@ def phi(problem, x, y_grid=(-20.0, 20.0, 2001), ll_tol=1e-3):
     return max(values) if problem.mode is Mode.PESSIMISTIC else min(values)
 
 
+def unpadded_shifts(problem, cfg, sched):
+    """The shift of every term of phi_k, in order f, each H, each h.
+
+    A modified term takes its sequence's value, unpadded: sigma2 for f,
+    sigma2_H or sigma2_h (else sigma2) for a constraint.  An unmodified term
+    takes 0.
+    """
+    def shift(aux, sigma2):
+        return (sigma2 or sched.sigma2).value if aux.modified else 0.0
+
+    return ([shift(cfg.aux_f, sched.sigma2)]
+            + [shift(cfg.aux_H, sched.sigma2_H)] * len(problem.ul_constraints)
+            + [shift(cfg.aux_h, sched.sigma2_h)] * len(problem.ll_constraints))
+
+
 def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
     """The stage value function phi_{mu,theta,sigma}(x) of an n = 1 problem.
 
@@ -70,9 +85,7 @@ def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
     phi_k is the grid min (max, pessimistic) of
     F +- theta/2 |y|^2 +- P_f(f - f*_mu) +- P_H(H) +- P_h(h).  The auxiliary
     functions are those of ``cfg``, the schedule is ``sched`` (default
-    ``cfg.schedule``).  A modified term takes its shift from the schedule,
-    unpadded: sigma2 for f, sigma2_H or sigma2_h (else sigma2) for a
-    constraint.
+    ``cfg.schedule``), and the shifts are :func:`unpadded_shifts`.
     """
     if problem.n != 1:
         raise InvalidParameter("grid value-function oracle is 1-D only")
@@ -81,9 +94,6 @@ def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
     lo, hi, points = y_grid
     s1 = sched.sigma1
 
-    def shift(aux, sigma2):
-        return (sigma2 or sched.sigma2).value if aux.modified else 0.0
-
     def reg_obj(y):
         v = problem.f(x, y) + 0.5 * sched.mu * float(y @ y)
         for h in problem.ll_constraints:
@@ -91,11 +101,11 @@ def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
         return v
 
     f_star, _ = grid_min(reg_obj, lo, hi, points, rounds)
-    terms = [(problem.f, f_star, shift(cfg.aux_f, sched.sigma2), cfg.aux_f.kind.rho)]
-    terms += [(H, 0.0, shift(cfg.aux_H, sched.sigma2_H), cfg.aux_H.kind.rho)
-              for H in problem.ul_constraints]
-    terms += [(h, 0.0, shift(cfg.aux_h, sched.sigma2_h), cfg.aux_h.kind.rho)
-              for h in problem.ll_constraints]
+    auxes = ([(problem.f, f_star, cfg.aux_f)]
+             + [(H, 0.0, cfg.aux_H) for H in problem.ul_constraints]
+             + [(h, 0.0, cfg.aux_h) for h in problem.ll_constraints])
+    terms = [(c, base, sh, aux.kind.rho)
+             for (c, base, aux), sh in zip(auxes, unpadded_shifts(problem, cfg, sched))]
     sgn = -1.0 if problem.mode is Mode.PESSIMISTIC else 1.0
 
     def obj(y):

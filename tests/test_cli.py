@@ -752,6 +752,26 @@ def test_time_step_stub_medians_stable(monkeypatch):
     assert abs(m1 - m2) / max(m1, m2) < 0.2
 
 
+def test_time_step_runs_one_step_per_method_in_rounds(monkeypatch):
+    # one warm-up round and 3 timed ones, each one step per method in turn, so
+    # a change in the machine's speed falls on every method alike; cg fails
+    # at its second step, gets the note and sits out the later rounds
+    order = []
+
+    def step(problem, method, x, y0):
+        order.append(method[0])
+        if method[0] == "cg" and order.count("cg") == 2:
+            raise RuntimeError("no step")
+
+    monkeypatch.setattr(cli, "_step", step)
+    rows = time_step([(1, 2)], ["bvfsm", "cg", "rhg"], repeats=3)
+    assert order == ["bvfsm", "cg", "rhg"] * 2 + ["bvfsm", "rhg"] * 2
+    assert [(r["method"], r["note"]) for r in rows] == [
+        ("bvfsm", ""), ("cg", "RuntimeError: no step"), ("rhg", "")]
+    assert math.isnan(rows[1]["median_s"])
+    assert all(r["median_s"] >= 0.0 for r in (rows[0], rows[2]))
+
+
 def test_time_step_requires_three_repeats():
     from bvfsm import InvalidParameter
 
@@ -858,6 +878,29 @@ def test_shift_entry_null_takes_the_default(entry):
     sched = build_schedule({"sigma2": entry, "sigma2_h": entry})
     assert sched.sigma2 == StaticShift()
     assert sched.sigma2_h == (None if entry is None else StaticShift())
+
+
+def test_baseline_loop_stops_when_the_ll_gradient_turns_non_finite():
+    from bvfsm import BaselineConfig, BilevelProblem, ScalarField
+    from bvfsm.problems import BenchmarkProblem
+
+    # f = x y^2 / 2: an LL step of 0.5 contracts y at x = 1, but F's gradient
+    # moves x to 100001, where each step multiplies y by -5e4.  The next LL
+    # descent's gradient x y overflows before it ends: the descent raises,
+    # and the loop stops with the last recorded step, every value finite.
+    f = ScalarField(m=1, n=1, fn=lambda x, y: 0.5 * x[0] * float(y @ y),
+                    grad_x=lambda x, y: np.array([0.5 * float(y @ y)]),
+                    grad_y=lambda x, y: x[0] * y)
+    F = ScalarField(m=1, n=1, fn=lambda x, y: 0.5 * float(y @ y) - 1e5 * x[0],
+                    grad_x=lambda x, y: np.array([-1e5]), grad_y=lambda x, y: y.copy())
+    bench = BenchmarkProblem(problem=BilevelProblem(m=1, n=1, F=F, f=f), name="stiffening-ll")
+    bcfg = BaselineConfig(T=100, I=100, ll_step=0.5, alpha=1.0, ul_steps=10)
+    with np.errstate(over="ignore"):
+        trace, flag = cli.run_baseline_loop(bench, "cg", bcfg, np.ones(1), np.ones(1))
+    assert flag == "diverging"
+    assert [r.x.tolist() for r in trace.records] == [[1.0], [100001.0]]
+    final = trace.final
+    assert all(map(math.isfinite, (final.F_value, final.f_value, final.ul_grad_norm)))
 
 
 def test_baseline_loop_stops_at_divergence():

@@ -30,7 +30,7 @@ from bvfsm import (
     ul_gradient_for,
 )
 from bvfsm import solver as solver_module
-from bvfsm.auxfun import schedule_step
+from bvfsm.auxfun import BarrierWall, schedule_step
 from bvfsm.cli import build_solver_config
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend, _Stage
 
@@ -96,23 +96,38 @@ def test_z_solve_regularized_closed_form():
     assert f_star == pytest.approx(expect, abs=1e-12)
 
 
+def _two_bands():
+    """f = F = |y|^2 / 2 on n = 2 under the LL bands y_i <= 1."""
+    def band(i):
+        return field(1, 2, lambda x, y: float(y[i]) - 1.0, lambda x, y: np.zeros(1),
+                     lambda x, y: np.eye(2)[i])
+
+    f = field(1, 2, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1), lambda x, y: y)
+    return BilevelProblem(m=1, n=2, F=f, f=f, ll_constraints=(band(0), band(1)))
+
+
 def test_z_solve_restoration_steps_past_every_walled_constraint():
     # Both bands y_i <= 1 start 2 past their walls.  Stepping along both
     # normals at once clears them in 21 moves of 0.1, within the budget of
     # 4 * T_z + MAX_HALVINGS = 34 moves.  Stepping along only the constraints
     # value() reached before its first wall would clear them one after the
     # other, in 42 moves, and give up.
-    def band(i):
-        return field(1, 2, lambda x, y: float(y[i]) - 1.0, lambda x, y: np.zeros(1),
-                     lambda x, y: np.eye(2)[i])
-
-    f = field(1, 2, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1), lambda x, y: y)
-    prob = BilevelProblem(m=1, n=2, F=f, f=f, ll_constraints=(band(0), band(1)))
+    prob = _two_bands()
     cfg = SolverConfig(T_z=1, step_z=0.1, aux_B=AuxiliaryFunction(InverseBarrier()))
     z, f_star, args = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 3.0))
     assert math.isfinite(f_star)
     assert len(args) == 2 and all(w < 0.0 for w in args)
     assert np.array_equal(args, [h(np.zeros(1), z) for h in prob.ll_constraints])
+
+
+def test_z_solve_start_that_restoration_cannot_bring_inside_is_a_wall():
+    # With moves of 0.01 the bands need 201 moves, past the budget of 34: the
+    # z-solve still starts at a wall, which the outer loop may retry.
+    # sin-constrained meets this at n = 50.
+    prob = _two_bands()
+    cfg = SolverConfig(T_z=1, step_z=0.01, aux_B=AuxiliaryFunction(InverseBarrier()))
+    with pytest.raises(BarrierWall, match="^z-solve starts at a barrier wall$"):
+        solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 3.0))
 
 
 def test_z_solve_restoration_stops_when_no_constraint_is_walled():
@@ -126,7 +141,7 @@ def test_z_solve_restoration_stops_when_no_constraint_is_walled():
     f = replace(bench.problem.f, fn=lambda x, y: math.inf)
     prob = replace(bench.problem, f=f, ll_constraints=(counting(h, calls),))
     cfg = build_solver_config({}, bench)
-    with pytest.raises(NonFiniteEvaluation, match="^regularized LL value non-finite$"):
+    with pytest.raises(NonFiniteEvaluation, match="^z-solve value non-finite$"):
         solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(1, 0.5))
     assert calls == {("band[0]", "val"): 2}
 
@@ -476,10 +491,10 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
 
 
 def _state_at(prob, x, sched, cfg, z, f_star, y):
-    """The InnerState the solves would leave at iterates z and y, with unshifted terms."""
-    stage = _Stage.penalized(prob, x, sched, cfg, f_star, 0.0,
-                             np.zeros(len(prob.ul_constraints)), np.zeros(len(prob.ll_constraints)))
-    args_y = [c(x, y) - base - shift for c, base, shift, _, _ in stage.terms]
+    """The InnerState the solves would leave at iterates z and y, the y-stage built at y."""
+    raw = [c(x, y) for c in (prob.f, *prob.ul_constraints, *prob.ll_constraints)]
+    stage = _Stage.penalized(prob, x, sched, cfg, f_star, raw)
+    _, args_y = stage.value(y, raw)
     return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage)
 
 
@@ -872,6 +887,32 @@ def test_solve_wraps_non_finite_evaluation_during_ul_retry(monkeypatch):
     assert not outcomes
 
 
+@pytest.mark.parametrize("error", [BarrierWall("z-solve starts at a barrier wall"),
+                                   NonFiniteEvaluation("z-solve value non-finite")],
+                         ids=["wall", "non-finite"])
+def test_failed_polish_keeps_the_last_stage_record(monkeypatch, error):
+    # the polish is the z-solve after the K stages; when it fails, the trace
+    # ends at the last stage's record, the same as without the polish
+    bench = make_sin_problem(2)
+    cfg = build_solver_config({"bvfsm": {"K": 3}}, bench)
+    full = solve(bench.problem, cfg, bench.x0, bench.y0).records
+    z_solve, calls = solver_module.solve_regularized_ll, []
+
+    def failing_polish(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > cfg.K:
+            raise error
+        return z_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_regularized_ll", failing_polish)
+    records = solve(bench.problem, cfg, bench.x0, bench.y0).records
+    assert len(calls) == cfg.K + 1
+    assert [(r.k, r.l) for r in records] == [(0, 0), (0, 1), (1, 1), (2, 1)]
+    assert [(r.k, r.l) for r in full[-2:]] == [(2, 1), (3, 0)]
+    for r, want in zip(records, full[:-1]):
+        assert np.array_equal(r.x, want.x) and np.array_equal(r.y, want.y)
+
+
 def test_constrained_sin_from_far_start_restores_without_warnings(recwarn):
     # From x0 = 8, y0 = 0 every band x + y_i in [0, 1] is far outside its
     # wall.  The z-solve steps back inside along the walled normals, and the
@@ -1053,5 +1094,24 @@ def test_y_solve_nan_start_value_is_not_a_wall():
     prob = replace(bench.problem, F=_nan_valued(bench.problem.F))
     cfg = SolverConfig(T_z=3, T_y=3)
     z, f_star, _ = solve_regularized_ll(prob, bench.x0, cfg.schedule, cfg, bench.y0)
-    with pytest.raises(NonFiniteEvaluation, match="stage start"):
+    with pytest.raises(NonFiniteEvaluation, match="^y-solve value non-finite$"):
         solve_penalized_inner(prob, bench.x0, f_star, cfg.schedule, cfg, z)
+
+
+def test_y_solve_that_accepts_a_minus_inf_trial_raises():
+    # F = -y falls to -inf past y = 1.5 while its gradient stays -1.  From
+    # y = z = 0 the first step of 2 lands there, and -inf <= 0 is accepted:
+    # the y-solve ends at a non-finite value, which raises, and the solve
+    # stops instead of recording F = -inf.
+    from bvfsm import SolveError
+
+    f = field(1, 1, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1),
+              lambda x, y: y.copy())
+    F = field(1, 1, lambda x, y: -float(y[0]) if y[0] <= 1.5 else -math.inf,
+              lambda x, y: np.zeros(1), lambda x, y: -np.ones(1))
+    prob = BilevelProblem(m=1, n=1, F=F, f=f)
+    cfg = SolverConfig(K=1, step_y=2.0, aux_f=QP)
+    with pytest.raises(NonFiniteEvaluation, match="^y-solve value non-finite$"):
+        solve_inner(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
+    with pytest.raises(SolveError, match="^y-solve value non-finite"):
+        solve(prob, cfg, np.zeros(1), np.zeros(1))

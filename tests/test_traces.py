@@ -29,12 +29,14 @@ from bvfsm import (
     make_sin_problem,
     solve,
     solve_inner,
+    solve_regularized_ll,
     ul_gradient_for,
 )
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
+from bvfsm.solver import _Stage
 
-from oracles import chain_rule
+from oracles import chain_rule, unpadded_shifts
 
 K = 30
 
@@ -153,3 +155,40 @@ def test_chain_rule_same_from_solved_and_hand_built_state(name):
     g_formula = chain_rule(prob, x, inner.z, inner.y, inner.f_star_approx, shifts, sched, cfg)
     assert np.array_equal(g_solved, g_formula)
     assert np.isfinite(g_solved).all()
+
+
+# Each y-stage term under its own shift sequence: (golden case, the term's
+# index in the stage, its SolverConfig field, a y inside its wall, a y
+# outside it), all at x = 0.  ul-constraint's f and H are modified inverse
+# barriers under sigma2 and sigma2_H, sin-con's h under sigma2_h.
+SHIFT_TERMS = {
+    "f": ("ul-constraint", 0, "aux_f", None, [2.0 + np.pi / 2] * 2),  # None: at z; f = 2 out
+    "H": ("ul-constraint", 1, "aux_H", [0.0, 0.0], [7.0, 0.0]),
+    "h": ("sin-con", 1, "aux_h", [0.5, 0.5], [1.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("term", sorted(SHIFT_TERMS))
+def test_every_shift_is_frozen_by_one_rule(term):
+    # Inside its wall a modified term takes the unpadded shift phi_k takes;
+    # outside, the pad is exactly the violation; unmodified, no shift at all.
+    name, j, aux, y_in, y_out = SHIFT_TERMS[term]
+    bench, cfg = _config(name)
+    prob, sched, x = bench.problem, cfg.schedule, np.zeros(1)
+    z, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, bench.y0)
+    fields = (prob.f, *prob.ul_constraints, *prob.ll_constraints)
+    base = f_star if j == 0 else 0.0
+
+    def shift_and_violation(y, cfg):
+        raw = [c(x, y) for c in fields]
+        stage = _Stage.penalized(prob, x, sched, cfg, f_star, raw)
+        return stage.terms[j][2], raw[j] - base
+
+    unpadded = unpadded_shifts(prob, cfg, sched)[j]
+    assert unpadded > 0.0
+    shift, violation = shift_and_violation(z if y_in is None else np.array(y_in), cfg)
+    assert violation < 0.0 and shift == unpadded
+    shift, violation = shift_and_violation(np.array(y_out), cfg)
+    assert violation > 0.0 and shift == unpadded + violation
+    plain = replace(cfg, **{aux: replace(getattr(cfg, aux), modified=False)})
+    assert shift_and_violation(np.array(y_out), plain)[0] == 0.0
