@@ -146,11 +146,7 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
     return make(F_fn, F_gx, F_gy, "sin-ul"), make(f_fn, f_gx, f_gy, "sin-ll")
 
 
-# |f''| <= 1 for f = sum_i sin(x + y_i - c_i), so the regularized LL
-# f + mu/2 |y|^2 has curvature at most L = 1 + mu <= 2 while mu <= 1: the
-# z-solve's first trial is the gradient step 1/L = 1/2, not 0.01.
 SIN_SOLVER_PROFILE = {
-    "step_z": 0.5,
     "aux_f": {"name": "inverse", "modified": True},
     "schedule": {"sigma2": {"value": 2.0, "decay_pow": 0.6}},
 }

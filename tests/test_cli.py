@@ -588,8 +588,7 @@ def _resolved_by_hand():
                 for m, over in [("rhg", {}), ("bda:0.5", {"aggregation": 0.5}),
                                 ("cg:20", {"Q": 20}), ("neumann:20", {"Q": 20})]}
 
-    sin = SolverConfig(step_z=0.5, aux_f=inverse_mod,
-                       schedule=ScheduleState(sigma2=shift(2.0, 0.6)))
+    sin = SolverConfig(aux_f=inverse_mod, schedule=ScheduleState(sigma2=shift(2.0, 0.6)))
     profiles = {
         "sin:n=2": sin,
         "sin-pessimistic:n=2": SolverConfig(K=2000, aux_f=inverse_mod,
@@ -617,7 +616,7 @@ def _resolved_by_hand():
     # the sweep script names its methods in METHODS, not in its config
     sweep = scripts["run_dimension_sweep"]
     cases["run_dimension_sweep"] = ("sweep", sweep.config(), sweep.METHODS, "sin:n=2,a=2,c=2", {
-        "bvfsm": ("bvfsm", SolverConfig(K=2000, step_z=0.5, aux_f=inverse_mod,
+        "bvfsm": ("bvfsm", SolverConfig(K=2000, aux_f=inverse_mod,
                                         schedule=ScheduleState(sigma2=shift(50.0, 0.6)))),
         **baselines(300, Q=20, aggregation_decay=0.95)})
     pess, pess_cfg = baselines(400), scripts["run_pessimistic"].config()

@@ -329,60 +329,10 @@ def test_descend_backtracking_stays_in_a_tenth_to_a_half_of_the_step():
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
 def test_descend_halves_after_a_wall_or_nan_trial(bad):
     # a finite rejection sets up the quadratic model (step 1 -> 0.1); a wall
-    # or NaN trial after it that names no penalty argument, as the stand-in's
-    # do not, is not fitted: the next step is exactly half
+    # or NaN trial after it is not fitted: the next step is exactly half
     stage = _ScriptedStage([1e6, bad, 0.0])
     _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
     assert stage.steps() == [1.0, 0.1, 0.05]
-
-
-def _barrier_line_stage(a, sigma, kind, trials=None):
-    """The stage -a v + P(v - 1): a linear objective against a wall at v = 1.
-
-    Each point its value is taken at is appended to ``trials``.
-    """
-    def lead_fn(x, y):
-        if trials is not None:
-            trials.append(float(y[0]))
-        return -a * float(y[0])
-
-    lead = field(1, 1, lead_fn, None, lambda x, y: np.full(1, -a))
-    c = field(1, 1, lambda x, y: float(y[0]) - 1.0, None, lambda x, y: np.ones(1))
-    return _Stage(np.zeros(1), False, lead, 0.0, sigma, ((c, 0.0, 0.0, kind.rho, kind.drho),),
-                  False)
-
-
-def test_descend_backtracks_from_a_crossed_wall_to_the_barrier_models_minimizer():
-    # -4v - 1/(v - 1) from v = 0: g = -3, and the first trial (step 0.5)
-    # lands on v = 1.5, past the wall.  The line and the walled argument are
-    # both linear, so the model is exact and its minimizer, v = 1 - 1/2, is
-    # the next trial; halving would have accepted v = 0.75.
-    trials = []
-    stage = _barrier_line_stage(4.0, 1.0, InverseBarrier(), trials)
-    v, cur, args = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
-    assert trials[1] == 1.5 and len(trials) == 3
-    assert v[0] == trials[2] == pytest.approx(0.5, abs=1e-10)
-    assert cur == pytest.approx(-4.0 * 0.5 + 2.0, abs=1e-9) and args == [v[0] - 1.0]
-
-
-@pytest.mark.parametrize("kind", [InverseBarrier(), TruncatedLogBarrier(0.5)],
-                         ids=["inverse", "truncated-log"])
-def test_wall_step_is_inside_the_linearized_wall_where_the_model_is_stationary(kind):
-    # for any crossing, the step lands strictly between the start and the
-    # linearized wall, at the w where P'(w) = P'(w0) + |g|^2 / b
-    rng = np.random.default_rng(7)
-    stage = _barrier_line_stage(1.0, 1.0, kind)
-    for _ in range(200):
-        w0, wt = -10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-3, 3)
-        gg, step = 10.0 ** rng.uniform(-4, 4), 10.0 ** rng.uniform(-4, 1)
-        stage.sigma = 10.0 ** rng.uniform(-9, 0)
-        got = stage.wall_step([w0], [wt], gg, step)
-        b = (wt - w0) / step
-        w = w0 + b * got
-        assert 0.0 < got and w0 < w < 0.0
-        target = kind.drho(w0, stage.sigma) + gg / b
-        lo, hi = w - abs(w0) * 2.0 ** -39, min(w + abs(w0) * 2.0 ** -39, -1e-300)
-        assert kind.drho(lo, stage.sigma) <= target <= kind.drho(hi, stage.sigma)
 
 
 def test_descend_does_not_try_a_step_below_the_rounding_floor():
@@ -490,12 +440,9 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
 
 
 def test_a9_step_y_solve_stops_at_the_rounding_floor():
-    # the A9 point (sin n=1000, x = 8, y0 = 0): the first trial crosses the
-    # wall of f - f*, and the barrier model's step lands inside it at once;
-    # after 4 accepted steps the next trial's predicted decrease is under
-    # one ulp of the stage value, and the solve ends.  Halving back from the
-    # wall took 6 gradients and 15 F evaluations, and trying on to T_y took
-    # 24 and 51.
+    # the A9 point (sin n=1000, x = 8, y0 = 0): after 5 accepted steps the
+    # next trial's predicted decrease is under one ulp of the stage value, and
+    # the solve ends; trying on to T_y took 24 gradients and 51 F evaluations
     from bvfsm.cli import build_solver_config
     from bvfsm.problems import parse_problem
 
@@ -506,18 +453,16 @@ def test_a9_step_y_solve_stops_at_the_rounding_floor():
     x, y0 = np.full(1, 8.0), np.zeros(1000)
     _, f_star, _ = solve_regularized_ll(prob, x, cfg.schedule, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, cfg.schedule, cfg, y0)
-    assert counts["gy"] <= 5 and counts["val"] <= 7  # the start value included
+    assert counts["gy"] <= 6 and counts["val"] <= 17  # the start value included
 
 
 def test_late_stage_constrained_sin_evaluations_per_gradient():
     # A3 profile in its last stage, near the solution (y* sits on the band's
     # wall, so the iterate starts 0.05 inside).  With the start value
-    # counted, the z-solve takes 11 gradients and 16 f evaluations (1.45
-    # trials per gradient) and the y-solve 6 gradients and 13 F evaluations
-    # (2.2 trials per gradient).  A trial past the band's wall backtracks to
-    # the barrier model's minimizer; halving took 13 and 24, and 7 and 29.
-    # T_z and T_y cap the steps, not the gradients, so the exact counts are
-    # pinned rather than a ratio to them.
+    # counted, the z-solve takes 13 gradients and 24 f evaluations (1.77
+    # trials per gradient) and the y-solve 7 gradients and 29 F evaluations
+    # (4.0 trials per gradient).  T_z and T_y cap the steps, not the
+    # gradients, so the exact counts are pinned rather than a ratio to them.
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
@@ -536,8 +481,8 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     y_counts = {"val": 0, "gy": 0}
     prob = replace(bench.problem, F=counting_field(bench.problem.F, y_counts))
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert z_counts == {"val": 16, "gy": 11}
-    assert y_counts == {"val": 13, "gy": 6}
+    assert z_counts == {"val": 24, "gy": 13}
+    assert y_counts == {"val": 29, "gy": 7}
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +689,7 @@ def test_L_steps_per_stage_share_the_stage_schedule():
 SOLVE_ORACLE_CALLS = {
     "sin-opt": {
         ("sin-ul", "val"): 284, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 250,
-        ("sin-ll", "val"): 429, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 395,
+        ("sin-ll", "val"): 591, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 556,
     },
     "sin-con": {
         ("sin-ul", "val"): 194, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 162,
@@ -940,29 +885,6 @@ def test_solve_wraps_non_finite_evaluation_during_ul_retry(monkeypatch):
     assert (exc.value.k, exc.value.l) == (1, 0)
     assert [(r.k, r.l) for r in exc.value.trace.records] == [(0, 0), (0, 1)]
     assert not outcomes
-
-
-def test_ul_retry_halves_the_step_from_where_the_last_stage_was_solved(monkeypatch):
-    # Stage 1 meets a wall at x1 and is solved at its first retry, s1 halfway
-    # from x0; stage 2 meets a wall at x2 too.  Its retry halves the UL step
-    # from s1, where stage 1 was solved, not from x1, where no stage was.
-    import bvfsm.solver as solver_mod
-    from bvfsm import BarrierWall
-
-    real_solve_inner, tried = solver_mod.solve_inner, []
-
-    def stub(problem, x, *args, **kwargs):
-        tried.append(x.copy())
-        if len(tried) in (2, 4):  # the first attempts of stages 1 and 2
-            raise BarrierWall("stage started outside a wall")
-        return real_solve_inner(problem, x, *args, **kwargs)
-
-    monkeypatch.setattr(solver_mod, "solve_inner", stub)
-    solve(toy_problem(), SolverConfig(K=3, T_z=3, T_y=3, aux_f=QP), [0.5], [0.0])
-    x0, x1, s1, x2, s2 = tried[:5]
-    assert not np.array_equal(x1, s1)
-    assert np.array_equal(s1, x0 + 0.5 * (x1 - x0))
-    assert np.array_equal(s2, s1 + 0.5 * (x2 - s1))
 
 
 @pytest.mark.parametrize("error", [BarrierWall("z-solve starts at a barrier wall"),
