@@ -21,8 +21,8 @@ def config() -> dict:
         "bvfsm": {
             "K": 2000,
             "aux_f": {"name": "inverse", "modified": True},
-            # the A2 profile: the sin family's suggested shift 2.0 is tuned for
-            # n = 2 and ends at x = 7.60 (rel_x 1.82) at n = 50
+            # the A2 profile, run at n = 50 to 200; the sin family's suggested
+            # shift 2.0 is tuned for n = 2
             "schedule": {"sigma2": {"value": 50.0, "decay_pow": 0.6}},
         },
         "baseline": {"T": 100, "I": 100, "Q": 20, "ul_steps": 300,

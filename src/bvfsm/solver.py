@@ -17,9 +17,12 @@ Modified-barrier shifts are decided here only, by one rule in
 incoming iterate strictly inside the wall.  The y-solve and the z-solve share
 one guarded loop, :func:`_descend`, which checks both solves' start and end
 values and names the solve in every error.  A step that would increase the
-frozen stage objective backtracks to the minimizer of the quadratic through
-the current value, its slope -|g|^2 and the rejected trial, kept within a
-tenth to a half of the step; a wall or NaN trial halves it.  At most
+frozen stage objective backtracks to the minimizer of a model of its line,
+kept within a tenth to a half of the step: after a finite trial, the
+quadratic through the current value, its slope -|g|^2 and the trial; after
+a trial past a barrier wall, a model that keeps that barrier exact on its
+argument, taken linear along the line (:meth:`_Stage.wall_step`).  A NaN
+trial, or an infinite one with no walled argument, halves the step.  At most
 ``MAX_HALVINGS`` backtracks follow each start.  The first start is
 ``step_z`` or ``step_y``; each later one is twice the last accepted step,
 capped at the inverse secant curvature along it.  The solve ends at the
@@ -57,6 +60,7 @@ from .core import (
 
 
 MAX_HALVINGS = 30  # backtracks (interpolated or halved) before a guarded step counts as pinned
+WALL_BISECTIONS = 40  # halvings of the interval that holds a wall model's minimizer
 
 
 class SolveTimeout(RuntimeError):
@@ -250,6 +254,34 @@ class _Stage:
                 return math.inf, args
         return total, args
 
+    def wall_step(self, args, trial_args, gg, step):
+        """The minimizer of a model of the line whose trial at ``step`` met a wall.
+
+        The last of ``trial_args`` is the walled term's argument, at or past
+        its wall at 0, and ``args`` holds the arguments at the current point.
+        The model takes that argument linear along the line, w(s) = w0 + b s
+        through both values, keeps the term's barrier P exact, and takes the
+        rest of the objective linear, with the slope that makes the model's
+        slope at 0 the true one, -|g|^2 (``gg``).  With P convex the model
+        is stationary at the one w in (w0, 0) where P'(w) = P'(w0) + gg / b.
+        Bisection brackets that w, and the step to the middle of the last
+        bracket is returned, strictly inside the linearized wall.  Keeping
+        the singularity in a barrier's line-search model goes back to Murray
+        and Wright (SIAM J. Optim. 4, 1994).
+        """
+        j = len(trial_args) - 1
+        w0, dP, s = args[j], self.terms[j][4], self.sigma
+        b = (trial_args[j] - w0) / step
+        target = dP(w0, s) + gg / b
+        lo, hi = w0, 0.0
+        for _ in range(WALL_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if dP(mid, s) < target:
+                lo = mid
+            else:
+                hi = mid
+        return (0.5 * (lo + hi) - w0) / b
+
     def multipliers(self, args):
         """P' of every term at the complete penalty arguments ``args``."""
         s = self.sigma
@@ -297,13 +329,16 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     A finite rejected trial is followed by the minimizer of the quadratic
     with phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
     [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
-    section 3.5).  A wall or NaN trial halves the step.  The solve ends at
-    the rounding floor: a trial whose predicted decrease ``s |g|^2`` is at
-    most one ulp of ``cur`` could only be decided by rounding, so it is not
-    tried.  After ``MAX_HALVINGS`` failed backtracks the iterate is pinned,
-    and the solve ends too.  An accepted trial can be -inf, so an end value
-    that is not finite raises NonFiniteEvaluation.  Returns ``(v, cur,
-    args)`` at the last accepted point.
+    section 3.5).  A wall trial (+inf) whose last penalty argument went from
+    inside its wall (< 0) to a finite point at or past it is followed by
+    :meth:`_Stage.wall_step`, clamped the same way; any other wall trial,
+    and a NaN trial whatever its arguments, halves the step.  The solve ends at the rounding floor: a trial
+    whose predicted decrease ``s |g|^2`` is at most one ulp of ``cur`` could
+    only be decided by rounding, so it is not tried.  After ``MAX_HALVINGS``
+    failed backtracks the iterate is pinned, and the solve ends too.  An
+    accepted trial can be -inf, so an end value that is not finite raises
+    NonFiniteEvaluation.  Returns ``(v, cur, args)`` at the last accepted
+    point.
     """
     if cur == math.inf:  # a wall; NaN is not one
         raise BarrierWall(f"{name} starts at a barrier wall")
@@ -330,9 +365,12 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
                 fit = gg * step * step / (2.0 * (trial - cur + gg * step))
-                step = max(0.1 * step, min(0.5 * step, fit))  # a NaN fit (inf/inf) halves
-            else:  # a wall or NaN
-                step *= 0.5
+            elif (trial == math.inf and trial_args
+                  and args[len(trial_args) - 1] < 0.0 <= trial_args[-1] < math.inf):
+                fit = stage.wall_step(args, trial_args, gg, step)  # a wall the trial crossed
+            else:  # NaN, or a wall no argument crossed: halve
+                fit = 0.5 * step
+            step = max(0.1 * step, min(0.5 * step, fit))  # a NaN fit (inf/inf) halves too
         if g_prev is not g:  # no trial accepted: at the rounding floor, or pinned
             break
     if not isfinite(cur):
@@ -547,6 +585,7 @@ def solve(
 
     z_warm = y_init
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
+    x_prev = None  # where the last stage was solved, the origin of the UL step to x
 
     for k in range(cfg.K):
         for l in range(cfg.L):
@@ -556,7 +595,6 @@ def solve(
                 )
             # Attempt 0 is the step to x; attempt i retries the previous UL
             # step with its move halved i times, while a stage meets a wall.
-            x_prev = trace.records[-2].x if len(trace.records) > 1 else None
             for i in range(MAX_HALVINGS + 1):
                 x_try = x if i == 0 else x_prev + 0.5 ** i * (x - x_prev)
                 try:
@@ -566,7 +604,7 @@ def solve(
                 except (BarrierWall, NonFiniteEvaluation) as exc:
                     if not isinstance(exc, BarrierWall) or x_prev is None or i == MAX_HALVINGS:
                         raise SolveError(str(exc), k, l, trace) from exc
-            x = x_try
+            x = x_prev = x_try
             if not all_finite(grad):
                 raise SolveError("UL gradient non-finite", k, l, trace)
             try:

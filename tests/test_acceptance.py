@@ -396,6 +396,17 @@ def a9_oracle_calls(methods):
     return out
 
 
+def test_a9_oracle_calls_per_step_are_pinned():
+    # the call split behind A9, exact: a change in the inner solves'
+    # evaluations fails here, without the timing noise of the ratio below
+    split = {m: phases for m, (phases, _) in a9_oracle_calls(["bvfsm", "cg", "neumann"]).items()}
+    assert split == {
+        "bvfsm": {"z-solve": 12, "y-solve": 22, "chain rule": 3},
+        "cg": {"LL descent": 100, "estimator": 6},
+        "neumann": {"LL descent": 100, "estimator": 42},
+    }
+
+
 def test_A9_timing_ratio():
     methods = ["bvfsm", "cg", "neumann"]
     rows = time_step([(1, 1000)], methods, repeats=5, cfg=A9_CFG)

@@ -6,13 +6,20 @@ shows up here as a new digest.  Three cases follow the benchmark workloads
 (``perfbench/workloads.py``): the sin-opt setup and the default sin-con
 profile, both cut to K = 30 stages, and the one-stage n = 1000 point of
 step-n1000.  The other eight cover paths the benchmark does not run.  Every
-digest was last recorded when the z-solve moved onto the guarded loop and
-each inner solve's step began to grow up to the secant curvature: every
-inner solve now ends at its rounding floor, so every iterate moved.  In the
-same change ``rel_err_x`` became a Python float, whose repr the digests hash,
-and ul-constraint-quadratic's cap fell from 3 to 2, so that its penalty term
-stays active.  A deliberate change re-records a case by copying the digest
-its failure prints.
+digest was recorded when the z-solve moved onto the guarded loop and each
+inner solve's step began to grow up to the secant curvature: every inner
+solve now ends at its rounding floor, so every iterate moved.  In the same
+change ``rel_err_x`` became a Python float, whose repr the digests hash, and
+ul-constraint-quadratic's cap fell from 3 to 2, so that its penalty term
+stays active.  Eight were re-recorded when a trial past a barrier wall began
+to step to the barrier model's minimizer instead of halving, and the z-solve
+of the sin and pessimistic sin profiles began at the step 1/2: sin-opt,
+step-n1000, polynomial, truncated-log, ul-constraint and
+ul-constraint-quadratic run the sin profile, pessimistic-sin runs the
+pessimistic one, and pessimistic-sin, step-n1000 and wall-recovery have
+trials past a wall.  sin-con and the two constrained cases kept their
+digests.  A deliberate change re-records a case by copying the digest its
+failure prints.
 """
 
 import hashlib
@@ -89,16 +96,16 @@ CASES = {
 
 GOLDEN = {
     "sin-con": "e20dda32e28aaf86ba990f4b5adecc210f626f879f940da9de97eb2a39b28ff9",
-    "sin-opt": "913a8117b3acdb0b488e23ba4b388090ad2f8af810143200cfcec5509880fc27",
-    "step-n1000": "23501542cd0f6a78b5416dec1c8b86c04aa4c1d3b608d2c25d6f3040b84078d6",
+    "sin-opt": "c3b2689b7deb214f92e8f3d71df6db37d50a341d9ccb8a3751dfafa7bc8788c5",
+    "step-n1000": "8dda501814815dfd078926ed54bb9226ce6d82040e6d4eb9cb0dc38984517ca3",
     "constrained-sin-pessimistic": "2ec7910cb6ae747e2468e6221d7c7315add4a1c0d8f199026c07377bdf417eb1",
     "constrained-truncated-log": "84fd548cb2f685d170302c297447c11025bb57b4a488c217c1a42fc5267b2c15",
-    "pessimistic-sin": "55852d76e6791113946dba114ce39c1aa3d9561941c20c97e7e8b0fc5166ca97",
-    "polynomial": "5111a22ac51292ee712bf99ee8dfde26c5b204d706a1ebbe55cc89c91b6d62ad",
-    "truncated-log": "ed017230638c89d4f6346822bd6f40a6bca0bdde8053f8811c3dd9c02278a49d",
-    "ul-constraint": "120d076fe830e9c8da8f3ed7407e89f7d45d6c3b8a74fb0f3b8a84547a7febbf",
-    "ul-constraint-quadratic": "276a8f0eb2f5beb7ee41c2de369c4c3d9753248a490a85b5a14e6b2e3bb98b9a",
-    "wall-recovery": "46ae78f9132bf47eb77c970939692ea78d982209a34dc3c714cd351ce51e3e20",
+    "pessimistic-sin": "55afbafeffc7678315124c9e358bbc1f318d6c0532c7f4c9297539b233673339",
+    "polynomial": "932ceee87c8ba936738b843ff483dcda71090415c3a1f0e634138df2d991f904",
+    "truncated-log": "4e324437c8c13b9f37932fd6252bdde1af2a252850271e47872565ef63e087d5",
+    "ul-constraint": "1ed2c7ca973e729d4196e01affca214f7264eba96cf4332fc2a099d9b953aca4",
+    "ul-constraint-quadratic": "3befe647288f9340a775516b608f572d47ec39fe23c5957bb567b090e897a5d2",
+    "wall-recovery": "f66183c9273eee5f940fbc46c195345df845b0df23f1fb7748cd80de50395483",
 }
 
 
