@@ -23,9 +23,16 @@ quadratic through the current value, its slope -|g|^2 and the trial; after
 a trial past a barrier wall, a model that keeps that barrier exact on its
 argument, taken linear along the line (:meth:`_Stage.wall_step`).  A NaN
 trial, or an infinite one with no walled argument, halves the step.  At most
-``MAX_HALVINGS`` backtracks follow each start.  The first start is
-``step_z`` or ``step_y``; each later one is twice the last accepted step,
-capped at the inverse secant curvature along it.  The solve ends at the
+``MAX_HALVINGS`` backtracks follow each start.  Within a solve, each start
+after the first is twice the last accepted step, capped at the inverse
+secant curvature along it.  A z-solve's first start is ``step_z``.  A
+y-solve's is ``step_y`` in a single step and in the first stage of
+:func:`solve`; in each later stage it is twice the first step that the last
+solved stage's y-solve accepted, capped at ``step_y``, so a stiff late stage
+does not backtrack down from ``step_y`` again (the initial-step rule of
+Nocedal & Wright, section 3.5).  If that remembered trial is at the
+rounding floor, the y-solve tries ``step_y`` instead, so the memory never
+ends a solve that ``step_y`` would continue.  The solve ends at the
 rounding floor, before any trial whose predicted decrease ``step * |g|^2``
 is at most one ulp of the current value: only rounding could decide it.
 ``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
@@ -95,8 +102,11 @@ class SolverConfig:
 
     Defaults follow the reference benchmark settings: alpha = step_z = step_y
     = 0.01, T_z = 50, T_y = 25, L = 1, geometric schedule decay 1/1.01.
-    ``step_z`` and ``step_y`` are the first trial step of each inner solve,
-    and ``T_z`` and ``T_y`` cap its number of steps.
+    ``step_z`` is the first trial step of every z-solve.  ``step_y`` is that
+    of the first y-solve of a solve and of a single step, and it caps the
+    first trial of every later y-solve, which starts from the last stage's
+    first accepted step.  ``T_z`` and ``T_y`` cap the number of steps of an
+    inner solve.
     """
 
     K: int = 3000
@@ -129,7 +139,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class InnerState:
     """One stage's inner solves, built by :func:`solve_inner` only: with z, f*
-    and y, the penalty arguments at each and the y-solve's stage itself."""
+    and y, the penalty arguments at each, the y-solve's stage itself and the
+    first step the y-solve accepted (None if it accepted none)."""
 
     z: np.ndarray
     f_star_approx: float
@@ -137,6 +148,7 @@ class InnerState:
     args_z: list
     args_y: list
     stage: _Stage = field(repr=False)
+    step_y1: float | None
 
 
 @dataclass(frozen=True)
@@ -311,7 +323,8 @@ class _Stage:
 
 
 def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
-             step0: float, name: str) -> tuple[np.ndarray, float, list]:
+             step0: float, name: str,
+             fallback: float | None = None) -> tuple[np.ndarray, float, list, float | None]:
     """At most ``steps`` guarded gradient steps on a stage-frozen objective.
 
     ``cur`` and ``args`` are the stage value and penalty arguments at ``v``,
@@ -321,11 +334,13 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     |g|^2 proves ``g`` finite (see :func:`bvfsm.core.all_finite`), else a
     non-finite ``g`` raises NonFiniteEvaluation.  It tries steps ``s``
     along ``g`` until the objective does not exceed ``cur``; a wall (``inf``)
-    or NaN trial never does.  The first step starts from ``step0``.  Each
-    later one starts from twice the last accepted step ``s_p``, but at most
-    1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is the secant
-    curvature along that step and g_p the gradient it was taken along: the
-    step grows up to the local curvature, not past it into a farther basin.
+    or NaN trial never does.  The first step starts from ``step0``, or from
+    ``fallback`` when one is given and ``step0``'s trial is at the rounding
+    floor.  Each later one starts from twice the last accepted step ``s_p``,
+    but at most 1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is
+    the secant curvature along that step and g_p the gradient it was taken
+    along: the step grows up to the local curvature, not past it into a
+    farther basin.
     A finite rejected trial is followed by the minimizer of the quadratic
     with phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
     [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
@@ -337,8 +352,8 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     only be decided by rounding, so it is not tried.  After ``MAX_HALVINGS``
     failed backtracks the iterate is pinned, and the solve ends too.  An
     accepted trial can be -inf, so an end value that is not finite raises
-    NonFiniteEvaluation.  Returns ``(v, cur, args)`` at the last accepted
-    point.
+    NonFiniteEvaluation.  Returns ``(v, cur, args, first)``: the last
+    accepted point, and the first step accepted (None if none was).
     """
     if cur == math.inf:  # a wall; NaN is not one
         raise BarrierWall(f"{name} starts at a barrier wall")
@@ -346,7 +361,7 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
         raise NonFiniteEvaluation(f"{name} value non-finite")
     value, gradient, step = stage.value, stage.gradient, step0
     vdot, isfinite, ulp = np.vdot, math.isfinite, math.ulp  # bound once: n = 2 steps are dispatch
-    g_prev = None
+    g_prev = first = None
     for _ in range(steps):
         g = gradient(v, args)
         gg = float(vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
@@ -355,12 +370,16 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
         if g_prev is not None:  # twice the last step, at most 1/kappa
             d = abs(gg_prev - float(vdot(g, g_prev)))
             step *= 2.0 if 2.0 * d <= gg_prev else gg_prev / d
+        elif fallback is not None and gg * step <= ulp(cur):  # a first trial at the floor
+            step = fallback
         for _ in range(MAX_HALVINGS + 1):
             if gg * step <= ulp(cur):  # the rounding floor
                 break
             v_new = v - step * g
             trial, trial_args = value(v_new)
             if trial <= cur:
+                if g_prev is None:
+                    first = step
                 v, cur, args, g_prev, gg_prev = v_new, trial, trial_args, g, gg
                 break
             if trial < math.inf:  # finite: minimize the quadratic through the trial
@@ -375,7 +394,7 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
             break
     if not isfinite(cur):
         raise NonFiniteEvaluation(f"{name} value non-finite")
-    return v, cur, args
+    return v, cur, args, first
 
 
 def solve_regularized_ll(
@@ -409,7 +428,7 @@ def solve_regularized_ll(
             raise NonFiniteEvaluation("z-solve value non-finite")
         z = z - cfg.step_z * sum(normals)
         cur, args = stage.value(z)
-    return _descend(stage, z, cur, args, cfg.T_z, cfg.step_z, "z-solve")
+    return _descend(stage, z, cur, args, cfg.T_z, cfg.step_z, "z-solve")[:3]
 
 
 def solve_penalized_inner(
@@ -419,21 +438,26 @@ def solve_penalized_inner(
     sched: ScheduleState,
     cfg: SolverConfig,
     y0: np.ndarray,
-) -> tuple[np.ndarray, list, _Stage]:
+    step0: float | None = None,
+) -> tuple[np.ndarray, list, _Stage, float | None]:
     """At most T_y guarded gradient steps on the stage-frozen penalized objective.
 
     Optimistic mode minimizes F + P-terms + theta/2 |y|^2; pessimistic mode
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
     negated objective).  One evaluation of f, each H and each h at y0 gives
     the stage its frozen shifts (see :meth:`_Stage.penalized`) and the start
-    value.  Returns (y, args, stage): args are the penalty arguments at y,
-    and stage is the objective, its terms holding the frozen shifts.
+    value.  The first trial step is ``step0`` (``step_y`` when None); if
+    that trial is at the rounding floor, the solve tries ``step_y`` instead.
+    Returns (y, args, stage, step1): args are the penalty arguments at y,
+    stage is the objective, its terms holding the frozen shifts, and step1
+    is the first step accepted (None if none was).
     """
     y = np.array(y0, dtype=float)
     raw = [c(x, y) for c in (problem.f, *problem.ul_constraints, *problem.ll_constraints)]
     stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, raw)
-    y, _, args = _descend(stage, y, *stage.value(y, raw), cfg.T_y, cfg.step_y, "y-solve")
-    return y, args, stage
+    y, _, args, step1 = _descend(stage, y, *stage.value(y, raw), cfg.T_y,
+                                 cfg.step_y if step0 is None else step0, "y-solve", cfg.step_y)
+    return y, args, stage, step1
 
 
 def solve_inner(
@@ -443,12 +467,16 @@ def solve_inner(
     cfg: SolverConfig,
     z0: np.ndarray | None = None,
     y0: np.ndarray | None = None,
+    step_y: float | None = None,
 ) -> InnerState:
-    """Run both inner solves for one (k, l) step and bundle the results."""
+    """Run both inner solves for one (k, l) step and bundle the results.
+
+    ``step_y`` is the y-solve's first trial step, ``cfg.step_y`` when None.
+    """
     z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
-    y, args_y, stage = solve_penalized_inner(problem, x, f_star, sched, cfg,
-                                             z if y0 is None else y0)
-    return InnerState(z, f_star, y, args_z, args_y, stage)
+    y, args_y, stage, step1 = solve_penalized_inner(problem, x, f_star, sched, cfg,
+                                                    z if y0 is None else y0, step_y)
+    return InnerState(z, f_star, y, args_z, args_y, stage, step1)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +598,11 @@ def solve(
 ) -> SolveTrace:
     """Run K stages of L projected UL steps with schedule-aware inner solves.
 
-    Warm starts persist z and y across (k, l) steps and across stages.  A
-    stage that meets a barrier wall retries the previous UL step with its
-    move halved, up to ``MAX_HALVINGS`` times.  Returns the full trace; raises
+    Warm starts persist z and y across (k, l) steps and across stages, and
+    each y-solve after the first starts at twice the first step the last
+    solved one accepted, at most ``step_y``.  A stage that meets a barrier
+    wall retries the previous UL step with its move halved, up to
+    ``MAX_HALVINGS`` times.  Returns the full trace; raises
     SolveTimeout past cfg.wall_clock_cap_s and SolveError on any other inner
     failure, both carrying the partial trace.
     """
@@ -585,6 +615,7 @@ def solve(
 
     z_warm = y_init
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
+    step_y = cfg.step_y  # the y-solve's first trial
     x_prev = None  # where the last stage was solved, the origin of the UL step to x
 
     for k in range(cfg.K):
@@ -598,7 +629,8 @@ def solve(
             for i in range(MAX_HALVINGS + 1):
                 x_try = x if i == 0 else x_prev + 0.5 ** i * (x - x_prev)
                 try:
-                    inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm)
+                    inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm,
+                                        step_y=step_y)
                     grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
                     break
                 except (BarrierWall, NonFiniteEvaluation) as exc:
@@ -612,6 +644,8 @@ def solve(
             except NonFiniteEvaluation as exc:
                 raise SolveError("UL iterate non-finite", k, l, trace) from exc
             z_warm, y_warm = inner.z, inner.y
+            if inner.step_y1 is not None:  # twice the first step it accepted, at most step_y
+                step_y = min(cfg.step_y, 2.0 * inner.step_y1)
 
             record(k, l + 1, x, inner.y, float(np.linalg.norm(grad)), sched)
         sched = schedule_step(sched)

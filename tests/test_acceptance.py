@@ -51,9 +51,9 @@ def report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def sin_profile_config(K=3000):
-    sched = ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6))
-    return SolverConfig(K=K, schedule=sched, aux_f=parse_aux("inverse", modified=True))
+def shipped_config(bench, K):
+    """The solver config ``bvfsm run`` gives the benchmark: its own profile at K stages."""
+    return cli.build_solver_config({"bvfsm": {"K": K}}, bench)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def sin_profile_config(K=3000):
 
 def test_A1_optimistic_convergence():
     bench = make_sin_problem(2, 2.0, 2.0)
-    cfg = sin_profile_config(K=3000)
+    cfg = shipped_config(bench, K=3000)
     results = []
     for init in (8.0, 0.0):
         t0 = time.perf_counter()
@@ -119,12 +119,7 @@ def test_A2_dimension_sweep():
 
 def test_A3_constrained_convergence():
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    sched = ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6),
-                          sigma2_h=StaticShift(0.02, decay_pow=0.5))
-    cfg = SolverConfig(K=2000, schedule=sched,
-                       aux_f=parse_aux("quadratic"),
-                       aux_h=parse_aux("inverse", modified=True),
-                       aux_B=parse_aux("inverse"))
+    cfg = shipped_config(bench, K=2000)
     tr = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
     x_err = abs(tr.final.x[0] - (-2.0 / 3.0))
     sums = [rec.x[0] + rec.y for rec in tr.records if rec.y is not None]
@@ -141,8 +136,7 @@ def test_A3_constrained_convergence():
 
 def test_A4_pessimistic_convergence():
     bench = make_pessimistic_sin_problem(2, 2.0, 2.0)
-    sched = ScheduleState(sigma2=StaticShift(1.3, decay_pow=0.5))
-    cfg = SolverConfig(K=2000, schedule=sched, aux_f=parse_aux("inverse", modified=True))
+    cfg = shipped_config(bench, K=2000)
     tr = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
     bv = tr.final.rel_err_F
     base = BaselineConfig(T=100, I=100, ll_step=0.01, alpha=0.01)

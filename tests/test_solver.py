@@ -177,7 +177,7 @@ def test_y_solve_plain_quadratic():
     prob = BilevelProblem(m=1, n=2, F=F, f=f)
     sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
     cfg = SolverConfig(T_y=4000, step_y=0.2, schedule=sched, aux_f=QP)
-    y, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.array([1.0, 1.0]))
+    y, _, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.array([1.0, 1.0]))
     assert np.allclose(y, [0.0, 0.0], atol=1e-3)
 
 
@@ -192,7 +192,7 @@ def test_y_solve_pessimistic_ascent():
     prob = BilevelProblem(m=1, n=2, F=F, f=f, mode=Mode.PESSIMISTIC)
     sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
     cfg = SolverConfig(T_y=4000, step_y=0.2, schedule=sched, aux_f=QP)
-    y, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.zeros(2))
+    y, _, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, np.zeros(2))
     assert np.allclose(y, b, atol=1e-3)
 
 
@@ -276,7 +276,7 @@ def test_descend_pins_after_max_halvings():
     # ulp(0) is the least subnormal, so from cur = 0 no step reaches the
     # rounding floor: a wall that rejects every trial pins the iterate
     stage = _QuadStage(walled=True)
-    v, cur, _ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
+    v, cur, _, _ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
     assert len(stage.trials) == MAX_HALVINGS + 1  # one step's trials, then pinned
     assert np.array_equal(v, np.ones(2)) and cur == 0.0
 
@@ -285,7 +285,7 @@ def test_descend_stops_at_the_rounding_floor():
     # from cur = 1 with |g|^2 = 1, every trial rejected: each backtrack cuts
     # the step by at most 10x, and the first step <= ulp(1) ends the solve
     stage = _ScriptedStage(itertools.repeat(2.0))
-    v, cur, args = _descend(stage, np.zeros(1), 1.0, "args", 3, 1.0, "unused")
+    v, cur, args, _ = _descend(stage, np.zeros(1), 1.0, "args", 3, 1.0, "unused")
     steps = stage.steps()
     assert len(steps) < MAX_HALVINGS + 1
     assert math.ulp(1.0) < steps[-1] <= 10.0 * math.ulp(1.0)
@@ -295,7 +295,7 @@ def test_descend_stops_at_the_rounding_floor():
 def test_descend_returns_accepted_step():
     # |v|^2 from v = 1 along -2: step 1 lands on -1, whose value 1 <= 1 is accepted
     stage = _QuadStage()
-    v, cur, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
+    v, cur, _, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
     assert len(stage.trials) == 1
     assert np.array_equal(v, [-1.0])
     assert cur == 1.0
@@ -307,7 +307,7 @@ def test_descend_backtracks_to_the_line_minimizer_of_a_quadratic():
     # value 6) is rejected; halving would try s = 0.5.
     a = np.array([1.0, 3.0])
     stage, v0 = _QuadStage(a), np.ones(2)
-    v, cur, _ = _descend(stage, v0, 2.0, None, 1, 1.0, "unused")
+    v, cur, _, _ = _descend(stage, v0, 2.0, None, 1, 1.0, "unused")
     g = a * v0
     s_min = float(g @ g) / float(g @ (a * g))
     assert len(stage.trials) == 2
@@ -320,7 +320,7 @@ def test_descend_backtracking_stays_in_a_tenth_to_a_half_of_the_step():
     # from cur = 0 with |g|^2 = 1: a trial 1e6 too high fits a step of 5e-7,
     # clamped to 0.1 s; a trial a denormal too high fits s/2
     stage = _ScriptedStage([1e6, 5e-324, 0.0])
-    v, cur, _ = _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
+    v, cur, _, _ = _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
     steps = stage.steps()
     assert steps[:2] == [1.0, 0.1]
     assert steps[2] == pytest.approx(0.05, rel=1e-12)
@@ -361,7 +361,7 @@ def test_descend_backtracks_from_a_crossed_wall_to_the_barrier_models_minimizer(
     # the next trial; halving would have accepted v = 0.75.
     trials = []
     stage = _barrier_line_stage(4.0, 1.0, InverseBarrier(), trials)
-    v, cur, args = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
+    v, cur, args, _ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
     assert trials[1] == 1.5 and len(trials) == 3
     assert v[0] == trials[2] == pytest.approx(0.5, abs=1e-10)
     assert cur == pytest.approx(-4.0 * 0.5 + 2.0, abs=1e-9) and args == [v[0] - 1.0]
@@ -374,7 +374,7 @@ def test_descend_halves_a_nan_trial_whose_last_argument_crossed_its_wall():
     # whose step would be 1/6 (v = 0.5).
     trials = []
     stage = _barrier_line_stage(4.0, 1.0, InverseBarrier(), trials, nan_past_wall=True)
-    v, _, _ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
+    v, _, _, _ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
     assert math.isnan(stage.value(np.full(1, 1.5))[0])
     assert trials[:3] == [0.0, 1.5, 0.75] and v[0] == 0.75
 
@@ -402,7 +402,7 @@ def test_wall_step_is_inside_the_linearized_wall_where_the_model_is_stationary(k
 def test_descend_does_not_try_a_step_below_the_rounding_floor():
     # |g|^2 = 1e-40 is below ulp(cur = 0.5e-20): no trial is evaluated
     stage = _QuadStage(1e-20)
-    v, cur, args = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
+    v, cur, args, _ = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
     assert stage.trials == []
     assert np.array_equal(v, [1.0]) and cur == 0.5e-20 and args == "args"
 
@@ -423,7 +423,7 @@ def test_descend_evaluates_and_accepts_a_no_op_step_above_the_floor():
 
     stage = Stage(1e-20)
     v0 = np.ones(1)
-    v, cur, args = _descend(stage, v0, 0.0, "args", 1, 1.0, "unused")
+    v, cur, args, _ = _descend(stage, v0, 0.0, "args", 1, 1.0, "unused")
     assert len(stage.trials) == 1 and np.array_equal(stage.trials[0], v0)
     assert np.array_equal(v, v0) and cur == 0.0 and args == "trial args"
 
@@ -432,7 +432,7 @@ def test_descend_evaluates_a_trial_one_ulp_away():
     # a = (-eps, 0) from v = (1, 1): the trial moves the first entry up by one ulp
     eps = np.spacing(1.0)
     stage = _QuadStage(np.array([-eps, 0.0]))
-    v, cur, _ = _descend(stage, np.ones(2), -0.5 * eps, None, 1, 1.0, "unused")
+    v, cur, _, _ = _descend(stage, np.ones(2), -0.5 * eps, None, 1, 1.0, "unused")
     assert len(stage.trials) == 1
     assert np.array_equal(v, [np.nextafter(1.0, 2.0), 1.0])
     assert np.array_equal(v, stage.trials[0]) and cur < -0.5 * eps
@@ -443,6 +443,31 @@ def test_descend_rejects_a_non_finite_first_gradient():
     with pytest.raises(NonFiniteEvaluation, match="bad gradient"):
         _descend(stage, np.ones(1), 0.0, None, 3, 1.0, "bad gradient")
     assert stage.grads == 1 and stage.trials == []
+
+
+def test_descend_reports_the_first_step_it_accepted():
+    # from cur = 0 with |g|^2 = 1: step 1 is rejected and clamped to 0.1,
+    # which is accepted; the next step doubles to 0.2 and is accepted too
+    stage = _ScriptedStage([1e6, 0.0, 0.0])
+    *_, first = _descend(stage, np.zeros(1), 0.0, None, 2, 1.0, "unused")
+    assert stage.steps()[:2] == [1.0, 0.1] and first == 0.1
+    # a solve that accepts no trial reports None
+    assert _descend(_QuadStage(walled=True), np.ones(1), 0.0, None, 1, 0.01, "unused")[3] is None
+
+
+def test_descend_first_trial_at_the_rounding_floor_falls_back():
+    # a/2 |v|^2 from v = 1 (cur = 1, |g|^2 = 4): a first trial of 1e-300 is
+    # under the floor.  Alone it ends the solve untried; with a fallback of
+    # 0.5 the solve tries that step instead, and lands on the minimizer.
+    stage = _QuadStage()
+    v, cur, _, first = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused")
+    assert stage.trials == [] and v[0] == 1.0 and first is None
+    v, cur, _, first = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused", 0.5)
+    assert len(stage.trials) == 1 and v[0] == 0.0 and cur == 0.0 and first == 0.5
+    # above the floor the fallback is not taken: the first trial is step0
+    stage = _QuadStage()
+    *_, first = _descend(stage, np.ones(1), 1.0, None, 1, 0.25, "unused", 0.5)
+    assert first == 0.25 and stage.trials[0][0] == 0.5
 
 
 def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
@@ -464,7 +489,7 @@ def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
     sched = ScheduleState(theta=0.05, sigma1=1.0)
     cfg = SolverConfig(T_y=10, step_y=0.1, schedule=sched, aux_f=QP)
     y0 = np.array([1.0, -2.0])
-    y_end, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
+    y_end, _, _, _ = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0)
     a = d + sched.theta
     y, step, g_prev, want, steps = y0.copy(), cfg.step_y, None, [], []
     for _ in range(cfg.T_y):
@@ -564,7 +589,7 @@ def _state_at(prob, x, sched, cfg, z, f_star, y):
     raw = [c(x, y) for c in (prob.f, *prob.ul_constraints, *prob.ll_constraints)]
     stage = _Stage.penalized(prob, x, sched, cfg, f_star, raw)
     _, args_y = stage.value(y, raw)
-    return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage)
+    return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage, None)
 
 
 def test_ul_gradient_zero_penalty_region():
@@ -803,9 +828,9 @@ def test_golden_solve_inner_solves_end_at_the_rounding_floor(name, monkeypatch):
             self.grads, self.trials = self.grads + 1, 0
             return self.stage.gradient(v, args)
 
-    def probed(stage, v, cur, args, steps, step0, message):
+    def probed(stage, v, cur, args, steps, step0, message, *fallback):
         probe = Probe(stage)
-        out = descend(probe, v, cur, args, steps, step0, message)
+        out = descend(probe, v, cur, args, steps, step0, message, *fallback)
         ends.append((message.endswith("z-solve"), steps, probe.grads, probe.trials))
         return out
 
@@ -818,6 +843,95 @@ def test_golden_solve_inner_solves_end_at_the_rounding_floor(name, monkeypatch):
     for z_solve, steps, grads, trials in ends:
         assert steps == (cfg.T_z if z_solve else cfg.T_y)
         assert grads < steps and trials <= MAX_HALVINGS
+
+
+# ---------------------------------------------------------------------------
+# the y-solve's first trial across stages
+# ---------------------------------------------------------------------------
+
+
+def y_solve_starts(monkeypatch):
+    """A list that gets, for each y-solve run, (first trial, fallback, first step accepted)."""
+    starts, descend = [], solver_module._descend
+
+    def recorded(stage, v, cur, args, steps, step0, name, *fallback):
+        out = descend(stage, v, cur, args, steps, step0, name, *fallback)
+        if name == "y-solve":
+            starts.append((step0, *fallback, out[3]))
+        return out
+
+    monkeypatch.setattr(solver_module, "_descend", recorded)
+    return starts
+
+
+def test_each_later_y_solve_starts_at_twice_the_first_step_the_last_one_accepted(monkeypatch):
+    # sin-con with step_y = 0.5: the first y-solve backtracks to 0.05, so
+    # the second starts at 0.1, not at step_y; every solve falls back to step_y
+    starts = y_solve_starts(monkeypatch)
+    bench = make_constrained_sin_problem(2, 2.0, 1.0)
+    cfg = build_solver_config({"bvfsm": {"K": 3, "step_y": 0.5}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert len(starts) == 3 and starts[0][:2] == (0.5, 0.5)
+    for (_, _, first), (step0, fallback, _) in zip(starts, starts[1:]):
+        assert step0 == min(cfg.step_y, 2.0 * first) and fallback == cfg.step_y
+    assert starts[1][0] == 0.1 < cfg.step_y
+
+
+def test_y_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_y():
+    # a first trial of 1e-300 is under the floor of F = 0.5|y|^2 at y = (1, 1):
+    # the y-solve tries step_y instead, moves y and reports that step
+    f = field(1, 2, lambda x, y: 0.0, lambda x, y: np.zeros(1), lambda x, y: np.zeros(2))
+    F = field(1, 2, lambda x, y: 0.5 * float(y @ y), lambda x, y: np.zeros(1), lambda x, y: y)
+    prob = BilevelProblem(m=1, n=2, F=F, f=f)
+    sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
+    cfg = SolverConfig(T_y=1, step_y=0.5, schedule=sched, aux_f=QP)
+    y0 = np.ones(2)
+    y, _, _, step1 = solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0, 1e-300)
+    assert step1 == cfg.step_y
+    assert np.array_equal(y, y0 - cfg.step_y * (1.0 + sched.theta) * y0)
+
+
+def test_single_step_callers_start_the_y_solve_at_step_y(monkeypatch):
+    # a `bvfsm time` step, A9's, has no last stage: its first trial is step_y
+    starts = y_solve_starts(monkeypatch)
+    from bvfsm import cli
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin:n=2")
+    method = cli._resolve_method(bench, "bvfsm", {"bvfsm": {"step_y": 0.5}})
+    cli._step(bench.problem, method, bench.x0, bench.y0)
+    assert [s[:2] for s in starts] == [(0.5, 0.5)]
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
+def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
+    # In the K = 30 golden solves every y-solve accepts its first trial,
+    # step_y, so twice that step, capped at step_y, is step_y again: the
+    # step memory leaves these traces and their oracle calls as they were.
+    starts = y_solve_starts(monkeypatch)
+    bench = {"sin-opt": make_sin_problem(2),
+             "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
+    cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert starts == [(cfg.step_y, cfg.step_y, cfg.step_y)] * 30
+
+
+def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
+    # The benchmark's sin-con solve (K = 2000), counted in the y-solve only,
+    # the start values included.  Every y-solve starting at step_y took
+    # 16,956 F evaluations for 8,933 gradients: late stages accept steps of
+    # 1e-6 and less, so most first trials were rejected.
+    counts = {"val": 0, "gy": 0}
+    y_solve = solver_module.solve_penalized_inner
+
+    def counted(problem, *args):
+        return y_solve(replace(problem, F=counting_field(problem.F, counts)), *args)
+
+    monkeypatch.setattr(solver_module, "solve_penalized_inner", counted)
+    bench = make_constrained_sin_problem(2, 2.0, 1.0)
+    cfg = build_solver_config({"bvfsm": {"K": 2000}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert counts == {"val": 10143, "gy": 8166}
 
 
 @pytest.mark.parametrize("n", [2, 50])
