@@ -9,6 +9,7 @@ import collections
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from bvfsm import (
     ll_descent,
     make_constrained_sin_problem,
     make_hyperclean_problem,
-    make_pessimistic_sin_problem,
     make_sin_problem,
     neumann_hypergradient,
     parse_aux,
@@ -40,8 +40,10 @@ from bvfsm import (
 )
 from bvfsm.auxfun import schedule_step
 from bvfsm.baselines import bda_hypergradient
-from bvfsm.cli import run_baseline_loop, time_step
+from bvfsm.cli import time_step
 from bvfsm.core import BilevelProblem, ScalarField
+from bvfsm.problems import make_problem
+from bvfsm.solver import start_point
 
 from oracles import fd_of_phi, phi, phi_k, quadratic_field, toy_problem
 
@@ -56,25 +58,38 @@ def shipped_config(bench, K):
     return cli.build_solver_config({"bvfsm": {"K": K}}, bench)
 
 
+def shipped_experiment(name):
+    """The experiment config ``configs/<name>``, read as ``bvfsm`` reads it."""
+    return cli._load_config(Path(__file__).parents[1] / "configs" / name)
+
+
+def run_shipped(bench, mspec, cfg, x0, y0):
+    """The trace of method ``mspec`` of ``cfg``, resolved as ``bvfsm`` resolves
+    it and run on ``bench`` from (x0, y0)."""
+    x0, y0 = start_point(bench.problem, x0, y0)
+    trace, _ = cli._run_method(bench, cli._resolve_method(bench, mspec, cfg), x0, y0, None)
+    return trace
+
+
 # ---------------------------------------------------------------------------
 # A1 optimistic convergence
 # ---------------------------------------------------------------------------
 
 
 def test_A1_optimistic_convergence():
-    bench = make_sin_problem(2, 2.0, 2.0)
-    cfg = shipped_config(bench, K=3000)
+    cfg = shipped_experiment("convergence.json")
+    bench, _ = cli._seeded_problem(cfg["problem"], cfg, None)
     results = []
-    for init in (8.0, 0.0):
+    for x0, y0 in ((cfg["x0"], cfg["y0"]), (0.0, 0.0)):
         t0 = time.perf_counter()
-        tr = solve(bench.problem, cfg, [init], [init, init], reference=bench.reference)
+        tr = run_shipped(bench, "bvfsm", cfg, x0, y0)
         dt = time.perf_counter() - t0
-        results.append((init, tr.final.rel_err_x, tr.final.rel_err_F, dt))
+        results.append((f"x0={x0} y0={y0}", tr.final.rel_err_x, tr.final.rel_err_F, dt))
     ok = all(rx < 0.05 and rF < 0.05 and dt < 60.0 for _, rx, rF, dt in results)
     detail = "; ".join(
-        f"init={i}: rel_x={rx:.4f} rel_F={rF:.4f} {dt:.0f}s" for i, rx, rF, dt in results
+        f"{start}: rel_x={rx:.4f} rel_F={rF:.4f} {dt:.0f}s" for start, rx, rF, dt in results
     )
-    report("A1", ok, detail + " (bars: <0.05, <0.05, <60s; K=3000)")
+    report("A1", ok, f"configs/convergence.json: {detail} (bars: <0.05, <0.05, <60s)")
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +97,33 @@ def test_A1_optimistic_convergence():
 # ---------------------------------------------------------------------------
 
 
+# the methods of README's A2 command, `bvfsm sweep --config configs/dimension_sweep.json`
+A2_METHODS = ["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"]
+
+
 def test_A2_dimension_sweep():
+    cfg = shipped_experiment("dimension_sweep.json")
     t0 = time.perf_counter()
     lines = []
     ok = True
     for n in (50, 100, 200):
-        bench = make_sin_problem(n, 2.0, 2.0)
-        x0 = np.array([8.0])
-        y0 = np.full(n, 8.0)
-        sched = ScheduleState(sigma2=StaticShift(50.0, decay_pow=0.6))
-        cfg = SolverConfig(K=2000, schedule=sched, aux_f=parse_aux("inverse", modified=True))
-        tr = solve(bench.problem, cfg, x0, y0, reference=bench.reference)
+        bench = make_problem("sin", {"n": n})
+        tr = run_shipped(bench, "bvfsm", cfg, cfg["x0"], cfg["y0"])
         bv = tr.final.rel_err_x
         ok = ok and bv <= 0.30
         # the LL gap f(x, y) - f* at the last stage, before the polish; f* = -n
         last_stage = next(r for r in reversed(tr.records) if r.l > 0)
         cells = [f"bvfsm={bv:.3f} (LL gap {last_stage.f_value + n:.1f}, "
                  f"rel_F {tr.final.rel_err_F:.2f})"]
-        base = BaselineConfig(T=100, I=100, Q=20, ll_step=0.01, alpha=0.01,
-                              aggregation=0.5, aggregation_decay=0.95)
-        for method in ("rhg", "bda", "cg", "neumann"):
-            btr, _ = run_baseline_loop(bench, method, replace(base, ul_steps=300), x0, y0)
-            err = btr.final.rel_err_x
+        for mspec in A2_METHODS[1:]:
+            err = run_shipped(bench, mspec, cfg, cfg["x0"], cfg["y0"]).final.rel_err_x
             ok = ok and err > 1.5
-            cells.append(f"{method}={err:.3f}")
+            cells.append(f"{mspec}={err:.3f}")
         lines.append(f"n={n}: " + " ".join(cells))
     dt = time.perf_counter() - t0
     ok = ok and dt < 900.0
-    report("A2", ok, "; ".join(lines) + f" ({dt:.0f}s; bars: bvfsm<=0.30, baselines>1.5, <15min)")
+    report("A2", ok, "configs/dimension_sweep.json: " + "; ".join(lines)
+           + f" ({dt:.0f}s; bars: bvfsm<=0.30, baselines>1.5, <15min)")
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +149,15 @@ def test_A3_constrained_convergence():
 
 
 def test_A4_pessimistic_convergence():
-    bench = make_pessimistic_sin_problem(2, 2.0, 2.0)
-    cfg = shipped_config(bench, K=2000)
-    tr = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
-    bv = tr.final.rel_err_F
-    base = BaselineConfig(T=100, I=100, ll_step=0.01, alpha=0.01)
-    cells = [f"bvfsm={bv:.4f}"]
-    ok = bv < 0.1
-    for method in ("rhg", "bda"):
-        btr, _ = run_baseline_loop(bench, method, replace(base, ul_steps=400),
-                                   bench.x0, bench.y0)
-        err = btr.final.rel_err_F
-        cells.append(f"{method}={err:.3g}")
-        ok = ok and (err > 0.5 or math.isnan(err))
-    report("A4", ok, "; ".join(cells) + " (bars: bvfsm<0.1, baselines>0.5)")
+    cfg = shipped_experiment("pessimistic.json")
+    bench, _ = cli._seeded_problem(cfg["problem"], cfg, None)
+    errs = {mspec: run_shipped(bench, mspec, cfg, cfg["x0"], cfg["y0"]).final.rel_err_F
+            for mspec in cfg["methods"]}
+    bv = errs.pop("bvfsm")
+    ok = bv < 0.1 and all(err > 0.5 or math.isnan(err) for err in errs.values())
+    cells = [f"bvfsm={bv:.4f}"] + [f"{mspec}={err:.3g}" for mspec, err in errs.items()]
+    report("A4", ok, "configs/pessimistic.json: " + "; ".join(cells)
+           + " (bars: bvfsm<0.1, baselines>0.5)")
 
 
 # ---------------------------------------------------------------------------

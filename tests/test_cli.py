@@ -165,32 +165,32 @@ def test_solver_entries_other_than_the_schedule_replace_the_profile():
     assert (scfg.schedule.sigma2.value, scfg.schedule.sigma2.decay_pow) == (5.0, 0.5)
 
 
-SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+# the methods of README's A2 command: a sweep names its methods on the command line
+SWEEP_METHODS = ["bvfsm", "rhg", "bda:0.5", "cg:20", "neumann:20"]
 
 
-def _load_script(path):
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+def _shipped(name):
+    """The shipped config ``configs/<name>``, read as ``bvfsm`` reads it."""
+    return cli._load_config(Path(__file__).parents[1] / "configs" / name)
 
 
 def _shift_profiles():
-    """The schedule section of every shipped solver profile and of the A2 script."""
+    """The schedule section of every shipped solver profile, and the one each
+    shipped config runs over the sin profile."""
     from bvfsm import problems
 
-    root = Path(__file__).parents[1]
-    sweep = _load_script(root / "scripts" / "run_dimension_sweep.py")
-    shipped = json.loads((root / "configs" / "convergence.json").read_text())
+    def run_by(name):
+        user = (_shipped(name).get("bvfsm") or {}).get("schedule", {})
+        return {**problems.SIN_SOLVER_PROFILE["schedule"], **user}
+
     return {
         "sin": problems.SIN_SOLVER_PROFILE.get("schedule", {}),
         "sin-pessimistic": problems.SIN_PESS_SOLVER_PROFILE.get("schedule", {}),
         "sin-constrained": problems.SIN_CON_SOLVER_PROFILE.get("schedule", {}),
         "hyperclean": problems.HYPERCLEAN_SOLVER_PROFILE.get("schedule", {}),
-        "convergence.json": shipped["bvfsm"]["schedule"],
-        "A2": sweep.config()["bvfsm"]["schedule"],
+        "convergence.json": run_by("convergence.json"),
+        "A2": run_by("dimension_sweep.json"),
     }
 
 
@@ -230,18 +230,18 @@ def test_shift_steps_keep_their_bits(section):
     assert {k: getattr(sched, k).value for k in keys} == {k: e[0] for k, e in expected.items()}
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
-def test_script_config_passes_the_key_checks(path):
-    # each experiment script hands config() to a verb; a sweep script names its
-    # methods in METHODS and runs the sin family
-    from bvfsm.cli import _resolve_method, _wall_clock_cap
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+def test_shipped_config_passes_the_key_checks(path):
+    # every file in configs/ passes the checks its verb makes before a run
+    from bvfsm.cli import CONFIG_KEYS, _reject_unknown, _resolve_method, _wall_clock_cap
     from bvfsm.problems import parse_problem
     from bvfsm.solver import start_point
 
-    script = _load_script(path)
-    cfg = script.config()
+    cfg = cli._load_config(path)
+    # a config that names a problem is for `bvfsm run`, one that does not for `bvfsm sweep`
+    verb, methods = ("run", cfg["methods"]) if "problem" in cfg else ("sweep", SWEEP_METHODS)
+    _reject_unknown("config", cfg, CONFIG_KEYS[verb])
     bench = parse_problem(cfg.get("problem", "sin:n=2,a=2,c=2"), 0)
-    methods = cfg["methods"] if "methods" in cfg else script.METHODS
     assert methods
     for mspec in methods:
         _resolve_method(bench, mspec, cfg)
@@ -575,7 +575,6 @@ def _resolved_by_hand():
     config, methods, problem spec, {method: (name, config)})."""
     from bvfsm import BaselineConfig, ScheduleState, SolverConfig, StaticShift, parse_aux
 
-    root = Path(__file__).parents[1]
     inverse_mod = parse_aux("inverse", modified=True)
 
     def shift(value, pow_):
@@ -601,30 +600,20 @@ def _resolved_by_hand():
     }
     cases = {spec: ("run", {}, ["bvfsm"], spec, {"bvfsm": ("bvfsm", want)})
              for spec, want in profiles.items()}
-    shipped = json.loads((root / "configs" / "convergence.json").read_text())
-    cases["convergence.json"] = ("run", shipped, shipped["methods"], shipped["problem"], {
-        "bvfsm": ("bvfsm", SolverConfig(
-            K=3000, L=1, T_z=50, T_y=25, alpha=0.01, step_z=0.01, step_y=0.01,
-            aux_f=inverse_mod, aux_B=parse_aux("inverse"),
-            schedule=ScheduleState(mu=1.0, theta=1.0, sigma1=1.0, decay=0.9900990099009901,
-                                   sigma2=shift(2.0, 0.6)))),
-        **baselines(500, Q=20, ll_step=0.01, alpha=0.01, aggregation=0.5,
-                    aggregation_decay=0.95)})
-    scripts = {p.stem: _load_script(p) for p in SCRIPTS}
-    conv = scripts["run_convergence"].config()
-    cases["run_convergence"] = ("run", conv, conv["methods"], "sin:n=2,a=2,c=2", {
+    conv, sweep, pess_cfg = (_shipped(name) for name in
+                             ("convergence.json", "dimension_sweep.json", "pessimistic.json"))
+    cases["convergence.json"] = ("run", conv, conv["methods"], conv["problem"], {
         "bvfsm": ("bvfsm", sin), **baselines(500, Q=20, aggregation_decay=0.95)})
-    # the sweep script names its methods in METHODS, not in its config
-    sweep = scripts["run_dimension_sweep"]
-    cases["run_dimension_sweep"] = ("sweep", sweep.config(), sweep.METHODS, "sin:n=2,a=2,c=2", {
+    cases["dimension_sweep.json"] = ("sweep", sweep, SWEEP_METHODS, "sin:n=2,a=2,c=2", {
         "bvfsm": ("bvfsm", SolverConfig(K=2000, step_z=0.5, aux_f=inverse_mod,
                                         schedule=ScheduleState(sigma2=shift(50.0, 0.6)))),
         **baselines(300, Q=20, aggregation_decay=0.95)})
-    pess, pess_cfg = baselines(400), scripts["run_pessimistic"].config()
-    cases["run_pessimistic"] = ("run", pess_cfg, pess_cfg["methods"], pess_cfg["problem"], {
+    pess = baselines(400)
+    cases["pessimistic.json"] = ("run", pess_cfg, pess_cfg["methods"], pess_cfg["problem"], {
         "bvfsm": ("bvfsm", profiles["sin-pessimistic:n=2"]),
         "rhg": pess["rhg"], "bda:0.5": pess["bda:0.5"]})
-    assert set(scripts) <= set(cases)
+    # a config added to configs/ without a case here fails
+    assert {p.name for p in CONFIGS} <= set(cases)
     return cases
 
 
@@ -644,21 +633,6 @@ def test_shipped_configs_resolve_to_hand_written_values(verb, cfg, methods, spec
     got = {mspec: _resolve_method(bench, mspec, cfg) for mspec in expected}
     assert repr(got) == repr(expected)
     assert repr(build_solver_config(cfg, bench)) == repr(expected["bvfsm"][1])
-
-
-@pytest.mark.parametrize("name", ["run_convergence", "run_pessimistic"])
-def test_script_hands_its_config_to_run_experiment(name, tmp_path, monkeypatch):
-    script = _load_script(Path(__file__).parents[1] / "scripts" / f"{name}.py")
-    seen = []
-
-    def fake_run_experiment(config, out_dir=None):
-        seen.append(config)
-        return EXIT_OK
-
-    monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
-    monkeypatch.setattr("sys.argv", [name, "--out-dir", str(tmp_path)])
-    script.main()
-    assert seen and all(cfg["problem"] == script.config()["problem"] for cfg in seen)
 
 
 def test_run_experiment_timeout_partial_artifacts(tmp_path):
