@@ -604,6 +604,10 @@ def _resolved_by_hand():
                              ("convergence.json", "dimension_sweep.json", "pessimistic.json"))
     cases["convergence.json"] = ("run", conv, conv["methods"], conv["problem"], {
         "bvfsm": ("bvfsm", sin), **baselines(500, Q=20, aggregation_decay=0.95)})
+    # the A1 run's second start: the copy of convergence.json, from x0 = y0 = 0, that
+    # the README describes; the start point leaves every method's config as it was
+    cases["run_convergence"] = ("run", {**conv, "x0": 0.0, "y0": 0.0},
+                                *cases["convergence.json"][2:])
     cases["dimension_sweep.json"] = ("sweep", sweep, SWEEP_METHODS, "sin:n=2,a=2,c=2", {
         "bvfsm": ("bvfsm", SolverConfig(K=2000, step_z=0.5, aux_f=inverse_mod,
                                         schedule=ScheduleState(sigma2=shift(50.0, 0.6)))),
