@@ -118,7 +118,7 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
         return (float(x[0]) - a) ** 2 + sgn * float(d.dot(d))
 
     def F_gx(x, y):
-        return np.full(1, 2.0 * (float(x[0]) - a))
+        return np.array([2.0 * (float(x[0]) - a)])
 
     def F_gy(x, y):
         return two_sgn * (y - off)
@@ -127,7 +127,7 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
         return float(np.add.reduce(np.sin(float(x[0]) + y - c)))
 
     def f_gx(x, y):
-        return np.full(1, float(np.add.reduce(np.cos(float(x[0]) + y - c))))
+        return np.array([float(np.add.reduce(np.cos(float(x[0]) + y - c)))])
 
     def f_gy(x, y):
         return np.cos(float(x[0]) + y - c)

@@ -32,7 +32,12 @@ solved stage's y-solve accepted, capped at ``step_y``, so a stiff late stage
 does not backtrack down from ``step_y`` again (the initial-step rule of
 Nocedal & Wright, section 3.5).  If that remembered trial is at the
 rounding floor, the y-solve tries ``step_y`` instead, so the memory never
-ends a solve that ``step_y`` would continue.  The solve ends at the
+ends a solve that ``step_y`` would continue.  From the third stage of
+:func:`solve` on, a y-solve may also start elsewhere than the last stage's
+y: the secant prediction 2 y_k - y_(k-1) of the last two solved stages (the
+predictor step of continuation methods, Allgower & Georg, 2003, ch. 2) is
+taken when the stage, frozen at the plain warm start as ever, is no higher
+there.  The prediction never sets a shift.  The solve ends at the
 rounding floor, before any trial whose predicted decrease ``step * |g|^2``
 is at most one ulp of the current value: only rounding could decide it.
 ``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
@@ -439,6 +444,7 @@ def solve_penalized_inner(
     cfg: SolverConfig,
     y0: np.ndarray,
     step0: float | None = None,
+    y_pred: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list, _Stage, float | None]:
     """At most T_y guarded gradient steps on the stage-frozen penalized objective.
 
@@ -448,6 +454,9 @@ def solve_penalized_inner(
     the stage its frozen shifts (see :meth:`_Stage.penalized`) and the start
     value.  The first trial step is ``step0`` (``step_y`` when None); if
     that trial is at the rounding floor, the solve tries ``step_y`` instead.
+    A prediction ``y_pred`` is evaluated on that same stage, and the descent
+    starts there when its value is ``<=`` the value at y0, so never at a wall
+    or at NaN; it moves no shift.
     Returns (y, args, stage, step1): args are the penalty arguments at y,
     stage is the objective, its terms holding the frozen shifts, and step1
     is the first step accepted (None if none was).
@@ -455,7 +464,12 @@ def solve_penalized_inner(
     y = np.array(y0, dtype=float)
     raw = [c(x, y) for c in (problem.f, *problem.ul_constraints, *problem.ll_constraints)]
     stage = _Stage.penalized(problem, x, sched, cfg, f_star_approx, raw)
-    y, _, args, step1 = _descend(stage, y, *stage.value(y, raw), cfg.T_y,
+    cur, args = stage.value(y, raw)
+    if y_pred is not None:  # a wall (+inf) or NaN is never <= a finite start
+        pred, pred_args = stage.value(y_pred)
+        if pred <= cur:
+            y, cur, args = y_pred, pred, pred_args
+    y, _, args, step1 = _descend(stage, y, cur, args, cfg.T_y,
                                  cfg.step_y if step0 is None else step0, "y-solve", cfg.step_y)
     return y, args, stage, step1
 
@@ -468,14 +482,16 @@ def solve_inner(
     z0: np.ndarray | None = None,
     y0: np.ndarray | None = None,
     step_y: float | None = None,
+    y_pred: np.ndarray | None = None,
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results.
 
-    ``step_y`` is the y-solve's first trial step, ``cfg.step_y`` when None.
+    ``step_y`` is the y-solve's first trial step, ``cfg.step_y`` when None,
+    and ``y_pred`` a predicted y-start (see :func:`solve_penalized_inner`).
     """
     z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
     y, args_y, stage, step1 = solve_penalized_inner(problem, x, f_star, sched, cfg,
-                                                    z if y0 is None else y0, step_y)
+                                                    z if y0 is None else y0, step_y, y_pred)
     return InnerState(z, f_star, y, args_z, args_y, stage, step1)
 
 
@@ -600,7 +616,9 @@ def solve(
 
     Warm starts persist z and y across (k, l) steps and across stages, and
     each y-solve after the first starts at twice the first step the last
-    solved one accepted, at most ``step_y``.  A stage that meets a barrier
+    solved one accepted, at most ``step_y``.  From the third y-solve on, it
+    is offered the secant prediction 2 y_k - y_(k-1) of the last two solved
+    y; the polish starts from the last solved y.  A stage that meets a barrier
     wall retries the previous UL step with its move halved, up to
     ``MAX_HALVINGS`` times.  Returns the full trace; raises
     SolveTimeout past cfg.wall_clock_cap_s and SolveError on any other inner
@@ -615,6 +633,7 @@ def solve(
 
     z_warm = y_init
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
+    y_pred = None  # the secant prediction 2 y_k - y_(k-1), once two stages are solved
     step_y = cfg.step_y  # the y-solve's first trial
     x_prev = None  # where the last stage was solved, the origin of the UL step to x
 
@@ -630,7 +649,7 @@ def solve(
                 x_try = x if i == 0 else x_prev + 0.5 ** i * (x - x_prev)
                 try:
                     inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm,
-                                        step_y=step_y)
+                                        step_y=step_y, y_pred=y_pred)
                     grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
                     break
                 except (BarrierWall, NonFiniteEvaluation) as exc:
@@ -643,6 +662,8 @@ def solve(
                 x = project(problem.ul_set, x - cfg.alpha * grad)
             except NonFiniteEvaluation as exc:
                 raise SolveError("UL iterate non-finite", k, l, trace) from exc
+            if y_warm is not None:
+                y_pred = 2.0 * inner.y - y_warm
             z_warm, y_warm = inner.z, inner.y
             if inner.step_y1 is not None:  # twice the first step it accepted, at most step_y
                 step_y = min(cfg.step_y, 2.0 * inner.step_y1)

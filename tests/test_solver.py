@@ -782,14 +782,14 @@ def test_L_steps_per_stage_share_the_stage_schedule():
 # by name, even where it keeps every bit of the trace.
 SOLVE_ORACLE_CALLS = {
     "sin-opt": {
-        ("sin-ul", "val"): 284, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 250,
-        ("sin-ll", "val"): 429, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 395,
+        ("sin-ul", "val"): 301, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 239,
+        ("sin-ll", "val"): 446, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 384,
     },
     "sin-con": {
-        ("sin-ul", "val"): 194, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 162,
-        ("sin-ll", "val"): 351, ("sin-ll", "gy"): 319,
-        ("band[0]", "val"): 319, ("band[0]", "gx"): 30, ("band[0]", "gy"): 319,
-        ("band[1]", "val"): 319, ("band[1]", "gx"): 30, ("band[1]", "gy"): 319,
+        ("sin-ul", "val"): 195, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 134,
+        ("sin-ll", "val"): 352, ("sin-ll", "gy"): 291,
+        ("band[0]", "val"): 320, ("band[0]", "gx"): 30, ("band[0]", "gy"): 291,
+        ("band[1]", "val"): 320, ("band[1]", "gx"): 30, ("band[1]", "gy"): 291,
     },
 }
 
@@ -892,8 +892,9 @@ def test_y_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_y():
 
 
 def test_single_step_callers_start_the_y_solve_at_step_y(monkeypatch):
-    # a `bvfsm time` step, A9's, has no last stage: its first trial is step_y
-    starts = y_solve_starts(monkeypatch)
+    # a `bvfsm time` step, A9's, has no last stage: its first trial is
+    # step_y, and it has no solved stages to predict its start from
+    starts, calls = y_solve_starts(monkeypatch), y_solve_predictions(monkeypatch)
     from bvfsm import cli
     from bvfsm.problems import parse_problem
 
@@ -901,6 +902,7 @@ def test_single_step_callers_start_the_y_solve_at_step_y(monkeypatch):
     method = cli._resolve_method(bench, "bvfsm", {"bvfsm": {"step_y": 0.5}})
     cli._step(bench.problem, method, bench.x0, bench.y0)
     assert [s[:2] for s in starts] == [(0.5, 0.5)]
+    assert [y_pred for _, y_pred, _ in calls] == [None]
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
@@ -916,11 +918,8 @@ def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
     assert starts == [(cfg.step_y, cfg.step_y, cfg.step_y)] * 30
 
 
-def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
-    # The benchmark's sin-con solve (K = 2000), counted in the y-solve only,
-    # the start values included.  Every y-solve starting at step_y took
-    # 16,956 F evaluations for 8,933 gradients: late stages accept steps of
-    # 1e-6 and less, so most first trials were rejected.
+def bench_solve_y_solve_calls(monkeypatch, bench, K):
+    """F's value and y-gradient calls in the y-solves of a K-stage solve, start values included."""
     counts = {"val": 0, "gy": 0}
     y_solve = solver_module.solve_penalized_inner
 
@@ -928,10 +927,138 @@ def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
         return y_solve(replace(problem, F=counting_field(problem.F, counts)), *args)
 
     monkeypatch.setattr(solver_module, "solve_penalized_inner", counted)
-    bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    cfg = build_solver_config({"bvfsm": {"K": 2000}}, bench)
-    solve(bench.problem, cfg, bench.x0, bench.y0)
-    assert counts == {"val": 10143, "gy": 8166}
+    solve(bench.problem, build_solver_config({"bvfsm": {"K": K}}, bench), bench.x0, bench.y0)
+    return counts
+
+
+def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
+    # The benchmark's sin-con solve (K = 2000), counted in the y-solve only,
+    # the start values and the predictions' values included.  Every y-solve
+    # starting at step_y took 16,956 F evaluations for 8,933 gradients: late
+    # stages accept steps of 1e-6 and less, so most first trials were
+    # rejected.  With the step memory and before the secant prediction it
+    # took 10,143 for 8,166.
+    counts = bench_solve_y_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000)
+    assert counts == {"val": 8563, "gy": 5104}
+
+
+def test_sin_opt_bench_solve_y_solve_calls_are_pinned(monkeypatch):
+    # The benchmark's sin-opt solve (K = 3000), counted as above.  Before the
+    # secant prediction it took 19,773 F evaluations for 17,635 gradients.
+    counts = bench_solve_y_solve_calls(monkeypatch, make_sin_problem(2), 3000)
+    assert counts == {"val": 15310, "gy": 10552}
+
+
+# ---------------------------------------------------------------------------
+# the y-solve's start across stages: the secant prediction
+# ---------------------------------------------------------------------------
+
+
+def descend_starts(monkeypatch):
+    """A list that gets, for each y-solve run, its start point and the stage value there."""
+    starts, descend = [], solver_module._descend
+
+    def recorded(stage, v, cur, args, *rest):
+        if rest[2] == "y-solve":
+            starts.append((v.copy(), cur))
+        return descend(stage, v, cur, args, *rest)
+
+    monkeypatch.setattr(solver_module, "_descend", recorded)
+    return starts
+
+
+def _walled_quadratic_problem():
+    """F = 0.5 |y|^2, +inf at y_0 < -5; f = 0."""
+    f = field(1, 2, lambda x, y: 0.0, lambda x, y: np.zeros(1), lambda x, y: np.zeros(2))
+    F = field(1, 2, lambda x, y: math.inf if y[0] < -5.0 else 0.5 * float(y @ y),
+              lambda x, y: np.zeros(1), lambda x, y: y)
+    return BilevelProblem(m=1, n=2, F=F, f=f)
+
+
+@pytest.mark.parametrize("y_pred, taken", [
+    ([0.5, 0.5], True),  # lower than at y0
+    ([1.0, 1.0], True),  # equal: <= takes it
+    ([2.0, 2.0], False),  # higher
+    ([-10.0, 0.0], False),  # F = +inf, a wall
+    ([math.nan, 0.0], False),  # NaN
+])
+def test_y_solve_starts_from_the_prediction_only_where_the_stage_is_no_higher(
+        monkeypatch, y_pred, taken):
+    starts = descend_starts(monkeypatch)
+    prob = _walled_quadratic_problem()
+    sched = ScheduleState(mu=1e-10, theta=1e-12, sigma1=1.0)
+    cfg = SolverConfig(T_y=1, step_y=0.5, schedule=sched, aux_f=QP)
+    y0, y_pred = np.ones(2), np.array(y_pred)
+    solve_penalized_inner(prob, np.zeros(1), 0.0, sched, cfg, y0, None, y_pred)
+    (start, cur), = starts
+    assert np.array_equal(start, y_pred if taken else y0, equal_nan=True)
+    assert math.isfinite(cur)
+
+
+def test_a_prediction_leaves_the_frozen_stage_as_it_is():
+    # The stage is frozen at y0, where f = 2 lies above f*, so f's shift is
+    # padded by that violation; a prediction at F's minimizer in y, where f
+    # is lower, is taken, and it must not move that pad or any other term.
+    bench = make_sin_problem(2)
+    cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
+    prob, sched, x = bench.problem, cfg.schedule, np.array([0.5])
+    for _ in range(300):  # theta = 0.05, so F's pull outweighs theta's
+        sched = schedule_step(sched)
+    f_star = solve_regularized_ll(prob, x, sched, cfg, np.zeros(2))[1]
+    y0 = np.full(2, np.pi / 2 + 2.0 - 0.5)
+    assert prob.f(x, y0) > f_star
+    plain = solve_penalized_inner(prob, x, f_star, sched, cfg, y0)[2]
+    y_pred = np.full(2, 4.0)
+    predicted = solve_penalized_inner(prob, x, f_star, sched, cfg, y0, None, y_pred)[2]
+    assert prob.f(x, y_pred) < prob.f(x, y0)
+    assert predicted.value(y_pred)[0] <= plain.value(y0)[0]
+    assert predicted.terms == plain.terms
+    assert predicted.terms[0][2] == sched.sigma2.value + (prob.f(x, y0) - f_star)
+
+
+def y_solve_predictions(monkeypatch):
+    """A list that gets, for each y-solve run, (y0, y_pred, y it returned)."""
+    calls, y_solve = [], solver_module.solve_penalized_inner
+
+    def recorded(problem, x, f_star, sched, cfg, y0, step0=None, y_pred=None):
+        out = y_solve(problem, x, f_star, sched, cfg, y0, step0, y_pred)
+        calls.append((y0, y_pred, out[0]))
+        return out
+
+    monkeypatch.setattr(solver_module, "solve_penalized_inner", recorded)
+    return calls
+
+
+def test_each_y_solve_from_the_third_on_gets_the_secant_prediction(monkeypatch):
+    # Two solved stages make a secant: the first two y-solves get none, and
+    # the polish, a z-solve, starts from the last solved y.
+    calls = y_solve_predictions(monkeypatch)
+    ll_starts, z_solve = [], solver_module.solve_regularized_ll
+
+    def recorded_ll(problem, x, sched, cfg, z0=None):
+        ll_starts.append(z0)
+        return z_solve(problem, x, sched, cfg, z0)
+
+    monkeypatch.setattr(solver_module, "solve_regularized_ll", recorded_ll)
+    bench = make_sin_problem(2)
+    cfg = build_solver_config({"bvfsm": {"K": 5}}, bench)
+    trace = solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert len(calls) == 5 and calls[0][1] is None and calls[1][1] is None
+    for (_, _, y_a), (_, _, y_b), (y0, y_pred, _) in zip(calls, calls[1:], calls[2:]):
+        assert y0 is y_b and np.array_equal(y_pred, 2.0 * y_b - y_a)
+    assert ll_starts[-1] is calls[-1][2]
+    assert np.array_equal(trace.records[-2].y, calls[-1][2])
+
+
+def test_constrained_sin_n5_from_x0_minus_3_converges():
+    # The second case of the robustness sweep: a late-stage UL-gradient
+    # spike left this run at rel_x 0.319 with the y-step memory alone.
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem("sin-constrained:n=5")
+    trace = solve(bench.problem, build_solver_config({}, bench), -3.0, 0.0,
+                  reference=bench.reference)
+    assert trace.final.rel_err_x < 0.01, f"rel_x {trace.final.rel_err_x:.3g}"
 
 
 @pytest.mark.parametrize("n", [2, 50])
