@@ -10,7 +10,6 @@ from .auxfun import (
     PolynomialPenalty,
     QuadraticPenalty,
     ScheduleState,
-    StaticShift,
     TruncatedLogBarrier,
     parse_aux,
     schedule_step,

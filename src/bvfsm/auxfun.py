@@ -120,7 +120,7 @@ class AuxiliaryFunction:
 
     ``modified=True`` shifts the wall: P(w) = kind.rho(w - shift, sigma).
     Only barrier kinds may be modified.  The solver freezes the shift once per
-    stage from the schedule's sigma2 sequence (see ``solver._Stage.penalized``).
+    stage from the schedule's sigma2 (see ``solver._Stage.penalized``).
     """
 
     kind: Kind = field(default_factory=lambda: TruncatedLogBarrier(1.0))
@@ -174,59 +174,38 @@ def parse_aux(spec, modified: bool = False) -> AuxiliaryFunction:
 
 
 @dataclass(frozen=True)
-class StaticShift:
-    """A modified-barrier shift that is a plain decaying sequence.
-
-    Each :func:`schedule_step` multiplies ``value`` by ``decay ** decay_pow``,
-    with ``decay`` the schedule-wide one.  ``decay_pow`` in (0, 1) makes the
-    shift shrink strictly slower than sigma1, which keeps rho(-shift_k;
-    sigma1_k) -> 0 for every barrier in the catalog (the modified-barrier
-    schedule hypothesis) and bounds the wall stiffness sigma1/shift^2.
-    """
-
-    value: float = 1.0
-    decay_pow: float = field(default=0.5, kw_only=True)
-
-    def __post_init__(self):
-        if not (0.0 < self.value < math.inf and 0.0 < self.decay_pow < 1.0):
-            raise InvalidParameter(f"{self}: value must be positive and finite, decay_pow in (0, 1)")
-
-
-@dataclass(frozen=True)
 class ScheduleState:
     """The decaying parameter tuple (mu_k, theta_k, sigma_k).
 
     All positive parameters shrink geometrically: one :func:`schedule_step`
-    multiplies each by ``decay``.  ``sigma1`` is the one penalty/barrier
-    parameter shared by every term.  ``sigma2`` is the modified-barrier
-    shift sequence; it decays too, at ``decay ** decay_pow`` (see
-    StaticShift).
+    multiplies each by ``decay``, and the shift ``sigma2`` by ``decay **
+    sigma2_pow``.  ``sigma1`` is the one penalty/barrier parameter shared by
+    every term.  ``sigma2`` is the one modified-barrier shift sequence, taken
+    by every modified term (see ``solver._Stage.penalized``).  ``sigma2_pow``
+    in (0, 1) makes it shrink strictly slower than sigma1, which keeps
+    rho(-sigma2_k; sigma1_k) -> 0 for every barrier in the catalog (the
+    modified-barrier schedule hypothesis) and bounds the wall stiffness
+    sigma1/sigma2^2.
     """
 
     mu: float = 1.0
     theta: float = 1.0
     sigma1: float = 1.0
     decay: float = 1.0 / 1.01
-    sigma2: StaticShift = field(default_factory=StaticShift)
-    sigma2_H: StaticShift | None = None  # shift sequence for modified barriers on H
-    sigma2_h: StaticShift | None = None  # shift sequence for modified barriers on h
+    sigma2: float = 1.0
+    sigma2_pow: float = 0.5
 
     def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.mu, self.theta, self.sigma1)):
+        if not all(0.0 < v < math.inf for v in (self.mu, self.theta, self.sigma1, self.sigma2)):
             raise InvalidParameter("schedule parameters must be positive and finite")
         if not (0.0 < self.decay <= 1.0):
             raise InvalidParameter("decay must lie in (0, 1]")
+        if not (0.0 < self.sigma2_pow < 1.0):
+            raise InvalidParameter(f"sigma2_pow must lie in (0, 1), got {self.sigma2_pow}")
 
 
 def schedule_step(sched: ScheduleState) -> ScheduleState:
     """Advance one outer stage: every decaying parameter multiplied down."""
-    d = sched.decay
-
-    def step_shift(sh: StaticShift | None) -> StaticShift | None:
-        return None if sh is None else StaticShift(sh.value * d**sh.decay_pow,
-                                                   decay_pow=sh.decay_pow)
-
+    d, p = sched.decay, sched.sigma2_pow
     return ScheduleState(mu=sched.mu * d, theta=sched.theta * d, sigma1=sched.sigma1 * d,
-                         decay=d, sigma2=step_shift(sched.sigma2),
-                         sigma2_H=step_shift(sched.sigma2_H),
-                         sigma2_h=step_shift(sched.sigma2_h))
+                         decay=d, sigma2=sched.sigma2 * d**p, sigma2_pow=p)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, solver
-from .auxfun import ScheduleState, StaticShift, parse_aux
+from .auxfun import ScheduleState, parse_aux
 from .baselines import METHODS, BaselineConfig, hypergradient_step, parse_method
 from .core import InvalidParameter, NonFiniteEvaluation, project, validate_gradients
 from .core import _number, _read_text, _reject_unknown, _section
@@ -118,23 +118,19 @@ def _seeded_problem(spec: str, cfg: dict, override: int | None):
     return bench, drawn
 
 
-def _shift_reader(section: str):
-    return lambda d: StaticShift(**_section(section, d, StaticShift, nested=True))
-
-
 def build_schedule(d: dict) -> ScheduleState:
-    """A ScheduleState; a missing or null key takes its default, a sigma2* entry is a StaticShift."""
-    shifts = {key: _shift_reader(f"schedule.{key}") for key in ("sigma2", "sigma2_H", "sigma2_h")}
-    return ScheduleState(**_section("schedule", d or {}, ScheduleState, shifts, nested=True))
+    """A ScheduleState; a missing or null key takes its default."""
+    return ScheduleState(**_section("schedule", d or {}, ScheduleState, nested=True))
 
 
 def build_solver_config(cfg: dict, bench: BenchmarkProblem) -> SolverConfig:
     """Merge user settings over the benchmark's suggested solver profile.
 
-    The ``schedule`` merges key by key; every other key, a shift or an
-    auxiliary-function entry included, replaces the profile's value whole.  A
-    key missing from both takes the SolverConfig default; an unknown key in
-    the ``bvfsm`` section or its ``schedule`` raises InvalidParameter.
+    The ``schedule`` merges key by key, so a ``sigma2`` set alone keeps the
+    profile's ``sigma2_pow``; every other key, an auxiliary-function entry
+    included, replaces the profile's value whole.  A key missing from both
+    takes the SolverConfig default; an unknown key in the ``bvfsm`` section
+    or its ``schedule`` raises InvalidParameter.
     """
     profile, user = bench.suggested_solver, cfg.get("bvfsm") or {}
     d = {**profile, **user}

@@ -153,13 +153,13 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
 SIN_SOLVER_PROFILE = {
     "step_z": 0.5,
     "aux_f": {"name": "inverse", "modified": True},
-    "schedule": {"sigma2": {"value": 2.0, "decay_pow": 0.6}},
+    "schedule": {"sigma2": 2.0, "sigma2_pow": 0.6},
 }
 
 SIN_PESS_SOLVER_PROFILE = {
     "step_z": 0.5,
     "aux_f": {"name": "inverse", "modified": True},
-    "schedule": {"sigma2": {"value": 1.3, "decay_pow": 0.5}},
+    "schedule": {"sigma2": 1.3, "sigma2_pow": 0.5},
     "K": 2000,
 }
 
@@ -170,10 +170,7 @@ SIN_CON_SOLVER_PROFILE = {
     "aux_f": "quadratic",
     "aux_h": {"name": "inverse", "modified": True},
     "aux_B": "inverse",
-    "schedule": {
-        "sigma2": {"value": 2.0, "decay_pow": 0.6},
-        "sigma2_h": {"value": 0.02, "decay_pow": 0.5},
-    },
+    "schedule": {"sigma2": 0.02, "sigma2_pow": 0.5},
     "K": 2000,
 }
 

@@ -12,9 +12,8 @@ from the InnerState that only :func:`solve_inner` builds.
 The UL gradient comes from one signed chain rule, :func:`ul_gradient_for`:
 the penalty terms enter with the sign of the inner problem, so optimistic,
 pessimistic and constrained problems share a single formula.
-Modified-barrier shifts are decided here only, by one rule in
-:meth:`_Stage.penalized`: frozen per stage and padded just enough to keep the
-incoming iterate strictly inside the wall.  The y-solve and the z-solve share
+Modified-barrier shifts are decided here only, by the one rule that
+:meth:`_Stage.penalized` states.  The y-solve and the z-solve share
 one guarded loop, :func:`_descend`, which checks both solves' start and end
 values and names the solve in every error.  A step that would increase the
 frozen stage objective backtracks to the minimizer of a model of its line,
@@ -25,21 +24,11 @@ argument, taken linear along the line (:meth:`_Stage.wall_step`).  A NaN
 trial, or an infinite one with no walled argument, halves the step.  At most
 ``MAX_HALVINGS`` backtracks follow each start.  Within a solve, each start
 after the first is twice the last accepted step, capped at the inverse
-secant curvature along it.  A z-solve's first start is ``step_z``.  A
-y-solve's is ``step_y`` in a single step and in the first stage of
-:func:`solve`; in each later stage it is twice the first step that the last
-solved stage's y-solve accepted, capped at ``step_y``, so a stiff late stage
-does not backtrack down from ``step_y`` again (the initial-step rule of
-Nocedal & Wright, section 3.5).  If that remembered trial is at the
-rounding floor, the y-solve tries ``step_y`` instead, so the memory never
-ends a solve that ``step_y`` would continue.  From the third stage of
-:func:`solve` on, a y-solve may also start elsewhere than the last stage's
-y: the secant prediction 2 y_k - y_(k-1) of the last two solved stages (the
-predictor step of continuation methods, Allgower & Georg, 2003, ch. 2) is
-taken when the stage, frozen at the plain warm start as ever, is no higher
-there.  The prediction never sets a shift.  The solve ends at the
-rounding floor, before any trial whose predicted decrease ``step * |g|^2``
-is at most one ulp of the current value: only rounding could decide it.
+secant curvature along it.  A z-solve's first start is ``step_z``; where a
+y-solve starts, and with what first trial, is the rule :func:`solve`
+states.  A solve ends at the rounding floor, before any trial whose
+predicted decrease ``step * |g|^2`` is at most one ulp of the current
+value: only rounding could decide it.
 ``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
 loop: a z-solve that starts outside a wall steps along every walled
 constraint's normal until it is back inside, and a stage that still meets a
@@ -107,11 +96,9 @@ class SolverConfig:
 
     Defaults follow the reference benchmark settings: alpha = step_z = step_y
     = 0.01, T_z = 50, T_y = 25, L = 1, geometric schedule decay 1/1.01.
-    ``step_z`` is the first trial step of every z-solve.  ``step_y`` is that
-    of the first y-solve of a solve and of a single step, and it caps the
-    first trial of every later y-solve, which starts from the last stage's
-    first accepted step.  ``T_z`` and ``T_y`` cap the number of steps of an
-    inner solve.
+    ``step_z`` is the first trial step of every z-solve, and ``step_y`` the
+    y-solve's, within the rule :func:`solve` states.  ``T_z`` and ``T_y``
+    cap the number of steps of an inner solve.
     """
 
     K: int = 3000
@@ -145,7 +132,8 @@ class SolverConfig:
 class InnerState:
     """One stage's inner solves, built by :func:`solve_inner` only: with z, f*
     and y, the penalty arguments at each, the y-solve's stage itself and the
-    first step the y-solve accepted (None if it accepted none)."""
+    first step the y-solve accepted (None if it accepted none), which
+    :func:`solve` remembers."""
 
     z: np.ndarray
     f_star_approx: float
@@ -229,19 +217,18 @@ class _Stage:
         """The y-stage, its shifts frozen from ``raw``: f, each H and each h at
         the incoming y.
 
-        A modified term's shift is its sequence's value, padded by the
-        incoming violation ``max(0, raw - base)``, so the stage starts inside
-        its wall and outer x-moves never strand the iterate outside.  The
-        sequence is sigma2 for f and sigma2_H or sigma2_h (else sigma2) for a
-        constraint.  An unmodified term is not shifted.
+        A modified term's shift, whether on f, an H or an h, is the schedule's
+        ``sigma2``, padded by the incoming violation ``max(0, raw - base)``, so
+        the stage starts inside its wall and outer x-moves never strand the
+        iterate outside.  An unmodified term is not shifted.
         """
         sigma2 = sched.sigma2
-        specs = [(problem.f, f_star, cfg.aux_f, sigma2)]
-        specs += [(H, 0.0, cfg.aux_H, sched.sigma2_H or sigma2) for H in problem.ul_constraints]
-        specs += [(h, 0.0, cfg.aux_h, sched.sigma2_h or sigma2) for h in problem.ll_constraints]
-        terms = tuple((c, base, seq.value + max(0.0, w0 - base) if aux.modified else 0.0,
+        specs = [(problem.f, f_star, cfg.aux_f)]
+        specs += [(H, 0.0, cfg.aux_H) for H in problem.ul_constraints]
+        specs += [(h, 0.0, cfg.aux_h) for h in problem.ll_constraints]
+        terms = tuple((c, base, sigma2 + max(0.0, w0 - base) if aux.modified else 0.0,
                        aux.kind.rho, aux.kind.drho)
-                      for (c, base, aux, seq), w0 in zip(specs, raw))
+                      for (c, base, aux), w0 in zip(specs, raw))
         return cls(x, problem.mode is Mode.PESSIMISTIC, problem.F, sched.theta, sched.sigma1,
                    terms, True)
 
@@ -341,11 +328,11 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     along ``g`` until the objective does not exceed ``cur``; a wall (``inf``)
     or NaN trial never does.  The first step starts from ``step0``, or from
     ``fallback`` when one is given and ``step0``'s trial is at the rounding
-    floor.  Each later one starts from twice the last accepted step ``s_p``,
-    but at most 1/kappa, where kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is
-    the secant curvature along that step and g_p the gradient it was taken
-    along: the step grows up to the local curvature, not past it into a
-    farther basin.
+    floor (the y-solve's, as :func:`solve` states).  Each later one starts
+    from twice the last accepted step ``s_p``, but at most 1/kappa, where
+    kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is the secant curvature along
+    that step and g_p the gradient it was taken along: the step grows up to
+    the local curvature, not past it into a farther basin.
     A finite rejected trial is followed by the minimizer of the quadratic
     with phi(0) = cur, phi'(0) = -|g|^2 and phi(s) = trial, clamped to
     [0.1 s, 0.5 s] (safeguarded quadratic backtracking, Nocedal & Wright
@@ -452,11 +439,10 @@ def solve_penalized_inner(
     ascends F - P-terms - theta/2 |y|^2 (implemented as descent on the
     negated objective).  One evaluation of f, each H and each h at y0 gives
     the stage its frozen shifts (see :meth:`_Stage.penalized`) and the start
-    value.  The first trial step is ``step0`` (``step_y`` when None); if
-    that trial is at the rounding floor, the solve tries ``step_y`` instead.
-    A prediction ``y_pred`` is evaluated on that same stage, and the descent
-    starts there when its value is ``<=`` the value at y0, so never at a wall
-    or at NaN; it moves no shift.
+    value.  ``step0`` (``step_y`` when None) and a prediction ``y_pred`` are
+    the start of :func:`solve`'s rule.  ``y_pred`` is evaluated on that same
+    stage, and the descent starts there when its value is ``<=`` the value at
+    y0, so never at a wall or at NaN.
     Returns (y, args, stage, step1): args are the penalty arguments at y,
     stage is the objective, its terms holding the frozen shifts, and step1
     is the first step accepted (None if none was).
@@ -486,8 +472,8 @@ def solve_inner(
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results.
 
-    ``step_y`` is the y-solve's first trial step, ``cfg.step_y`` when None,
-    and ``y_pred`` a predicted y-start (see :func:`solve_penalized_inner`).
+    ``step_y`` and ``y_pred`` are the y-solve's ``step0`` and ``y_pred``
+    (see :func:`solve_penalized_inner`).
     """
     z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
     y, args_y, stage, step1 = solve_penalized_inner(problem, x, f_star, sched, cfg,
@@ -614,12 +600,21 @@ def solve(
 ) -> SolveTrace:
     """Run K stages of L projected UL steps with schedule-aware inner solves.
 
-    Warm starts persist z and y across (k, l) steps and across stages, and
-    each y-solve after the first starts at twice the first step the last
-    solved one accepted, at most ``step_y``.  From the third y-solve on, it
-    is offered the secant prediction 2 y_k - y_(k-1) of the last two solved
-    y; the polish starts from the last solved y.  A stage that meets a barrier
-    wall retries the previous UL step with its move halved, up to
+    Warm starts persist z and y across (k, l) steps and across stages.  The
+    y-solve's start is stated here once.  Its first trial is ``step_y`` in the
+    first stage, as in a single step.  In each later stage it is twice the
+    first step that the last solved stage's y-solve accepted, capped at
+    ``step_y``, so a stiff late stage does not backtrack down from ``step_y``
+    again (the initial-step rule of Nocedal & Wright, section 3.5).  If that
+    remembered trial is at the rounding floor, the y-solve tries ``step_y``
+    instead, so the memory never ends a solve that ``step_y`` would continue.
+    From the third stage on, a y-solve may also start elsewhere than the last
+    stage's y: the secant prediction 2 y_k - y_(k-1) of the last two solved
+    stages (the predictor step of continuation methods, Allgower & Georg,
+    2003, ch. 2) is taken when the stage, frozen at the plain warm start as
+    ever, is no higher there, so the prediction never sets a shift.  The
+    polish starts from the last solved y.  A stage that meets a barrier wall
+    retries the previous UL step with its move halved, up to
     ``MAX_HALVINGS`` times.  Returns the full trace; raises
     SolveTimeout past cfg.wall_clock_cap_s and SolveError on any other inner
     failure, both carrying the partial trace.

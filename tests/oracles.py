@@ -66,16 +66,14 @@ def phi(problem, x, y_grid=(-20.0, 20.0, 2001), ll_tol=1e-3):
 def unpadded_shifts(problem, cfg, sched):
     """The shift of every term of phi_k, in order f, each H, each h.
 
-    A modified term takes its sequence's value, unpadded: sigma2 for f,
-    sigma2_H or sigma2_h (else sigma2) for a constraint.  An unmodified term
+    A modified term takes the schedule's sigma2, unpadded; an unmodified term
     takes 0.
     """
-    def shift(aux, sigma2):
-        return (sigma2 or sched.sigma2).value if aux.modified else 0.0
+    def shift(aux):
+        return sched.sigma2 if aux.modified else 0.0
 
-    return ([shift(cfg.aux_f, sched.sigma2)]
-            + [shift(cfg.aux_H, sched.sigma2_H)] * len(problem.ul_constraints)
-            + [shift(cfg.aux_h, sched.sigma2_h)] * len(problem.ll_constraints))
+    return ([shift(cfg.aux_f)] + [shift(cfg.aux_H)] * len(problem.ul_constraints)
+            + [shift(cfg.aux_h)] * len(problem.ll_constraints))
 
 
 def phi_k(problem, x, cfg, sched=None, y_grid=(-8.0, 8.0, 4001), rounds=4):
@@ -162,6 +160,18 @@ def fixed_step_descent(grad, y0, steps, step):
 def fd_of_phi(phi, x_scalar, eps=1e-5):
     """Central difference of a scalar-argument value function."""
     return (phi(x_scalar + eps) - phi(x_scalar - eps)) / (2.0 * eps)
+
+
+def worst_fd_error(problem, cfg, xs, ul_gradient):
+    """The worst relative error, over the points ``xs`` of an m = n = 1
+    problem, of ``ul_gradient(x)`` against the central difference of
+    :func:`phi_k` under ``cfg``, relative to max(|difference|, 1e-8).
+    ``ul_gradient`` is the gradient under test, at x = [xv]."""
+    worst = 0.0
+    for xv in xs:
+        num = fd_of_phi(lambda v: phi_k(problem, [v], cfg), xv)
+        worst = max(worst, abs(ul_gradient(np.array([xv]))[0] - num) / max(abs(num), 1e-8))
+    return worst
 
 
 def quadratic_field(m: int, n: int, A: np.ndarray, name: str = "") -> ScalarField:

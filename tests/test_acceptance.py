@@ -23,7 +23,6 @@ from bvfsm import (
     QuadraticPenalty,
     ScheduleState,
     SolverConfig,
-    StaticShift,
     TruncatedLogBarrier,
     cg_hypergradient,
     ll_descent,
@@ -45,7 +44,7 @@ from bvfsm.core import BilevelProblem, ScalarField
 from bvfsm.problems import make_problem
 from bvfsm.solver import start_point
 
-from oracles import fd_of_phi, phi, phi_k, quadratic_field, toy_problem
+from oracles import phi, phi_k, quadratic_field, toy_problem, worst_fd_error
 
 
 def report(name, ok, detail):
@@ -174,13 +173,8 @@ def test_A5_gradient_fidelity():
         prob = toy_problem(pess)
         cfg = SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                            schedule=sched, aux_f=qp)
-        worst = 0.0
-        for xv in np.linspace(-1.5, 2.5, 21):
-            x = np.array([xv])
-            inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
-            g = ul_gradient_for(prob, x, inner, sched, cfg)
-            num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
-            worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
+        worst = worst_fd_error(prob, cfg, np.linspace(-1.5, 2.5, 21), lambda x: ul_gradient_for(
+            prob, x, solve_inner(prob, x, sched, cfg, z0=np.zeros(1)), sched, cfg))
         label = "pessimistic" if pess else "optimistic"
         lines.append(f"{label}: worst rel err {worst:.2e} over 21 probes")
         ok = ok and worst <= 1e-3
@@ -190,19 +184,12 @@ def test_A5_gradient_fidelity():
     prob = bench.problem
     invb = AuxiliaryFunction(InverseBarrier())
     inv_mod = AuxiliaryFunction(InverseBarrier(), modified=True)
-    csched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1,
-                           sigma2=StaticShift(0.5), sigma2_h=StaticShift(0.3))
+    csched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1, sigma2=0.3)
     ccfg = SolverConfig(T_z=3000, step_z=0.2, T_y=6000, step_y=0.05,
                         schedule=csched, aux_f=inv_mod, aux_h=inv_mod, aux_B=invb)
-
-    worst = 0.0
-    for xv in np.linspace(-0.3, 0.3, 21):
-        x = np.array([xv])
-        y_feas = np.array([0.4 - xv])
-        inner = solve_inner(prob, x, csched, ccfg, z0=y_feas, y0=y_feas)
-        g = ul_gradient_for(prob, x, inner, csched, ccfg)
-        num = fd_of_phi(lambda v: phi_k(prob, [v], ccfg), xv, eps=1e-5)
-        worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
+    # each probe starts both inner solves at y = 0.4 - x, strictly inside the band
+    worst = worst_fd_error(prob, ccfg, np.linspace(-0.3, 0.3, 21), lambda x: ul_gradient_for(
+        prob, x, solve_inner(prob, x, csched, ccfg, z0=0.4 - x, y0=0.4 - x), csched, ccfg))
     lines.append(f"constrained: worst rel err {worst:.2e} over 21 probes")
     ok = ok and worst <= 1e-3
     report("A5", ok, "; ".join(lines) + " (bar: <=1e-3)")
@@ -223,14 +210,14 @@ def test_A6_auxiliary_function_laws():
         AuxiliaryFunction(TruncatedLogBarrier(1.0), modified=True),
     ]
     checks = []
-    sched0 = ScheduleState(decay=0.97, sigma2=StaticShift(1.0, decay_pow=0.5))
+    sched0 = ScheduleState(decay=0.97, sigma2=1.0, sigma2_pow=0.5)
     scheds = [sched0]
     for _ in range(200):
         scheds.append(schedule_step(scheds[-1]))
     for aux in members:
         name = type(aux.kind).__name__ + ("+mod" if aux.modified else "")
         rho, drho = aux.kind.rho, aux.kind.drho
-        sh0 = sched0.sigma2.value if aux.modified else 0.0  # static shift, applied by hand
+        sh0 = sched0.sigma2 if aux.modified else 0.0  # static shift, applied by hand
         # nonnegativity on the guaranteed region; monotonicity in omega
         lo = -0.999 if isinstance(aux.kind, TruncatedLogBarrier) and not aux.modified else -6.0
         ws = np.linspace(lo, 3.0, 97)
@@ -253,7 +240,7 @@ def test_A6_auxiliary_function_laws():
             rel = abs(num - ana) / max(abs(ana), 1e-12)
             dok = dok and (rel <= 1e-6 or abs(num - ana) <= 1e-12)
         # limit behavior along the 200-step schedule
-        sh = [s.sigma2.value if aux.modified else 0.0 for s in scheds]
+        sh = [s.sigma2 if aux.modified else 0.0 for s in scheds]
         feas = [abs(rho(-0.5 - h, s.sigma1)) for h, s in zip(sh, scheds)]
         shrink = feas[0] == 0.0 or feas[-1] <= 1e-2 * feas[0]
         grow = True

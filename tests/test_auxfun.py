@@ -12,7 +12,6 @@ from bvfsm import (
     PolynomialPenalty,
     QuadraticPenalty,
     ScheduleState,
-    StaticShift,
     TruncatedLogBarrier,
     parse_aux,
     schedule_step,
@@ -22,7 +21,7 @@ from bvfsm import (
 
 def shift(aux, sched):
     """The wall shift of a modified member, applied by hand."""
-    return sched.sigma2.value if aux.modified else 0.0
+    return sched.sigma2 if aux.modified else 0.0
 
 
 def test_quadratic_penalty_values():
@@ -154,35 +153,27 @@ def test_schedule_rejects_nonpositive():
         ScheduleState(mu=0.0)
 
 
-@pytest.mark.parametrize("kwargs", [dict(value=0.0), dict(value=-5.0), dict(value=math.inf),
-                                    dict(value=math.nan), dict(decay_pow=0.0),
-                                    dict(decay_pow=1.0), dict(decay_pow=-1.0),
-                                    dict(decay_pow=math.nan)],
+@pytest.mark.parametrize("kwargs", [dict(sigma2=0.0), dict(sigma2=-5.0), dict(sigma2=math.inf),
+                                    dict(sigma2=math.nan), dict(sigma2_pow=0.0),
+                                    dict(sigma2_pow=1.0), dict(sigma2_pow=-1.0),
+                                    dict(sigma2_pow=math.nan)],
                          ids=["value-0", "value-neg", "value-inf", "value-nan",
                               "pow-0", "pow-1", "pow-neg", "pow-nan"])
 def test_static_shift_rejects_values_outside_its_domain(kwargs):
     with pytest.raises(InvalidParameter):
-        StaticShift(**kwargs)
-
-
-def test_static_shift_decay_pow_is_keyword_only():
-    # an absolute per-stage factor passed positionally fails instead of
-    # being read as a power
-    with pytest.raises(TypeError):
-        StaticShift(2.0, 0.99)
-    assert StaticShift(2.0, decay_pow=0.6).decay_pow == 0.6
+        ScheduleState(**kwargs)
 
 
 @pytest.mark.parametrize("decay", [1 / 1.01, 0.97, 0.95, 0.9, 1.0])
 def test_default_shift_steps_by_sqrt_decay(decay):
-    sched = schedule_step(ScheduleState(decay=decay, sigma2=StaticShift(2.0)))
-    assert sched.sigma2.value == 2.0 * math.sqrt(decay)
-    assert schedule_step(sched).sigma2.value == 2.0 * math.sqrt(decay) * math.sqrt(decay)
+    sched = schedule_step(ScheduleState(decay=decay, sigma2=2.0))
+    assert sched.sigma2 == 2.0 * math.sqrt(decay)
+    assert schedule_step(sched).sigma2 == 2.0 * math.sqrt(decay) * math.sqrt(decay)
 
 
 def test_static_shift_moves_wall():
     aux = AuxiliaryFunction(InverseBarrier(), modified=True)
-    sched = ScheduleState(sigma2=StaticShift(2.0))
+    sched = ScheduleState(sigma2=2.0)
     assert aux.kind.rho(1.0 - shift(aux, sched), sched.sigma1) == pytest.approx(1.0)  # -1/(1-2)
     assert aux.kind.rho(2.0 - shift(aux, sched), sched.sigma1) == math.inf
 
@@ -248,7 +239,7 @@ def test_deriv_matches_finite_difference(aux):
 
 
 def _schedule_sequence(aux, steps=200):
-    sched = ScheduleState(decay=0.97, sigma2=StaticShift(1.0, decay_pow=0.5))
+    sched = ScheduleState(decay=0.97, sigma2=1.0, sigma2_pow=0.5)
     out = [sched]
     for _ in range(steps):
         sched = schedule_step(sched)

@@ -22,7 +22,7 @@ FAST_BVFSM = {
     "K": 40,
     "T_z": 10,
     "T_y": 10,
-    "schedule": {"sigma2": {"value": 2.0, "decay_pow": 0.6}},
+    "schedule": {"sigma2": 2.0, "sigma2_pow": 0.6},
     "aux_f": {"name": "inverse", "modified": True},
 }
 FAST_BASELINE = {"T": 10, "I": 10, "Q": 5, "ul_steps": 15}
@@ -153,16 +153,16 @@ def test_default_schedule_values_keep_the_profile(spec):
 
 def test_solver_entries_other_than_the_schedule_replace_the_profile():
     # merging sin's {"name": "inverse", "modified": true} with {"name": "quadratic"}
-    # would make an invalid modified quadratic; the entry replaces it whole
+    # would make an invalid modified quadratic; the entry replaces it whole,
+    # while the schedule merges: sigma2 set alone keeps the profile's sigma2_pow
     from bvfsm import parse_aux
     from bvfsm.cli import build_solver_config
     from bvfsm.problems import parse_problem
 
-    cfg = {"bvfsm": {"aux_f": {"name": "quadratic"},
-                     "schedule": {"sigma2": {"value": 5.0}}}}
+    cfg = {"bvfsm": {"aux_f": {"name": "quadratic"}, "schedule": {"sigma2": 5.0}}}
     scfg = build_solver_config(cfg, parse_problem("sin:n=2"))
     assert scfg.aux_f == parse_aux("quadratic")
-    assert (scfg.schedule.sigma2.value, scfg.schedule.sigma2.decay_pow) == (5.0, 0.5)
+    assert (scfg.schedule.sigma2, scfg.schedule.sigma2_pow) == (5.0, 0.6)
 
 
 CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
@@ -209,25 +209,19 @@ SHIFT_PROFILES = _shift_profiles()
 
 @pytest.mark.parametrize("section", SHIFT_PROFILES.values(), ids=list(SHIFT_PROFILES))
 def test_shift_steps_keep_their_bits(section):
-    # each stage multiplies a shift by decay ** decay_pow, bit for bit the factor
-    # computed once up front; an entry without decay_pow steps by sqrt(decay)
+    # each stage multiplies the shift by decay ** sigma2_pow, bit for bit the
+    # factor computed once up front; a section without sigma2_pow steps by sqrt(decay)
     from bvfsm.auxfun import schedule_step
     from bvfsm.cli import build_schedule
 
     sched = build_schedule(section)
-    d = sched.decay
-    keys = [k for k in ("sigma2", "sigma2_H", "sigma2_h") if getattr(sched, k) is not None]
-    expected = {}
-    for key in keys:
-        entry = section.get(key) or {}
-        pow_ = entry.get("decay_pow")
-        expected[key] = [float(entry.get("value", 1.0)),
-                         d ** float(pow_) if pow_ is not None else math.sqrt(d)]
+    d, pow_ = sched.decay, section.get("sigma2_pow")
+    value = float(section.get("sigma2", 1.0))
+    factor = d ** float(pow_) if pow_ is not None else math.sqrt(d)
     for _ in range(3000):
         sched = schedule_step(sched)
-        for e in expected.values():
-            e[0] *= e[1]
-    assert {k: getattr(sched, k).value for k in keys} == {k: e[0] for k, e in expected.items()}
+        value *= factor
+    assert sched.sigma2 == value
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
@@ -315,9 +309,9 @@ def _bvfsm(**entries) -> dict:
     return {"bvfsm": {**FAST_BVFSM, **entries}}
 
 
-def _shift(entry) -> dict:
-    """A ``bvfsm`` section whose schedule sets ``sigma2`` to ``entry``."""
-    return _bvfsm(schedule={"sigma2": entry})
+def _shift(**entries) -> dict:
+    """A ``bvfsm`` section whose schedule sets ``entries``."""
+    return _bvfsm(schedule=entries)
 
 
 def _baseline(method, **entries) -> dict:
@@ -333,8 +327,7 @@ def _non_finite_sin(family, key, value):
             f"got a={got['a']}, c=[{got['c']}, {got['c']}]")
 
 
-SHIFT_FORM = "value must be positive and finite, decay_pow in (0, 1)"
-SHIFT_KEYS = "known: ['decay_pow', 'value']"
+SCHEDULE_KEYS = "known: ['decay', 'mu', 'sigma1', 'sigma2', 'sigma2_pow', 'theta']"
 SEEDED_SPEC = "hyperclean:seed=3,n_train=8,n_val=6,dim=2"
 TOP_KEYS = {  # the top-level keys each verb reads
     "run": "known: ['baseline', 'bvfsm', 'methods', 'out_dir', 'problem', 'seed', "
@@ -352,8 +345,8 @@ CONFIG_PROBES = {
                      "bvfsm: alpha must be a number, got '0.5'"),
     "schedule-mu": ("run", _bvfsm(schedule={"mu": True}), None, [],
                     "bvfsm: schedule.mu must be a number, got True"),
-    "shift-value": ("run", _shift({"value": True}), None, [],
-                    "bvfsm: schedule.sigma2.value must be a number, got True"),
+    "shift-value": ("run", _shift(sigma2=True), None, [],
+                    "bvfsm: schedule.sigma2 must be a number, got True"),
     "cap-bool": ("run", {"wall_clock_cap_s": True}, None, [],
                  "wall_clock_cap_s must be a number, got True"),
     "ll_step-bool": ("run", {"methods": ["rhg"], "baseline": {"ll_step": True}}, None, [],
@@ -409,8 +402,7 @@ CONFIG_PROBES = {
                   "bvfsm: unknown bvfsm keys ['T_Y', 'stepy']; known: ['K', 'L', 'T_y', 'T_z', "
                   "'alpha', 'aux_B', 'aux_H', 'aux_f', 'aux_h', 'schedule', 'step_y', 'step_z']"),
     "schedule-key": ("run", _bvfsm(schedule={"sigma_1": 9}), None, [],
-                     "bvfsm: unknown schedule keys ['sigma_1']; known: ['decay', 'mu', "
-                     "'sigma1', 'sigma2', 'sigma2_H', 'sigma2_h', 'theta']"),
+                     f"bvfsm: unknown schedule keys ['sigma_1']; {SCHEDULE_KEYS}"),
     "ul_steps-string": ("run", {"methods": ["rhg"], "baseline": {"ul_steps": "x"}}, None, [],
                         "baseline: ul_steps must be an integer, got 'x'"),
     "sweep-cap-string": ("sweep", {"wall_clock_cap_s": "abc"}, None, [],
@@ -446,29 +438,33 @@ NON_INTEGRAL = {f"{method}-{section}-{key}-{value}": (
         ("bvfsm", "bvfsm", "K", 2.5), ("bvfsm", "bvfsm", "K", True),
         ("bvfsm", "bvfsm", "T_z", "10"), ("cg", "baseline", "ul_steps", 2.9),
         ("cg", "baseline", "Q", True), ("cg", "baseline", "T", 50.5)]}
-# a shift is a static decaying sequence, for the value-function term and
-# constraints alike: a shift entry has no "rule" key
-DYNAMIC_SHIFTS = {key: ("run", {"problem": "sin-constrained:n=2,a=2,c=1",
-                                **_bvfsm(schedule={key: {"rule": "dynamic"}})}, None, [],
-                        f"bvfsm: unknown schedule.{key} keys ['rule']; {SHIFT_KEYS}")
-                  for key in ("sigma2", "sigma2_H", "sigma2_h")}
-SHIFT_TYPOS = {f"entry{i}": ("run", _shift(entry), None, [],
-                             f"bvfsm: unknown schedule.sigma2 keys [{key!r}]; {SHIFT_KEYS}")
-               for i, (entry, key) in enumerate([({"rule": "dynamc"}, "rule"),
-                                                 ({"valu": 5}, "valu"),
-                                                 ({"rule": "dynamic", "value": 5}, "rule")])}
+# the shift is one static decaying sequence, two numbers of the schedule, taken
+# by the value-function term and constraints alike: no nested shift entry, no
+# "rule" and no shift of its own for a constraint
+DYNAMIC_SHIFTS = {
+    "sigma2": ("run", {"problem": "sin-constrained:n=2,a=2,c=1",
+                       **_shift(sigma2={"rule": "dynamic"})}, None, [],
+               "bvfsm: schedule.sigma2 must be a number, got {'rule': 'dynamic'}"),
+    **{key: ("run", {"problem": "sin-constrained:n=2,a=2,c=1", **_shift(**{key: 0.5})}, None, [],
+             f"bvfsm: unknown schedule keys [{key!r}]; {SCHEDULE_KEYS}")
+       for key in ("sigma2_H", "sigma2_h")},
+}
+SHIFT_TYPOS = {f"entry{i}": ("run", _shift(**{key: 5}), None, [],
+                             f"bvfsm: unknown schedule keys [{key!r}]; {SCHEDULE_KEYS}")
+               for i, key in enumerate(["sigma_2", "sigma2pow", "decay_pow"])}
+SCHEDULE_FORM = "bvfsm: schedule parameters must be positive and finite"
 SHIFTS_OUTSIDE_THE_FORM = {
-    "rule-key": ("run", _shift({"rule": "static"}), None, [],
-                 f"bvfsm: unknown schedule.sigma2 keys ['rule']; {SHIFT_KEYS}"),
-    "bare-number": ("run", _shift(2.0), None, [],
-                    "bvfsm: schedule.sigma2 must be an object, got 2.0"),
-    **{name: ("run", _shift(entry), None, [], f"bvfsm: StaticShift({shown}): {SHIFT_FORM}")
-       for name, entry, shown in [
-           ("negative", {"value": -5, "decay_pow": -1}, "value=-5.0, decay_pow=-1.0"),
-           ("zero-value", {"value": 0}, "value=0.0, decay_pow=0.5"),
-           ("inf-value", {"value": math.inf}, "value=inf, decay_pow=0.5"),
-           ("pow-0", {"decay_pow": 0}, "value=1.0, decay_pow=0.0"),
-           ("pow-1", {"decay_pow": 1}, "value=1.0, decay_pow=1.0")]},
+    "rule-key": ("run", _shift(sigma2={"rule": "static"}), None, [],
+                 "bvfsm: schedule.sigma2 must be a number, got {'rule': 'static'}"),
+    "nested-object": ("run", _shift(sigma2={"value": 2.0, "decay_pow": 0.6}), None, [],
+                      "bvfsm: schedule.sigma2 must be a number, got "
+                      "{'value': 2.0, 'decay_pow': 0.6}"),
+    "negative": ("run", _shift(sigma2=-5, sigma2_pow=-1), None, [], SCHEDULE_FORM),
+    "zero-value": ("run", _shift(sigma2=0), None, [], SCHEDULE_FORM),
+    "inf-value": ("run", _shift(sigma2=math.inf), None, [], SCHEDULE_FORM),
+    **{f"pow-{pow_}": ("run", _shift(sigma2_pow=pow_), None, [],
+                       f"bvfsm: sigma2_pow must lie in (0, 1), got {float(pow_)}")
+       for pow_ in (0, 1)},
 }
 # json writes NaN and Infinity, and reads them back as floats
 NON_FINITE_START = {name: ("run", {"problem": "sin-constrained:n=2", "y0": y0}, None, [],
@@ -573,12 +569,9 @@ def test_csv_cells_are_plain_numbers(tmp_path):
 def _resolved_by_hand():
     """Every shipped config with each of its methods resolved by hand: (verb,
     config, methods, problem spec, {method: (name, config)})."""
-    from bvfsm import BaselineConfig, ScheduleState, SolverConfig, StaticShift, parse_aux
+    from bvfsm import BaselineConfig, ScheduleState, SolverConfig, parse_aux
 
     inverse_mod = parse_aux("inverse", modified=True)
-
-    def shift(value, pow_):
-        return StaticShift(value, decay_pow=pow_)
 
     def baselines(ul_steps, **fields):
         """rhg, bda:0.5, cg:20 and neumann:20 over BaselineConfig(T=100, I=100, **fields)."""
@@ -588,14 +581,14 @@ def _resolved_by_hand():
                                 ("cg:20", {"Q": 20}), ("neumann:20", {"Q": 20})]}
 
     sin = SolverConfig(step_z=0.5, aux_f=inverse_mod,
-                       schedule=ScheduleState(sigma2=shift(2.0, 0.6)))
+                       schedule=ScheduleState(sigma2=2.0, sigma2_pow=0.6))
     profiles = {
         "sin:n=2": sin,
         "sin-pessimistic:n=2": SolverConfig(K=2000, step_z=0.5, aux_f=inverse_mod,
-                                            schedule=ScheduleState(sigma2=shift(1.3, 0.5))),
+                                            schedule=ScheduleState(sigma2=1.3, sigma2_pow=0.5)),
         "sin-constrained:n=2": SolverConfig(
             K=2000, aux_f=parse_aux("quadratic"), aux_h=inverse_mod, aux_B=parse_aux("inverse"),
-            schedule=ScheduleState(sigma2=shift(2.0, 0.6), sigma2_h=shift(0.02, 0.5))),
+            schedule=ScheduleState(sigma2=0.02, sigma2_pow=0.5)),
         "hyperclean:n_train=8,n_val=6,dim=2": SolverConfig(K=400, aux_f=parse_aux("quadratic")),
     }
     cases = {spec: ("run", {}, ["bvfsm"], spec, {"bvfsm": ("bvfsm", want)})
@@ -610,7 +603,7 @@ def _resolved_by_hand():
                                 *cases["convergence.json"][2:])
     cases["dimension_sweep.json"] = ("sweep", sweep, SWEEP_METHODS, "sin:n=2,a=2,c=2", {
         "bvfsm": ("bvfsm", SolverConfig(K=2000, step_z=0.5, aux_f=inverse_mod,
-                                        schedule=ScheduleState(sigma2=shift(50.0, 0.6)))),
+                                        schedule=ScheduleState(sigma2=50.0, sigma2_pow=0.6))),
         **baselines(300, Q=20, aggregation_decay=0.95)})
     pess = baselines(400)
     cases["pessimistic.json"] = ("run", pess_cfg, pess_cfg["methods"], pess_cfg["problem"], {
@@ -848,15 +841,15 @@ def test_main_validate_checks_the_data_of_its_seed(monkeypatch, capsys, argv, en
     assert {probe_seed for _, probe_seed in checked} == {seed}
 
 
-@pytest.mark.parametrize("entry", [None, {}, {"value": None, "decay_pow": None}],
+@pytest.mark.parametrize("section", [{"sigma2": None}, {}, {"sigma2": None, "sigma2_pow": None}],
                          ids=["null", "empty", "null-keys"])
-def test_shift_entry_null_takes_the_default(entry):
-    from bvfsm import StaticShift
+def test_shift_entry_null_takes_the_default(section):
+    from bvfsm import ScheduleState
     from bvfsm.cli import build_schedule
 
-    sched = build_schedule({"sigma2": entry, "sigma2_h": entry})
-    assert sched.sigma2 == StaticShift()
-    assert sched.sigma2_h == (None if entry is None else StaticShift())
+    sched = build_schedule(section)
+    assert (sched.sigma2, sched.sigma2_pow) == (1.0, 0.5)
+    assert sched == ScheduleState()
 
 
 def test_baseline_loop_stops_when_the_ll_gradient_turns_non_finite():

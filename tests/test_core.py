@@ -22,7 +22,7 @@ from bvfsm import (
     solve_regularized_ll,
     validate_gradients,
 )
-from bvfsm.auxfun import PolynomialPenalty, ScheduleState, StaticShift, TruncatedLogBarrier
+from bvfsm.auxfun import PolynomialPenalty, ScheduleState, TruncatedLogBarrier
 from bvfsm.baselines import BaselineConfig, parse_method
 from bvfsm.cli import build_solver_config
 from bvfsm.core import _kinds, all_finite
@@ -286,7 +286,7 @@ def test_validate_gradients_constant_field():
 # _kinds: the parameter kinds of a typed reader's target, read once
 # ---------------------------------------------------------------------------
 
-KIND_TARGETS = [SolverConfig, ScheduleState, StaticShift, BaselineConfig, PolynomialPenalty,
+KIND_TARGETS = [SolverConfig, ScheduleState, BaselineConfig, PolynomialPenalty,
                 TruncatedLogBarrier, *PROBLEM_FAMILIES.values()]
 
 
@@ -320,14 +320,14 @@ def test_repeated_typed_readers_read_each_signature_once(monkeypatch):
     _kinds.cache_clear()
     bench = make_problem("sin-constrained", {"n": 2})
     cfg = {"bvfsm": {"K": 3, "aux_f": "polynomial:3", "aux_B": "truncated-log:0.5",
-                     "schedule": {"mu": 0.5, "sigma2": {"value": 2.0, "decay_pow": 0.6}}}}
+                     "schedule": {"mu": 0.5, "sigma2": 2.0, "sigma2_pow": 0.6}}}
     for _ in range(5):
         parse_method("cg:20", BaselineConfig())
         parse_method("trhg:5")
         make_problem("sin", {"n": 2, "a": 2.0})
         make_problem("sin-constrained", {"n": 2, "c": 1})
         build_solver_config(cfg, bench)
-    targets = [SolverConfig, ScheduleState, StaticShift, BaselineConfig, PolynomialPenalty,
+    targets = [SolverConfig, ScheduleState, BaselineConfig, PolynomialPenalty,
                TruncatedLogBarrier, PROBLEM_FAMILIES["sin"], PROBLEM_FAMILIES["sin-constrained"]]
     assert {t: reads[t] for t in targets} == dict.fromkeys(targets, 1)
     assert _kinds.cache_info().misses == len(targets)

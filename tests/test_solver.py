@@ -18,7 +18,6 @@ from bvfsm import (
     ScalarField,
     ScheduleState,
     SolverConfig,
-    StaticShift,
     TruncatedLogBarrier,
     make_constrained_sin_problem,
     make_sin_problem,
@@ -35,7 +34,7 @@ from bvfsm.cli import build_solver_config
 from bvfsm.problems import SIN_SOLVER_PROFILE
 from bvfsm.solver import MAX_HALVINGS, InnerState, _descend, _Stage
 
-from oracles import fd_of_phi, fixed_step_descent, grid_min, phi_k, toy_problem, tracking_problem
+from oracles import fixed_step_descent, grid_min, toy_problem, tracking_problem, worst_fd_error
 
 QP = AuxiliaryFunction(QuadraticPenalty())
 INV_MOD = AuxiliaryFunction(InverseBarrier(), modified=True)
@@ -222,19 +221,6 @@ def test_y_solve_sin_against_grid_oracle():
     # cushion (~0.22 here), so only a coarse bound is meaningful
     y_star = np.array([4.23746, 4.23746])
     assert np.all(np.abs(inner.y - y_star) <= 0.25)
-
-
-def counting_field(fld, counts):
-    """``fld`` with its value and y-gradient calls tallied in ``counts``."""
-    def fn(x, y):
-        counts["val"] += 1
-        return fld.fn(x, y)
-
-    def gy(x, y):
-        counts["gy"] += 1
-        return fld.grad_y(x, y)
-
-    return ScalarField(m=fld.m, n=fld.n, fn=fn, grad_x=fld.grad_x, grad_y=gy, name=fld.name)
 
 
 class _QuadStage:
@@ -515,17 +501,17 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     # 1.18 per gradient.  T_y caps the steps, not the gradients, so the exact
     # counts are pinned rather than a ratio to T_y.
     bench = make_sin_problem(2, 2.0, 2.0)
-    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6)),
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=2.0, sigma2_pow=0.6),
                        aux_f=parse_aux("inverse", modified=True))
     sched = cfg.schedule
     for _ in range(2000):
         sched = schedule_step(sched)
-    counts = {"val": 0, "gy": 0}
-    prob = replace(bench.problem, F=counting_field(bench.problem.F, counts))
+    calls = collections.Counter()
+    prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     x, y0 = bench.reference.x_star, bench.reference.y_star
     _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert counts == {"val": 14, "gy": 11}
+    assert calls == {("sin-ul", "val"): 14, ("sin-ul", "gy"): 11}
 
 
 def test_a9_step_y_solve_stops_at_the_rounding_floor():
@@ -540,12 +526,13 @@ def test_a9_step_y_solve_stops_at_the_rounding_floor():
 
     bench = parse_problem("sin:n=1000,a=2,c=2,m=1")
     cfg = build_solver_config({}, bench)
-    counts = {"val": 0, "gy": 0}
-    prob = replace(bench.problem, F=counting_field(bench.problem.F, counts))
+    calls = collections.Counter()
+    prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     x, y0 = np.full(1, 8.0), np.zeros(1000)
     _, f_star, _ = solve_regularized_ll(prob, x, cfg.schedule, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, cfg.schedule, cfg, y0)
-    assert counts["gy"] <= 5 and counts["val"] <= 7  # the start value included
+    # the start value included
+    assert calls["sin-ul", "gy"] <= 5 and calls["sin-ul", "val"] <= 7
 
 
 def test_late_stage_constrained_sin_evaluations_per_gradient():
@@ -560,8 +547,7 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     from bvfsm import make_constrained_sin_problem
 
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    cfg = SolverConfig(schedule=ScheduleState(sigma2=StaticShift(2.0, decay_pow=0.6),
-                                              sigma2_h=StaticShift(0.02, decay_pow=0.5)),
+    cfg = SolverConfig(schedule=ScheduleState(sigma2=0.02, sigma2_pow=0.5),
                        aux_f=parse_aux("quadratic"),
                        aux_h=parse_aux("inverse", modified=True),
                        aux_B=parse_aux("inverse"))
@@ -569,14 +555,13 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     for _ in range(2000):
         sched = schedule_step(sched)
     x, y0 = bench.reference.x_star, bench.reference.y_star + 0.05
-    z_counts = {"val": 0, "gy": 0}
-    prob = replace(bench.problem, f=counting_field(bench.problem.f, z_counts))
+    calls = collections.Counter()
+    prob = replace(bench.problem, f=counting(bench.problem.f, calls))
     _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
-    y_counts = {"val": 0, "gy": 0}
-    prob = replace(bench.problem, F=counting_field(bench.problem.F, y_counts))
+    prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
-    assert z_counts == {"val": 16, "gy": 11}
-    assert y_counts == {"val": 13, "gy": 6}
+    assert calls == {("sin-ll", "val"): 16, ("sin-ll", "gy"): 11,  # the z-solve
+                     ("sin-ul", "val"): 13, ("sin-ul", "gy"): 6}  # the y-solve
 
 
 # ---------------------------------------------------------------------------
@@ -665,18 +650,16 @@ def _accurate_cfg(sched, aux_f, **kw):
 
 def test_gradient_fidelity_modified_barrier_static_shift():
     prob = toy_problem()
-    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1, sigma2=StaticShift(0.5))
+    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1, sigma2=0.5)
     cfg = _accurate_cfg(sched, INV_MOD)
 
-    worst = 0.0
-    for xv in np.linspace(-1.0, 2.0, 21):
-        x = np.array([xv])
+    def gradient(x):
         inner = solve_inner(prob, x, sched, cfg, z0=np.zeros(1))
         shift_f = inner.stage.terms[0][2]
         assert shift_f == pytest.approx(0.5)  # no safeguard pad when feasible
-        g = ul_gradient_for(prob, x, inner, sched, cfg)
-        num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
-        worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
+        return ul_gradient_for(prob, x, inner, sched, cfg)
+
+    worst = worst_fd_error(prob, cfg, np.linspace(-1.0, 2.0, 21), gradient)
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
 
@@ -691,18 +674,10 @@ def test_gradient_fidelity_constrained_interior(mode):
     prob = replace(bench.problem, mode=mode)
     invb = AuxiliaryFunction(InverseBarrier())
     inv_mod = AuxiliaryFunction(InverseBarrier(), modified=True)
-    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1,
-                          sigma2=StaticShift(0.5), sigma2_h=StaticShift(0.3))
+    sched = ScheduleState(mu=0.1, theta=0.1, sigma1=0.1, sigma2=0.3)
     cfg = _accurate_cfg(sched, inv_mod, aux_h=inv_mod, aux_B=invb)
-
-    worst = 0.0
-    for xv in np.linspace(-0.3, 0.3, 5):
-        x = np.array([xv])
-        y_feas = np.array([0.4 - xv])
-        inner = solve_inner(prob, x, sched, cfg, z0=y_feas, y0=y_feas)
-        g = ul_gradient_for(prob, x, inner, sched, cfg)
-        num = fd_of_phi(lambda v: phi_k(prob, [v], cfg), xv, eps=1e-5)
-        worst = max(worst, abs(g[0] - num) / max(abs(num), 1e-8))
+    worst = worst_fd_error(prob, cfg, np.linspace(-0.3, 0.3, 5), lambda x: ul_gradient_for(
+        prob, x, solve_inner(prob, x, sched, cfg, z0=0.4 - x, y0=0.4 - x), sched, cfg))
     assert worst <= 1e-3, f"worst rel err {worst:.2e}"
 
 
@@ -919,16 +894,16 @@ def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
 
 
 def bench_solve_y_solve_calls(monkeypatch, bench, K):
-    """F's value and y-gradient calls in the y-solves of a K-stage solve, start values included."""
-    counts = {"val": 0, "gy": 0}
+    """F's calls in the y-solves of a K-stage solve, start values included."""
+    calls = collections.Counter()
     y_solve = solver_module.solve_penalized_inner
 
     def counted(problem, *args):
-        return y_solve(replace(problem, F=counting_field(problem.F, counts)), *args)
+        return y_solve(replace(problem, F=counting(problem.F, calls)), *args)
 
     monkeypatch.setattr(solver_module, "solve_penalized_inner", counted)
     solve(bench.problem, build_solver_config({"bvfsm": {"K": K}}, bench), bench.x0, bench.y0)
-    return counts
+    return calls
 
 
 def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
@@ -939,14 +914,14 @@ def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # rejected.  With the step memory and before the secant prediction it
     # took 10,143 for 8,166.
     counts = bench_solve_y_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000)
-    assert counts == {"val": 8563, "gy": 5104}
+    assert counts == {("sin-ul", "val"): 8563, ("sin-ul", "gy"): 5104}
 
 
 def test_sin_opt_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # The benchmark's sin-opt solve (K = 3000), counted as above.  Before the
     # secant prediction it took 19,773 F evaluations for 17,635 gradients.
     counts = bench_solve_y_solve_calls(monkeypatch, make_sin_problem(2), 3000)
-    assert counts == {"val": 15310, "gy": 10552}
+    assert counts == {("sin-ul", "val"): 15310, ("sin-ul", "gy"): 10552}
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +988,7 @@ def test_a_prediction_leaves_the_frozen_stage_as_it_is():
     assert prob.f(x, y_pred) < prob.f(x, y0)
     assert predicted.value(y_pred)[0] <= plain.value(y0)[0]
     assert predicted.terms == plain.terms
-    assert predicted.terms[0][2] == sched.sigma2.value + (prob.f(x, y0) - f_star)
+    assert predicted.terms[0][2] == sched.sigma2 + (prob.f(x, y0) - f_star)
 
 
 def y_solve_predictions(monkeypatch):
