@@ -94,17 +94,20 @@ def _default_aux_B() -> AuxiliaryFunction:
 class SolverConfig:
     """Iteration budgets, step sizes, schedule seed and auxiliary functions.
 
-    Defaults follow the reference benchmark settings: alpha = step_z = step_y
-    = 0.01, T_z = 50, T_y = 25, L = 1, geometric schedule decay 1/1.01.
-    ``step_z`` is the first trial step of every z-solve, and ``step_y`` the
-    y-solve's, within the rule :func:`solve` states.  ``T_z`` and ``T_y``
-    cap the number of steps of an inner solve.
+    Defaults: alpha = step_z = step_y = 0.01, T_z = T_y = 50, L = 1,
+    geometric schedule decay 1/1.01.  ``step_z`` is the first trial step of
+    every z-solve, and ``step_y`` the y-solve's, within the rule
+    :func:`solve` states.  ``T_z`` and ``T_y`` cap the number of steps of an
+    inner solve.  At T_y = 25 the stiff late y-solves of sin-constrained at
+    n >= 10 were cut off unconverged, and the solve ended at a wrong x with
+    no error; at 50 every inner solve of the shipped profiles ends at its
+    rounding floor.
     """
 
     K: int = 3000
     L: int = 1
     T_z: int = 50
-    T_y: int = 25
+    T_y: int = 50
     alpha: float = 0.01
     step_z: float = 0.01
     step_y: float = 0.01

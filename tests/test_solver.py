@@ -1036,6 +1036,20 @@ def test_constrained_sin_n5_from_x0_minus_3_converges():
     assert trace.final.rel_err_x < 0.01, f"rel_x {trace.final.rel_err_x:.3g}"
 
 
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_constrained_sin_from_x0_8_converges(n):
+    # The sweep's far start.  With T_y = 25 the stiff late y-solves at
+    # n = 10 and 20 were cut off unconverged and the solve ended at
+    # rel_x 0.147 and 0.057 with no error; n = 5 is the case a z-step
+    # memory sent to rel_x 0.303 at that cap.
+    from bvfsm.problems import parse_problem
+
+    bench = parse_problem(f"sin-constrained:n={n}")
+    trace = solve(bench.problem, build_solver_config({}, bench), 8.0, 0.0,
+                  reference=bench.reference)
+    assert trace.final.rel_err_x < 0.01, f"rel_x {trace.final.rel_err_x:.3g}"
+
+
 @pytest.mark.parametrize("n", [2, 50])
 @pytest.mark.parametrize("mu", [1e-3, 1e-9])
 def test_z_solve_from_random_starts_ends_where_a_long_small_step_descent_does(n, mu):

@@ -116,7 +116,7 @@ GOLDEN = {
     "pessimistic-sin": "a648a3e7e68dfdcf4d9f27cf823cd383b10763508515196e523b6bfb1984843a",
     "polynomial": "f0555296bd64f0fb9dd06f64ecf121bb2c3b11aa810d7a21fbed5fa771224fc3",
     "truncated-log": "e89138a9d4fba2e2063c405734ca6bc1d417728289a745af8bc2f6d1893e7550",
-    "ul-constraint": "8b530cf6cf122f8e39255f948a61ea59e22befb4334fcca2e2984bf9991ee7d3",
+    "ul-constraint": "1828b54f077329c65f2b7f7fdd1ab18513fc94143ba983e420b1696cc402bbb0",
     "ul-constraint-quadratic": "830f1febceece80affe29e9bb21de90fea7284c59b0c02b0207fc166d92f580c",
     "wall-recovery": "bb909806a05104e8bdf8d4831b7aeff49db209e7016a3e11267787d5409c1844",
 }
