@@ -552,7 +552,11 @@ def _recorder(problem, reference: Reference | None, trace: SolveTrace, t0: float
 
     def record(k, l, x, y, grad_norm=nan, sched=None) -> TraceRecord:
         F_val, f_val = F(x, y), f(x, y)
-        rel_x = nan if x_star is None else float(np.linalg.norm(x - x_star)) / x_scale
+        if x_star is None:
+            rel_x = nan
+        else:
+            d = x - x_star
+            rel_x = math.sqrt(float(d.dot(d))) / x_scale
         rel_F = nan if F_star is None else abs(F_val - F_star) / F_scale
         mu, theta, sigma1 = (nan,) * 3 if sched is None else (sched.mu, sched.theta, sched.sigma1)
         rec = TraceRecord(k, l, x.copy(), F_val, f_val, grad_norm, rel_x, rel_F,
@@ -666,7 +670,7 @@ def solve(
             if inner.step_y1 is not None:  # twice the first step it accepted, at most step_y
                 step_y = min(cfg.step_y, 2.0 * inner.step_y1)
 
-            record(k, l + 1, x, inner.y, float(np.linalg.norm(grad)), sched)
+            record(k, l + 1, x, inner.y, math.sqrt(float(grad.dot(grad))), sched)
         sched = schedule_step(sched)
 
     # Feasibility polish: penalty/barrier iterates end a vanishing distance on
