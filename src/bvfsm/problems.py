@@ -148,8 +148,10 @@ def _sin_fields(n: int, a: float, c: np.ndarray, pessimistic: bool, constrained:
 
 # |f''| <= 1 for f = sum_i sin(x + y_i - c_i), so the regularized LL
 # f + mu/2 |y|^2 has curvature at most L = 1 + mu <= 2 while mu <= 1: every
-# profile whose LL is this field starts its z-solve at the gradient step
-# 1/L = 1/2, not 0.01.
+# profile whose LL is this field starts its first z-solve at the gradient
+# step 1/L = 1/2, not 0.01.  Each later z-solve of a solve starts at the step
+# the last one measured (about 1 late in a solve, where the curvature near
+# the minimizer is about 1), and falls back to 1/2 at the rounding floor.
 SIN_SOLVER_PROFILE = {
     "step_z": 0.5,
     "aux_f": {"name": "inverse", "modified": True},
@@ -163,9 +165,10 @@ SIN_PESS_SOLVER_PROFILE = {
     "K": 2000,
 }
 
-# The constrained z-solve keeps step_z = 0.01: its aux_B barrier on the LL
-# constraint has unbounded curvature near the wall, so the sin field's L
-# does not bound it.
+# The constrained z-solve keeps step_z = 0.01 for its first z-solve and as
+# the rounding-floor fallback: its aux_B barrier on the LL constraint has
+# unbounded curvature near the wall, so the sin field's L does not bound it.
+# Each later z-solve starts at the step the last one measured.
 SIN_CON_SOLVER_PROFILE = {
     "aux_f": "quadratic",
     "aux_h": {"name": "inverse", "modified": True},

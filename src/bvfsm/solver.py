@@ -24,11 +24,12 @@ argument, taken linear along the line (:meth:`_Stage.wall_step`).  A NaN
 trial, or an infinite one with no walled argument, halves the step.  At most
 ``MAX_HALVINGS`` backtracks follow each start.  Within a solve, each start
 after the first is twice the last accepted step, capped at the inverse
-secant curvature along it.  A z-solve's first start is ``step_z``; where a
-y-solve starts, and with what first trial, is the rule :func:`solve`
-states.  A solve ends at the rounding floor, before any trial whose
-predicted decrease ``step * |g|^2`` is at most one ulp of the current
-value: only rounding could decide it.
+secant curvature along it.  A z-solve carries that growth rule on across
+stages: it first tries the step the last stage's z-solve set at its second
+gradient.  With what first trial each inner solve starts, and a y-solve
+from where, is the rule :func:`solve` states.  A solve ends at the rounding
+floor, before any trial whose predicted decrease ``step * |g|^2`` is at
+most one ulp of the current value: only rounding could decide it.
 ``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
 loop: a z-solve that starts outside a wall steps along every walled
 constraint's normal until it is back inside, and a stage that still meets a
@@ -95,13 +96,14 @@ class SolverConfig:
     """Iteration budgets, step sizes, schedule seed and auxiliary functions.
 
     Defaults: alpha = step_z = step_y = 0.01, T_z = T_y = 50, L = 1,
-    geometric schedule decay 1/1.01.  ``step_z`` is the first trial step of
-    every z-solve, and ``step_y`` the y-solve's, within the rule
-    :func:`solve` states.  ``T_z`` and ``T_y`` cap the number of steps of an
-    inner solve.  At T_y = 25 the stiff late y-solves of sin-constrained at
-    n >= 10 were cut off unconverged, and the solve ended at a wrong x with
-    no error; at 50 every inner solve of the shipped profiles ends at its
-    rounding floor.
+    geometric schedule decay 1/1.01.  ``step_z`` is the first trial of the
+    first z-solve of a solve and of a single step's, and the trial a later
+    z-solve falls back to at the rounding floor; ``step_y`` is the same for
+    the y-solve.  Later first trials follow the rule :func:`solve` states.
+    ``T_z`` and ``T_y`` cap the number of steps of an inner solve.  At
+    T_y = 25 the stiff late y-solves of sin-constrained at n = 10 and 20
+    were cut off unconverged, and the solve ended at a wrong x with no
+    error; at 50 they end at their rounding floor.
     """
 
     K: int = 3000
@@ -134,9 +136,10 @@ class SolverConfig:
 @dataclass(frozen=True)
 class InnerState:
     """One stage's inner solves, built by :func:`solve_inner` only: with z, f*
-    and y, the penalty arguments at each, the y-solve's stage itself and the
-    first step the y-solve accepted (None if it accepted none), which
-    :func:`solve` remembers."""
+    and y, the penalty arguments at each, the y-solve's stage itself, and
+    the two steps :func:`solve` remembers: the first step the y-solve
+    accepted and the first trial of the z-solve's second step (each None if
+    there was none)."""
 
     z: np.ndarray
     f_star_approx: float
@@ -145,6 +148,7 @@ class InnerState:
     args_y: list
     stage: _Stage = field(repr=False)
     step_y1: float | None
+    step_z2: float | None
 
 
 @dataclass(frozen=True)
@@ -318,8 +322,8 @@ class _Stage:
 
 
 def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
-             step0: float, name: str,
-             fallback: float | None = None) -> tuple[np.ndarray, float, list, float | None]:
+             step0: float, name: str, fallback: float | None = None,
+             ) -> tuple[np.ndarray, float, list, float | None, float | None]:
     """At most ``steps`` guarded gradient steps on a stage-frozen objective.
 
     ``cur`` and ``args`` are the stage value and penalty arguments at ``v``,
@@ -331,8 +335,8 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     along ``g`` until the objective does not exceed ``cur``; a wall (``inf``)
     or NaN trial never does.  The first step starts from ``step0``, or from
     ``fallback`` when one is given and ``step0``'s trial is at the rounding
-    floor (the y-solve's, as :func:`solve` states).  Each later one starts
-    from twice the last accepted step ``s_p``, but at most 1/kappa, where
+    floor (as :func:`solve` states).  Each later one starts from twice the
+    last accepted step ``s_p``, but at most 1/kappa, where
     kappa = |g_p.g_p - g.g_p| / (s_p |g_p|^2) is the secant curvature along
     that step and g_p the gradient it was taken along: the step grows up to
     the local curvature, not past it into a farther basin.
@@ -347,8 +351,10 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
     only be decided by rounding, so it is not tried.  After ``MAX_HALVINGS``
     failed backtracks the iterate is pinned, and the solve ends too.  An
     accepted trial can be -inf, so an end value that is not finite raises
-    NonFiniteEvaluation.  Returns ``(v, cur, args, first)``: the last
-    accepted point, and the first step accepted (None if none was).
+    NonFiniteEvaluation.  Returns ``(v, cur, args, first, second)``: the
+    last accepted point, the first step accepted and the second step's first
+    trial, min(2 first, 1/kappa) read at the second gradient (each None if
+    the solve accepted no step or took no second gradient).
     """
     if cur == math.inf:  # a wall; NaN is not one
         raise BarrierWall(f"{name} starts at a barrier wall")
@@ -356,8 +362,8 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
         raise NonFiniteEvaluation(f"{name} value non-finite")
     value, gradient, step = stage.value, stage.gradient, step0
     vdot, isfinite, ulp = np.vdot, math.isfinite, math.ulp  # bound once: n = 2 steps are dispatch
-    g_prev = first = None
-    for _ in range(steps):
+    g_prev = first = second = None
+    for i in range(steps):
         g = gradient(v, args)
         gg = float(vdot(g, g))  # |g|^2 = -phi'(0), without an overflow warning
         if not (isfinite(gg) or np.isfinite(g).all()):
@@ -365,6 +371,8 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
         if g_prev is not None:  # twice the last step, at most 1/kappa
             d = abs(gg_prev - float(vdot(g, g_prev)))
             step *= 2.0 if 2.0 * d <= gg_prev else gg_prev / d
+            if i == 1:
+                second = step
         elif fallback is not None and gg * step <= ulp(cur):  # a first trial at the floor
             step = fallback
         for _ in range(MAX_HALVINGS + 1):
@@ -389,7 +397,7 @@ def _descend(stage: _Stage, v: np.ndarray, cur: float, args: list, steps: int,
             break
     if not isfinite(cur):
         raise NonFiniteEvaluation(f"{name} value non-finite")
-    return v, cur, args, first
+    return v, cur, args, first, second
 
 
 def solve_regularized_ll(
@@ -398,14 +406,18 @@ def solve_regularized_ll(
     sched: ScheduleState,
     cfg: SolverConfig,
     z0: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, list]:
+    step0: float | None = None,
+) -> tuple[np.ndarray, float, list, float | None]:
     """At most T_z guarded steps on f(x, .) + mu/2 |y|^2 (+ LL-constraint barriers).
 
     The steps are :func:`_descend`'s, from ``z0`` (zeros when None) with a
-    first trial of ``step_z``.  Returns (z, f_star_approx, args):
-    f_star_approx is the objective at the returned z, barrier terms
-    included, and args are the barrier arguments h(x, z) behind it (empty
-    without LL constraints).
+    first trial of ``step0`` (``step_z`` when None), falling back to
+    ``step_z`` if that trial is at the rounding floor.  Returns (z,
+    f_star_approx, args, step2): f_star_approx is the objective at the
+    returned z, barrier terms included, args are the barrier arguments
+    h(x, z) behind it (empty without LL constraints), and step2 is the
+    second step's first trial (None if the solve took no second gradient),
+    which :func:`solve` remembers.
     """
     hs = problem.ll_constraints
     z = np.zeros(problem.n) if z0 is None else np.array(z0, dtype=float)
@@ -423,7 +435,9 @@ def solve_regularized_ll(
             raise NonFiniteEvaluation("z-solve value non-finite")
         z = z - cfg.step_z * sum(normals)
         cur, args = stage.value(z)
-    return _descend(stage, z, cur, args, cfg.T_z, cfg.step_z, "z-solve")[:3]
+    z, cur, args, _, step2 = _descend(stage, z, cur, args, cfg.T_z,
+                                      cfg.step_z if step0 is None else step0, "z-solve", cfg.step_z)
+    return z, cur, args, step2
 
 
 def solve_penalized_inner(
@@ -458,8 +472,8 @@ def solve_penalized_inner(
         pred, pred_args = stage.value(y_pred)
         if pred <= cur:
             y, cur, args = y_pred, pred, pred_args
-    y, _, args, step1 = _descend(stage, y, cur, args, cfg.T_y,
-                                 cfg.step_y if step0 is None else step0, "y-solve", cfg.step_y)
+    y, _, args, step1, _ = _descend(stage, y, cur, args, cfg.T_y,
+                                    cfg.step_y if step0 is None else step0, "y-solve", cfg.step_y)
     return y, args, stage, step1
 
 
@@ -472,16 +486,18 @@ def solve_inner(
     y0: np.ndarray | None = None,
     step_y: float | None = None,
     y_pred: np.ndarray | None = None,
+    step_z: float | None = None,
 ) -> InnerState:
     """Run both inner solves for one (k, l) step and bundle the results.
 
     ``step_y`` and ``y_pred`` are the y-solve's ``step0`` and ``y_pred``
-    (see :func:`solve_penalized_inner`).
+    (see :func:`solve_penalized_inner`), and ``step_z`` the z-solve's
+    ``step0`` (see :func:`solve_regularized_ll`).
     """
-    z, f_star, args_z = solve_regularized_ll(problem, x, sched, cfg, z0)
-    y, args_y, stage, step1 = solve_penalized_inner(problem, x, f_star, sched, cfg,
-                                                    z if y0 is None else y0, step_y, y_pred)
-    return InnerState(z, f_star, y, args_z, args_y, stage, step1)
+    z, f_star, args_z, step_z2 = solve_regularized_ll(problem, x, sched, cfg, z0, step_z)
+    y, args_y, stage, step_y1 = solve_penalized_inner(problem, x, f_star, sched, cfg,
+                                                      z if y0 is None else y0, step_y, y_pred)
+    return InnerState(z, f_star, y, args_z, args_y, stage, step_y1, step_z2)
 
 
 # ---------------------------------------------------------------------------
@@ -608,21 +624,30 @@ def solve(
     """Run K stages of L projected UL steps with schedule-aware inner solves.
 
     Warm starts persist z and y across (k, l) steps and across stages.  The
-    y-solve's start is stated here once.  Its first trial is ``step_y`` in the
-    first stage, as in a single step.  In each later stage it is twice the
-    first step that the last solved stage's y-solve accepted, capped at
-    ``step_y``, so a stiff late stage does not backtrack down from ``step_y``
-    again (the initial-step rule of Nocedal & Wright, section 3.5).  If that
-    remembered trial is at the rounding floor, the y-solve tries ``step_y``
-    instead, so the memory never ends a solve that ``step_y`` would continue.
-    From the third stage on, a y-solve may also start elsewhere than the last
-    stage's y: the secant prediction 2 y_k - y_(k-1) of the last two solved
-    stages (the predictor step of continuation methods, Allgower & Georg,
-    2003, ch. 2) is taken when the stage, frozen at the plain warm start as
-    ever, is no higher there, so the prediction never sets a shift.  The
-    polish starts from the last solved y.  A stage that meets a barrier wall
-    retries the previous UL step with its move halved, up to
-    ``MAX_HALVINGS`` times.  Returns the full trace; raises
+    inner solves' starts are stated here once.  The z-solve's first trial is
+    ``step_z`` in the first stage, as in a single step.  Each later z-solve,
+    the polish's too, first tries the step that the last solved stage's
+    z-solve set at its second gradient, twice its first accepted step capped
+    at the inverse secant curvature along it, min(2 s1, 1/kappa1):
+    :func:`_descend`'s growth rule, carried on across stages.  A z-solve with
+    no second gradient leaves that memory as it was, and a remembered trial at
+    the rounding floor falls back to ``step_z``.  Late sin stages have a local
+    curvature near 1, not the bound L = 2 behind ``step_z = 1/L``, so their
+    z-solves then take one step where they took two.  The y-solve's first
+    trial is ``step_y`` in the first stage, as in a single step.  In each
+    later stage it is twice the first step that the last solved stage's
+    y-solve accepted, capped at ``step_y``, so a stiff late stage does not
+    backtrack down from ``step_y`` again (the initial-step rule of Nocedal &
+    Wright, section 3.5).  If that remembered trial is at the rounding floor,
+    the y-solve tries ``step_y`` instead, so the memory never ends a solve
+    that ``step_y`` would continue.  From the third stage on, a y-solve may
+    also start elsewhere than the last stage's y: the secant prediction
+    2 y_k - y_(k-1) of the last two solved stages (the predictor step of
+    continuation methods, Allgower & Georg, 2003, ch. 2) is taken when the
+    stage, frozen at the plain warm start as ever, is no higher there, so the
+    prediction never sets a shift.  The polish starts from the last solved y.
+    A stage that meets a barrier wall retries the previous UL step with its
+    move halved, up to ``MAX_HALVINGS`` times.  Returns the full trace; raises
     SolveTimeout past cfg.wall_clock_cap_s and SolveError on any other inner
     failure, both carrying the partial trace.
     """
@@ -637,6 +662,7 @@ def solve(
     y_warm: np.ndarray | None = None  # first stage: y starts from the z result
     y_pred = None  # the secant prediction 2 y_k - y_(k-1), once two stages are solved
     step_y = cfg.step_y  # the y-solve's first trial
+    step_z = cfg.step_z  # the z-solve's first trial
     x_prev = None  # where the last stage was solved, the origin of the UL step to x
 
     for k in range(cfg.K):
@@ -651,7 +677,7 @@ def solve(
                 x_try = x if i == 0 else x_prev + 0.5 ** i * (x - x_prev)
                 try:
                     inner = solve_inner(problem, x_try, sched, cfg, z0=z_warm, y0=y_warm,
-                                        step_y=step_y, y_pred=y_pred)
+                                        step_y=step_y, y_pred=y_pred, step_z=step_z)
                     grad = ul_gradient_for(problem, x_try, inner, sched, cfg)
                     break
                 except (BarrierWall, NonFiniteEvaluation) as exc:
@@ -669,6 +695,8 @@ def solve(
             z_warm, y_warm = inner.z, inner.y
             if inner.step_y1 is not None:  # twice the first step it accepted, at most step_y
                 step_y = min(cfg.step_y, 2.0 * inner.step_y1)
+            if inner.step_z2 is not None:  # the step its second gradient would have tried
+                step_z = inner.step_z2
 
             record(k, l + 1, x, inner.y, math.sqrt(float(grad.dot(grad))), sched)
         sched = schedule_step(sched)
@@ -679,8 +707,8 @@ def solve(
     # selection, which an unguided descent would abandon.
     if cfg.K > 0 and problem.mode is Mode.OPTIMISTIC:  # L >= 1, so y_warm is set
         try:
-            record(cfg.K, 0, x, solve_regularized_ll(problem, x, sched, cfg, z0=y_warm)[0],
-                   sched=sched)
+            z = solve_regularized_ll(problem, x, sched, cfg, z0=y_warm, step0=step_z)[0]
+            record(cfg.K, 0, x, z, sched=sched)
         except (BarrierWall, NonFiniteEvaluation):
             pass  # keep the raw final record
     return trace

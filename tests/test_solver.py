@@ -79,7 +79,7 @@ def shifted_quadratic_problem(b, F_fn=None, F_gx=None, F_gy=None, mode=Mode.OPTI
 def test_z_solve_unregularized_quadratic():
     prob = shifted_quadratic_problem([1.5, -0.5])
     cfg = SolverConfig(T_z=2000, step_z=0.2, schedule=ScheduleState(mu=1e-12))
-    z, f_star, _ = solve_regularized_ll(prob.problem if hasattr(prob, "problem") else prob,
+    z, f_star, _, _ = solve_regularized_ll(prob.problem if hasattr(prob, "problem") else prob,
                                      np.zeros(1), cfg.schedule, cfg)
     assert np.allclose(z, [1.5, -0.5], atol=1e-6)
     assert f_star == pytest.approx(0.0, abs=1e-6)
@@ -90,7 +90,7 @@ def test_z_solve_regularized_closed_form():
     prob = shifted_quadratic_problem(b)
     mu = 0.5
     cfg = SolverConfig(T_z=4000, step_z=0.2, schedule=ScheduleState(mu=mu))
-    z, f_star, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg)
+    z, f_star, _, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg)
     assert np.allclose(z, b / (1 + mu), atol=1e-8)
     expect = 0.5 * float((z - b) @ (z - b)) + 0.5 * mu * float(z @ z)
     assert f_star == pytest.approx(expect, abs=1e-12)
@@ -114,7 +114,7 @@ def test_z_solve_restoration_steps_past_every_walled_constraint():
     # other, in 42 moves, and give up.
     prob = _two_bands()
     cfg = SolverConfig(T_z=1, step_z=0.1, aux_B=AuxiliaryFunction(InverseBarrier()))
-    z, f_star, args = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 3.0))
+    z, f_star, args, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.full(2, 3.0))
     assert math.isfinite(f_star)
     assert len(args) == 2 and all(w < 0.0 for w in args)
     assert np.array_equal(args, [h(np.zeros(1), z) for h in prob.ll_constraints])
@@ -156,7 +156,7 @@ def test_z_solve_sin_against_grid_oracle():
     prob = BilevelProblem(m=1, n=1, F=F, f=f)
     mu = 0.1
     cfg = SolverConfig(T_z=4000, step_z=0.1, schedule=ScheduleState(mu=mu))
-    z, f_star, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
+    z, f_star, _, _ = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, z0=np.zeros(1))
     v_grid, y_grid = grid_min(lambda y: math.sin(y[0] - 2.0) + 0.05 * y[0] ** 2,
                               -20.0, 20.0, 2001, rounds=1)
     assert abs(z[0] - y_grid[0]) <= 0.05
@@ -262,7 +262,7 @@ def test_descend_pins_after_max_halvings():
     # ulp(0) is the least subnormal, so from cur = 0 no step reaches the
     # rounding floor: a wall that rejects every trial pins the iterate
     stage = _QuadStage(walled=True)
-    v, cur, _, _ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
+    v, cur, *_ = _descend(stage, np.ones(2), 0.0, None, 3, 0.01, "unused")
     assert len(stage.trials) == MAX_HALVINGS + 1  # one step's trials, then pinned
     assert np.array_equal(v, np.ones(2)) and cur == 0.0
 
@@ -271,7 +271,7 @@ def test_descend_stops_at_the_rounding_floor():
     # from cur = 1 with |g|^2 = 1, every trial rejected: each backtrack cuts
     # the step by at most 10x, and the first step <= ulp(1) ends the solve
     stage = _ScriptedStage(itertools.repeat(2.0))
-    v, cur, args, _ = _descend(stage, np.zeros(1), 1.0, "args", 3, 1.0, "unused")
+    v, cur, args, *_ = _descend(stage, np.zeros(1), 1.0, "args", 3, 1.0, "unused")
     steps = stage.steps()
     assert len(steps) < MAX_HALVINGS + 1
     assert math.ulp(1.0) < steps[-1] <= 10.0 * math.ulp(1.0)
@@ -281,7 +281,7 @@ def test_descend_stops_at_the_rounding_floor():
 def test_descend_returns_accepted_step():
     # |v|^2 from v = 1 along -2: step 1 lands on -1, whose value 1 <= 1 is accepted
     stage = _QuadStage()
-    v, cur, _, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
+    v, cur, *_ = _descend(stage, np.ones(1), 1.0, None, 1, 1.0, "unused")
     assert len(stage.trials) == 1
     assert np.array_equal(v, [-1.0])
     assert cur == 1.0
@@ -293,7 +293,7 @@ def test_descend_backtracks_to_the_line_minimizer_of_a_quadratic():
     # value 6) is rejected; halving would try s = 0.5.
     a = np.array([1.0, 3.0])
     stage, v0 = _QuadStage(a), np.ones(2)
-    v, cur, _, _ = _descend(stage, v0, 2.0, None, 1, 1.0, "unused")
+    v, cur, *_ = _descend(stage, v0, 2.0, None, 1, 1.0, "unused")
     g = a * v0
     s_min = float(g @ g) / float(g @ (a * g))
     assert len(stage.trials) == 2
@@ -306,7 +306,7 @@ def test_descend_backtracking_stays_in_a_tenth_to_a_half_of_the_step():
     # from cur = 0 with |g|^2 = 1: a trial 1e6 too high fits a step of 5e-7,
     # clamped to 0.1 s; a trial a denormal too high fits s/2
     stage = _ScriptedStage([1e6, 5e-324, 0.0])
-    v, cur, _, _ = _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
+    v, cur, *_ = _descend(stage, np.zeros(1), 0.0, None, 1, 1.0, "unused")
     steps = stage.steps()
     assert steps[:2] == [1.0, 0.1]
     assert steps[2] == pytest.approx(0.05, rel=1e-12)
@@ -347,7 +347,7 @@ def test_descend_backtracks_from_a_crossed_wall_to_the_barrier_models_minimizer(
     # the next trial; halving would have accepted v = 0.75.
     trials = []
     stage = _barrier_line_stage(4.0, 1.0, InverseBarrier(), trials)
-    v, cur, args, _ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
+    v, cur, args, *_ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
     assert trials[1] == 1.5 and len(trials) == 3
     assert v[0] == trials[2] == pytest.approx(0.5, abs=1e-10)
     assert cur == pytest.approx(-4.0 * 0.5 + 2.0, abs=1e-9) and args == [v[0] - 1.0]
@@ -360,7 +360,7 @@ def test_descend_halves_a_nan_trial_whose_last_argument_crossed_its_wall():
     # whose step would be 1/6 (v = 0.5).
     trials = []
     stage = _barrier_line_stage(4.0, 1.0, InverseBarrier(), trials, nan_past_wall=True)
-    v, _, _, _ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
+    v, *_ = _descend(stage, np.zeros(1), *stage.value(np.zeros(1)), 1, 0.5, "y-solve")
     assert math.isnan(stage.value(np.full(1, 1.5))[0])
     assert trials[:3] == [0.0, 1.5, 0.75] and v[0] == 0.75
 
@@ -388,7 +388,7 @@ def test_wall_step_is_inside_the_linearized_wall_where_the_model_is_stationary(k
 def test_descend_does_not_try_a_step_below_the_rounding_floor():
     # |g|^2 = 1e-40 is below ulp(cur = 0.5e-20): no trial is evaluated
     stage = _QuadStage(1e-20)
-    v, cur, args, _ = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
+    v, cur, args, *_ = _descend(stage, np.ones(1), 0.5e-20, "args", 1, 1.0, "unused")
     assert stage.trials == []
     assert np.array_equal(v, [1.0]) and cur == 0.5e-20 and args == "args"
 
@@ -409,7 +409,7 @@ def test_descend_evaluates_and_accepts_a_no_op_step_above_the_floor():
 
     stage = Stage(1e-20)
     v0 = np.ones(1)
-    v, cur, args, _ = _descend(stage, v0, 0.0, "args", 1, 1.0, "unused")
+    v, cur, args, *_ = _descend(stage, v0, 0.0, "args", 1, 1.0, "unused")
     assert len(stage.trials) == 1 and np.array_equal(stage.trials[0], v0)
     assert np.array_equal(v, v0) and cur == 0.0 and args == "trial args"
 
@@ -418,7 +418,7 @@ def test_descend_evaluates_a_trial_one_ulp_away():
     # a = (-eps, 0) from v = (1, 1): the trial moves the first entry up by one ulp
     eps = np.spacing(1.0)
     stage = _QuadStage(np.array([-eps, 0.0]))
-    v, cur, _, _ = _descend(stage, np.ones(2), -0.5 * eps, None, 1, 1.0, "unused")
+    v, cur, *_ = _descend(stage, np.ones(2), -0.5 * eps, None, 1, 1.0, "unused")
     assert len(stage.trials) == 1
     assert np.array_equal(v, [np.nextafter(1.0, 2.0), 1.0])
     assert np.array_equal(v, stage.trials[0]) and cur < -0.5 * eps
@@ -435,7 +435,7 @@ def test_descend_reports_the_first_step_it_accepted():
     # from cur = 0 with |g|^2 = 1: step 1 is rejected and clamped to 0.1,
     # which is accepted; the next step doubles to 0.2 and is accepted too
     stage = _ScriptedStage([1e6, 0.0, 0.0])
-    *_, first = _descend(stage, np.zeros(1), 0.0, None, 2, 1.0, "unused")
+    _, _, _, first, _ = _descend(stage, np.zeros(1), 0.0, None, 2, 1.0, "unused")
     assert stage.steps()[:2] == [1.0, 0.1] and first == 0.1
     # a solve that accepts no trial reports None
     assert _descend(_QuadStage(walled=True), np.ones(1), 0.0, None, 1, 0.01, "unused")[3] is None
@@ -446,14 +446,34 @@ def test_descend_first_trial_at_the_rounding_floor_falls_back():
     # under the floor.  Alone it ends the solve untried; with a fallback of
     # 0.5 the solve tries that step instead, and lands on the minimizer.
     stage = _QuadStage()
-    v, cur, _, first = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused")
+    v, cur, _, first, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused")
     assert stage.trials == [] and v[0] == 1.0 and first is None
-    v, cur, _, first = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused", 0.5)
+    v, cur, _, first, _ = _descend(stage, np.ones(1), 1.0, None, 1, 1e-300, "unused", 0.5)
     assert len(stage.trials) == 1 and v[0] == 0.0 and cur == 0.0 and first == 0.5
     # above the floor the fallback is not taken: the first trial is step0
     stage = _QuadStage()
-    *_, first = _descend(stage, np.ones(1), 1.0, None, 1, 0.25, "unused", 0.5)
+    _, _, _, first, _ = _descend(stage, np.ones(1), 1.0, None, 1, 0.25, "unused", 0.5)
     assert first == 0.25 and stage.trials[0][0] == 0.5
+
+
+def test_descend_reports_the_trial_its_second_gradient_sets():
+    # A = diag(1, 3) from v = (1, 1): g = (1, 3), |g|^2 = 10, and the secant
+    # curvature along -g is kappa = g'Ag / |g|^2 = 2.8.  A first step of 0.1
+    # is accepted and doubles to 0.2 < 1/kappa; one of 0.3 is accepted too,
+    # and 0.6 is capped at 1/kappa = 10/28.  The reported trial is that
+    # growth rule's, min(2 s1, 1/kappa), bit for bit.
+    a, v0 = np.array([1.0, 3.0]), np.ones(2)
+    g0 = a * v0
+    gg0 = float(np.vdot(g0, g0))
+    for s1, capped in ((0.1, False), (0.3, True)):
+        _, _, _, first, second = _descend(_QuadStage(a), v0, 2.0, None, 2, s1, "unused")
+        g1 = a * (v0 - s1 * g0)
+        inv_kappa = s1 * (gg0 / abs(gg0 - float(np.vdot(g1, g0))))
+        assert first == s1 and second == min(2.0 * s1, inv_kappa)
+        assert (second == inv_kappa < 2.0 * s1) if capped else (second == 2.0 * s1 < inv_kappa)
+    assert math.isclose(inv_kappa, 10.0 / 28.0, rel_tol=1e-12)
+    # a solve that takes no second gradient reports None
+    assert _descend(_QuadStage(a), v0, 2.0, None, 1, 0.3, "unused")[4] is None
 
 
 def test_y_solve_without_backtracks_doubles_up_to_the_secant_curvature():
@@ -509,7 +529,7 @@ def test_late_stage_sin_y_solve_evaluations_per_gradient():
     calls = collections.Counter()
     prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     x, y0 = bench.reference.x_star, bench.reference.y_star
-    _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
+    _, f_star, _, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
     assert calls == {("sin-ul", "val"): 14, ("sin-ul", "gy"): 11}
 
@@ -529,7 +549,7 @@ def test_a9_step_y_solve_stops_at_the_rounding_floor():
     calls = collections.Counter()
     prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     x, y0 = np.full(1, 8.0), np.zeros(1000)
-    _, f_star, _ = solve_regularized_ll(prob, x, cfg.schedule, cfg, z0=y0)
+    _, f_star, _, _ = solve_regularized_ll(prob, x, cfg.schedule, cfg, z0=y0)
     solve_penalized_inner(prob, x, f_star, cfg.schedule, cfg, y0)
     # the start value included
     assert calls["sin-ul", "gy"] <= 5 and calls["sin-ul", "val"] <= 7
@@ -557,7 +577,7 @@ def test_late_stage_constrained_sin_evaluations_per_gradient():
     x, y0 = bench.reference.x_star, bench.reference.y_star + 0.05
     calls = collections.Counter()
     prob = replace(bench.problem, f=counting(bench.problem.f, calls))
-    _, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
+    _, f_star, _, _ = solve_regularized_ll(prob, x, sched, cfg, z0=y0)
     prob = replace(bench.problem, F=counting(bench.problem.F, calls))
     solve_penalized_inner(prob, x, f_star, sched, cfg, y0)
     assert calls == {("sin-ll", "val"): 16, ("sin-ll", "gy"): 11,  # the z-solve
@@ -574,7 +594,7 @@ def _state_at(prob, x, sched, cfg, z, f_star, y):
     raw = [c(x, y) for c in (prob.f, *prob.ul_constraints, *prob.ll_constraints)]
     stage = _Stage.penalized(prob, x, sched, cfg, f_star, raw)
     _, args_y = stage.value(y, raw)
-    return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage, None)
+    return InnerState(z, f_star, y, [h(x, z) for h in prob.ll_constraints], args_y, stage, None, None)
 
 
 def test_ul_gradient_zero_penalty_region():
@@ -754,17 +774,20 @@ def test_L_steps_per_stage_share_the_stage_schedule():
 # Oracle calls per field and kind in the K = 30 solves of the sin-opt and
 # sin-con golden traces (tests/test_traces.py), the record's two calls per
 # stage included.  A change to the loops that adds or drops a call fails here
-# by name, even where it keeps every bit of the trace.
+# by name, even where it keeps every bit of the trace.  Each z-solve after
+# the first starts at the step the last one measured, not at step_z: the
+# z-solves took 13 more f evaluations and gradients on sin-opt (446 and 384)
+# and 29 more of each on sin-con (352 and 291, each band 320 and 291).
 SOLVE_ORACLE_CALLS = {
     "sin-opt": {
         ("sin-ul", "val"): 301, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 239,
-        ("sin-ll", "val"): 446, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 384,
+        ("sin-ll", "val"): 433, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 371,
     },
     "sin-con": {
         ("sin-ul", "val"): 195, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 134,
-        ("sin-ll", "val"): 352, ("sin-ll", "gy"): 291,
-        ("band[0]", "val"): 320, ("band[0]", "gx"): 30, ("band[0]", "gy"): 291,
-        ("band[1]", "val"): 320, ("band[1]", "gx"): 30, ("band[1]", "gy"): 291,
+        ("sin-ll", "val"): 323, ("sin-ll", "gy"): 262,
+        ("band[0]", "val"): 291, ("band[0]", "gx"): 30, ("band[0]", "gy"): 262,
+        ("band[1]", "val"): 291, ("band[1]", "gx"): 30, ("band[1]", "gy"): 262,
     },
 }
 
@@ -825,18 +848,29 @@ def test_golden_solve_inner_solves_end_at_the_rounding_floor(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def y_solve_starts(monkeypatch):
-    """A list that gets, for each y-solve run, (first trial, fallback, first step accepted)."""
+def inner_solve_starts(monkeypatch, solve_name, remembered):
+    """A list that gets, for each ``solve_name`` run, (first trial, fallback,
+    the step :func:`_descend` returned at index ``remembered``)."""
     starts, descend = [], solver_module._descend
 
     def recorded(stage, v, cur, args, steps, step0, name, *fallback):
         out = descend(stage, v, cur, args, steps, step0, name, *fallback)
-        if name == "y-solve":
-            starts.append((step0, *fallback, out[3]))
+        if name == solve_name:
+            starts.append((step0, *fallback, out[remembered]))
         return out
 
     monkeypatch.setattr(solver_module, "_descend", recorded)
     return starts
+
+
+def y_solve_starts(monkeypatch):
+    """For each y-solve: (first trial, fallback, first step accepted)."""
+    return inner_solve_starts(monkeypatch, "y-solve", 3)
+
+
+def z_solve_starts(monkeypatch):
+    """For each z-solve: (first trial, fallback, the second step's first trial)."""
+    return inner_solve_starts(monkeypatch, "z-solve", 4)
 
 
 def test_each_later_y_solve_starts_at_twice_the_first_step_the_last_one_accepted(monkeypatch):
@@ -880,6 +914,51 @@ def test_single_step_callers_start_the_y_solve_at_step_y(monkeypatch):
     assert [y_pred for _, y_pred, _ in calls] == [None]
 
 
+def test_single_step_callers_start_the_z_solve_at_step_z(monkeypatch):
+    from bvfsm import cli
+    from bvfsm.problems import parse_problem
+
+    starts = z_solve_starts(monkeypatch)
+    bench = parse_problem("sin:n=2")
+    cli._step(bench.problem, cli._resolve_method(bench, "bvfsm", {}), bench.x0, bench.y0)
+    step_z = build_solver_config({}, bench).step_z
+    assert [s[:2] for s in starts] == [(step_z, step_z)]
+
+
+# ---------------------------------------------------------------------------
+# the z-solve's first trial across stages
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
+def test_each_later_z_solve_starts_at_the_step_the_last_one_measured(name, monkeypatch):
+    # The first z-solve tries step_z.  Each later one, the polish's too,
+    # starts at the trial its last solved predecessor's second gradient set,
+    # min(2 s1, 1/kappa1), and falls back to step_z at the rounding floor.
+    starts = z_solve_starts(monkeypatch)
+    bench = {"sin-opt": make_sin_problem(2),
+             "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
+    cfg = build_solver_config({"bvfsm": {"K": 5}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert len(starts) == 6 and starts[0][:2] == (cfg.step_z, cfg.step_z)
+    remembered = cfg.step_z
+    for (_, _, second), (step0, fallback, _) in zip(starts, starts[1:]):
+        remembered = remembered if second is None else second
+        assert step0 == remembered and fallback == cfg.step_z
+    assert all(step0 != cfg.step_z for step0, *_ in starts[1:])
+
+
+def test_z_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_z():
+    # f = 0.5 |y - b|^2 from z = 0: a first trial of 1e-300 is under the
+    # floor, so the z-solve tries step_z instead; with T_z = 1 it takes no
+    # second gradient, and reports no trial for the next z-solve
+    prob = shifted_quadratic_problem([1.0, 2.0])
+    cfg = SolverConfig(T_z=1, step_z=0.5, schedule=ScheduleState(mu=1e-12))
+    z, _, _, step2 = solve_regularized_ll(prob, np.zeros(1), cfg.schedule, cfg, np.zeros(2), 1e-300)
+    assert np.array_equal(z, 0.5 * np.array([1.0, 2.0]))
+    assert step2 is None
+
+
 @pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
 def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
     # In the K = 30 golden solves every y-solve accepts its first trial,
@@ -893,15 +972,17 @@ def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
     assert starts == [(cfg.step_y, cfg.step_y, cfg.step_y)] * 30
 
 
-def bench_solve_y_solve_calls(monkeypatch, bench, K):
-    """F's calls in the y-solves of a K-stage solve, start values included."""
+def bench_solve_calls(monkeypatch, bench, K, layer, lead):
+    """The ``lead`` field's calls ("F" or "f") in the ``layer`` solves of a
+    K-stage solve (the polish is a z-solve), start values included."""
     calls = collections.Counter()
-    y_solve = solver_module.solve_penalized_inner
+    inner = getattr(solver_module, layer)
 
-    def counted(problem, *args):
-        return y_solve(replace(problem, F=counting(problem.F, calls)), *args)
+    def counted(problem, *args, **kwargs):
+        fld = counting(getattr(problem, lead), calls)
+        return inner(replace(problem, **{lead: fld}), *args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "solve_penalized_inner", counted)
+    monkeypatch.setattr(solver_module, layer, counted)
     solve(bench.problem, build_solver_config({"bvfsm": {"K": K}}, bench), bench.x0, bench.y0)
     return calls
 
@@ -912,16 +993,39 @@ def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # starting at step_y took 16,956 F evaluations for 8,933 gradients: late
     # stages accept steps of 1e-6 and less, so most first trials were
     # rejected.  With the step memory and before the secant prediction it
-    # took 10,143 for 8,166.
-    counts = bench_solve_y_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000)
-    assert counts == {("sin-ul", "val"): 8563, ("sin-ul", "gy"): 5104}
+    # took 10,143 for 8,166, and before the z-step memory 8,563 for 5,104:
+    # a z-solve that starts at another step ends at another f*.
+    counts = bench_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000,
+                               "solve_penalized_inner", "F")
+    assert counts == {("sin-ul", "val"): 8586, ("sin-ul", "gy"): 5121}
 
 
 def test_sin_opt_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # The benchmark's sin-opt solve (K = 3000), counted as above.  Before the
-    # secant prediction it took 19,773 F evaluations for 17,635 gradients.
-    counts = bench_solve_y_solve_calls(monkeypatch, make_sin_problem(2), 3000)
-    assert counts == {("sin-ul", "val"): 15310, ("sin-ul", "gy"): 10552}
+    # secant prediction it took 19,773 F evaluations for 17,635 gradients,
+    # and before the z-step memory 15,310 for 10,552.
+    counts = bench_solve_calls(monkeypatch, make_sin_problem(2), 3000, "solve_penalized_inner", "F")
+    assert counts == {("sin-ul", "val"): 15304, ("sin-ul", "gy"): 10545}
+
+
+def test_sin_con_bench_solve_z_solve_calls_are_pinned(monkeypatch):
+    # The benchmark's sin-con solve, counted in the z-solves and the polish,
+    # start values included.  Every z-solve starting at step_z = 0.01 took
+    # 10,379 f evaluations for 9,057 gradients, and 893 of the 2,001
+    # rejected their first trial.  Started at the step the last z-solve
+    # measured, none does.
+    counts = bench_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000,
+                               "solve_regularized_ll", "f")
+    assert counts == {("sin-ll", "val"): 6619, ("sin-ll", "gy"): 6601}
+
+
+def test_sin_opt_bench_solve_z_solve_calls_are_pinned(monkeypatch):
+    # The benchmark's sin-opt solve, counted as above.  Every z-solve starting
+    # at step_z = 0.5 = 1/L took 9,665 f evaluations for 9,661 gradients:
+    # where the local curvature is about 1, not L = 2, a late z-solve halved
+    # |g| with its first step and took a second to reach the minimizer.
+    counts = bench_solve_calls(monkeypatch, make_sin_problem(2), 3000, "solve_regularized_ll", "f")
+    assert counts == {("sin-ll", "val"): 6785, ("sin-ll", "gy"): 6768}
 
 
 # ---------------------------------------------------------------------------
@@ -1010,9 +1114,9 @@ def test_each_y_solve_from_the_third_on_gets_the_secant_prediction(monkeypatch):
     calls = y_solve_predictions(monkeypatch)
     ll_starts, z_solve = [], solver_module.solve_regularized_ll
 
-    def recorded_ll(problem, x, sched, cfg, z0=None):
+    def recorded_ll(problem, x, sched, cfg, z0=None, step0=None):
         ll_starts.append(z0)
-        return z_solve(problem, x, sched, cfg, z0)
+        return z_solve(problem, x, sched, cfg, z0, step0)
 
     monkeypatch.setattr(solver_module, "solve_regularized_ll", recorded_ll)
     bench = make_sin_problem(2)
@@ -1084,7 +1188,7 @@ def test_z_solve_ends_where_a_long_fixed_step_descent_does(prob, x, y0):
     sched = schedule_step(schedule_step(cfg.schedule))
     mu = sched.mu
     z = fixed_step_descent(lambda y: prob.f.gy(x, y) + mu * y, y0, 3000, 0.1)
-    got, f_star, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
+    got, f_star, _, _ = solve_regularized_ll(prob, x, sched, cfg, y0)
     assert np.max(np.abs(got - z)) <= 1e-6
     assert f_star == prob.f(x, got) + 0.5 * mu * float(got @ got)
 
@@ -1417,7 +1521,7 @@ def test_y_solve_nan_start_value_is_not_a_wall():
     bench = make_constrained_sin_problem(1)
     prob = replace(bench.problem, F=_nan_valued(bench.problem.F))
     cfg = SolverConfig(T_z=3, T_y=3)
-    z, f_star, _ = solve_regularized_ll(prob, bench.x0, cfg.schedule, cfg, bench.y0)
+    z, f_star, _, _ = solve_regularized_ll(prob, bench.x0, cfg.schedule, cfg, bench.y0)
     with pytest.raises(NonFiniteEvaluation, match="^y-solve value non-finite$"):
         solve_penalized_inner(prob, bench.x0, f_star, cfg.schedule, cfg, z)
 
