@@ -26,10 +26,12 @@ trial, or an infinite one with no walled argument, halves the step.  At most
 after the first is twice the last accepted step, capped at the inverse
 secant curvature along it.  A z-solve carries that growth rule on across
 stages: it first tries the step the last stage's z-solve set at its second
-gradient.  With what first trial each inner solve starts, and a y-solve
-from where, is the rule :func:`solve` states.  A solve ends at the rounding
-floor, before any trial whose predicted decrease ``step * |g|^2`` is at
-most one ulp of the current value: only rounding could decide it.
+gradient.  A y-solve first tries twice the first step the last stage's
+y-solve accepted, with no cap at ``step_y``.  With what first trial each
+inner solve starts, and a y-solve from where, is the rule :func:`solve`
+states.  A solve ends at the rounding floor, before any trial whose
+predicted decrease ``step * |g|^2`` is at most one ulp of the current
+value: only rounding could decide it.
 ``T_z`` and ``T_y`` only cap the number of steps.  Each wall rule is one
 loop: a z-solve that starts outside a wall steps along every walled
 constraint's normal until it is back inside, and a stage that still meets a
@@ -99,7 +101,8 @@ class SolverConfig:
     geometric schedule decay 1/1.01.  ``step_z`` is the first trial of the
     first z-solve of a solve and of a single step's, and the trial a later
     z-solve falls back to at the rounding floor; ``step_y`` is the same for
-    the y-solve.  Later first trials follow the rule :func:`solve` states.
+    the y-solve.  Neither caps a later first trial: those follow the rule
+    :func:`solve` states.
     ``T_z`` and ``T_y`` cap the number of steps of an inner solve.  At
     T_y = 25 the stiff late y-solves of sin-constrained at n = 10 and 20
     were cut off unconverged, and the solve ended at a wrong x with no
@@ -138,8 +141,8 @@ class InnerState:
     """One stage's inner solves, built by :func:`solve_inner` only: with z, f*
     and y, the penalty arguments at each, the y-solve's stage itself, and
     the two steps :func:`solve` remembers: the first step the y-solve
-    accepted and the first trial of the z-solve's second step (each None if
-    there was none)."""
+    accepted, whose double is the next y-solve's first trial, and the first
+    trial of the z-solve's second step (each None if there was none)."""
 
     z: np.ndarray
     f_star_approx: float
@@ -636,11 +639,15 @@ def solve(
     z-solves then take one step where they took two.  The y-solve's first
     trial is ``step_y`` in the first stage, as in a single step.  In each
     later stage it is twice the first step that the last solved stage's
-    y-solve accepted, capped at ``step_y``, so a stiff late stage does not
-    backtrack down from ``step_y`` again (the initial-step rule of Nocedal &
-    Wright, section 3.5).  If that remembered trial is at the rounding floor,
-    the y-solve tries ``step_y`` instead, so the memory never ends a solve
-    that ``step_y`` would continue.  From the third stage on, a y-solve may
+    y-solve accepted (the initial-step rule of Nocedal & Wright, section
+    3.5), with no cap at ``step_y``: a stiff late stage does not backtrack
+    down from ``step_y`` again, and an early stage whose steps are longer
+    than ``step_y`` does not double its way back up to them.  The memory
+    cannot run away, since a step is accepted only where the stage does not
+    rise: on a quadratic stage of curvature c it is at most 2/c, so the next
+    first trial is at most 4/c.  If that remembered trial is at the rounding
+    floor, the y-solve tries ``step_y`` instead, so the memory never ends a
+    solve that ``step_y`` would continue.  From the third stage on, a y-solve may
     also start elsewhere than the last stage's y: the secant prediction
     2 y_k - y_(k-1) of the last two solved stages (the predictor step of
     continuation methods, Allgower & Georg, 2003, ch. 2) is taken when the
@@ -693,8 +700,8 @@ def solve(
             if y_warm is not None:
                 y_pred = 2.0 * inner.y - y_warm
             z_warm, y_warm = inner.z, inner.y
-            if inner.step_y1 is not None:  # twice the first step it accepted, at most step_y
-                step_y = min(cfg.step_y, 2.0 * inner.step_y1)
+            if inner.step_y1 is not None:  # twice the first step it accepted
+                step_y = 2.0 * inner.step_y1
             if inner.step_z2 is not None:  # the step its second gradient would have tried
                 step_z = inner.step_z2
 

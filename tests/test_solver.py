@@ -777,17 +777,22 @@ def test_L_steps_per_stage_share_the_stage_schedule():
 # by name, even where it keeps every bit of the trace.  Each z-solve after
 # the first starts at the step the last one measured, not at step_z: the
 # z-solves took 13 more f evaluations and gradients on sin-opt (446 and 384)
-# and 29 more of each on sin-con (352 and 291, each band 320 and 291).
+# and 29 more of each on sin-con (352 and 291, each band 320 and 291).  Each
+# y-solve after the first starts at twice the first step its predecessor
+# accepted, no longer capped at step_y: with the cap, the early y-solves
+# restarted at step_y and doubled their way back up, and sin-opt took 301 F
+# evaluations for 239 gradients (f: 433 and 371), sin-con 195 for 134 (f: 323
+# and 262, each band 291 and 262).
 SOLVE_ORACLE_CALLS = {
     "sin-opt": {
-        ("sin-ul", "val"): 301, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 239,
-        ("sin-ll", "val"): 433, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 371,
+        ("sin-ul", "val"): 182, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 98,
+        ("sin-ll", "val"): 314, ("sin-ll", "gx"): 60, ("sin-ll", "gy"): 230,
     },
     "sin-con": {
-        ("sin-ul", "val"): 195, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 134,
-        ("sin-ll", "val"): 323, ("sin-ll", "gy"): 262,
-        ("band[0]", "val"): 291, ("band[0]", "gx"): 30, ("band[0]", "gy"): 262,
-        ("band[1]", "val"): 291, ("band[1]", "gx"): 30, ("band[1]", "gy"): 262,
+        ("sin-ul", "val"): 180, ("sin-ul", "gx"): 30, ("sin-ul", "gy"): 106,
+        ("sin-ll", "val"): 308, ("sin-ll", "gy"): 234,
+        ("band[0]", "val"): 276, ("band[0]", "gx"): 30, ("band[0]", "gy"): 234,
+        ("band[1]", "val"): 276, ("band[1]", "gx"): 30, ("band[1]", "gy"): 234,
     },
 }
 
@@ -848,15 +853,29 @@ def test_golden_solve_inner_solves_end_at_the_rounding_floor(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+class _GradientCount:
+    """``stage`` with its gradient calls counted in ``grads``."""
+
+    def __init__(self, stage):
+        self.stage, self.grads = stage, 0
+        self.value, self.wall_step = stage.value, stage.wall_step
+
+    def gradient(self, v, args):
+        self.grads += 1
+        return self.stage.gradient(v, args)
+
+
 def inner_solve_starts(monkeypatch, solve_name, remembered):
     """A list that gets, for each ``solve_name`` run, (first trial, fallback,
-    the step :func:`_descend` returned at index ``remembered``)."""
+    the step :func:`_descend` returned at index ``remembered``, its gradient
+    calls)."""
     starts, descend = [], solver_module._descend
 
     def recorded(stage, v, cur, args, steps, step0, name, *fallback):
-        out = descend(stage, v, cur, args, steps, step0, name, *fallback)
+        counted = _GradientCount(stage)
+        out = descend(counted, v, cur, args, steps, step0, name, *fallback)
         if name == solve_name:
-            starts.append((step0, *fallback, out[remembered]))
+            starts.append((step0, *fallback, out[remembered], counted.grads))
         return out
 
     monkeypatch.setattr(solver_module, "_descend", recorded)
@@ -864,26 +883,58 @@ def inner_solve_starts(monkeypatch, solve_name, remembered):
 
 
 def y_solve_starts(monkeypatch):
-    """For each y-solve: (first trial, fallback, first step accepted)."""
+    """For each y-solve: (first trial, fallback, first step accepted, gradient calls)."""
     return inner_solve_starts(monkeypatch, "y-solve", 3)
 
 
 def z_solve_starts(monkeypatch):
-    """For each z-solve: (first trial, fallback, the second step's first trial)."""
+    """For each z-solve: (first trial, fallback, the second step's first
+    trial, gradient calls)."""
     return inner_solve_starts(monkeypatch, "z-solve", 4)
 
 
-def test_each_later_y_solve_starts_at_twice_the_first_step_the_last_one_accepted(monkeypatch):
-    # sin-con with step_y = 0.5: the first y-solve backtracks to 0.05, so
-    # the second starts at 0.1, not at step_y; every solve falls back to step_y
+def sin_con_y_solve_starts(monkeypatch, step_y):
+    """The y-solve starts of a K = 3 sin-con solve with ``step_y``; each
+    later first trial is twice the first step its predecessor accepted, and
+    every solve falls back to step_y."""
     starts = y_solve_starts(monkeypatch)
     bench = make_constrained_sin_problem(2, 2.0, 1.0)
-    cfg = build_solver_config({"bvfsm": {"K": 3, "step_y": 0.5}}, bench)
+    cfg = build_solver_config({"bvfsm": {"K": 3, "step_y": step_y}}, bench)
     solve(bench.problem, cfg, bench.x0, bench.y0)
-    assert len(starts) == 3 and starts[0][:2] == (0.5, 0.5)
-    for (_, _, first), (step0, fallback, _) in zip(starts, starts[1:]):
-        assert step0 == min(cfg.step_y, 2.0 * first) and fallback == cfg.step_y
-    assert starts[1][0] == 0.1 < cfg.step_y
+    assert len(starts) == 3 and starts[0][:2] == (step_y, step_y)
+    for (_, _, first, _), (step0, fallback, _, _) in zip(starts, starts[1:]):
+        assert step0 == 2.0 * first and fallback == step_y
+    return starts
+
+
+def test_each_later_y_solve_starts_at_twice_the_first_step_the_last_one_accepted(monkeypatch):
+    # with step_y = 0.5 the first y-solve backtracks to 0.05, so the second
+    # starts at 0.1, below step_y
+    assert sin_con_y_solve_starts(monkeypatch, 0.5)[1][0] == 0.1
+
+
+def test_a_later_y_solve_may_start_above_step_y(monkeypatch):
+    # with step_y = 0.01 the first y-solve accepts 0.01, and the second
+    # starts at 0.02: step_y is no cap
+    assert sin_con_y_solve_starts(monkeypatch, 0.01)[1][0] == 0.02
+
+
+@pytest.mark.parametrize("c", [0.5, 4.0, 50.0])
+def test_the_y_step_memory_stays_within_twice_the_longest_descent_step(c, monkeypatch):
+    # F = (x - 3)^2 + c/2 |y - x|^2 and f = 0: every y-stage is a quadratic
+    # of curvature c + theta, whose minimizer moves with x.  A step longer
+    # than 2/c would raise it, so no y-solve accepts one, and no remembered
+    # first trial exceeds 4/c over 300 stages, though nearly all exceed
+    # step_y = 0.01.
+    F = field(1, 2, lambda x, y: float((x[0] - 3.0) ** 2) + 0.5 * c * float((y - x) @ (y - x)),
+              lambda x, y: np.array([2.0 * (x[0] - 3.0) - c * float(np.sum(y - x))]),
+              lambda x, y: c * (y - x))
+    f = field(1, 2, lambda x, y: 0.0, lambda x, y: np.zeros(1), lambda x, y: np.zeros(2))
+    starts = y_solve_starts(monkeypatch)
+    solve(BilevelProblem(m=1, n=2, F=F, f=f), SolverConfig(K=300, step_y=0.01), np.zeros(1))
+    remembered = [step0 for step0, *_ in starts[1:]]
+    assert len(remembered) == 299 and max(remembered) <= 4.0 / c
+    assert sum(step0 > 0.01 for step0 in remembered) >= 290
 
 
 def test_y_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_y():
@@ -942,7 +993,7 @@ def test_each_later_z_solve_starts_at_the_step_the_last_one_measured(name, monke
     solve(bench.problem, cfg, bench.x0, bench.y0)
     assert len(starts) == 6 and starts[0][:2] == (cfg.step_z, cfg.step_z)
     remembered = cfg.step_z
-    for (_, _, second), (step0, fallback, _) in zip(starts, starts[1:]):
+    for (_, _, second, _), (step0, fallback, _, _) in zip(starts, starts[1:]):
         remembered = remembered if second is None else second
         assert step0 == remembered and fallback == cfg.step_z
     assert all(step0 != cfg.step_z for step0, *_ in starts[1:])
@@ -960,16 +1011,22 @@ def test_z_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_z():
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
-def test_golden_y_solves_accept_their_first_trial(name, monkeypatch):
-    # In the K = 30 golden solves every y-solve accepts its first trial,
-    # step_y, so twice that step, capped at step_y, is step_y again: the
-    # step memory leaves these traces and their oracle calls as they were.
+def test_golden_y_solves_start_at_twice_the_first_step_their_predecessor_accepted(
+        name, monkeypatch):
+    # In the K = 30 golden solves the first y-solve tries step_y, and each
+    # later one twice the first step its last solved predecessor accepted:
+    # early stages accept steps longer than step_y, and no cap holds them.
     starts = y_solve_starts(monkeypatch)
     bench = {"sin-opt": make_sin_problem(2),
              "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
     cfg = build_solver_config({"bvfsm": {"K": 30}}, bench)
     solve(bench.problem, cfg, bench.x0, bench.y0)
-    assert starts == [(cfg.step_y, cfg.step_y, cfg.step_y)] * 30
+    assert len(starts) == 30 and starts[0][:2] == (cfg.step_y, cfg.step_y)
+    remembered = cfg.step_y
+    for (_, _, first, _), (step0, fallback, _, _) in zip(starts, starts[1:]):
+        remembered = remembered if first is None else 2.0 * first
+        assert step0 == remembered and fallback == cfg.step_y
+    assert max(step0 for step0, *_ in starts) > cfg.step_y
 
 
 def bench_solve_calls(monkeypatch, bench, K, layer, lead):
@@ -994,18 +1051,22 @@ def test_sin_con_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # stages accept steps of 1e-6 and less, so most first trials were
     # rejected.  With the step memory and before the secant prediction it
     # took 10,143 for 8,166, and before the z-step memory 8,563 for 5,104:
-    # a z-solve that starts at another step ends at another f*.
+    # a z-solve that starts at another step ends at another f*.  With the
+    # memory capped at step_y it took 8,586 for 5,121.
     counts = bench_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000,
                                "solve_penalized_inner", "F")
-    assert counts == {("sin-ul", "val"): 8586, ("sin-ul", "gy"): 5121}
+    assert counts == {("sin-ul", "val"): 8163, ("sin-ul", "gy"): 4241}
 
 
 def test_sin_opt_bench_solve_y_solve_calls_are_pinned(monkeypatch):
     # The benchmark's sin-opt solve (K = 3000), counted as above.  Before the
     # secant prediction it took 19,773 F evaluations for 17,635 gradients,
-    # and before the z-step memory 15,310 for 10,552.
+    # and before the z-step memory 15,310 for 10,552.  With the memory capped
+    # at step_y = 0.01 it took 15,304 for 10,545: 6,275 of those gradients
+    # fell in the first 1,000 stages, whose y-solves restarted at 0.01 and
+    # doubled their way back up to steps of about 0.3.
     counts = bench_solve_calls(monkeypatch, make_sin_problem(2), 3000, "solve_penalized_inner", "F")
-    assert counts == {("sin-ul", "val"): 15304, ("sin-ul", "gy"): 10545}
+    assert counts == {("sin-ul", "val"): 12045, ("sin-ul", "gy"): 6161}
 
 
 def test_sin_con_bench_solve_z_solve_calls_are_pinned(monkeypatch):
@@ -1013,10 +1074,11 @@ def test_sin_con_bench_solve_z_solve_calls_are_pinned(monkeypatch):
     # start values included.  Every z-solve starting at step_z = 0.01 took
     # 10,379 f evaluations for 9,057 gradients, and 893 of the 2,001
     # rejected their first trial.  Started at the step the last z-solve
-    # measured, none does.
+    # measured, none does: 6,619 for 6,601, until the uncapped y-step memory
+    # moved the UL iterates the z-solves run at.
     counts = bench_solve_calls(monkeypatch, make_constrained_sin_problem(2, 2.0, 1.0), 2000,
                                "solve_regularized_ll", "f")
-    assert counts == {("sin-ll", "val"): 6619, ("sin-ll", "gy"): 6601}
+    assert counts == {("sin-ll", "val"): 6615, ("sin-ll", "gy"): 6598}
 
 
 def test_sin_opt_bench_solve_z_solve_calls_are_pinned(monkeypatch):
@@ -1024,8 +1086,41 @@ def test_sin_opt_bench_solve_z_solve_calls_are_pinned(monkeypatch):
     # at step_z = 0.5 = 1/L took 9,665 f evaluations for 9,661 gradients:
     # where the local curvature is about 1, not L = 2, a late z-solve halved
     # |g| with its first step and took a second to reach the minimizer.
+    # Started at the step the last z-solve measured they took 6,785 for 6,768,
+    # until the uncapped y-step memory moved the UL iterates they run at.
     counts = bench_solve_calls(monkeypatch, make_sin_problem(2), 3000, "solve_regularized_ll", "f")
-    assert counts == {("sin-ll", "val"): 6785, ("sin-ll", "gy"): 6768}
+    assert counts == {("sin-ll", "val"): 6789, ("sin-ll", "gy"): 6770}
+
+
+@pytest.mark.parametrize("name, K", [("sin-opt", 3000), ("sin-con", 2000)])
+def test_no_inner_solve_of_a_bench_solve_reaches_its_cap(name, K, monkeypatch):
+    # The benchmark's solves: every z-solve (the polish's too) and every
+    # y-solve ends at its rounding floor before its cap, after at most 10
+    # and 15 gradients against T_z = T_y = 50, so none returns an iterate
+    # cut off unconverged for the chain rule to read as converged.
+    ys, zs = y_solve_starts(monkeypatch), z_solve_starts(monkeypatch)
+    bench = {"sin-opt": make_sin_problem(2),
+             "sin-con": make_constrained_sin_problem(2, 2.0, 1.0)}[name]
+    cfg = build_solver_config({"bvfsm": {"K": K}}, bench)
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert len(zs) == K + 1 and len(ys) == K
+    assert max(grads for *_, grads in zs) < cfg.T_z
+    assert max(grads for *_, grads in ys) < cfg.T_y
+
+
+def test_the_ul_constraint_golden_cuts_off_its_first_y_solve_at_the_cap(monkeypatch):
+    # The one known cut-off inner solve of the golden, bench and sweep
+    # solves: the first y-solve of the ul-constraint golden case takes all
+    # T_y steps and returns at the cap, and nothing reports it.  Pinned at
+    # exactly one, so it stays visible until a solve reports how each inner
+    # solve ended.
+    from test_traces import _config
+
+    ys, zs = y_solve_starts(monkeypatch), z_solve_starts(monkeypatch)
+    bench, cfg = _config("ul-constraint")
+    solve(bench.problem, cfg, bench.x0, bench.y0)
+    assert [i for i, (*_, grads) in enumerate(ys) if grads == cfg.T_y] == [0]
+    assert max(grads for *_, grads in zs) < cfg.T_z
 
 
 # ---------------------------------------------------------------------------

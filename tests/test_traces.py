@@ -22,8 +22,8 @@ digests.  wall-recovery alone was re-recorded when each y-solve after the
 first began at twice the first step the last stage's y-solve accepted:
 its UL step alpha = 0.5 makes two of its y-solves backtrack from their
 first trial, so 13 later ones start below step_y.  In every other case
-each y-solve accepts its first trial, step_y, and the rule starts the next
-one at step_y again.  All but wall-recovery and step-n1000 were re-recorded
+each y-solve accepted its first trial, step_y, and the rule started the
+next one at step_y again.  All but wall-recovery and step-n1000 were re-recorded
 when each y-solve from the third stage on began to descend from the secant
 prediction 2 y_k - y_(k-1) wherever the frozen stage is no higher there:
 in those nine cases later y-solves start elsewhere.  step-n1000 has one
@@ -32,8 +32,13 @@ predictions is as low as the plain start.  ul-constraint alone was
 re-recorded when every modified term began to take the one shift sequence
 sigma2: its H barrier had its own sequence, 0.5 stepped by sqrt(decay),
 and now takes the sin profile's 2.0 stepped by decay ** 0.6; the parent with that H sequence set to sigma2 gives
-the same digest.  A deliberate change re-records
-a case by copying the digest its failure prints.
+the same digest.  All but step-n1000 were re-recorded when each y-solve
+after the first stopped capping its first trial, twice the first step the
+last stage's y-solve accepted, at step_y: in each of the ten cases of
+several stages that double exceeds step_y at some stage, so the next
+y-solve starts higher and the iterates move.  step-n1000 has one stage, so
+it never reads the memory.  A deliberate change re-records a case by
+copying the digest its failure prints.
 """
 
 import hashlib
@@ -53,6 +58,7 @@ from bvfsm import (
     solve_regularized_ll,
     ul_gradient_for,
 )
+from bvfsm import solver as solver_module
 from bvfsm.auxfun import schedule_step
 from bvfsm.cli import build_solver_config
 from bvfsm.solver import _Stage
@@ -108,17 +114,17 @@ CASES = {
 }
 
 GOLDEN = {
-    "sin-con": "7dc9452d28ef5c5930651ca87d57bef84145182ce867d922d4c16716e4b9e796",
-    "sin-opt": "c7a6b9f9273887af14e899f522e8c072fdd21b3075b8a44100cfb1d6862b1a91",
+    "sin-con": "e45a680d571e120936e8aebc89605c49f9dd2a9b82d272e2d78e20b7d3894008",
+    "sin-opt": "e7fc701612be036769fd6bafd9d519ecc129ba5f3d495961eab7e6c3edbfc564",
     "step-n1000": "d925def0d8fd94367eac30ed67aa0cb62e3aee6c5e0df2be13ca58e5fd86e7cb",
-    "constrained-sin-pessimistic": "7951f62cb38ff12b42e68dc0fea9afb488ab4c654764d92b109e693d4f173594",
-    "constrained-truncated-log": "f8519e5073b4fa5e3c55d2ec4904cbe33750d91beda11a8d365c1b0f59be8666",
-    "pessimistic-sin": "bfb02cb56e432d9b5daa149c3f283bf53a55d6aa41621d0c274e1809730d578d",
-    "polynomial": "2d1c4282ae2bc69e8f8942a05b2ba45135e9fc4a9d9dba4bf3b2b0964ffcf629",
-    "truncated-log": "3ec53a55a47a24f0cff73bdab2b8a97b6bacce62b101b970d6b68174a93e912e",
-    "ul-constraint": "139b10b7416c64a1cdb24b0cbaa6fba623ae723f0aad77b3d29dbdd40789ae67",
-    "ul-constraint-quadratic": "cd09f8a2536d1f3d5057c094b5c245b3e795d6835e5f0f9b8292f923c5bb6e57",
-    "wall-recovery": "af709082ad6a5aec5ade588bd9870117cf1aa42305d1d656e7bc9bced0aa5951",
+    "constrained-sin-pessimistic": "f5d8ffb6b21281cc90af6412a3fdfedd9acc204afde42418c148f5502ad9653a",
+    "constrained-truncated-log": "f5859d5ed86c945016ff5d88d456ab538e0dabf51bab41578d2540e0909d70e1",
+    "pessimistic-sin": "559db3e02ef7b775e58fe82449d6684aab2256985c3fcf9ac461a6193b1d9fc8",
+    "polynomial": "bf5e0d9e5efa45a85cd55cd5ff5d76f84de4466a44c5c757ad90244966045b10",
+    "truncated-log": "80930e64663abdcc13b9e566b0ed4f4688c1a99751833f23f2e57369aeea11b5",
+    "ul-constraint": "3a676ee00835915b85b7da2d376a86751e295076b6b293750e913b2947e4f654",
+    "ul-constraint-quadratic": "fe1891a1c37fcbfd35f806a8de6e2f4ef82f5be67d90dc2a991d692653d7afd4",
+    "wall-recovery": "1ea328538fe143659d573922343d2aa2cdde96d3a027ede3e2c154af7ceec3eb",
 }
 
 
@@ -154,6 +160,33 @@ def test_short_solve_trace_is_unchanged(name):
     trace = solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
     digest = trace_digest(trace)
     assert digest == GOLDEN[name], f"{name}: trace digest is now {digest}"
+
+
+# The z-path digests of the golden cases whose trace cannot see the z-solve.
+# In constrained-sin-pessimistic the f-term multiplier lam_f is 0 at every
+# stage (its quadratic penalty is never active) and pessimistic mode has no
+# polish, so neither z nor f* reaches the trace: a change to every z-solve
+# left its trace digest as it was.
+Z_PATH_GOLDEN = {
+    "constrained-sin-pessimistic": "1f6022a828c70e65df17fbc784892467d196bb460546add3cd3246cd1e8075c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(Z_PATH_GOLDEN))
+def test_short_solve_z_path_is_unchanged(name, monkeypatch):
+    # sha256 of each solve_inner call's f* and z, as exact bytes, in order
+    bench, cfg = _config(name)
+    h, inner_solve = hashlib.sha256(), solver_module.solve_inner
+
+    def recorded(*args, **kwargs):
+        inner = inner_solve(*args, **kwargs)
+        h.update(repr(inner.f_star_approx).encode() + inner.z.tobytes())
+        return inner
+
+    monkeypatch.setattr(solver_module, "solve_inner", recorded)
+    solve(bench.problem, cfg, bench.x0, bench.y0, reference=bench.reference)
+    digest = h.hexdigest()
+    assert digest == Z_PATH_GOLDEN[name], f"{name}: z-path digest is now {digest}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(LL_BARRIER_CASES))
