@@ -1011,8 +1011,7 @@ def test_z_solve_whose_remembered_trial_is_at_the_rounding_floor_tries_step_z():
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_ORACLE_CALLS))
-def test_golden_y_solves_start_at_twice_the_first_step_their_predecessor_accepted(
-        name, monkeypatch):
+def test_golden_y_solves_start_at_twice_their_predecessors_first_step(name, monkeypatch):
     # In the K = 30 golden solves the first y-solve tries step_y, and each
     # later one twice the first step its last solved predecessor accepted:
     # early stages accept steps longer than step_y, and no cap holds them.
